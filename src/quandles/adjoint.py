@@ -10,6 +10,14 @@ where mu: M (x) M -> M (x) M is mu(x (x) y) = x (x) y - Ty (x) x and
 e_x = (1, x, 0).  The first coordinate is the total exponent map; the
 element (n, x, a) acts on the module by v -> T^n v + (1 - T) x.
 
+Elements are stored as integer codes: x is the module index of
+AlexanderModuleSpec and a is the mixed-radix code of a coker(mu) class
+over its invariant factors, first coordinate least significant.  The model
+tabulates T^m, module addition, negation and (1 - T), the classes
+[x (x) y] and coker addition once, so that products, inverses and the
+action are a few list lookups.  [x (x) y] is bilinear, so its table is
+read off the k x k classes [e_i (x) e_j].
+
 This module also provides the (non-homogeneous) bar complex of a group,
 the chain maps c_k from the rack complex into it, the explicit homotopies
 h_k, and verification routines for the degree-2 and degree-3 homotopy
@@ -21,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
+from typing import NamedTuple
 
-from .core import FiniteQuandle
+import numpy as np
+
 from .families import AlexanderModuleSpec, alexander
 from .groups import GroupTable
 from .homology import boundary_chain
@@ -49,17 +59,35 @@ class IdentityFailed(ValueError):
         super().__init__(f"{lemma} fails at {tup}: nonzero difference {difference}")
 
 
-@dataclass(frozen=True)
-class ClauwensElement:
+class ClauwensElement(NamedTuple):
     """An adjoint-group element (n, x, alpha) in canonical form.
 
-    x is a module coordinate tuple; alpha is the reduced coordinate tuple
-    of a coker(mu) class (componentwise modulo the invariant factors).
+    x is the module index of the spec (coordinates via spec.coords);
+    alpha is the mixed-radix code of a coker(mu) class over the invariant
+    factors, first coordinate least significant (coordinates via
+    ClauwensGroup.alpha_coords).
     """
 
     n: int
-    x: tuple[int, ...]
-    alpha: tuple[int, ...]
+    x: int
+    alpha: int
+
+
+# builds a ClauwensElement from a 3-tuple without the keyword-argument
+# wrapper of NamedTuple.__new__ (the hot path of mul and inv)
+_new_tuple = tuple.__new__
+
+
+def _digits(count: int, radices) -> np.ndarray:
+    """The mixed-radix digits of the codes 0..count-1, one row per code."""
+    place = np.cumprod((1, *radices), dtype=np.int64)[:-1]
+    return np.arange(count, dtype=np.int64)[:, None] // place % np.array(radices, dtype=np.int64)
+
+
+def _codes(digits: np.ndarray, radices) -> np.ndarray:
+    """Mixed-radix codes of digit rows (last axis), each digit reduced first."""
+    place = np.cumprod((1, *radices), dtype=np.int64)[:-1]
+    return (digits % np.array(radices, dtype=np.int64) * place).sum(axis=-1)
 
 
 class ClauwensGroup:
@@ -69,14 +97,11 @@ class ClauwensGroup:
         if not spec.is_connected():
             raise NotConnected(f"{spec!r} is not connected")
         self.spec = spec
-        k = len(spec.torsion_orders)
-        self._k = k
+        orders = spec.torsion_orders
+        k = len(orders)
         # M (x) M is generated by e_i (x) e_j with order gcd(d_i, d_j);
         # mu sends e_i (x) e_j to e_i (x) e_j - sum_a T[a][j] e_a (x) e_i.
-        orders = spec.torsion_orders
-        self.tensor_orders = [
-            gcd(orders[i], orders[j]) for i in range(k) for j in range(k)
-        ]
+        tensor_orders = [gcd(orders[i], orders[j]) for i in range(k) for j in range(k)]
         kk = k * k
         rel = SparseIntMatrix(kk, 2 * kk)
         for i in range(k):
@@ -88,92 +113,76 @@ class ClauwensGroup:
                     if tval:
                         rel.add(a * k + i, col, -tval)
         for g in range(kk):
-            rel.set(g, kk + g, self.tensor_orders[g])
+            rel.set(g, kk + g, tensor_orders[g])
         diag, U, _V = smith_normal_form(rel, transforms=True)
         if len(diag) != kk:
             raise AssertionError("tensor square of a finite module must be finite")
-        self._snf_diag = diag
-        self._snf_U = U
-        self._coker_positions = [i for i, d in enumerate(diag) if d > 1]
-        self.coker_invariants = AbelianGroupInvariants(
-            0, tuple(diag[i] for i in self._coker_positions)
-        )
-        self.coker_order = prod(
-            diag[i] for i in self._coker_positions
-        ) if self._coker_positions else 1
-        self.identity = ClauwensElement(0, spec.zero(), self._alpha_zero())
+        positions = [i for i, d in enumerate(diag) if d > 1]
+        invariants = tuple(diag[i] for i in positions)
+        self.coker_invariants = AbelianGroupInvariants(0, invariants)
+        self.coker_order = prod(invariants)
+        self.identity = ClauwensElement(0, 0, 0)
 
-    # -- coker(mu) plumbing --------------------------------------------------
+        n = self._size = spec.size
+        coords = _digits(n, orders)
+        t_coords = coords @ np.array(spec.t_matrix, dtype=np.int64).T
+        t_perm = _codes(t_coords, orders)
+        # _t_pow[m][v] is the index of T^m v, for 0 <= m < type
+        powers = [np.arange(n)]
+        while True:
+            nxt = t_perm[powers[-1]]
+            if (nxt == powers[0]).all():
+                break
+            powers.append(nxt)
+        self._t_pow = [p.tolist() for p in powers]
+        self._type = len(powers)
+        self._add = _codes(coords[:, None, :] + coords[None, :, :], orders).ravel().tolist()
+        self._neg = _codes(-coords, orders).tolist()
+        self._one_minus_t = _codes(coords - t_coords, orders).tolist()
+        # coordinate p of [x (x) y] is x^T B_p y, where B_p[i][j] is
+        # coordinate p of the class [e_i (x) e_j]: row p of U at i*k + j
+        tensor = np.zeros((n, n), dtype=np.int64)
+        place = 1
+        for pos, d in zip(positions, invariants):
+            b = np.array([v % d for v in U[pos]], dtype=np.int64).reshape(k, k)
+            tensor += (coords @ b @ coords.T) % d * place
+            place *= d
+        self._tensor = tensor.ravel().tolist()
+        self._invariants = invariants
+        alphas = _digits(self.coker_order, invariants)
+        coker_sums = alphas[:, None, :] + alphas[None, :, :]
+        self._coker_add = _codes(coker_sums, invariants).ravel().tolist()
+        self._coker_neg = _codes(-alphas, invariants).tolist()
 
-    def _alpha_zero(self) -> tuple[int, ...]:
-        return (0,) * len(self._coker_positions)
-
-    def _reduce_tensor(self, vec) -> tuple[int, ...]:
-        """Canonical coker(mu) coordinates of a vector in Z^{k*k}."""
+    def alpha_coords(self, alpha: int) -> tuple[int, ...]:
+        """The coker(mu) coordinates of a class code."""
         out = []
-        for pos in self._coker_positions:
-            row = self._snf_U[pos]
-            s = 0
-            for g, v in enumerate(vec):
-                if v:
-                    s += row[g] * v
-            out.append(s % self._snf_diag[pos])
+        for d in self._invariants:
+            out.append(alpha % d)
+            alpha //= d
         return tuple(out)
-
-    def _alpha_add(self, a, b) -> tuple[int, ...]:
-        return tuple(
-            (x + y) % self._snf_diag[pos]
-            for x, y, pos in zip(a, b, self._coker_positions)
-        )
-
-    def _alpha_neg(self, a) -> tuple[int, ...]:
-        return tuple(
-            (-x) % self._snf_diag[pos] for x, pos in zip(a, self._coker_positions)
-        )
-
-    def tensor_class(self, u, v) -> tuple[int, ...]:
-        """[u (x) v] in coker(mu) for module coordinate tuples u, v."""
-        k = self._k
-        vec = [0] * (k * k)
-        for i in range(k):
-            if u[i]:
-                for j in range(k):
-                    if v[j]:
-                        vec[i * k + j] = u[i] * v[j]
-        return self._reduce_tensor(vec)
-
-    def coker_elements(self):
-        """All coker(mu) coordinate tuples, mixed-radix enumeration."""
-        ranges = [range(self._snf_diag[pos]) for pos in self._coker_positions]
-        if not ranges:
-            yield ()
-            return
-        for combo in product(*reversed(ranges)):
-            yield tuple(reversed(combo))
 
     # -- group operations -----------------------------------------------------
 
     def e(self, x_index: int) -> ClauwensElement:
         """The generator e_x for the module element of the given index."""
-        return ClauwensElement(1, self.spec.coords(x_index), self._alpha_zero())
+        return ClauwensElement(1, x_index, 0)
 
     def mul(self, g: ClauwensElement, h: ClauwensElement) -> ClauwensElement:
-        spec = self.spec
-        tx = spec.t_power(g.x, h.n)
-        x = spec.add(tx, h.x)
-        alpha = self._alpha_add(
-            self._alpha_add(g.alpha, h.alpha), self.tensor_class(tx, h.x)
-        )
-        return ClauwensElement(g.n + h.n, x, alpha)
+        n, x, a = g
+        m, y, b = h
+        c = self.coker_order
+        i = self._t_pow[m % self._type][x] * self._size + y
+        add = self._coker_add
+        alpha = add[add[a * c + b] * c + self._tensor[i]]
+        return _new_tuple(ClauwensElement, (n + m, self._add[i], alpha))
 
     def inv(self, g: ClauwensElement) -> ClauwensElement:
-        spec = self.spec
-        y = spec.neg(spec.t_power(g.x, -g.n))
-        beta = self._alpha_add(
-            self._alpha_neg(g.alpha),
-            self._alpha_neg(self.tensor_class(spec.t_power(g.x, -g.n), y)),
-        )
-        return ClauwensElement(-g.n, y, beta)
+        n, x, a = g
+        tx = self._t_pow[-n % self._type][x]
+        y = self._neg[tx]
+        beta = self._coker_add[a * self.coker_order + self._tensor[tx * self._size + y]]
+        return _new_tuple(ClauwensElement, (-n, y, self._coker_neg[beta]))
 
     def power(self, g: ClauwensElement, m: int) -> ClauwensElement:
         if m < 0:
@@ -189,10 +198,8 @@ class ClauwensGroup:
 
     def act_index(self, v_index: int, g: ClauwensElement) -> int:
         """Right action on the quandle: v . (n, x, a) = T^n v + (1 - T) x."""
-        spec = self.spec
-        v = spec.coords(v_index)
-        w = spec.add(spec.t_power(v, g.n), spec.one_minus_t(g.x))
-        return spec.index(w)
+        tv = self._t_pow[g.n % self._type][v_index]
+        return self._add[tv * self._size + self._one_minus_t[g.x]]
 
     def acts_trivially(self, g: ClauwensElement) -> bool:
         return all(self.act_index(v, g) == v for v in self.spec.elements())
@@ -200,9 +207,8 @@ class ClauwensGroup:
     def kernel_slice(self):
         """All elements (0, x, alpha) --- the epsilon = 0, n = 0 slice."""
         for x_index in self.spec.elements():
-            coords = self.spec.coords(x_index)
-            for alpha in self.coker_elements():
-                yield ClauwensElement(0, coords, alpha)
+            for alpha in range(self.coker_order):
+                yield ClauwensElement(0, x_index, alpha)
 
     def verify(self, sample_limit: int = 6):
         """Construction checks: defining relations, action compatibility,
@@ -251,19 +257,17 @@ def action_kernel(spec: AlexanderModuleSpec):
     found = []
     for m in range(-2 * t, 2 * t + 1):
         for x_index in spec.elements():
-            coords = spec.coords(x_index)
-            for alpha in model.coker_elements():
-                g = ClauwensElement(m, coords, alpha)
+            for alpha in range(model.coker_order):
+                g = ClauwensElement(m, x_index, alpha)
                 if model.acts_trivially(g):
                     found.append(g)
     expected = {
-        (m, spec.zero(), alpha)
+        (m, 0, alpha)
         for m in range(-2 * t, 2 * t + 1)
         if m % t == 0
-        for alpha in model.coker_elements()
+        for alpha in range(model.coker_order)
     }
-    got = {(g.n, g.x, g.alpha) for g in found}
-    if got != expected:
+    if set(found) != expected:
         raise AssertionError("action kernel does not have the product shape")
     positives = sorted(g.n for g in found if g.n > 0)
     if not positives or positives[0] != t:
@@ -324,7 +328,7 @@ def eisermann_h2(spec: AlexanderModuleSpec) -> AbelianGroupInvariants:
         for g in model.kernel_slice()
         if model.act_index(base, g) == base
     ]
-    expected = {ClauwensElement(0, spec.zero(), a) for a in model.coker_elements()}
+    expected = {ClauwensElement(0, 0, a) for a in range(model.coker_order)}
     if set(members) != expected:
         raise AssertionError("stabilizer slice is not {(0, 0, alpha)}")
     for a in members:
@@ -388,6 +392,43 @@ class BarChain:
         return f"BarChain(degree={self.degree}, terms={len(self.terms)})"
 
 
+def _accumulate(terms: dict, chain: BarChain, scale: int) -> None:
+    """terms += scale * chain; zero coefficients stay until _nonzero."""
+    get = terms.get
+    for tup, coeff in chain.terms.items():
+        terms[tup] = get(tup, 0) + scale * coeff
+
+
+def _accumulate_bar_boundary(terms: dict, chain: BarChain, mul, scale: int) -> None:
+    """terms += scale * d(chain) for the bar differential below."""
+    k = chain.degree
+    if k < 2:
+        return
+    get = terms.get
+    for tup, coeff in chain.terms.items():
+        c = scale * coeff
+        face = tup[1:]
+        terms[face] = get(face, 0) + c
+        for i in range(1, k):
+            face = tup[: i - 1] + (mul(tup[i - 1], tup[i]),) + tup[i + 1 :]
+            terms[face] = get(face, 0) + (-c if i % 2 else c)
+        face = tup[:-1]
+        terms[face] = get(face, 0) + (-c if k % 2 else c)
+
+
+def _nonzero(terms: dict) -> dict:
+    return {tup: c for tup, c in terms.items() if c}
+
+
+def _chain(degree: int, pairs) -> BarChain:
+    """The chain sum of coeff * tup over (tup, coeff) pairs."""
+    terms: dict = {}
+    get = terms.get
+    for tup, coeff in pairs:
+        terms[tup] = get(tup, 0) + coeff
+    return BarChain(degree, _nonzero(terms))
+
+
 def bar_boundary(chain: BarChain, mul) -> BarChain:
     """Non-homogeneous bar differential.
 
@@ -399,16 +440,9 @@ def bar_boundary(chain: BarChain, mul) -> BarChain:
     k = chain.degree
     if k < 1:
         raise ValueError("bar boundary needs degree >= 1")
-    out = BarChain.zero(k - 1)
-    if k == 1:
-        return out
-    for tup, coeff in chain.terms.items():
-        out.add_term(tup[1:], coeff)
-        for i in range(1, k):
-            merged = tup[: i - 1] + (mul(tup[i - 1], tup[i]),) + tup[i + 1 :]
-            out.add_term(merged, -coeff if i % 2 else coeff)
-        out.add_term(tup[:-1], -coeff if k % 2 else coeff)
-    return out
+    terms: dict = {}
+    _accumulate_bar_boundary(terms, chain, mul, 1)
+    return BarChain(k - 1, _nonzero(terms))
 
 
 class HomotopyVerifier:
@@ -425,104 +459,97 @@ class HomotopyVerifier:
         self.quandle = alexander(spec)
         self.t = spec.t_order()
         self._e = [self.model.e(x) for x in range(spec.size)]
-        self._pow: dict[tuple[int, int], ClauwensElement] = {}
-
-    def e(self, x: int) -> ClauwensElement:
-        return self._e[x]
-
-    def e_pow(self, x: int, j: int) -> ClauwensElement:
-        key = (x, j)
-        if key not in self._pow:
-            self._pow[key] = self.model.power(self._e[x], j)
-        return self._pow[key]
+        # _pow[x][j] = e_x^j for 0 <= j <= t
+        self._pow = []
+        for g in self._e:
+            row = [self.model.identity]
+            for _ in range(self.t):
+                row.append(self.model.mul(row[-1], g))
+            self._pow.append(row)
 
     # chain maps ------------------------------------------------------------
 
     def c1(self, x: int) -> BarChain:
-        out = BarChain.zero(1)
-        out.add_term((self.e(x),), 1)
-        return out
+        return BarChain(1, {(self._e[x],): 1})
 
     def c2(self, x: int, y: int) -> BarChain:
-        q = self.quandle
-        out = BarChain.zero(2)
-        out.add_term((self.e(x), self.e(y)), 1)
-        out.add_term((self.e(y), self.e(q.apply(x, y))), -1)
-        return out
+        e = self._e
+        xy = self.quandle.apply(x, y)
+        return _chain(2, [((e[x], e[y]), 1), ((e[y], e[xy]), -1)])
 
     def c3(self, x: int, y: int, z: int) -> BarChain:
         q = self.quandle
         xy, xz, yz = q.apply(x, y), q.apply(x, z), q.apply(y, z)
-        A = q.apply(xy, z)
-        e = self.e
-        out = BarChain.zero(3)
-        out.add_term((e(x), e(y), e(z)), 1)
-        out.add_term((e(x), e(z), e(yz)), -1)
-        out.add_term((e(y), e(z), e(A)), 1)
-        out.add_term((e(y), e(xy), e(z)), -1)
-        out.add_term((e(z), e(xz), e(yz)), 1)
-        out.add_term((e(z), e(yz), e(A)), -1)
-        return out
+        ex, ey, ez, exy, exz, eyz, eA = (self._e[v] for v in (x, y, z, xy, xz, yz, q.apply(xy, z)))
+        return _chain(
+            3,
+            [
+                ((ex, ey, ez), 1),
+                ((ex, ez, eyz), -1),
+                ((ey, ez, eA), 1),
+                ((ey, exy, ez), -1),
+                ((ez, exz, eyz), 1),
+                ((ez, eyz, eA), -1),
+            ],
+        )
 
     # homotopies ------------------------------------------------------------
 
     def h1(self, x: int) -> BarChain:
-        out = BarChain.zero(2)
-        for j in range(1, self.t):
-            out.add_term((self.e(x), self.e_pow(x, j)), 1)
-        return out
+        ex = self._e[x]
+        return _chain(2, [((ex, p), 1) for p in self._pow[x][1 : self.t]])
 
     def h2(self, x: int, y: int) -> BarChain:
-        q = self.quandle
-        xy = q.apply(x, y)
-        e, ep = self.e, self.e_pow
-        out = BarChain.zero(3)
-        for j in range(1, self.t):
-            out.add_term((e(x), e(y), ep(xy, j)), 1)
-            out.add_term((e(x), ep(x, j), e(y)), -1)
-            out.add_term((e(y), e(xy), ep(xy, j)), -1)
-            out.add_term((e(y), ep(y, j), e(y)), 1)
-        return out
+        xy = self.quandle.apply(x, y)
+        ex, ey, exy = self._e[x], self._e[y], self._e[xy]
+        pairs = []
+        for pxy, px, py in zip(*(self._pow[v][1 : self.t] for v in (xy, x, y))):
+            pairs += (
+                ((ex, ey, pxy), 1),
+                ((ex, px, ey), -1),
+                ((ey, exy, pxy), -1),
+                ((ey, py, ey), 1),
+            )
+        return _chain(3, pairs)
 
     def h3(self, x: int, y: int, z: int) -> BarChain:
         q = self.quandle
         xy, xz, yz = q.apply(x, y), q.apply(x, z), q.apply(y, z)
         A = q.apply(xy, z)
-        e, ep = self.e, self.e_pow
-        out = BarChain.zero(4)
-        for j in range(1, self.t):
-            out.add_term((e(x), e(y), e(z), ep(A, j)), 1)
-            out.add_term((e(x), e(z), e(yz), ep(A, j)), -1)
-            out.add_term((e(x), e(y), ep(xy, j), e(z)), -1)
-            out.add_term((e(y), e(xy), e(z), ep(A, j)), -1)
-            out.add_term((e(x), e(z), ep(xz, j), e(yz)), 1)
-            out.add_term((e(z), e(xz), e(yz), ep(A, j)), 1)
-            out.add_term((e(x), ep(x, j), e(y), e(z)), 1)
-            out.add_term((e(x), ep(x, j), e(z), e(yz)), -1)
-            out.add_term((e(y), e(z), e(A), ep(A, j)), 1)
-            out.add_term((e(z), e(yz), e(A), ep(A, j)), -1)
-            out.add_term((e(z), e(xz), ep(xz, j), e(yz)), -1)
-            out.add_term((e(y), e(xy), ep(xy, j), e(z)), 1)
-        return out
+        ex, ey, ez, exy, exz, eyz, eA = (self._e[v] for v in (x, y, z, xy, xz, yz, A))
+        pairs = []
+        for pA, pxy, pxz, px in zip(*(self._pow[v][1 : self.t] for v in (A, xy, xz, x))):
+            pairs += (
+                ((ex, ey, ez, pA), 1),
+                ((ex, ez, eyz, pA), -1),
+                ((ex, ey, pxy, ez), -1),
+                ((ey, exy, ez, pA), -1),
+                ((ex, ez, pxz, eyz), 1),
+                ((ez, exz, eyz, pA), 1),
+                ((ex, px, ey, ez), 1),
+                ((ex, px, ez, eyz), -1),
+                ((ey, ez, eA, pA), 1),
+                ((ez, eyz, eA, pA), -1),
+                ((ez, exz, pxz, eyz), -1),
+                ((ey, exy, pxy, ez), 1),
+            )
+        return _chain(4, pairs)
 
     # rack boundaries mapped through the h's ---------------------------------
 
-    def _apply_h_to_boundary(self, tup, h) -> BarChain:
-        """h applied linearly to the rack boundary of the given tuple."""
-        out = None
+    def _accumulate_h_of_boundary(self, terms: dict, tup, h, scale: int) -> None:
+        """terms += scale * h applied linearly to the rack boundary of tup."""
         for face, coeff in boundary_chain(self.quandle, tup).items():
-            piece = h(*face).scale(coeff)
-            out = piece if out is None else out + piece
-        if out is None:
-            out = BarChain.zero(len(tup))
-        return out
+            _accumulate(terms, h(*face), scale * coeff)
 
     def residual_2(self, x: int, y: int) -> BarChain:
         """h1 d^R - d^gr h2 - t c2 on the pair (x, y); zero when the
         degree-2 homotopy identity holds."""
-        lhs = self._apply_h_to_boundary((x, y), self.h1)
-        lhs = lhs - bar_boundary(self.h2(x, y), self.model.mul)
-        return lhs - self.c2(x, y).scale(self.t)
+        terms: dict = {}
+        self._accumulate_h_of_boundary(terms, (x, y), self.h1, 1)
+        _accumulate_bar_boundary(terms, self.h2(x, y), self.model.mul, -1)
+        _accumulate(terms, self.c2(x, y), -self.t)
+        return BarChain(2, _nonzero(terms))
 
     def residual_3(self, x: int, y: int, z: int) -> BarChain:
         """t c3 - h2 d3^R - d^gr h3 on the triple (x, y, z).
@@ -534,10 +561,11 @@ class HomotopyVerifier:
         residual is independent of x (the degree-2 identity pins the
         opposite one for d2).
         """
-        out = self.c3(x, y, z).scale(self.t)
-        out = out + self._apply_h_to_boundary((x, y, z), self.h2)
-        out = out - bar_boundary(self.h3(x, y, z), self.model.mul)
-        return out
+        terms: dict = {}
+        _accumulate(terms, self.c3(x, y, z), self.t)
+        self._accumulate_h_of_boundary(terms, (x, y, z), self.h2, 1)
+        _accumulate_bar_boundary(terms, self.h3(x, y, z), self.model.mul, -1)
+        return BarChain(3, _nonzero(terms))
 
     def residual_3_template(self, y: int, z: int) -> BarChain:
         """The closed form of the degree-3 residual; depends on y, z only.
@@ -548,21 +576,20 @@ class HomotopyVerifier:
           + (e_z, B, e_w) - (e_z, e_w, B)
           - sum_{j=1..t-1} [ (e_y, e_y^j, e_y) - (e_w, e_w^j, e_w) ].
         """
-        q = self.quandle
-        w = q.apply(y, z)
-        e, ep = self.e, self.e_pow
-        B = self.e_pow(y, self.t)
-        out = BarChain.zero(3)
-        out.add_term((e(y), e(z), B), 1)
-        out.add_term((B, e(y), e(z)), 1)
-        out.add_term((B, e(z), e(w)), -1)
-        out.add_term((e(y), B, e(z)), -1)
-        out.add_term((e(z), B, e(w)), 1)
-        out.add_term((e(z), e(w), B), -1)
-        for j in range(1, self.t):
-            out.add_term((e(y), ep(y, j), e(y)), -1)
-            out.add_term((e(w), ep(w, j), e(w)), 1)
-        return out
+        w = self.quandle.apply(y, z)
+        ey, ez, ew = self._e[y], self._e[z], self._e[w]
+        B = self._pow[y][self.t]
+        pairs = [
+            ((ey, ez, B), 1),
+            ((B, ey, ez), 1),
+            ((B, ez, ew), -1),
+            ((ey, B, ez), -1),
+            ((ez, B, ew), 1),
+            ((ez, ew, B), -1),
+        ]
+        for py, pw in zip(self._pow[y][1 : self.t], self._pow[w][1 : self.t]):
+            pairs += (((ey, py, ey), -1), ((ew, pw, ew), 1))
+        return _chain(3, pairs)
 
 
 @dataclass

@@ -44,7 +44,12 @@ from .adjoint import (
     verify_homotopy_3,
 )
 from .core import AxiomViolation, FiniteQuandle, load_table
-from .coverings import covering_properties, export_covering, universal_covering_alexander
+from .coverings import (
+    CoveringInstance,
+    covering_properties,
+    export_covering,
+    universal_covering_alexander,
+)
 from .families import AlexanderModuleSpec
 from .fields import FiniteField
 from .grid import grid_by_key, standard_grid
@@ -543,7 +548,10 @@ def _verify_eisermann(doc: ReportDocument, spec: AlexanderModuleSpec, cap):
     )
 
 
-def _verify_covering(doc: ReportDocument, spec: AlexanderModuleSpec, cap):
+def _verify_covering(
+    doc: ReportDocument, spec: AlexanderModuleSpec, cap
+) -> Optional[CoveringInstance]:
+    """Construct the universal covering and check it; None if it failed."""
     start = time.perf_counter()
     try:
         inst = universal_covering_alexander(spec)
@@ -555,7 +563,7 @@ def _verify_covering(doc: ReportDocument, spec: AlexanderModuleSpec, cap):
             {"detail": str(exc)},
             seconds=time.perf_counter() - start,
         )
-        return
+        return None
     doc.add(
         "construction",
         "universal covering assembles and projects as a covering map",
@@ -567,13 +575,9 @@ def _verify_covering(doc: ReportDocument, spec: AlexanderModuleSpec, cap):
         },
         seconds=time.perf_counter() - start,
     )
-    start = time.perf_counter()
-    entries = covering_properties(inst, cap=cap)
-    elapsed = time.perf_counter() - start
-    for entry in entries:
-        doc.add(entry.name, entry.claim, entry.status, entry.data)
-    if doc.entries:
-        doc.entries[-1].seconds = elapsed
+    for entry in covering_properties(inst, cap=cap):
+        doc.add(entry.name, entry.claim, entry.status, entry.data, seconds=entry.seconds)
+    return inst
 
 
 def _verify_coxeter(doc: ReportDocument, group: GroupTable, cap):
@@ -644,10 +648,8 @@ def cmd_covering(args) -> tuple[ReportDocument, int]:
     parsed = parse_input(args.input)
     spec = _require_connected_alexander(parsed)
     doc = ReportDocument(f"covering: {parsed.description}", __version__)
-    _verify_covering(doc, spec, args.cap_cells)
+    inst = _verify_covering(doc, spec, args.cap_cells)
     if args.export_dir and not doc.failed:
-        inst = universal_covering_alexander(spec)
-        os.makedirs(args.export_dir, exist_ok=True)
         written = export_covering(inst, args.export_dir)
         doc.add(
             "export",

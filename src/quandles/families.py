@@ -12,7 +12,7 @@ from math import prod
 
 from . import perms
 from .core import FiniteQuandle, validate
-from .fields import FiniteField, FiniteFieldSpec
+from .fields import FiniteField
 from .groups import GroupTable
 from .perms import PermGroup
 
@@ -109,14 +109,6 @@ class AlexanderModuleSpec:
             sum(self.t_matrix[j][i] * v[i] for i in range(len(v))) % dj
             for j, dj in enumerate(self.torsion_orders)
         )
-
-    def t_power(self, v, m: int) -> tuple[int, ...]:
-        """T^m v for any integer m, using T's finite order."""
-        t = self.t_order()
-        m %= t
-        for _ in range(m):
-            v = self.t_apply(v)
-        return v
 
     def one_minus_t(self, v) -> tuple[int, ...]:
         return self.sub(v, self.t_apply(v))
@@ -234,32 +226,6 @@ def symplectic(g: int, field) -> FiniteQuandle:
     return validate(table, labels=labels)
 
 
-def symplectic_translations(g: int, field) -> list[tuple[tuple[int, ...], ...]]:
-    """The linear maps kappa(y): x -> <x, y> y + x as matrices (rows)."""
-    F = field if isinstance(field, FiniteField) else FiniteField.of(field)
-    m = 2 * g
-    vecs = _vectors(F, m, nonzero_only=True)
-
-    def form(x, y):
-        s = 0
-        for i in range(g):
-            s = F.add(
-                s, F.sub(F.mul(x[2 * i], y[2 * i + 1]), F.mul(x[2 * i + 1], y[2 * i]))
-            )
-        return s
-
-    mats = []
-    for y in vecs:
-        cols = []
-        for j in range(m):
-            e = tuple(1 if i == j else 0 for i in range(m))
-            c = form(e, y)
-            cols.append(tuple(F.add(F.mul(c, yv), ev) for ev, yv in zip(e, y)))
-        # store by rows
-        mats.append(tuple(tuple(cols[j][i] for j in range(m)) for i in range(m)))
-    return mats
-
-
 def spherical(n: int, field) -> FiniteQuandle:
     """Unit vectors of F_q^{n+1} (odd q) with x <| y = 2<x, y> y - x.
 
@@ -289,32 +255,6 @@ def spherical(n: int, field) -> FiniteQuandle:
         table.append(row)
     labels = ["(" + ",".join(str(v) for v in vec) + ")" for vec in vecs]
     return validate(table, labels=labels)
-
-
-def spherical_translations(n: int, field) -> list[tuple[tuple[int, ...], ...]]:
-    """The linear maps kappa(y): x -> 2<x, y> y - x as matrices (rows)."""
-    F = field if isinstance(field, FiniteField) else FiniteField.of(field)
-    if F.p == 2:
-        raise EvenCharacteristic("spherical quandles need odd characteristic")
-    m = n + 1
-
-    def dot(x, y):
-        s = 0
-        for a, b in zip(x, y):
-            s = F.add(s, F.mul(a, b))
-        return s
-
-    vecs = [v for v in _vectors(F, m) if dot(v, v) == 1]
-    two = F.embed(2)
-    mats = []
-    for y in vecs:
-        cols = []
-        for j in range(m):
-            e = tuple(1 if i == j else 0 for i in range(m))
-            c = F.mul(two, dot(e, y))
-            cols.append(tuple(F.sub(F.mul(c, yv), ev) for ev, yv in zip(e, y)))
-        mats.append(tuple(tuple(cols[j][i] for j in range(m)) for i in range(m)))
-    return mats
 
 
 def core(group: GroupTable) -> FiniteQuandle:

@@ -55,10 +55,6 @@ class AbelianGroupInvariants:
             if b % a != 0:
                 raise ValueError(f"invariant factors not a divisibility chain: {a}, {b}")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def order(self):
         """Number of elements, or None when the group is infinite."""
         if self.free_rank:
@@ -130,13 +126,6 @@ class SparseIntMatrix:
             for c, v in enumerate(row):
                 if v:
                     m._data[(r, c)] = int(v)
-        return m
-
-    @classmethod
-    def from_triples(cls, rows: int, cols: int, triples) -> "SparseIntMatrix":
-        m = cls(rows, cols)
-        for r, c, v in triples:
-            m.add(r, c, v)
         return m
 
     def set(self, r: int, c: int, v: int):

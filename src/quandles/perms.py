@@ -275,18 +275,3 @@ def closure_order(degree: int, gens, limit: int = 2_000_000) -> int:
         frontier = new
     return len(elems)
 
-
-def effective_action_check(pairs) -> bool:
-    """True when distinct elements act by distinct permutations.
-
-    `pairs` lists (element, permutation) for every element of the acting
-    group; the action is effective exactly when no two elements share an
-    image, i.e. only the identity acts trivially.
-    """
-    seen = {}
-    for elem, perm in pairs:
-        perm = tuple(perm)
-        if perm in seen and seen[perm] != elem:
-            return False
-        seen[perm] = elem
-    return True

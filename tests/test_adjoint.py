@@ -6,12 +6,17 @@ Oracles:
   is Z/gcd(d, 1-t) (the relation matrix is 1x1),
 - the chain-level H2 computed independently from the rack complex,
 - classical Schur multipliers of small groups,
-- mutation checks: corrupted homotopies must be caught.
+- mutation checks: corrupted homotopies must be caught,
+- the model's product, inverse and action against the defining formula on
+  coordinate tuples, with an independent coker(mu) reduction.
 """
 
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandles import families
 from quandles.adjoint import (
@@ -35,7 +40,7 @@ from quandles.families import AlexanderModuleSpec
 from quandles.grid import connected_alexander_specs, homotopy_suite_specs
 from quandles.groups import from_permutations, named_group
 from quandles.homology import quandle_h2
-from quandles.intlin import AbelianGroupInvariants
+from quandles.intlin import AbelianGroupInvariants, SparseIntMatrix, smith_normal_form
 
 
 def Z(rank=0, *torsion):
@@ -250,3 +255,128 @@ class TestGroupH2Bar:
         assert BAR_GROUP_CAP == 30
         with pytest.raises(ValueError):
             group_h2_bar(named_group("cyclic:5"), cap=4)
+
+
+class ReferenceModel:
+    """The docstring product on coordinate tuples (n, x, a), written out:
+
+        (n, x, a) * (m, y, b) = (n + m, T^m x + y, a + b + [T^m x (x) y]),
+
+    with [u (x) v] reduced through a Smith form of the relation matrix of
+    mu(u (x) v) = u (x) v - Tv (x) u computed here, not by the model.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.t = spec.t_order()
+        orders = spec.torsion_orders
+        k = len(orders)
+        self.k = k
+        unit = [tuple(int(a == i) for a in range(k)) for i in range(k)]
+        columns = [
+            [
+                u - v
+                for u, v in zip(
+                    self.tensor(unit[i], unit[j]), self.tensor(spec.t_apply(unit[j]), unit[i])
+                )
+            ]
+            for i in range(k)
+            for j in range(k)
+        ]
+        columns += [
+            [math.gcd(orders[i], orders[j]) * v for v in self.tensor(unit[i], unit[j])]
+            for i in range(k)
+            for j in range(k)
+        ]
+        dense = [list(row) for row in zip(*columns)]
+        diag, U, _ = smith_normal_form(SparseIntMatrix.from_dense(dense), transforms=True)
+        self.rows = [(U[p], d) for p, d in enumerate(diag) if d > 1]
+        self.invariants = tuple(d for _, d in self.rows)
+        self.identity = (0, spec.zero(), (0,) * len(self.rows))
+
+    def tensor(self, u, v):
+        return [u[i] * v[j] for i in range(self.k) for j in range(self.k)]
+
+    def tensor_class(self, u, v):
+        vec = self.tensor(u, v)
+        return tuple(sum(r * c for r, c in zip(row, vec)) % d for row, d in self.rows)
+
+    def coker_add(self, a, b):
+        return tuple((u + v) % d for u, v, d in zip(a, b, self.invariants))
+
+    def t_power(self, v, m):
+        for _ in range(m % self.t):
+            v = self.spec.t_apply(v)
+        return v
+
+    def mul(self, g, h):
+        (n, x, a), (m, y, b) = g, h
+        tx = self.t_power(x, m)
+        alpha = self.coker_add(self.coker_add(a, b), self.tensor_class(tx, y))
+        return (n + m, self.spec.add(tx, y), alpha)
+
+    def inv(self, g):
+        n, x, a = g
+        tx = self.t_power(x, -n)
+        y = self.spec.neg(tx)
+        total = self.coker_add(a, self.tensor_class(tx, y))
+        return (-n, y, tuple((-v) % d for v, d in zip(total, self.invariants)))
+
+    def act(self, v, g):
+        n, x, _ = g
+        spec = self.spec
+        image = spec.add(self.t_power(spec.coords(v), n), spec.sub(x, spec.t_apply(x)))
+        return spec.index(image)
+
+    def encode(self, g):
+        n, x, a = g
+        code, place = 0, 1
+        for digit, d in zip(a, self.invariants):
+            code += digit * place
+            place *= d
+        return ClauwensElement(n, self.spec.index(x), code)
+
+    def elements(self):
+        return st.tuples(
+            st.integers(-3 * self.t, 3 * self.t),
+            st.tuples(*(st.integers(0, d - 1) for d in self.spec.torsion_orders)),
+            st.tuples(*(st.integers(0, d - 1) for d in self.invariants)),
+        )
+
+
+REFERENCE_SPECS = connected_alexander_specs(max_order=27)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_and_model(spec):
+    return ReferenceModel(spec), ClauwensGroup(spec)
+
+
+class TestReferenceFormula:
+    def test_covers_rank_three_cokernel(self):
+        assert any(len(reference_and_model(s)[0].invariants) == 3 for s in REFERENCE_SPECS)
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.label())
+    def test_same_cokernel(self, spec):
+        ref, model = reference_and_model(spec)
+        assert model.coker_invariants == Z(0, *ref.invariants)
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.label())
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mul_inv_act_match(self, spec, data):
+        ref, model = reference_and_model(spec)
+        g, h = data.draw(ref.elements()), data.draw(ref.elements())
+        v = data.draw(st.integers(0, spec.size - 1))
+        assert ref.mul(g, ref.inv(g)) == ref.identity == ref.mul(ref.inv(g), g)
+        assert model.mul(ref.encode(g), ref.encode(h)) == ref.encode(ref.mul(g, h))
+        assert model.inv(ref.encode(g)) == ref.encode(ref.inv(g))
+        assert model.act_index(v, ref.encode(g)) == ref.act(v, g)
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.label())
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_associative(self, spec, data):
+        ref, model = reference_and_model(spec)
+        a, b, c = (ref.encode(data.draw(ref.elements())) for _ in range(3))
+        assert model.mul(model.mul(a, b), c) == model.mul(a, model.mul(b, c))

@@ -4,9 +4,10 @@ import os
 
 import pytest
 
+from quandles import cli, families
 from quandles.cli import CLIError, main, parse_input
 from quandles.core import dump_table
-from quandles import families
+from quandles.coverings import universal_covering_alexander
 
 
 def run(capsys, *argv):
@@ -141,6 +142,31 @@ class TestCommands:
         assert code == 0
         assert (exp / "total.quandle").exists()
         assert "data.total_order: 27" in out
+
+    def test_covering_export_builds_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return universal_covering_alexander(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "universal_covering_alexander", counting)
+        code, _, _ = run(
+            capsys, "covering", "alexander orders=3,3 t=-1", "--export-dir", str(tmp_path)
+        )
+        assert code == 0
+        assert (tmp_path / "projection.map").exists()
+        assert len(calls) == 1
+
+    def test_covering_timings_per_property(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "covering", "alexander orders=3,3 t=-1", "--timings"
+        )
+        assert code == 0
+        blocks = out.rstrip("\n").split("\n\n")[1:]
+        assert len(blocks) == 6
+        for block in blocks:
+            assert sum(line.startswith("seconds: ") for line in block.split("\n")) == 1, block
 
     def test_check_on_file(self, capsys, tmp_path):
         p = tmp_path / "r5.quandle"
