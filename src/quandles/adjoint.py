@@ -466,6 +466,8 @@ class HomotopyVerifier:
             for _ in range(self.t):
                 row.append(self.model.mul(row[-1], g))
             self._pow.append(row)
+        # h2 chains of the rack-boundary faces in residual_3, one per pair
+        self._h2_of_pair: dict = {}
 
     # chain maps ------------------------------------------------------------
 
@@ -537,6 +539,12 @@ class HomotopyVerifier:
 
     # rack boundaries mapped through the h's ---------------------------------
 
+    def _memo_h2(self, x: int, y: int) -> BarChain:
+        chain = self._h2_of_pair.get((x, y))
+        if chain is None:
+            chain = self._h2_of_pair[x, y] = self.h2(x, y)
+        return chain
+
     def _accumulate_h_of_boundary(self, terms: dict, tup, h, scale: int) -> None:
         """terms += scale * h applied linearly to the rack boundary of tup."""
         for face, coeff in boundary_chain(self.quandle, tup).items():
@@ -563,7 +571,7 @@ class HomotopyVerifier:
         """
         terms: dict = {}
         _accumulate(terms, self.c3(x, y, z), self.t)
-        self._accumulate_h_of_boundary(terms, (x, y, z), self.h2, 1)
+        self._accumulate_h_of_boundary(terms, (x, y, z), self._memo_h2, 1)
         _accumulate_bar_boundary(terms, self.h3(x, y, z), self.model.mul, -1)
         return BarChain(3, _nonzero(terms))
 

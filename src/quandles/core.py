@@ -170,6 +170,10 @@ class QuandleProfile:
         }
 
 
+# cells of (x <| y) <| z compared per block in the self-distributivity check
+_AXIOM_BLOCK_CELLS = 1 << 18
+
+
 def _check_axioms(table):
     n = len(table)
     for i, row in enumerate(table):
@@ -198,17 +202,25 @@ def _check_axioms(table):
                         f"right translation by {y} maps both {seen[v]} and {x} to {v}",
                     )
                 seen[v] = x
-    # (x <| y) <| z  vs  (x <| z) <| (y <| z), all triples at once
-    left = arr[arr, :]  # left[x, y, z] = table[table[x][y]][z]
-    right = arr[arr[:, None, :], arr[None, :, :]]
-    if not np.array_equal(left, right):
-        x, y, z = (int(v) for v in np.argwhere(left != right)[0])
-        raise AxiomViolation(
-            "iii",
-            (x, y, z),
-            f"({x}<|{y})<|{z} == {int(left[x, y, z])} but "
-            f"({x}<|{z})<|({y}<|{z}) == {int(right[x, y, z])}",
-        )
+    # (x <| y) <| z  vs  (x <| z) <| (y <| z), one block of x rows at a time so
+    # memory stays O(n^2); blocks run in order of x, so the first mismatch
+    # found is the lexicographically first (x, y, z)
+    flat = arr.ravel()
+    step = max(1, _AXIOM_BLOCK_CELLS // (n * n))
+    for x0 in range(0, n, step):
+        xs = arr[x0 : x0 + step]
+        left = arr[xs]  # left[i, y, z] = table[table[x0 + i][y]][z]
+        right = flat.take(xs[:, None, :] * n + arr)
+        bad = left != right
+        if bad.any():
+            i, y, z = (int(v) for v in np.argwhere(bad)[0])
+            x = x0 + i
+            raise AxiomViolation(
+                "iii",
+                (x, y, z),
+                f"({x}<|{y})<|{z} == {int(left[i, y, z])} but "
+                f"({x}<|{z})<|({y}<|{z}) == {int(right[i, y, z])}",
+            )
 
 
 def validate(table, labels=None) -> FiniteQuandle:

@@ -2,15 +2,27 @@
 
 Permutations are image tuples: p[i] is the image of i, and compose(p, q)
 applies p first.  Group order and membership come from a stabilizer chain
-built with Schreier's lemma (orbit of the smallest moved point, transversal
-by breadth-first search, all Schreier generators kept after deduplication),
-so every order is an exact orbit-times-stabilizer certificate with no
-randomization anywhere.
+built with Schreier's lemma, with no randomization anywhere, so every
+order is an exact orbit-times-stabilizer certificate.  Each level of the
+chain takes the smallest point moved by its generators, builds the orbit
+transversal {b: u_b} with u_b[point] = b by breadth-first search, and
+passes to the next level every distinct non-identity Schreier generator
+u_a g u_{a^g}^-1, sorted.  PermGroup.stabilizer takes the same step at
+the point it is given.
+
+The Schreier step runs on numpy arrays.  The transversal is stacked as
+an |orbit| x n int32 array U whose row inverses Uinv are computed once;
+with pos mapping each orbit point to its row, one gather
+Uinv[pos[g[a]], g[U]] forms all |orbit| Schreier generators of one
+generator g.  Rows are deduplicated by their bytes, and only the
+distinct ones become image tuples.
 """
 
 from __future__ import annotations
 
 from math import lcm
+
+import numpy as np
 
 Perm = tuple[int, ...]
 
@@ -108,28 +120,34 @@ def _orbit_transversal(degree: int, point: int, gens: list[Perm]):
     return transversal
 
 
-def _build_chain(degree: int, gens: list[Perm], forced_base=()):
+def _schreier_generators(degree: int, transversal, gens: list[Perm]) -> list[Perm]:
+    """Sorted distinct non-identity Schreier generators u_a g u_{a^g}^-1."""
+    points = np.fromiter(transversal, dtype=np.intp, count=len(transversal))
+    u = np.array(list(transversal.values()), dtype=np.int32)
+    rows = np.arange(len(points))
+    u_inv = np.empty_like(u)
+    u_inv[rows[:, None], u] = np.arange(degree, dtype=np.int32)
+    pos = np.empty(degree, dtype=np.intp)
+    pos[points] = rows
+    flat_inv = u_inv.ravel()
+    seen = set()
+    for g in np.array(gens, dtype=np.int32):
+        # row r is u_a g u_{a^g}^-1 for a = points[r]: u_inv[pos[g[a]], g[u[r]]]
+        s = flat_inv.take(g.take(u) + (pos[g[points]] * degree)[:, None])
+        seen.update(map(bytes, s))
+    seen.discard(np.arange(degree, dtype=np.int32).tobytes())
+    return sorted(tuple(np.frombuffer(s, dtype=np.int32).tolist()) for s in seen)
+
+
+def _build_chain(degree: int, gens: list[Perm]):
     """Stabilizer chain: list of levels, deterministic throughout."""
     levels: list[_ChainLevel] = []
     current = sorted({g for g in gens if not is_identity(g)})
-    base_queue = list(forced_base)
-    while current or base_queue:
-        if base_queue:
-            point = base_queue.pop(0)
-        else:
-            point = min(
-                i for g in current for i in range(degree) if g[i] != i
-            )
+    while current:
+        point = min(i for g in current for i in range(degree) if g[i] != i)
         transversal = _orbit_transversal(degree, point, current)
         levels.append(_ChainLevel(point, transversal, current))
-        schreier = set()
-        for a in sorted(transversal):
-            ua = transversal[a]
-            for g in current:
-                s = compose(compose(ua, g), inverse(transversal[g[a]]))
-                if not is_identity(s):
-                    schreier.add(s)
-        current = sorted(schreier)
+        current = _schreier_generators(degree, transversal, current)
     return levels
 
 
@@ -198,17 +216,9 @@ class PermGroup:
 
     def stabilizer(self, point: int) -> "PermGroup":
         """Point stabilizer, generated by the Schreier generators at `point`."""
-        levels = _build_chain(self.degree, list(self.generators), forced_base=(point,))
-        transversal = levels[0].transversal
-        gens = levels[0].gens
-        schreier = set()
-        for a in sorted(transversal):
-            ua = transversal[a]
-            for g in gens:
-                s = compose(compose(ua, g), inverse(transversal[g[a]]))
-                if not is_identity(s):
-                    schreier.add(s)
-        return PermGroup(self.degree, sorted(schreier))
+        gens = sorted(self.generators)
+        transversal = _orbit_transversal(self.degree, point, gens)
+        return PermGroup(self.degree, _schreier_generators(self.degree, transversal, gens))
 
     def derived_subgroup(self) -> "PermGroup":
         """Commutator subgroup via normal closure of generator commutators."""

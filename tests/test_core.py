@@ -1,11 +1,16 @@
 """Quandle axioms, profiles, serialization, morphisms, isomorphism search."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandles import families
 from quandles.core import (
+    _AXIOM_BLOCK_CELLS,
     AxiomViolation,
     FiniteQuandle,
     dump_table,
@@ -49,6 +54,38 @@ class TestValidate:
         with pytest.raises(AxiomViolation) as exc:
             validate(table)
         assert exc.value.axiom == "iii"
+
+    def test_distributivity_witness_is_first_across_blocks(self):
+        # x <| y = s_y(x): every s_y is the identity except s_0 = (40 100) and
+        # s_1 = (40 41).  These do not commute, so (iii) fails exactly for
+        # x in {40, 41, 100} with {y, z} = {0, 1}; the first triple is (40, 0, 1).
+        n = 128
+        table = [[x] * n for x in range(n)]
+        for y, (a, b) in ((0, (40, 100)), (1, (40, 41))):
+            table[a][y], table[b][y] = b, a
+        step = max(1, _AXIOM_BLOCK_CELLS // (n * n))
+        assert 40 // step != 100 // step  # the failures span two x blocks
+        with pytest.raises(AxiomViolation) as exc:
+            validate(table)
+        assert exc.value.axiom == "iii"
+        assert exc.value.witness == (40, 0, 1)
+        assert "(40<|0)<|1 == 100 but (40<|1)<|(0<|1) == 41" in str(exc.value)
+
+    def test_validation_memory_is_quadratic(self):
+        # the whole-cube check held two n^3 int64 arrays: 2 GiB at n = 512
+        code = (
+            "import resource\n"
+            "from quandles import families\n"
+            "assert families.dihedral(512).order == 512\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        assert int(out.stdout) < 200 * 1024  # ru_maxrss is in KiB on Linux
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):

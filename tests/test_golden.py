@@ -1,9 +1,13 @@
 """Golden report bytes: rendered reports and exported covering files.
 
-Every file under tests/golden/ is the exact output of one command (or,
-for covering-labels.txt, the element labels of three universal coverings);
-the tests re-run it and compare bytes.  Regenerate the files only for
-an intended change of report content:
+Every report file under tests/golden/ is the exact output of one command
+(or, for covering-labels.txt, the element labels of three universal
+coverings); the tests re-run it and compare bytes.  Commands run from
+inside tests/golden/, so table-file inputs (census-tables/ and
+broken-iii.quandle, themselves written by this script) are named by
+relative paths and the report headers do not depend on the checkout's
+location.  Regenerate the files only for an intended change of report
+content:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,8 +18,11 @@ import os
 
 import pytest
 
+from quandles import families
 from quandles.cli import main, parse_input
+from quandles.core import dump_table
 from quandles.coverings import universal_covering_alexander
+from quandles.fields import FiniteField
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -33,15 +40,49 @@ REPORTS.update(
     for name, spec in SPECS.items()
 )
 
+# profile reports: each prints order, type, orbits and inn_order, so they
+# pin the Inn stabilizer chain and table validation byte for byte
+REPORTS.update(
+    {
+        "check-dihedral8": ["check", "dihedral n=8"],
+        "check-broken-iii": ["check", "broken-iii.quandle"],
+        "invariants-z5t2": ["invariants", SPECS["z5t2"]],
+        "invariants-symplectic-g1-q5": ["invariants", "grid:symplectic:g1:q5"],
+        "census-dir": ["census", "--dir", "census-tables"],
+    }
+)
+
+# (x <| y) <| z != (x <| z) <| (y <| z) first at (x, y, z) = (2, 0, 2)
+BROKEN_III = [[0, 0, 1, 1], [1, 1, 0, 0], [3, 2, 2, 2], [2, 3, 3, 3]]
+CENSUS_TABLES = {
+    "dihedral-6.quandle": lambda: families.dihedral(6),
+    "symplectic-g1-q3.quandle": lambda: families.symplectic(1, FiniteField.of(3)),
+}
+
 EXPORT_SPEC = SPECS["neg33"]
 EXPORT_FILES = ("base.quandle", "total.quandle", "projection.map")
 
 
 def render(argv) -> str:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)  # contextlib.chdir needs Python 3.11
+    try:
+        with contextlib.redirect_stdout(out):
+            main(list(argv))
+    finally:
+        os.chdir(cwd)
     return out.getvalue()
+
+
+def write_input_tables() -> None:
+    """The table files that the `check` and `census --dir` reports read."""
+    with open(os.path.join(GOLDEN, "broken-iii.quandle"), "w", encoding="utf-8") as fh:
+        fh.write("4\n" + "".join(" ".join(map(str, row)) + "\n" for row in BROKEN_III))
+    os.makedirs(os.path.join(GOLDEN, "census-tables"), exist_ok=True)
+    for fname, build in CENSUS_TABLES.items():
+        with open(os.path.join(GOLDEN, "census-tables", fname), "w", encoding="utf-8") as fh:
+            fh.write(dump_table(build()))
 
 
 def export(directory) -> None:
@@ -80,6 +121,7 @@ def test_covering_label_bytes():
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
+    write_input_tables()
     for name, argv in sorted(REPORTS.items()):
         with open(os.path.join(GOLDEN, name + ".txt"), "w", encoding="utf-8") as fh:
             fh.write(render(argv))

@@ -1,7 +1,9 @@
 """Permutation plumbing and the stabilizer-chain group engine.
 
-Oracle: brute-force closure by breadth-first multiplication, plus known
-orders of standard groups.
+Oracle: brute-force closure by breadth-first multiplication, known orders
+of standard groups, and a reference stabilizer chain built on image tuples
+with compose/inverse, which the array-based chain must match level for
+level.
 """
 
 import random
@@ -9,6 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandles.grid import standard_grid
 from quandles.perms import (
     PermGroup,
     closure_order,
@@ -36,6 +39,46 @@ def brute_closure(degree, gens):
                     nxt.append(q)
         frontier = nxt
     return elems
+
+
+def reference_level(degree, point, gens):
+    """One chain level on tuples: (transversal in BFS order, Schreier gens)."""
+    transversal = {point: identity(degree)}
+    queue = [point]
+    while queue:
+        a = queue.pop(0)
+        for g in gens:
+            if g[a] not in transversal:
+                transversal[g[a]] = compose(transversal[a], g)
+                queue.append(g[a])
+    schreier = set()
+    for a, ua in transversal.items():
+        for g in gens:
+            s = compose(compose(ua, g), inverse(transversal[g[a]]))
+            if not is_identity(s):
+                schreier.add(s)
+    return transversal, sorted(schreier)
+
+
+def reference_chain(degree, gens):
+    """[(point, transversal items, gens)] per level, smallest moved point first."""
+    levels = []
+    gens = sorted({g for g in gens if not is_identity(g)})
+    while gens:
+        point = min(i for g in gens for i in range(degree) if g[i] != i)
+        transversal, nxt = reference_level(degree, point, gens)
+        levels.append((point, list(transversal.items()), gens))
+        gens = nxt
+    return levels
+
+
+def assert_matches_reference(group):
+    chain = [(lv.point, list(lv.transversal.items()), lv.gens) for lv in group.chain()]
+    assert chain == reference_chain(group.degree, group.generators)
+    for point in sorted({0, group.degree // 2, group.degree - 1}):
+        _, expected = reference_level(group.degree, point, sorted(group.generators))
+        assert group.stabilizer(point).generators == tuple(expected)
+    return len(chain)
 
 
 def _random_perm(rng, n):
@@ -118,6 +161,22 @@ class TestPermGroup:
     def test_orbits_partition(self):
         g = PermGroup(5, [(1, 0, 2, 3, 4), (0, 1, 2, 4, 3)])
         assert g.orbits() == [(0, 1), (2,), (3, 4)]
+
+
+class TestChainAgainstReference:
+    def test_random_groups(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            gens = [_random_perm(rng, n) for _ in range(rng.randint(0, 3))]
+            assert_matches_reference(PermGroup(n, gens))
+
+    def test_inner_groups_of_grid_entries(self):
+        depths = {}
+        for entry in standard_grid():
+            depths[entry.key] = assert_matches_reference(entry.build().inn())
+        assert depths["symplectic:g2:q2"] >= 3
+        assert depths["spherical:n3:q3"] >= 3
 
 
 @settings(max_examples=50, deadline=None)
