@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -33,7 +32,6 @@ from typing import Callable, Optional
 from . import __version__, families
 from .adjoint import (
     BAR_GROUP_CAP,
-    IdentityFailed,
     NotConnected,
     action_kernel,
     central_power_check,
@@ -54,9 +52,9 @@ from .families import AlexanderModuleSpec
 from .fields import FiniteField
 from .grid import grid_by_key, standard_grid
 from .groups import GroupTable, named_group, symmetric_group, dihedral_group
-from .homology import QUANDLE, RACK, SizeCap, adjoint_abelianization, homology, quandle_h2
+from .homology import QUANDLE, RACK, adjoint_abelianization, homology, quandle_h2
 from .intlin import AbelianGroupInvariants
-from .report import ReportDocument
+from .report import CheckEntry, ReportDocument
 
 
 class CLIError(ValueError):
@@ -267,84 +265,64 @@ def _coxeter_group(kind: str) -> GroupTable:
 # shared report pieces
 
 
-def _profile_entry(doc: ReportDocument, q: FiniteQuandle, seconds: float):
+def _profile_data(q: FiniteQuandle) -> dict:
     p = q.profile()
-    doc.add(
-        "profile",
-        "summary invariants of the quandle",
-        "reported",
-        {
-            "order": p.order,
-            "type": p.type,
-            "connected": p.connected,
-            "orbits": len(p.orbits),
-            "inn_order": p.inn_order,
-        },
-        seconds=seconds,
-    )
+    return {
+        "order": p.order,
+        "type": p.type,
+        "connected": p.connected,
+        "orbits": len(p.orbits),
+        "inn_order": p.inn_order,
+    }
 
 
-def _abelianization_entry(doc: ReportDocument, q: FiniteQuandle):
-    start = time.perf_counter()
-    ab = adjoint_abelianization(q)
-    orbit_count = len(q.orbits())
-    ok = ab == AbelianGroupInvariants(orbit_count, ())
-    doc.add(
-        "abelianization",
-        "abelianized adjoint group is free of rank the number of orbits",
-        "pass" if ok else "fail",
-        {"group": str(ab), "orbits": orbit_count},
-        seconds=time.perf_counter() - start,
-    )
+def _profile_entry(doc: ReportDocument, q: FiniteQuandle):
+    with doc.check("profile", "summary invariants of the quandle") as e:
+        e.data = _profile_data(q)
 
 
-def _build_quandle(parsed: ParsedInput) -> FiniteQuandle:
+def _build_quandle(build: Callable[[], FiniteQuandle], where: str = "") -> FiniteQuandle:
+    """Run a table recipe; bad input other than a failed axiom is a CLIError."""
     try:
-        return parsed.build()
+        return build()
     except AxiomViolation:
         raise
     except (ValueError, OSError) as exc:
-        raise CLIError(str(exc)) from None
+        raise CLIError(f"{where}{exc}") from None
+
+
+def _read_table(path: str) -> FiniteQuandle:
+    with open(path) as fh:
+        return load_table(fh.read())
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_check(args) -> tuple[ReportDocument, int]:
+def cmd_check(args) -> ReportDocument:
     parsed = parse_input(args.input)
     doc = ReportDocument(parsed.description, __version__)
-    start = time.perf_counter()
-    try:
-        q = _build_quandle(parsed)
-    except AxiomViolation as exc:
-        doc.add(
-            "axioms",
-            "the table satisfies the three quandle axioms",
-            "fail",
-            {"axiom": exc.axiom, "witness": exc.witness},
-            seconds=time.perf_counter() - start,
-        )
-        return doc, doc.exit_code()
-    doc.add(
-        "axioms",
-        "the table satisfies the three quandle axioms",
-        "pass",
-        {"order": q.order},
-        seconds=time.perf_counter() - start,
-    )
-    start = time.perf_counter()
-    _profile_entry(doc, q, time.perf_counter() - start)
-    return doc, doc.exit_code()
+    with doc.check("axioms", "the table satisfies the three quandle axioms") as e:
+        q = _build_quandle(parsed.build)
+        e.status, e.data = "pass", {"order": q.order}
+    if not doc.failed:
+        _profile_entry(doc, q)
+    return doc
 
 
-def cmd_invariants(args) -> tuple[ReportDocument, int]:
+def cmd_invariants(args) -> ReportDocument:
     parsed = parse_input(args.input)
     doc = ReportDocument(parsed.description, __version__)
-    start = time.perf_counter()
-    q = _build_quandle(parsed)
-    _profile_entry(doc, q, time.perf_counter() - start)
-    _abelianization_entry(doc, q)
+    q = _build_quandle(parsed.build)
+    _profile_entry(doc, q)
+    with doc.check(
+        "abelianization", "abelianized adjoint group is free of rank the number of orbits"
+    ) as e:
+        ab = adjoint_abelianization(q)
+        orbit_count = len(q.orbits())
+        e.status = "pass" if ab == AbelianGroupInvariants(orbit_count, ()) else "fail"
+        e.data = {"group": str(ab), "orbits": orbit_count}
     spec = parsed.alexander_spec
     if spec is not None:
         doc.add(
@@ -357,34 +335,18 @@ def cmd_invariants(args) -> tuple[ReportDocument, int]:
                 "connected": spec.is_connected(),
             },
         )
-    return doc, doc.exit_code()
+    return doc
 
 
-def cmd_homology(args) -> tuple[ReportDocument, int]:
+def cmd_homology(args) -> ReportDocument:
     parsed = parse_input(args.input)
     doc = ReportDocument(parsed.description, __version__)
-    q = _build_quandle(parsed)
+    q = _build_quandle(parsed.build)
     mode = QUANDLE if args.mode == "quandle" else RACK
-    start = time.perf_counter()
-    try:
+    with doc.check("homology", f"degree-{args.degree} {args.mode} homology of the table") as e:
         group = homology(q, args.degree, mode, cap=args.cap_cells)
-    except SizeCap as exc:
-        doc.add(
-            "homology",
-            f"degree-{args.degree} {args.mode} homology of the table",
-            "skipped",
-            {"needed_cells": exc.needed, "cap": exc.cap},
-            seconds=time.perf_counter() - start,
-        )
-        return doc, doc.exit_code()
-    doc.add(
-        "homology",
-        f"degree-{args.degree} {args.mode} homology of the table",
-        "reported",
-        {"group": str(group), "degree": args.degree, "mode": args.mode},
-        seconds=time.perf_counter() - start,
-    )
-    return doc, doc.exit_code()
+        e.data = {"group": str(group), "degree": args.degree, "mode": args.mode}
+    return doc
 
 
 def _require_connected_alexander(parsed: ParsedInput) -> AlexanderModuleSpec:
@@ -396,215 +358,116 @@ def _require_connected_alexander(parsed: ParsedInput) -> AlexanderModuleSpec:
     return spec
 
 
-def cmd_adjoint(args) -> tuple[ReportDocument, int]:
+def cmd_adjoint(args) -> ReportDocument:
     parsed = parse_input(args.input)
     spec = _require_connected_alexander(parsed)
     doc = ReportDocument(parsed.description, __version__)
-
-    start = time.perf_counter()
-    try:
+    with doc.check(
+        "model", "adjoint-group model satisfies the defining relations and acts correctly"
+    ) as e:
         model = clauwens_group(spec)
-        doc.add(
-            "model",
-            "adjoint-group model satisfies the defining relations and acts correctly",
-            "pass",
-            {"coker": str(model.coker_invariants), "generators": spec.size},
-            seconds=time.perf_counter() - start,
-        )
-    except AssertionError as exc:
-        doc.add(
-            "model",
-            "adjoint-group model satisfies the defining relations and acts correctly",
-            "fail",
-            {"detail": str(exc)},
-            seconds=time.perf_counter() - start,
-        )
-        return doc, doc.exit_code()
-
-    start = time.perf_counter()
-    t, coker = action_kernel(spec)
-    doc.add(
-        "kernel",
-        "kernel of the action on the quandle is (type * Z) x coker",
-        "pass",
-        {"type": t, "coker": str(coker)},
-        seconds=time.perf_counter() - start,
-    )
-
-    start = time.perf_counter()
-    central = central_power_check(spec)
-    doc.add(
-        "central-power",
-        "the type-th power of every generator is one central element",
-        "pass" if central else "fail",
-        {"type": t},
-        seconds=time.perf_counter() - start,
-    )
-
-    start = time.perf_counter()
-    h2 = eisermann_h2(spec)
-    doc.add(
-        "h2",
-        "second homology read off the base-point stabilizer of the model",
-        "reported",
-        {"group": str(h2)},
-        seconds=time.perf_counter() - start,
-    )
-    return doc, doc.exit_code()
+        e.status = "pass"
+        e.data = {"coker": str(model.coker_invariants), "generators": spec.size}
+    if doc.failed:
+        return doc
+    with doc.check("kernel", "kernel of the action on the quandle is (type * Z) x coker") as e:
+        t, coker = action_kernel(spec)
+        e.status, e.data = "pass", {"type": t, "coker": str(coker)}
+    if doc.failed:
+        return doc
+    with doc.check(
+        "central-power", "the type-th power of every generator is one central element"
+    ) as e:
+        e.status = "pass" if central_power_check(spec) else "fail"
+        e.data = {"type": t}
+    with doc.check("h2", "second homology read off the base-point stabilizer of the model") as e:
+        e.data = {"group": str(eisermann_h2(spec))}
+    return doc
 
 
 def _verify_clauwens(doc: ReportDocument, spec: AlexanderModuleSpec):
-    start = time.perf_counter()
-    try:
-        model = clauwens_group(spec)
-        status, data = "pass", {"coker": str(model.coker_invariants)}
-    except AssertionError as exc:
-        status, data = "fail", {"detail": str(exc)}
-    doc.add(
+    with doc.check(
         "relations",
         "generators satisfy e(x <| y) = e(y)^-1 e(x) e(y) and act as the columns",
-        status,
-        data,
-        seconds=time.perf_counter() - start,
-    )
-    start = time.perf_counter()
-    try:
+    ) as e:
+        model = clauwens_group(spec)
+        e.status, e.data = "pass", {"coker": str(model.coker_invariants)}
+    with doc.check("kernel-structure", "action kernel is exactly (type * Z) x coker") as e:
         t, coker = action_kernel(spec)
-        status, data = "pass", {"type": t, "coker": str(coker)}
-    except AssertionError as exc:
-        status, data = "fail", {"detail": str(exc)}
-    doc.add(
-        "kernel-structure",
-        "action kernel is exactly (type * Z) x coker",
-        status,
-        data,
-        seconds=time.perf_counter() - start,
-    )
-    start = time.perf_counter()
-    ok = central_power_check(spec)
-    doc.add(
-        "central-power",
-        "the type-th power of every generator is one central element",
-        "pass" if ok else "fail",
-        {},
-        seconds=time.perf_counter() - start,
-    )
+        e.status, e.data = "pass", {"type": t, "coker": str(coker)}
+    with doc.check(
+        "central-power", "the type-th power of every generator is one central element"
+    ) as e:
+        e.status = "pass" if central_power_check(spec) else "fail"
 
 
 def _verify_homotopy(doc: ReportDocument, spec: AlexanderModuleSpec):
-    start = time.perf_counter()
-    try:
-        r2 = verify_homotopy_2(spec)
-        status, data = "pass", {"pairs": r2.tuples_checked, "type": r2.type}
-    except IdentityFailed as exc:
-        status, data = "fail", {"at": str(exc.tuple), "detail": str(exc)}
-    doc.add(
+    with doc.check(
         "degree-2",
         "h1 after the rack boundary minus the group boundary after h2 "
         "equals type times the 2-cycle, on every pair",
-        status,
-        data,
-        seconds=time.perf_counter() - start,
-    )
-    start = time.perf_counter()
-    try:
-        r3 = verify_homotopy_3(spec)
-        status, data = "pass", {"triples": r3.tuples_checked, "type": r3.type}
-    except IdentityFailed as exc:
-        status, data = "fail", {"at": str(exc.tuple), "detail": str(exc)}
-    doc.add(
+    ) as e:
+        r2 = verify_homotopy_2(spec)
+        e.status, e.data = "pass", {"pairs": r2.tuples_checked, "type": r2.type}
+    with doc.check(
         "degree-3",
         "the degree-3 residual is independent of the first argument, matches "
         "its closed form, and the 3-cycle vanishes on repeated arguments",
-        status,
-        data,
-        seconds=time.perf_counter() - start,
-    )
+    ) as e:
+        r3 = verify_homotopy_3(spec)
+        e.status, e.data = "pass", {"triples": r3.tuples_checked, "type": r3.type}
 
 
 def _verify_eisermann(doc: ReportDocument, spec: AlexanderModuleSpec, cap):
-    start = time.perf_counter()
-    model = clauwens_group(spec)
-    coker = model.coker_invariants
-    stab = eisermann_h2(spec)
-    try:
+    with doc.check(
+        "triple-oracle", "chain-level H2, stabilizer H2 and the presentation cokernel agree"
+    ) as e:
+        coker = clauwens_group(spec).coker_invariants
+        stab = eisermann_h2(spec)
         chain = quandle_h2(families.alexander(spec), cap=cap)
-    except SizeCap as exc:
-        doc.add(
-            "triple-oracle",
-            "chain-level H2, stabilizer H2 and the presentation cokernel agree",
-            "skipped",
-            {"needed_cells": exc.needed, "cap": exc.cap},
-            seconds=time.perf_counter() - start,
-        )
-        return
-    ok = chain == stab == coker
-    doc.add(
-        "triple-oracle",
-        "chain-level H2, stabilizer H2 and the presentation cokernel agree",
-        "pass" if ok else "fail",
-        {"chain": str(chain), "stabilizer": str(stab), "cokernel": str(coker)},
-        seconds=time.perf_counter() - start,
-    )
+        e.status = "pass" if chain == stab == coker else "fail"
+        e.data = {"chain": str(chain), "stabilizer": str(stab), "cokernel": str(coker)}
 
 
 def _verify_covering(
     doc: ReportDocument, spec: AlexanderModuleSpec, cap
 ) -> Optional[CoveringInstance]:
-    """Construct the universal covering and check it; None if it failed."""
-    start = time.perf_counter()
-    try:
-        inst = universal_covering_alexander(spec)
-    except (AssertionError, ValueError) as exc:
-        doc.add(
-            "construction",
-            "universal covering assembles and projects as a covering map",
-            "fail",
-            {"detail": str(exc)},
-            seconds=time.perf_counter() - start,
-        )
-        return None
-    doc.add(
-        "construction",
-        "universal covering assembles and projects as a covering map",
-        "pass",
-        {
-            "total_order": inst.total.order,
-            "fiber": inst.fiber_size,
-            "base_order": inst.base.order,
-        },
-        seconds=time.perf_counter() - start,
-    )
-    for entry in covering_properties(inst, cap=cap):
-        doc.add(entry.name, entry.claim, entry.status, entry.data, seconds=entry.seconds)
+    """Construct the universal covering and check it; None if it was not built."""
+    inst = None
+    with doc.check(
+        "construction", "universal covering assembles and projects as a covering map"
+    ) as e:
+        try:
+            inst = universal_covering_alexander(spec)
+        except ValueError as exc:
+            e.status, e.data = "fail", {"detail": str(exc)}
+        else:
+            e.status = "pass"
+            e.data = {
+                "total_order": inst.total.order,
+                "fiber": inst.fiber_size,
+                "base_order": inst.base.order,
+            }
+    if inst is not None:
+        covering_properties(inst, doc, cap=cap)
     return inst
 
 
 def _verify_coxeter(doc: ReportDocument, group: GroupTable, cap):
     limit = BAR_GROUP_CAP if cap is None else cap
-    if group.order > limit:
-        doc.add(
-            "schur-2-power",
-            "bar-complex H2 of the reflection group has only 2-power torsion",
-            "skipped",
-            {"order": group.order, "cap": limit},
-        )
-        return
-    start = time.perf_counter()
-    h2 = group_h2_bar(group, cap=limit)
-    ok = h2.free_rank == 0 and all(
-        d & (d - 1) == 0 for d in h2.torsion
-    )
-    doc.add(
-        "schur-2-power",
-        "bar-complex H2 of the reflection group has only 2-power torsion",
-        "pass" if ok else "fail",
-        {"group": group.name, "h2": str(h2), "order": group.order},
-        seconds=time.perf_counter() - start,
-    )
+    with doc.check(
+        "schur-2-power", "bar-complex H2 of the reflection group has only 2-power torsion"
+    ) as e:
+        if group.order > limit:
+            e.status, e.data = "skipped", {"order": group.order, "cap": limit}
+            return
+        h2 = group_h2_bar(group, cap=limit)
+        ok = h2.free_rank == 0 and all(d & (d - 1) == 0 for d in h2.torsion)
+        e.status = "pass" if ok else "fail"
+        e.data = {"group": group.name, "h2": str(h2), "order": group.order}
 
 
-def cmd_verify(args) -> tuple[ReportDocument, int]:
+def cmd_verify(args) -> ReportDocument:
     suite = args.suite
     if suite == "coxeter":
         tokens = [t for piece in args.input for t in piece.split()]
@@ -626,7 +489,7 @@ def cmd_verify(args) -> tuple[ReportDocument, int]:
             description = f"group {name}"
         doc = ReportDocument(f"verify coxeter: {description}", __version__)
         _verify_coxeter(doc, group, args.cap_group)
-        return doc, doc.exit_code()
+        return doc
 
     parsed = parse_input(args.input)
     spec = _require_connected_alexander(parsed)
@@ -641,15 +504,15 @@ def cmd_verify(args) -> tuple[ReportDocument, int]:
         _verify_covering(doc, spec, args.cap_cells)
     else:  # pragma: no cover - argparse restricts choices
         raise CLIError(f"unknown suite {suite!r}")
-    return doc, doc.exit_code()
+    return doc
 
 
-def cmd_covering(args) -> tuple[ReportDocument, int]:
+def cmd_covering(args) -> ReportDocument:
     parsed = parse_input(args.input)
     spec = _require_connected_alexander(parsed)
     doc = ReportDocument(f"covering: {parsed.description}", __version__)
     inst = _verify_covering(doc, spec, args.cap_cells)
-    if args.export_dir and not doc.failed:
+    if args.export_dir and inst is not None and not doc.failed:
         written = export_covering(inst, args.export_dir)
         doc.add(
             "export",
@@ -657,59 +520,51 @@ def cmd_covering(args) -> tuple[ReportDocument, int]:
             "reported",
             {"files": sorted(os.path.basename(p) for p in written)},
         )
-    return doc, doc.exit_code()
+    return doc
 
 
 # ---------------------------------------------------------------------------
 # census
 
 
-def _census_row(key: str, cap: Optional[int]) -> tuple[str, str, dict, float]:
+def _census_row(key: str, cap: Optional[int]) -> list[CheckEntry]:
     """Worker: rebuild one grid entry from its key and measure it."""
     entry = grid_by_key()[key]
-    start = time.perf_counter()
-    data: dict = {"kind": entry.kind}
-    status = "pass"
-    try:
-        q = entry.build()
-        p = q.profile()
-        data.update(
-            order=p.order,
-            type=p.type,
-            connected=p.connected,
-            orbits=len(p.orbits),
-            inn_order=p.inn_order,
-        )
-        ab = adjoint_abelianization(q)
-        data["ab"] = str(ab)
-        if ab != AbelianGroupInvariants(len(p.orbits), ()):
-            status = "fail"
-            data["detail"] = "abelianization is not free of orbit rank"
-        spec = entry.alexander_spec
-        if spec is not None and spec.is_connected():
-            t, coker = action_kernel(spec)
-            data["kernel_type"] = t
-            data["kernel_coker"] = str(coker)
-            if spec.size <= 16:
-                stab = eisermann_h2(spec)
-                chain = quandle_h2(q, cap=cap)
-                data["h2"] = str(chain)
-                if not (chain == stab == coker):
-                    status = "fail"
-                    data["detail"] = (
-                        f"H2 oracles disagree: chain {chain}, "
-                        f"stabilizer {stab}, cokernel {coker}"
-                    )
-    except SizeCap as exc:
-        status = "skipped"
-        data.update(needed_cells=exc.needed, cap=exc.cap)
-    except (AssertionError, ValueError) as exc:
-        status = "fail"
-        data["detail"] = str(exc)
-    return key, status, data, time.perf_counter() - start
+    doc = ReportDocument(f"census: {key}", __version__)
+    with doc.check(
+        key, "entry builds, passes the axioms, and matches its invariant contracts"
+    ) as e:
+        e.status, e.data = "pass", {"kind": entry.kind}
+        try:
+            q = entry.build()
+            e.data.update(_profile_data(q))
+            ab = adjoint_abelianization(q)
+            e.data["ab"] = str(ab)
+            if ab != AbelianGroupInvariants(e.data["orbits"], ()):
+                e.status = "fail"
+                e.data["detail"] = "abelianization is not free of orbit rank"
+            spec = entry.alexander_spec
+            if spec is not None and spec.is_connected():
+                t, coker = action_kernel(spec)
+                e.data["kernel_type"] = t
+                e.data["kernel_coker"] = str(coker)
+                if spec.size <= 16:
+                    stab = eisermann_h2(spec)
+                    chain = quandle_h2(q, cap=cap)
+                    e.data["h2"] = str(chain)
+                    if not (chain == stab == coker):
+                        e.status = "fail"
+                        e.data["detail"] = (
+                            f"H2 oracles disagree: chain {chain}, "
+                            f"stabilizer {stab}, cokernel {coker}"
+                        )
+        except ValueError as exc:
+            e.status = "fail"
+            e.data["detail"] = str(exc)
+    return doc.entries
 
 
-def cmd_census(args) -> tuple[ReportDocument, int]:
+def cmd_census(args) -> ReportDocument:
     if args.dir:
         doc = ReportDocument(f"census: directory {args.dir}", __version__)
         try:
@@ -721,61 +576,24 @@ def cmd_census(args) -> tuple[ReportDocument, int]:
         if not names:
             raise CLIError(f"no .quandle files in {args.dir}")
         for name in names:
-            start = time.perf_counter()
             path = os.path.join(args.dir, name)
-            try:
-                with open(path) as fh:
-                    q = load_table(fh.read())
-            except AxiomViolation as exc:
-                doc.add(
-                    name,
-                    "the file holds a valid quandle table",
-                    "fail",
-                    {"axiom": exc.axiom, "witness": exc.witness},
-                    seconds=time.perf_counter() - start,
-                )
-                continue
-            except (OSError, ValueError) as exc:
-                raise CLIError(f"{path}: {exc}") from None
-            p = q.profile()
-            doc.add(
-                name,
-                "the file holds a valid quandle table",
-                "pass",
-                {
-                    "order": p.order,
-                    "type": p.type,
-                    "connected": p.connected,
-                    "orbits": len(p.orbits),
-                    "inn_order": p.inn_order,
-                },
-                seconds=time.perf_counter() - start,
-            )
-        return doc, doc.exit_code()
+            with doc.check(name, "the file holds a valid quandle table") as e:
+                q = _build_quandle(lambda: _read_table(path), f"{path}: ")
+                e.status, e.data = "pass", _profile_data(q)
+        return doc
 
     keys = [e.key for e in standard_grid()]
     doc = ReportDocument(f"census: built-in grid ({len(keys)} entries)", __version__)
-    results = {}
+    caps = [args.cap_cells] * len(keys)
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for key, status, data, seconds in pool.map(
-                _census_row, keys, [args.cap_cells] * len(keys)
-            ):
-                results[key] = (status, data, seconds)
+            rows = list(pool.map(_census_row, keys, caps))
     else:
-        for key in keys:
-            key, status, data, seconds = _census_row(key, args.cap_cells)
-            results[key] = (status, data, seconds)
-    for key in keys:
-        status, data, seconds = results[key]
-        doc.add(
-            key,
-            "entry builds, passes the axioms, and matches its invariant contracts",
-            status,
-            data,
-            seconds=seconds,
-        )
-    return doc, doc.exit_code()
+        rows = map(_census_row, keys, caps)
+    for entries in rows:
+        for e in entries:
+            doc.add(e.check_id, e.claim, e.status, e.data, seconds=e.seconds)
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -868,18 +686,14 @@ def _emit(doc: ReportDocument, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        doc, code = args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotConnected as exc:
+        doc = args.func(args)
+    except (CLIError, NotConnected) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(doc, args)
-    return code
+    return doc.exit_code()
 
 
 if __name__ == "__main__":

@@ -14,13 +14,13 @@ total space can be tabulated: it has |X| * |coker(mu)| elements.
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .adjoint import ClauwensGroup
 from .core import FiniteQuandle, dump_table, is_covering, is_isomorphic, validate
 from .families import AlexanderModuleSpec, alexander
 from .homology import SizeCap, effective_cap, quandle_h2
+from .report import ReportDocument
 
 
 @dataclass
@@ -86,88 +86,48 @@ def universal_covering_alexander(
     )
 
 
-@dataclass
-class PropertyEntry:
-    """One verified covering property, with the seconds it took."""
-
-    name: str
-    claim: str
-    status: str
-    data: dict = field(default_factory=dict)
-    seconds: float | None = None
-
-
 def covering_properties(
-    inst: CoveringInstance, cap: int | None = None
-) -> list[PropertyEntry]:
+    inst: CoveringInstance, doc: ReportDocument, cap: int | None = None
+) -> None:
     """Verify the covering-theoretic properties of a constructed instance.
 
-    Failures become report entries, never exceptions: (a) the total space
-    is connected, (b) its type equals the base type, (c) the torsion of
-    its second quandle homology divides a power of the base type, (d) the
-    sharper fact that this torsion is annihilated by the base type, and
-    (e) the projection is a covering.  Each entry's seconds are the time
-    since the previous entry, so shared work counts once, where it is done.
+    Each property becomes one entry of doc, never an exception: (a) the
+    total space is connected, (b) its type equals the base type, (c) the
+    torsion of its second quandle homology divides a power of the base
+    type, (d) the sharper fact that this torsion is annihilated by the base
+    type, and (e) the projection is a covering.  A cell cap on (c) skips it,
+    with the cap's message as data.reason, and leaves (d) out.
     """
-    entries = []
-    last = time.perf_counter()
-
-    def add(name, claim, status, data):
-        nonlocal last
-        now = time.perf_counter()
-        entries.append(PropertyEntry(name, claim, status, data, seconds=now - last))
-        last = now
-
     base_t = inst.base.type
     total_q = inst.total
 
-    connected = total_q.is_connected()
-    add(
-        "total_connected",
-        "total space of the universal covering is connected",
-        "pass" if connected else "fail",
-        {"orbits": len(total_q.orbits())},
-    )
+    with doc.check("total_connected", "total space of the universal covering is connected") as e:
+        e.status = "pass" if total_q.is_connected() else "fail"
+        e.data = {"orbits": len(total_q.orbits())}
 
-    type_ok = total_q.type == base_t
-    add(
-        "type_preserved",
-        "total space has the same type as the base",
-        "pass" if type_ok else "fail",
-        {"base_type": base_t, "total_type": total_q.type},
-    )
+    with doc.check("type_preserved", "total space has the same type as the base") as e:
+        e.status = "pass" if total_q.type == base_t else "fail"
+        e.data = {"base_type": base_t, "total_type": total_q.type}
 
-    try:
-        h2 = quandle_h2(total_q, cap=cap)
-    except SizeCap as exc:
-        add(
-            "h2_torsion",
-            "H2 torsion of the total space divides a power of the type",
-            "skipped",
-            {"reason": str(exc)},
-        )
-    else:
-        add(
-            "h2_torsion",
-            "H2 torsion of the total space divides a power of the type",
-            "pass" if h2.torsion_divides_power_of(base_t) else "fail",
-            {"h2": str(h2)},
-        )
-        add(
-            "h2_annihilated",
-            "H2 torsion of the total space is annihilated by the type",
-            "pass" if h2.torsion_annihilated_by(base_t) else "fail",
-            {"h2": str(h2), "type": base_t},
-        )
+    h2 = None
+    with doc.check("h2_torsion", "H2 torsion of the total space divides a power of the type") as e:
+        try:
+            h2 = quandle_h2(total_q, cap=cap)
+        except SizeCap as exc:
+            e.status, e.data = "skipped", {"reason": str(exc)}
+        else:
+            e.status = "pass" if h2.torsion_divides_power_of(base_t) else "fail"
+            e.data = {"h2": str(h2)}
+    if h2 is not None:
+        with doc.check(
+            "h2_annihilated", "H2 torsion of the total space is annihilated by the type"
+        ) as e:
+            e.status = "pass" if h2.torsion_annihilated_by(base_t) else "fail"
+            e.data = {"h2": str(h2), "type": base_t}
 
-    proj_ok = is_covering(inst.projection, inst.total, inst.base)
-    add(
-        "projection_covering",
-        "projection is a quandle covering",
-        "pass" if proj_ok else "fail",
-        {"fiber_size": inst.fiber_size},
-    )
-    return entries
+    with doc.check("projection_covering", "projection is a quandle covering") as e:
+        e.status = "pass" if is_covering(inst.projection, inst.total, inst.base) else "fail"
+        e.data = {"fiber_size": inst.fiber_size}
 
 
 def base_point_independent(spec: AlexanderModuleSpec, max_order: int = 12) -> bool:

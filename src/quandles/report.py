@@ -21,11 +21,28 @@ Schema (one self-describing text document):
 
 Statuses: pass/fail are assertions; skipped marks a check not run (e.g.
 size cap); reported marks informational values carrying no assertion.
+
+Checks are run inside `ReportDocument.check`, which times exactly its
+body (the entry's seconds) and turns the exceptions that carry a verdict
+into a status, merging their payload into the data recorded so far:
+
+    SizeCap          -> skipped, data.needed_cells and data.cap
+    AxiomViolation   -> fail, data.axiom and data.witness
+    IdentityFailed   -> fail, data.at and data.detail
+    AssertionError   -> fail, data.detail
+
+Any other exception propagates and adds no entry.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from .adjoint import IdentityFailed
+from .core import AxiomViolation
+from .homology import SizeCap
 
 TOOL_NAME = "quandles"
 REPORT_VERSION = 1
@@ -78,6 +95,31 @@ class ReportDocument:
         entry = CheckEntry(check_id, claim, status, dict(data or {}), seconds)
         self.entries.append(entry)
         return entry
+
+    @contextmanager
+    def check(self, check_id: str, claim: str):
+        """Run the body as one check; add its entry on exit.
+
+        The body sets the yielded entry's status (reported if it sets
+        none) and data.
+        """
+        entry = CheckEntry(check_id, claim, "reported")
+        start = time.perf_counter()
+        try:
+            yield entry
+        except SizeCap as exc:
+            entry.status = "skipped"
+            entry.data.update(needed_cells=exc.needed, cap=exc.cap)
+        except AxiomViolation as exc:
+            entry.status = "fail"
+            entry.data.update(axiom=exc.axiom, witness=exc.witness)
+        except IdentityFailed as exc:
+            entry.status = "fail"
+            entry.data.update(at=str(exc.tuple), detail=str(exc))
+        except AssertionError as exc:
+            entry.status = "fail"
+            entry.data["detail"] = str(exc)
+        self.add(check_id, claim, entry.status, entry.data, time.perf_counter() - start)
 
     @property
     def failed(self) -> bool:

@@ -1,12 +1,13 @@
 """The command-line frontend: parsing, exit codes, report golden checks."""
 
 import os
+import time
 
 import pytest
 
 from quandles import cli, families
 from quandles.cli import CLIError, main, parse_input
-from quandles.core import dump_table
+from quandles.core import FiniteQuandle, dump_table
 from quandles.coverings import universal_covering_alexander
 
 
@@ -167,6 +168,37 @@ class TestCommands:
         assert len(blocks) == 6
         for block in blocks:
             assert sum(line.startswith("seconds: ") for line in block.split("\n")) == 1, block
+
+    def test_profile_seconds_cover_the_profile(self, capsys, monkeypatch):
+        profile = FiniteQuandle.profile
+
+        def slow_profile(self):
+            time.sleep(0.05)
+            return profile(self)
+
+        monkeypatch.setattr(FiniteQuandle, "profile", slow_profile)
+        code, out, _ = run(capsys, "check", "dihedral n=3", "--timings")
+        assert code == 0
+        block = next(b for b in out.split("\n\n") if b.startswith("[profile]"))
+        seconds = float(block.split("seconds: ")[1].split()[0])
+        assert seconds >= 0.05
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("action_kernel", ["adjoint", "alexander orders=3 t=-1"]),
+            ("clauwens_group", ["verify", "--suite", "eisermann", "alexander orders=3 t=-1"]),
+        ],
+    )
+    def test_model_assertion_is_a_fail_entry(self, capsys, monkeypatch, name, argv):
+        def broken(spec):
+            raise AssertionError("model relation broken")
+
+        monkeypatch.setattr(cli, name, broken)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "status: fail" in out
+        assert "data.detail: model relation broken" in out.splitlines()
 
     def test_check_on_file(self, capsys, tmp_path):
         p = tmp_path / "r5.quandle"

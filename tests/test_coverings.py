@@ -18,6 +18,7 @@ from quandles.coverings import (
 )
 from quandles.families import AlexanderModuleSpec
 from quandles.homology import quandle_h2
+from quandles.report import ReportDocument
 
 
 FIB = AlexanderModuleSpec((2, 2), [[0, 1], [1, 1]])  # order 4, type 3
@@ -58,8 +59,10 @@ class TestConstruction:
 class TestProperties:
     def test_all_pass_for_neg33(self):
         inst = universal_covering_alexander(NEG33)
-        entries = covering_properties(inst, cap=None)
-        assert {e.name for e in entries} == {
+        doc = ReportDocument("covering", "0")
+        covering_properties(inst, doc, cap=None)
+        entries = doc.entries
+        assert {e.check_id for e in entries} == {
             "total_connected",
             "type_preserved",
             "h2_torsion",
@@ -81,8 +84,9 @@ class TestProperties:
 
     def test_size_cap_skips(self):
         inst = universal_covering_alexander(FIB)
-        entries = covering_properties(inst, cap=10)
-        skipped = [e for e in entries if e.status == "skipped"]
+        doc = ReportDocument("covering", "0")
+        covering_properties(inst, doc, cap=10)
+        skipped = [e for e in doc.entries if e.status == "skipped"]
         assert skipped, "cap of 10 cells must skip the homology checks"
 
 

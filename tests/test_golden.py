@@ -52,6 +52,28 @@ REPORTS.update(
     }
 )
 
+# homology and built-in census reports, and every `skipped` path: a cell
+# cap on homology, on the triple oracle and on the covering's H2 (whose
+# data.reason payload differs from the other skips), and the group cap of
+# the coxeter suite next to the same suite run in full
+REPORTS.update(
+    {
+        "census": ["census"],
+        "homology-dihedral3": ["homology", "dihedral n=3"],
+        "homology-rack-trivial2": ["homology", "--mode", "rack", "trivial n=2"],
+        "homology-degree3-dihedral4": ["homology", "--degree", "3", "dihedral n=4"],
+        "homology-cap10-dihedral8": ["homology", "--cap-cells", "10", "dihedral n=8"],
+        "verify-eisermann-cap10-neg33": [
+            "verify", "--suite", "eisermann", "--cap-cells", "10", SPECS["neg33"]
+        ],
+        "verify-covering-cap10-fib22": [
+            "verify", "--suite", "covering", "--cap-cells", "10", SPECS["fib22"]
+        ],
+        "verify-coxeter-s3": ["verify", "--suite", "coxeter", "s3"],
+        "verify-coxeter-cap2-s3": ["verify", "--suite", "coxeter", "--cap-group", "2", "s3"],
+    }
+)
+
 # (x <| y) <| z != (x <| z) <| (y <| z) first at (x, y, z) = (2, 0, 2)
 BROKEN_III = [[0, 0, 1, 1], [1, 1, 0, 0], [3, 2, 2, 2], [2, 3, 3, 3]]
 CENSUS_TABLES = {
