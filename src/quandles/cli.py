@@ -1,20 +1,20 @@
 """Command-line frontend.
 
-Inputs are either a path to a quandle table file or a family spec, e.g.::
+Inputs are a family spec, a `grid:<key>` catalogue entry or a path to a
+quandle table file, e.g.::
 
     quandles check "alexander orders=3,3 t=-1"
     quandles check alexander 3 t=-1
+    quandles check grid:coxeter:A3
     quandles homology --mode rack --degree 2 dihedral n=3
     quandles verify --suite homotopy alexander orders=5 t=2
     quandles covering --export-dir outdir alexander orders=3,3 t=-1
     quandles census --jobs 4
 
-Family grammar: a family name followed by key=value settings (bare values
-are matched positionally).  Families: alexander (orders, t — t is a scalar
-or a matrix written rows-semicolon, entries-comma, e.g. t=0,1;1,1),
-dihedral (n), trivial (n), symplectic (g, q), spherical (n, q),
-core (group), coxeter (type), covering (orders, t).  `grid:<key>` names a
-built-in catalogue entry.
+Family specs and `grid:<key>` catalogue entries resolve through one table,
+`grid.FAMILIES`; its module docstring gives the family grammar.  A
+`covering` input carries no module data, so `adjoint`, `verify` and
+`covering` refuse it.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 bad input or an
 unmet precondition.
@@ -26,7 +26,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable, Optional
 
 from . import __version__, families
@@ -49,8 +49,7 @@ from .coverings import (
     universal_covering_alexander,
 )
 from .families import AlexanderModuleSpec
-from .fields import FiniteField
-from .grid import grid_by_key, standard_grid
+from .grid import FAMILIES, Recipe, grid_by_key, parse_family, standard_grid
 from .groups import GroupTable, named_group, symmetric_group, dihedral_group
 from .homology import QUANDLE, RACK, adjoint_abelianization, homology, quandle_h2
 from .intlin import AbelianGroupInvariants
@@ -65,170 +64,24 @@ class CLIError(ValueError):
 # input parsing
 
 
-@dataclass
-class ParsedInput:
-    description: str
-    build: Callable[[], FiniteQuandle]
-    alexander_spec: Optional[AlexanderModuleSpec] = None
-    coxeter_kind: Optional[str] = None
-    group: Optional[GroupTable] = None
-
-
-_FAMILIES = {
-    "alexander": ("orders", "t"),
-    "covering": ("orders", "t"),
-    "dihedral": ("n",),
-    "trivial": ("n",),
-    "symplectic": ("g", "q"),
-    "spherical": ("n", "q"),
-    "core": ("group",),
-    "coxeter": ("type",),
-}
-
-
-def _settings(tokens, names) -> dict:
-    """key=value tokens plus positional bare tokens, matched to names."""
-    out = {}
-    position = 0
-    for tok in tokens:
-        if "=" in tok:
-            key, _, value = tok.partition("=")
-            key = key.strip().lower()
-            if key not in names:
-                raise CLIError(f"unknown setting {key!r} (expected {', '.join(names)})")
-            if key in out:
-                raise CLIError(f"setting {key!r} given twice")
-            out[key] = value.strip()
-        else:
-            while position < len(names) and names[position] in out:
-                position += 1
-            if position >= len(names):
-                raise CLIError(f"unexpected value {tok!r}")
-            out[names[position]] = tok.strip()
-            position += 1
-    missing = [n for n in names if n not in out]
-    if missing:
-        raise CLIError(f"missing setting(s): {', '.join(missing)}")
-    return out
-
-
-def _parse_int(value: str, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise CLIError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _parse_alexander(settings) -> AlexanderModuleSpec:
-    try:
-        orders = tuple(int(v) for v in settings["orders"].split(",") if v != "")
-    except ValueError:
-        raise CLIError(f"bad orders {settings['orders']!r}") from None
-    t = settings["t"]
-    try:
-        if ";" in t or "," in t:
-            matrix = [[int(v) for v in row.split(",")] for row in t.split(";")]
-            return AlexanderModuleSpec(orders, matrix)
-        return AlexanderModuleSpec.scalar(orders, int(t))
-    except CLIError:
-        raise
-    except ValueError as exc:
-        raise CLIError(f"bad module spec: {exc}") from None
-
-
-def parse_input(tokens) -> ParsedInput:
-    """Turn CLI input tokens into a quandle recipe."""
+def parse_input(tokens) -> Recipe:
+    """Turn CLI input tokens into a quandle recipe: a grid key, a family
+    spec (both resolved through `grid.FAMILIES`) or a table file."""
+    tokens = [t for piece in tokens for t in piece.split()]
     if not tokens:
         raise CLIError("empty input")
-    tokens = [t for piece in tokens for t in piece.split()]
     head = tokens[0].lower()
-
     if head.startswith("grid:"):
         key = tokens[0][len("grid:") :]
         entry = grid_by_key().get(key)
         if entry is None:
             raise CLIError(f"no grid entry {key!r}")
-        return ParsedInput(
-            description=f"grid:{key}",
-            build=entry.build,
-            alexander_spec=entry.alexander_spec,
-        )
-
-    if head in _FAMILIES:
-        settings = _settings(tokens[1:], _FAMILIES[head])
-        if head in ("alexander", "covering"):
-            spec = _parse_alexander(settings)
-            if head == "alexander":
-                return ParsedInput(
-                    description=spec.label(),
-                    build=lambda: families.alexander(spec),
-                    alexander_spec=spec,
-                )
-            if not spec.is_connected():
-                raise CLIError("covering needs a connected module spec")
-            return ParsedInput(
-                description="covering of " + spec.label(),
-                build=lambda: universal_covering_alexander(spec).total,
-                alexander_spec=spec,
-            )
-        if head in ("dihedral", "trivial"):
-            n = _parse_int(settings["n"], "n")
-            if n < 1:
-                raise CLIError("n must be >= 1")
-            builder = families.dihedral if head == "dihedral" else families.trivial
-            return ParsedInput(description=f"{head} n={n}", build=lambda: builder(n))
-        if head == "symplectic":
-            g = _parse_int(settings["g"], "g")
-            q = _parse_int(settings["q"], "q")
-            if g < 1:
-                raise CLIError("g must be >= 1")
-            try:
-                field = FiniteField.of(q)
-            except ValueError as exc:
-                raise CLIError(str(exc)) from None
-            return ParsedInput(
-                description=f"symplectic g={g} q={q}",
-                build=lambda: families.symplectic(g, field),
-            )
-        if head == "spherical":
-            n = _parse_int(settings["n"], "n")
-            q = _parse_int(settings["q"], "q")
-            if n < 1:
-                raise CLIError("n must be >= 1")
-            try:
-                field = FiniteField.of(q)
-                families_check = field.p != 2
-            except ValueError as exc:
-                raise CLIError(str(exc)) from None
-            if not families_check:
-                raise CLIError("spherical needs odd characteristic")
-            return ParsedInput(
-                description=f"spherical n={n} q={q}",
-                build=lambda: families.spherical(n, field),
-            )
-        if head == "core":
-            try:
-                group = named_group(settings["group"])
-            except ValueError as exc:
-                raise CLIError(str(exc)) from None
-            return ParsedInput(
-                description=f"core group={settings['group']}",
-                build=lambda: families.core(group),
-                group=group,
-            )
-        if head == "coxeter":
-            kind = settings["type"]
-            try:
-                builder = families.coxeter_reflection_quandle
-                builder(kind)  # validate the label eagerly
-            except ValueError as exc:
-                raise CLIError(str(exc)) from None
-            return ParsedInput(
-                description=f"coxeter type={kind}",
-                build=lambda: builder(kind),
-                coxeter_kind=kind,
-            )
-
+        return replace(entry.recipe, description=f"grid:{key}", build=entry.build)
+    if head in FAMILIES:
+        try:
+            return parse_family(tokens)
+        except ValueError as exc:
+            raise CLIError(str(exc)) from None
     if len(tokens) == 1 and (os.path.exists(tokens[0]) or os.sep in tokens[0]):
         path = tokens[0]
         try:
@@ -236,8 +89,7 @@ def parse_input(tokens) -> ParsedInput:
                 text = fh.read()
         except OSError as exc:
             raise CLIError(f"cannot read {path}: {exc}") from None
-        return ParsedInput(description=path, build=lambda: load_table(text))
-
+        return Recipe(path, "table", lambda: load_table(text))
     raise CLIError(
         f"cannot interpret input {' '.join(tokens)!r}: not a family spec, "
         "grid key, or readable file"
@@ -349,7 +201,7 @@ def cmd_homology(args) -> ReportDocument:
     return doc
 
 
-def _require_connected_alexander(parsed: ParsedInput) -> AlexanderModuleSpec:
+def _require_connected_alexander(parsed: Recipe) -> AlexanderModuleSpec:
     spec = parsed.alexander_spec
     if spec is None:
         raise CLIError("this command needs a linear-family input (alexander ...)")
@@ -438,7 +290,7 @@ def _verify_covering(
         "construction", "universal covering assembles and projects as a covering map"
     ) as e:
         try:
-            inst = universal_covering_alexander(spec)
+            inst = universal_covering_alexander(spec, cap=cap)
         except ValueError as exc:
             e.status, e.data = "fail", {"detail": str(exc)}
         else:
@@ -689,7 +541,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = args.func(args)
-    except (CLIError, NotConnected) as exc:
+    except (CLIError, NotConnected, AxiomViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(doc, args)

@@ -160,15 +160,6 @@ class QuandleProfile:
         self.connected = connected
         self.inn_order = inn_order
 
-    def as_dict(self):
-        return {
-            "order": self.order,
-            "type": self.type,
-            "orbits": [list(o) for o in self.orbits],
-            "connected": self.connected,
-            "inn_order": self.inn_order,
-        }
-
 
 # cells of (x <| y) <| z compared per block in the self-distributivity check
 _AXIOM_BLOCK_CELLS = 1 << 18

@@ -124,18 +124,6 @@ class RackComplexSlice:
             self._boundaries[degree] = m
         return self._boundaries[degree]
 
-    @property
-    def d2(self) -> SparseIntMatrix:
-        return self.boundary(2)
-
-    @property
-    def d3(self) -> SparseIntMatrix:
-        return self.boundary(3)
-
-    @property
-    def d4(self) -> SparseIntMatrix:
-        return self.boundary(4)
-
     def homology(self, degree: int) -> AbelianGroupInvariants:
         if degree not in (2, 3):
             raise ValueError("homology materialized for degrees 2 and 3")

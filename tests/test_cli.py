@@ -10,6 +10,8 @@ from quandles.cli import CLIError, main, parse_input
 from quandles.core import FiniteQuandle, dump_table
 from quandles.coverings import universal_covering_alexander
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -77,6 +79,28 @@ class TestExitCodes:
         assert code == 2
         assert "not connected" in err
 
+    @pytest.mark.parametrize("command", ["invariants", "homology"])
+    def test_axiom_failure_outside_a_check_is_two(self, capsys, command):
+        code, out, err = run(capsys, command, os.path.join(GOLDEN, "broken-iii.quandle"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: axiom (iii) fails: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adjoint"],
+            ["verify", "--suite", "eisermann"],
+            ["verify", "--suite", "covering"],
+            ["covering"],
+        ],
+    )
+    def test_covering_input_has_no_module(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "covering orders=3,3 t=-1")
+        assert code == 2
+        assert out == ""
+        assert "linear-family input" in err
+
 
 class TestCommands:
     def test_homology_quandle(self, capsys):
@@ -101,6 +125,12 @@ class TestCommands:
         assert code == 0
         assert "data.t_order: 4" in out
         assert "abelianized adjoint group" in out
+
+    def test_invariants_of_covering_has_no_module_entry(self, capsys):
+        code, out, _ = run(capsys, "invariants", "covering orders=3,3 t=-1")
+        assert code == 0
+        assert "data.order: 27" in out
+        assert "[module]" not in out
 
     def test_adjoint(self, capsys):
         code, out, _ = run(capsys, "adjoint", "alexander", "orders=2,2", "t=0,1;1,1")

@@ -53,9 +53,10 @@ REPORTS.update(
 )
 
 # homology and built-in census reports, and every `skipped` path: a cell
-# cap on homology, on the triple oracle and on the covering's H2 (whose
-# data.reason payload differs from the other skips), and the group cap of
-# the coxeter suite next to the same suite run in full
+# cap on homology, on the triple oracle, on the covering's construction
+# and on its H2 alone (whose data.reason payload differs from the other
+# skips), and the group cap of the coxeter suite next to the same suite
+# run in full
 REPORTS.update(
     {
         "census": ["census"],
@@ -68,6 +69,9 @@ REPORTS.update(
         ],
         "verify-covering-cap10-fib22": [
             "verify", "--suite", "covering", "--cap-cells", "10", SPECS["fib22"]
+        ],
+        "verify-covering-cap100-fib22": [
+            "verify", "--suite", "covering", "--cap-cells", "100", SPECS["fib22"]
         ],
         "verify-coxeter-s3": ["verify", "--suite", "coxeter", "s3"],
         "verify-coxeter-cap2-s3": ["verify", "--suite", "coxeter", "--cap-group", "2", "s3"],

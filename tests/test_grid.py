@@ -1,12 +1,20 @@
-"""The built-in catalogue: shape, determinism, frozen sizes."""
+"""The built-in catalogue: shape, determinism, frozen sizes, lazy rows."""
 
+import pytest
+
+from quandles import families, grid
+from quandles.cli import parse_input
 from quandles.core import validate
+from quandles.families import AlexanderModuleSpec
+from quandles.fields import FiniteFieldSpec
 from quandles.grid import (
+    CATALOGUE,
     connected_alexander_specs,
     grid_by_key,
     homotopy_suite_specs,
     standard_grid,
 )
+from quandles.groups import GroupTable
 
 
 def test_size_and_keys():
@@ -62,3 +70,51 @@ def test_homotopy_suite_spans_types():
     types = {s.t_order() for s in specs}
     assert {2, 3, 4} <= types
     assert all(s.is_connected() for s in specs)
+
+
+@pytest.mark.parametrize("key, spec, order", CATALOGUE, ids=[row[0] for row in CATALOGUE])
+def test_row_is_its_family_spec(key, spec, order):
+    entry = grid_by_key()[key]
+    parsed = parse_input([spec])
+    assert parsed.build().table == entry.build().table
+    assert parsed.alexander_spec == entry.alexander_spec
+
+
+def test_standard_grid_builds_nothing(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    builders = (
+        "alexander",
+        "dihedral",
+        "trivial",
+        "symplectic",
+        "spherical",
+        "core",
+        "coxeter_reflection_quandle",
+    )
+    targets = [(families, name) for name in builders]
+    targets += [
+        (grid, "universal_covering_alexander"),
+        (AlexanderModuleSpec, "__init__"),
+        (FiniteFieldSpec, "__post_init__"),
+        (GroupTable, "__init__"),
+    ]
+    for owner, attr in targets:
+        name = f"{owner.__name__}.{attr}"
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+
+    entries = standard_grid()
+    by_key = grid_by_key()
+    assert len(entries) == len(by_key) == len(CATALOGUE)
+    assert calls == []
+    # the counters see a row once it is used
+    assert by_key["alexander:3:t-1"].alexander_spec.size == 3
+    assert by_key["dihedral:3"].build().order == 3
+    assert calls == ["AlexanderModuleSpec.__init__", "quandles.families.dihedral"]
