@@ -323,8 +323,10 @@ def cmd_verify(args) -> ReportDocument:
     suite = args.suite
     if suite == "coxeter":
         tokens = [t for piece in args.input for t in piece.split()]
-        if tokens and tokens[0].lower() == "coxeter":
+        if tokens and (tokens[0].lower() == "coxeter" or tokens[0].lower().startswith("grid:")):
             parsed = parse_input(args.input)
+            if parsed.coxeter_kind is None:
+                raise CLIError(f"coxeter suite needs a Coxeter group, got {parsed.description!r}")
             group = _coxeter_group(parsed.coxeter_kind)
             description = parsed.description
         else:

@@ -11,13 +11,22 @@ translated by it).  In quandle mode the degenerate subcomplex spanned by
 tuples with two equal consecutive entries is divided out: bases exclude
 degenerate tuples and boundaries project by dropping degenerate images.
 
-Basis tuples are ordered lexicographically in the element order.
+Basis tuples are ordered lexicographically in the element order, which is
+the order of their mixed-radix codes sum x_i n^(k-i).  Boundary matrices
+are assembled on integer arrays of these codes: each face of every basis
+tuple is one gather from the quandle table, and the 2k signed faces of a
+column are coalesced by sorting.  `boundary_chain` computes the same
+boundary one tuple at a time; the chain-homotopy verifier uses it, and the
+tests check the assembled matrices against it.  Homology groups come from
+`intlin.homology_at`, whose Smith form peels every unit pivot and then
+diagonalizes the residual by Euclidean elimination.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import product
+
+import numpy as np
 
 from .core import FiniteQuandle
 from .intlin import (
@@ -52,10 +61,6 @@ def effective_cap(cap: int | None = None) -> int:
     return DEFAULT_CELL_CAP
 
 
-def is_degenerate(tup) -> bool:
-    return any(a == b for a, b in zip(tup, tup[1:]))
-
-
 def boundary_chain(q: FiniteQuandle, tup) -> dict[tuple, int]:
     """The rack boundary of a basis tuple as a {tuple: coefficient} chain."""
     out: dict[tuple, int] = {}
@@ -74,6 +79,15 @@ def boundary_chain(q: FiniteQuandle, tup) -> dict[tuple, int]:
     return out
 
 
+def _digits(codes: np.ndarray, n: int, k: int) -> list[np.ndarray]:
+    """The k base-n digits of each code, most significant first."""
+    digits = []
+    for _ in range(k):
+        codes, digit = np.divmod(codes, n)
+        digits.append(digit)
+    return digits[::-1]
+
+
 class RackComplexSlice:
     """Degrees 1..4 of the (rack or quandle) complex of a finite quandle."""
 
@@ -86,43 +100,87 @@ class RackComplexSlice:
         n = quandle.order
         if n**4 > cap:
             raise SizeCap(n**4, cap)
-        self._bases: dict[int, list[tuple]] = {}
-        self._index: dict[int, dict[tuple, int]] = {}
+        # int32 codes whenever n**4 fits, which the default cap guarantees
+        self._dtype = np.int32 if n**4 < 2**31 else np.int64
+        self._codes: dict[int, np.ndarray] = {}
         self._boundaries: dict[int, SparseIntMatrix] = {}
 
-    def basis(self, degree: int) -> list[tuple]:
+    def _basis_codes(self, degree: int) -> np.ndarray:
+        """Basis tuples of C_degree as ascending mixed-radix codes.
+
+        The code of (x_1, ..., x_k) is sum x_i n^(k-i), so ascending codes
+        are lexicographic tuple order.
+        """
         if degree < 0 or degree > 4:
             raise ValueError("degrees 0..4 are materialized")
-        if degree not in self._bases:
+        if degree not in self._codes:
             n = self.quandle.order
-            tuples = product(range(n), repeat=degree)
+            codes = np.arange(n**degree, dtype=self._dtype)
             if self.mode == QUANDLE:
-                base = [t for t in tuples if not is_degenerate(t)]
-            else:
-                base = list(tuples)
-            self._bases[degree] = base
-            self._index[degree] = {t: i for i, t in enumerate(base)}
-        return self._bases[degree]
+                digits = _digits(codes, n, degree)
+                keep = np.ones(len(codes), dtype=bool)
+                for a, b in zip(digits, digits[1:]):
+                    keep &= a != b
+                codes = codes[keep]
+            self._codes[degree] = codes
+        return self._codes[degree]
+
+    def basis(self, degree: int) -> list[tuple]:
+        codes = self._basis_codes(degree)
+        if not degree:
+            return [()]
+        return list(zip(*(d.tolist() for d in _digits(codes, self.quandle.order, degree))))
 
     def basis_size(self, degree: int) -> int:
-        return len(self.basis(degree))
+        return len(self._basis_codes(degree))
 
     def boundary(self, degree: int) -> SparseIntMatrix:
         """The matrix of d: C_degree -> C_{degree-1} in the chosen mode."""
         if degree < 1 or degree > 4:
             raise ValueError("boundaries materialized for degrees 1..4")
         if degree not in self._boundaries:
-            rows = self.basis(degree - 1)
-            cols = self.basis(degree)
-            ridx = self._index[degree - 1]
-            m = SparseIntMatrix(len(rows), len(cols))
-            for j, tup in enumerate(cols):
-                for t, c in boundary_chain(self.quandle, tup).items():
-                    if self.mode == QUANDLE and is_degenerate(t):
-                        continue
-                    m.add(ridx[t], j, c)
-            self._boundaries[degree] = m
+            self._boundaries[degree] = self._assemble(degree)
         return self._boundaries[degree]
+
+    def _assemble(self, k: int) -> SparseIntMatrix:
+        """d_k on arrays, one face of every basis tuple at a time.
+
+        A face's codes come from one gather in the quandle table and map to
+        row indices, -1 marking a degenerate face in quandle mode.  Each
+        column's 2k entries are then sorted and equal rows summed.
+        """
+        n, dtype = self.quandle.order, self._dtype
+        row_codes = self._basis_codes(k - 1)
+        row_of = np.full(n ** (k - 1), -1, dtype=dtype)
+        row_of[row_codes] = np.arange(len(row_codes), dtype=dtype)
+        cols = self._basis_codes(k)
+        digits = _digits(cols, n, k)
+        table = np.array(self.quandle.table, dtype=dtype)
+        faces = np.empty((len(cols), 2 * k), dtype=dtype)
+        for i in range(k):
+            plain = np.zeros(len(cols), dtype=dtype)
+            acted = np.zeros(len(cols), dtype=dtype)
+            for j in range(k):
+                if j != i:
+                    plain = plain * n + digits[j]
+                    acted = acted * n + (table[digits[j], digits[i]] if j < i else digits[j])
+            faces[:, 2 * i] = row_of[plain]
+            faces[:, 2 * i + 1] = row_of[acted]
+        # face i (from 1) is (-1)^i [plain - acted]
+        signs = np.array([-1, 1, 1, -1] * k, dtype=np.int32)[: 2 * k]
+        order = np.argsort(faces, axis=1)
+        faces = np.take_along_axis(faces, order, axis=1).ravel()
+        coeffs = signs[order].ravel()
+        starts = np.ones(len(faces), dtype=bool)
+        starts[1:] = faces[1:] != faces[:-1]
+        starts[:: 2 * k] = True
+        starts = np.flatnonzero(starts)
+        sums = np.add.reduceat(coeffs, starts) if len(starts) else coeffs
+        row_ids = faces[starts]
+        keep = (sums != 0) & (row_ids >= 0)
+        return SparseIntMatrix.from_arrays(
+            len(row_codes), len(cols), row_ids[keep], starts[keep] // (2 * k), sums[keep]
+        )
 
     def homology(self, degree: int) -> AbelianGroupInvariants:
         if degree not in (2, 3):

@@ -4,11 +4,14 @@ Sparse integer matrices, Smith normal form, cokernels and homology of
 two-step chain complexes.  All arithmetic uses Python's arbitrary-precision
 integers; nothing is ever done in floating point or modular shortcut.
 
-The Smith normal form routine works sparsely while the matrix is large and
-sparse (peeling unit pivots, then compressing the column lattice) and falls
-back to a classical dense elimination once the remaining block is small or
-dense.  Pivots are chosen by minimal absolute value with a fewest-nonzeros
-tie-break, so runs are deterministic.
+The Smith diagonal is computed sparsely in two phases.  The peel takes
+every unit pivot: the sparsest row holding an entry +-1 pivots there, row
+operations clear that column, and the row and column leave with a 1 for
+the diagonal.  The residual, which has no entry +-1, is diagonalized by
+Euclidean elimination (least absolute value first, fewest nonzeros on
+ties), and gcd/lcm steps put its diagonal in divisibility order.  A rank
+is the length of that diagonal.  Smith forms with transform matrices come
+from a classical dense elimination.  Runs are deterministic.
 """
 
 from __future__ import annotations
@@ -16,11 +19,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import gcd, prod
-
-# Remaining blocks at or below this dimension (or above this density) are
-# handled by the dense elimination.
-_DENSE_DIM = 64
-_DENSE_DENSITY = 0.2
 
 
 class NotAComplex(ValueError):
@@ -126,6 +124,23 @@ class SparseIntMatrix:
             for c, v in enumerate(row):
                 if v:
                     m._data[(r, c)] = int(v)
+        return m
+
+    @classmethod
+    def from_arrays(cls, rows: int, cols: int, row_ids, col_ids, values) -> "SparseIntMatrix":
+        """A matrix from three parallel numpy integer arrays of nonzero
+        entries at distinct positions; the values become Python ints."""
+        rs, cs, vs = row_ids.tolist(), col_ids.tolist(), values.tolist()
+        if not len(rs) == len(cs) == len(vs):
+            raise ValueError("entry arrays differ in length")
+        if rs and not (0 <= min(rs) and max(rs) < rows and 0 <= min(cs) and max(cs) < cols):
+            raise IndexError("entry outside the matrix")
+        if 0 in vs:
+            raise ValueError("explicit zero entry")
+        m = cls(rows, cols)
+        m._data = dict(zip(zip(rs, cs), vs))
+        if len(m._data) != len(vs):
+            raise ValueError("repeated entry position")
         return m
 
     def set(self, r: int, c: int, v: int):
@@ -363,59 +378,57 @@ def _combine(dst: dict, src: dict, mult: int):
             del dst[k]
 
 
-def _column_lattice(columns) -> list[dict[int, int]]:
-    """Reduce a stream of sparse columns to a triangular generating set.
+def _subtract_row(rows, colrows, r2: int, q: int, prow: dict[int, int]):
+    """rows[r2] -= q * prow, keeping the column index colrows in step.
 
-    Each returned vector owns its minimal support row; the set spans the
-    same column lattice as the input.  Exact (xgcd combinations only).
+    Every column of prow still lists prow's own row, so no column set
+    empties here; an emptied row r2 is deleted.
     """
-    basis: dict[int, dict[int, int]] = {}
-    for col in columns:
-        w = dict(col)
-        while w:
-            r = min(w)
-            pivot = basis.get(r)
-            if pivot is None:
-                basis[r] = w
-                break
-            A = pivot[r]
-            b = w[r]
-            if b % A == 0:
-                _combine(w, pivot, -(b // A))
+    row2 = rows[r2]
+    for c, v in prow.items():
+        old = row2.get(c)
+        if old is None:
+            row2[c] = -q * v
+            colrows[c].add(r2)
+        else:
+            w = old - q * v
+            if w:
+                row2[c] = w
             else:
-                g, s, t = _xgcd(A, b)
-                new_pivot = {}
-                for k in set(pivot) | set(w):
-                    v = s * pivot.get(k, 0) + t * w.get(k, 0)
-                    if v:
-                        new_pivot[k] = v
-                new_w = {}
-                for k in set(pivot) | set(w):
-                    v = (A // g) * w.get(k, 0) - (b // g) * pivot.get(k, 0)
-                    if v:
-                        new_w[k] = v
-                basis[r] = new_pivot
-                w = new_w
-    return [basis[r] for r in sorted(basis)]
+                del row2[c]
+                colrows[c].discard(r2)
+    if not row2:
+        del rows[r2]
 
 
-def _xgcd(a: int, b: int):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g > 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def _delete_row(rows, colrows, r: int):
+    for c in rows.pop(r):
+        cs = colrows[c]
+        cs.discard(r)
+        if not cs:
+            del colrows[c]
+
+
+def _invariant_factors(diag: list[int]) -> list[int]:
+    """The Smith diagonal equivalent to diag(d_1, ..., d_k): replace pairs by
+    their gcd and lcm until the entries form a divisibility chain."""
+    d = sorted(abs(v) for v in diag)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 def _snf_diagonal_sparse(m: SparseIntMatrix) -> list[int]:
-    """Nonzero Smith diagonal of m, computed without transform matrices."""
+    """Nonzero Smith diagonal of m, computed without transform matrices.
+
+    Every unit pivot is peeled first: each removes one row and one column
+    and contributes a 1 to the diagonal.  The residual, which has no entry
+    +-1, is then diagonalized by Euclidean elimination: the entry of least
+    absolute value is the pivot, and division with remainder clears its
+    column and row or leaves a smaller entry to pivot on next.
+    """
     rows: dict[int, dict[int, int]] = {}
     colrows: dict[int, set[int]] = {}
     for (r, c), v in m._data.items():
@@ -423,105 +436,70 @@ def _snf_diagonal_sparse(m: SparseIntMatrix) -> list[int]:
         colrows.setdefault(c, set()).add(r)
 
     ones = 0
-    # heap of (row nnz at push time, row index); stale entries are re-checked
+    # Heap of (row nnz at push time, row index).  Every row operation pushes
+    # the changed row again, so an entry whose count no longer matches is
+    # stale, and a row found without a unit can be dropped until it changes.
     heap = [(len(cs), r) for r, cs in rows.items()]
     heapq.heapify(heap)
-
-    def active_dims():
-        return len(rows), len(colrows)
-
-    def density():
-        nr, nc = active_dims()
-        if not nr or not nc:
-            return 0.0
-        return sum(len(cs) for cs in rows.values()) / (nr * nc)
-
-    while rows:
-        nr, nc = active_dims()
-        if min(nr, nc) <= _DENSE_DIM or density() > _DENSE_DENSITY:
-            break
-        # pick a unit pivot from the sparsest available row
-        pivot = None
-        while heap:
-            nnz, r = heapq.heappop(heap)
-            cur = rows.get(r)
-            if cur is None:
-                continue
-            if len(cur) != nnz:
-                heapq.heappush(heap, (len(cur), r))
-                continue
-            units = [(len(colrows[c]), c) for c, v in cur.items() if v in (1, -1)]
-            if units:
-                pivot = (r, min(units)[1])
-                heapq.heappush(heap, (nnz, r))  # keep row discoverable
-            else:
-                # no unit entry in the sparsest row: scan everything once
-                for r2 in sorted(rows):
-                    cur2 = rows[r2]
-                    units = [
-                        (len(colrows[c]), c) for c, v in cur2.items() if v in (1, -1)
-                    ]
-                    if units:
-                        pivot = (r2, min(units)[1])
-                        break
-                heapq.heappush(heap, (nnz, r))
-            break
-        if pivot is None:
-            break
-        pr, pc = pivot
-        prow = rows[pr]
+    while heap:
+        nnz, pr = heapq.heappop(heap)
+        prow = rows.get(pr)
+        if prow is None or len(prow) != nnz:
+            continue
+        units = [(len(colrows[c]), c) for c, v in prow.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        # the sparsest row with a unit, at its unit in the shortest column
+        pc = min(units)[1]
         pval = prow[pc]
-        # clear column pc using the unit pivot row
         for r2 in sorted(colrows[pc]):
-            if r2 == pr:
-                continue
-            row2 = rows[r2]
-            q = row2[pc] * pval  # row2 -= q * prow since pval is +-1
-            for c, v in prow.items():
-                w = row2.get(c, 0) - q * v
-                if w:
-                    row2[c] = w
-                    colrows.setdefault(c, set()).add(r2)
-                else:
-                    row2.pop(c, None)
-                    cs = colrows.get(c)
-                    if cs is not None:
-                        cs.discard(r2)
-                        if not cs:
-                            del colrows[c]
-            if not row2:
-                del rows[r2]
-            else:
-                heapq.heappush(heap, (len(row2), r2))
-        # delete pivot row and column
-        for c in prow:
-            cs = colrows.get(c)
-            if cs is not None:
-                cs.discard(pr)
-                if not cs:
-                    del colrows[c]
-        del rows[pr]
+            if r2 != pr:
+                _subtract_row(rows, colrows, r2, rows[r2][pc] * pval, prow)
+                if r2 in rows:
+                    heapq.heappush(heap, (len(rows[r2]), r2))
+        # column pc is now the pivot alone, so column operations clear the
+        # pivot row without touching any other entry
+        _delete_row(rows, colrows, pr)
         ones += 1
 
-    if not rows:
-        return [1] * ones
-
-    # compress the residual column lattice, then finish densely
-    residual_cols: dict[int, dict[int, int]] = {}
-    for r, cs in rows.items():
-        for c, v in cs.items():
-            residual_cols.setdefault(c, {})[r] = v
-    lattice = _column_lattice(residual_cols[c] for c in sorted(residual_cols))
-    if not lattice:
-        return [1] * ones
-    row_ids = sorted({r for vec in lattice for r in vec})
-    ridx = {r: i for i, r in enumerate(row_ids)}
-    dense = [[0] * len(lattice) for _ in row_ids]
-    for j, vec in enumerate(lattice):
-        for r, v in vec.items():
-            dense[ridx[r]][j] = v
-    diag, _, _ = _dense_snf(dense, want_transforms=False)
-    return [1] * ones + diag
+    diag = []
+    while rows:
+        # least |value|, then fewest nonzeros in its row and column
+        _, _, pr, pc = min(
+            (abs(v), len(cs) + len(colrows[c]), r, c)
+            for r, cs in rows.items()
+            for c, v in cs.items()
+        )
+        while True:
+            prow = rows[pr]
+            p = prow[pc]
+            for r2 in sorted(colrows[pc]):
+                q = rows[r2][pc] // p
+                if q and r2 != pr:
+                    _subtract_row(rows, colrows, r2, q, prow)
+            rest = [(abs(rows[r2][pc]), r2) for r2 in colrows[pc] if r2 != pr]
+            if rest:  # remainders, each smaller than |p|
+                pr = min(rest)[1]
+                continue
+            # column operations against the lone pivot of column pc reduce
+            # the pivot row modulo p and change nothing else
+            for c in [c for c in prow if c != pc]:
+                w = prow[c] % p
+                if w:
+                    prow[c] = w
+                else:
+                    del prow[c]
+                    cs = colrows[c]
+                    cs.discard(pr)
+                    if not cs:
+                        del colrows[c]
+            if len(prow) > 1:
+                pc = min((abs(v), c) for c, v in prow.items() if c != pc)[1]
+                continue
+            diag.append(p)
+            _delete_row(rows, colrows, pr)
+            break
+    return [1] * ones + _invariant_factors(diag)
 
 
 def smith_normal_form(m: SparseIntMatrix, transforms: bool = False):
@@ -538,9 +516,8 @@ def smith_normal_form(m: SparseIntMatrix, transforms: bool = False):
 
 
 def rank(m: SparseIntMatrix) -> int:
-    """Rank over Z (equivalently over Q), computed exactly."""
-    lattice = _column_lattice(col for _, col in sorted(m.columns().items()))
-    return len(lattice)
+    """Rank over Z (equivalently over Q): the length of the Smith diagonal."""
+    return len(_snf_diagonal_sparse(m))
 
 
 def cokernel(m: SparseIntMatrix) -> AbelianGroupInvariants:

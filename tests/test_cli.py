@@ -159,6 +159,15 @@ class TestCommands:
         assert code == 0
         assert "status: pass" in out
 
+    def test_verify_coxeter_grid_key(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "coxeter", "grid:coxeter:A3")
+        assert code == 0
+        assert "input: verify coxeter: grid:coxeter:A3" in out
+        assert "data.order: 24" in out
+        code, _, err = run(capsys, "verify", "--suite", "coxeter", "grid:dihedral:3")
+        assert code == 2
+        assert "needs a Coxeter group" in err
+
     def test_covering_with_export(self, capsys, tmp_path):
         exp = tmp_path / "exported"
         code, out, _ = run(

@@ -4,14 +4,21 @@ Oracles:
 - frozen classical values (dihedral quandles, trivial quandles),
 - the degree-2 splitting: rack H2 = quandle H2 + Z^(number of orbits),
 - the boundary-squared identity on random chains,
-- the abelianized adjoint group being free of orbit rank.
+- the abelianized adjoint group being free of orbit rank,
+- the per-tuple boundary_chain loop, against which the array assembly of
+  the boundary matrices is checked.
 """
+
+import random
+import time
+from itertools import product
 
 import pytest
 
 from quandles import families
 from quandles.core import validate
 from quandles.families import AlexanderModuleSpec
+from quandles.grid import grid_by_key, standard_grid
 from quandles.homology import (
     CAP_ENV_VAR,
     QUANDLE,
@@ -25,7 +32,7 @@ from quandles.homology import (
     quandle_h2,
     rack_h2,
 )
-from quandles.intlin import AbelianGroupInvariants
+from quandles.intlin import AbelianGroupInvariants, SparseIntMatrix
 
 
 def Z(rank=0, *torsion):
@@ -88,6 +95,74 @@ class TestBoundary:
         # build_complex runs the composite-zero check internally
         slice3 = build_complex(families.dihedral(3), QUANDLE)
         assert slice3.homology(2) == Z()
+
+
+def _relabeled(q, seed):
+    """The same quandle with its elements renamed by a seeded permutation."""
+    n = q.order
+    sigma = list(range(n))
+    random.Random(seed).shuffle(sigma)
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[sigma[x]][sigma[y]] = sigma[q.apply(x, y)]
+    return validate(table)
+
+
+def _basis_by_tuples(n, degree, mode):
+    tuples = product(range(n), repeat=degree)
+    return [t for t in tuples if mode == RACK or all(a != b for a, b in zip(t, t[1:]))]
+
+
+def _boundary_by_tuples(q, mode, degree):
+    """The boundary matrix built one basis tuple at a time from boundary_chain."""
+    rows = _basis_by_tuples(q.order, degree - 1, mode)
+    cols = _basis_by_tuples(q.order, degree, mode)
+    index = {t: i for i, t in enumerate(rows)}
+    m = SparseIntMatrix(len(rows), len(cols))
+    for j, tup in enumerate(cols):
+        for t, c in boundary_chain(q, tup).items():
+            if t in index:  # a degenerate face is dropped in quandle mode
+                m.add(index[t], j, c)
+    return m
+
+
+def _check_assembly(q):
+    for mode in (RACK, QUANDLE):
+        c = build_complex(q, mode)
+        for degree in (1, 2, 3, 4):
+            assert c.basis(degree) == _basis_by_tuples(q.order, degree, mode)
+            assert c.boundary(degree) == _boundary_by_tuples(q, mode, degree), (mode, degree)
+
+
+SMALL_CATALOGUE = [e.key for e in standard_grid() if e.order <= 8]
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("key", SMALL_CATALOGUE)
+    def test_matches_per_tuple_boundaries(self, key):
+        _check_assembly(grid_by_key()[key].build())
+
+    @pytest.mark.parametrize("key,seed", [("dihedral:8", 1), ("alexander:9:t2", 2), ("core:s3", 3)])
+    def test_matches_per_tuple_boundaries_relabeled(self, key, seed):
+        _check_assembly(_relabeled(grid_by_key()[key].build(), seed))
+
+    def test_basis_is_lexicographic(self):
+        c = build_complex(families.dihedral(3), QUANDLE)
+        assert c.basis(2) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+        assert c.basis(0) == [()]
+        assert c.basis_size(3) == 3 * 2 * 2
+
+
+class TestOrderSensitivity:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_relabeled_alexander9_t2_degree3(self, seed):
+        # Relabeled, this d4 took 52-100 s when the peel stopped at a 64-row
+        # block; it takes well under a second now, so 30 s is a wide margin.
+        q = _relabeled(grid_by_key()["alexander:9:t2"].build(), seed)
+        start = time.perf_counter()
+        assert homology(q, 3, QUANDLE) == Z(0, 3)
+        assert time.perf_counter() - start < 30
 
 
 class TestSplitting:

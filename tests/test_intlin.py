@@ -1,17 +1,21 @@
 """Exact integer linear algebra: Smith form, rank, cokernel, homology.
 
 Oracles: sympy's Smith normal form on dense matrices, determinant-divisor
-identities, and hand-checked small cases.
+identities, matrices built from a chosen diagonal by unimodular operations,
+and hand-checked small cases.
 """
 
 import random
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandles.intlin import (
     AbelianGroupInvariants,
+    _dense_snf,
     NotAComplex,
     SparseIntMatrix,
     cokernel,
@@ -26,6 +30,7 @@ from quandles.intlin import (
 )
 
 sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
 
@@ -123,6 +128,129 @@ class TestSmithNormalForm:
                 assert diag[0] == math.gcd(*entries) if len(entries) > 1 else abs(entries[0])
             else:
                 assert diag == []
+
+
+def _sparse_matrix(rng, rows, cols, per_col, values):
+    """A dense listing of a matrix with per_col entries from values per column."""
+    dense = [[0] * cols for _ in range(rows)]
+    for c in range(cols):
+        for r in rng.sample(range(rows), per_col):
+            dense[r][c] = rng.choice(values)
+    return dense
+
+
+def _with_duplicate_and_zero_columns(rng, dense, extra):
+    """Append copies of random columns and zero columns; the column lattice,
+    hence the Smith diagonal, stays the same."""
+    cols = len(dense[0])
+    picks = [rng.randrange(cols) for _ in range(extra)]
+    return [row + [row[c] for c in picks] + [0] * extra for row in dense]
+
+
+def _from_diagonal(rng, rows, cols, diag):
+    """A sparse matrix with Smith diagonal diag: the diagonal matrix under
+    random elementary row and column operations, rows and columns shuffled."""
+    dense = [[0] * cols for _ in range(rows)]
+    for i, d in enumerate(diag):
+        dense[i][i] = d
+    for _ in range(rows // 2):
+        i, j = rng.sample(range(rows), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        dense[i] = [a + k * b for a, b in zip(dense[i], dense[j])]
+    for _ in range(cols // 2):
+        i, j = rng.sample(range(cols), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        for row in dense:
+            row[i] += k * row[j]
+    rng.shuffle(dense)
+    order = list(range(cols))
+    rng.shuffle(order)
+    return [[row[c] for c in order] for row in dense]
+
+
+class TestSparseSmithForm:
+    """Matrices of 70-150 rows, large enough to run the unit-pivot peel and
+    the Euclidean elimination of its residual."""
+
+    def test_matches_sympy_with_unit_and_non_unit_entries(self):
+        rng = random.Random(101)
+        for rows, cols, per_col, values in (
+            (70, 90, 3, (1, -1, 1, -1, 2, 3)),
+            (90, 70, 2, (1, -1, 2, -3, 4)),
+            (100, 80, 2, (1, -1, 2, 6)),
+        ):
+            dense = _sparse_matrix(rng, rows, cols, per_col, values)
+            dense = _with_duplicate_and_zero_columns(rng, dense, 10)
+            ours = smith_normal_form(SparseIntMatrix.from_dense(dense))
+            theirs = invariant_factors(sympy.Matrix(dense), domain=sympy.ZZ)
+            assert ours == [abs(int(d)) for d in theirs if d]
+
+    def test_no_unit_entry_matches_sympy(self):
+        rng = random.Random(103)
+        for rows, cols, values in ((70, 100, (2, -2, 3, -3, 4, 6)), (80, 70, (2, -3, 4, 9))):
+            dense = _sparse_matrix(rng, rows, cols, 2, values)
+            assert all(abs(v) != 1 for row in dense for v in row)
+            ours = smith_normal_form(SparseIntMatrix.from_dense(dense))
+            theirs = invariant_factors(sympy.Matrix(dense), domain=sympy.ZZ)
+            assert ours == [abs(int(d)) for d in theirs if d]
+
+    def test_euclidean_residual_matches_sympy(self):
+        # mostly without units, so nearly all the work is division with
+        # remainder; includes pivots whose column holds smaller entries
+        rng = random.Random(127)
+        for _ in range(300):
+            rows, cols = rng.randint(2, 12), rng.randint(2, 12)
+            values = rng.choice(((2, 3, 4, 5, 6, 7, -9, 10), (4, 6, 9, -10, 15), (-12, 8, 18, 27)))
+            dense = [
+                [rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            ours = smith_normal_form(SparseIntMatrix.from_dense(dense))
+            theirs = invariant_factors(sympy.Matrix(dense), domain=sympy.ZZ)
+            assert ours == [abs(int(d)) for d in theirs if d], dense
+
+    @pytest.mark.parametrize("rows,cols", [(70, 120), (120, 90), (150, 150)])
+    def test_known_diagonal(self, rows, cols):
+        rng = random.Random(rows * cols)
+        rank = min(rows, cols) - 3
+        diag = [1] * (rank - 6) + [2, 2, 6, 12, 12, 60]
+        dense = _from_diagonal(rng, rows, cols, diag)
+        dense = _with_duplicate_and_zero_columns(rng, dense, 15)
+        assert smith_normal_form(SparseIntMatrix.from_dense(dense)) == diag
+        # the same lattice scaled by 3 has no unit entry left
+        tripled = [[3 * v for v in row] for row in dense]
+        diag3 = smith_normal_form(SparseIntMatrix.from_dense(tripled))
+        assert diag3 == [3 * d for d in diag]
+
+    def test_square_product_is_determinant(self):
+        rng = random.Random(107)
+        for n, per_col, values in (
+            (70, 3, (1, -1, 2, 3)),
+            (80, 2, (1, -1, 2, -2, 5)),
+            (75, 3, (2, 3, -4)),
+        ):
+            dense = _sparse_matrix(rng, n, n, per_col, values)
+            diag = smith_normal_form(SparseIntMatrix.from_dense(dense))
+            d = det(dense)
+            if d:
+                assert len(diag) == n and prod(diag) == abs(d)
+            else:
+                assert len(diag) < n
+
+    def test_square_known_diagonal_determinant(self):
+        rng = random.Random(109)
+        diag = [1] * 94 + [2, 4, 4, 12, 36, 72]
+        dense = _from_diagonal(rng, 100, 100, diag)
+        assert abs(det(dense)) == prod(diag)
+        assert smith_normal_form(SparseIntMatrix.from_dense(dense)) == diag
+
+    def test_matches_dense_elimination(self):
+        rng = random.Random(113)
+        dense = _sparse_matrix(rng, 72, 80, 2, (1, -1, 2, 3, -4))
+        dense = _with_duplicate_and_zero_columns(rng, dense, 8)
+        ours = smith_normal_form(SparseIntMatrix.from_dense(dense))
+        theirs, _, _ = _dense_snf([row[:] for row in dense], want_transforms=False)
+        assert ours == theirs
 
 
 class TestRankAndKernel:
@@ -227,6 +355,28 @@ class TestComposeIsZero:
         outer = SparseIntMatrix.from_dense([[0, 0]])
         inner = SparseIntMatrix.from_dense([[1], [2]])
         assert compose_is_zero(outer, inner) is None
+
+
+class TestFromArrays:
+    def test_same_matrix_as_entry_by_entry(self):
+        m = SparseIntMatrix.from_arrays(
+            2, 3, np.array([0, 1, 1]), np.array([2, 0, 2]), np.array([5, -1, 3], dtype=np.int32)
+        )
+        assert m == SparseIntMatrix.from_dense([[0, 0, 5], [-1, 0, 3]])
+        assert all(type(v) is int for _, _, v in m.entries())
+
+    def test_rejects_bad_entries(self):
+        def make(rows, cols, vals):
+            return SparseIntMatrix.from_arrays(2, 2, np.array(rows), np.array(cols), np.array(vals))
+
+        with pytest.raises(IndexError):
+            make([0, 2], [0, 0], [1, 1])
+        with pytest.raises(ValueError):
+            make([0, 1], [0, 0], [1, 0])
+        with pytest.raises(ValueError):
+            make([0, 0], [1, 1], [1, 2])
+        with pytest.raises(ValueError):
+            make([0, 1], [0], [1, 1])
 
 
 class TestSerialization:
