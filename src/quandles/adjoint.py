@@ -12,11 +12,12 @@ element (n, x, a) acts on the module by v -> T^n v + (1 - T) x.
 
 Elements are stored as integer codes: x is the module index of
 AlexanderModuleSpec and a is the mixed-radix code of a coker(mu) class
-over its invariant factors, first coordinate least significant.  The model
-tabulates T^m, module addition, negation and (1 - T), the classes
-[x (x) y] and coker addition once, so that products, inverses and the
-action are a few list lookups.  [x (x) y] is bilinear, so its table is
-read off the k x k classes [e_i (x) e_j].
+over its invariant factors, first coordinate least significant.  The
+module coordinates and T as a permutation of indices come from the spec;
+from them the model tabulates T^m, module addition, negation and (1 - T),
+the classes [x (x) y] and coker addition once, so that products, inverses
+and the action are a few list lookups.  [x (x) y] is bilinear, so its
+table is read off the k x k classes [e_i (x) e_j].
 
 This module also provides the (non-homogeneous) bar complex of a group,
 the chain maps c_k from the rack complex into it, the explicit homotopies
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import AlexanderModuleSpec, alexander
+from .families import AlexanderModuleSpec, _codes, _digits, alexander
 from .groups import GroupTable
 from .homology import boundary_chain
 from .intlin import (
@@ -78,18 +79,6 @@ class ClauwensElement(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-def _digits(count: int, radices) -> np.ndarray:
-    """The mixed-radix digits of the codes 0..count-1, one row per code."""
-    place = np.cumprod((1, *radices), dtype=np.int64)[:-1]
-    return np.arange(count, dtype=np.int64)[:, None] // place % np.array(radices, dtype=np.int64)
-
-
-def _codes(digits: np.ndarray, radices) -> np.ndarray:
-    """Mixed-radix codes of digit rows (last axis), each digit reduced first."""
-    place = np.cumprod((1, *radices), dtype=np.int64)[:-1]
-    return (digits % np.array(radices, dtype=np.int64) * place).sum(axis=-1)
-
-
 class ClauwensGroup:
     """Exact model of the adjoint group of a connected Alexander quandle."""
 
@@ -124,21 +113,16 @@ class ClauwensGroup:
         self.identity = ClauwensElement(0, 0, 0)
 
         n = self._size = spec.size
-        coords = _digits(n, orders)
-        t_coords = coords @ np.array(spec.t_matrix, dtype=np.int64).T
-        t_perm = _codes(t_coords, orders)
+        coords = spec.coord_rows
         # _t_pow[m][v] is the index of T^m v, for 0 <= m < type
+        self._type = spec.t_order()
         powers = [np.arange(n)]
-        while True:
-            nxt = t_perm[powers[-1]]
-            if (nxt == powers[0]).all():
-                break
-            powers.append(nxt)
+        for _ in range(1, self._type):
+            powers.append(spec.t_perm[powers[-1]])
         self._t_pow = [p.tolist() for p in powers]
-        self._type = len(powers)
         self._add = _codes(coords[:, None, :] + coords[None, :, :], orders).ravel().tolist()
         self._neg = _codes(-coords, orders).tolist()
-        self._one_minus_t = _codes(coords - t_coords, orders).tolist()
+        self._one_minus_t = _codes(coords - spec.t_rows, orders).tolist()
         # coordinate p of [x (x) y] is x^T B_p y, where B_p[i][j] is
         # coordinate p of the class [e_i (x) e_j]: row p of U at i*k + j
         tensor = np.zeros((n, n), dtype=np.int64)

@@ -50,7 +50,7 @@ from .coverings import (
 )
 from .families import AlexanderModuleSpec
 from .grid import FAMILIES, Recipe, grid_by_key, parse_family, standard_grid
-from .groups import GroupTable, named_group, symmetric_group, dihedral_group
+from .groups import GroupTable, InvalidGroupTable, named_group, symmetric_group, dihedral_group
 from .homology import QUANDLE, RACK, adjoint_abelianization, homology, quandle_h2
 from .intlin import AbelianGroupInvariants
 from .report import CheckEntry, ReportDocument
@@ -333,6 +333,8 @@ def cmd_verify(args) -> ReportDocument:
             name = " ".join(tokens)
             try:
                 group = named_group(name)
+            except InvalidGroupTable as exc:
+                raise CLIError(f"bad group {name!r}: {exc}") from None
             except ValueError:
                 try:
                     group = _coxeter_group(name)

@@ -2,13 +2,19 @@
 
 Every constructor returns a validated FiniteQuandle with elements 0..n-1
 in a deterministic enumeration order, so tables are reproducible across
-runs and platforms.
+runs and platforms.  Alexander quandles are built from an
+AlexanderModuleSpec, the one place that encodes module elements: it
+tabulates their coordinates and the action of T once, and the quandle
+table, type, connectivity test and the adjoint-group model all read
+those arrays.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import prod
+
+import numpy as np
 
 from . import perms
 from .core import FiniteQuandle, validate
@@ -29,6 +35,18 @@ class SeedNotInvolution(ValueError):
     """Reflection quandle seeds must be involutions."""
 
 
+def _digits(count: int, radices) -> np.ndarray:
+    """The mixed-radix digits of the codes 0..count-1, one row per code."""
+    place = np.cumprod((1, *radices), dtype=np.int64)[:-1]
+    return np.arange(count, dtype=np.int64)[:, None] // place % np.array(radices, dtype=np.int64)
+
+
+def _codes(digits: np.ndarray, radices) -> np.ndarray:
+    """Mixed-radix codes of digit rows (last axis), each digit reduced first."""
+    place = np.cumprod((1, *radices), dtype=np.int64)[:-1]
+    return (digits % np.array(radices, dtype=np.int64) * place).sum(axis=-1)
+
+
 class AlexanderModuleSpec:
     """A finite module Z/d1 + ... + Z/dk with an invertible endomorphism T.
 
@@ -36,6 +54,13 @@ class AlexanderModuleSpec:
     acting on coordinate columns.  Elements are enumerated mixed-radix over
     torsion_orders with the first coordinate least significant, so the
     element of coordinates (x1, ..., xk) has index x1 + d1*(x2 + d2*(...)).
+
+    The constructor tabulates, once, the (size, k) int64 arrays coord_rows
+    (row i holds the coordinates of element i) and t_rows (the coordinates
+    of T applied to it), and t_perm, T as a permutation of element indices.
+    Invertibility, t_order, is_connected, `alexander` and the adjoint-group
+    model all read these arrays.  The tuple methods (coords, index, add,
+    t_apply, ...) do the same arithmetic one element at a time.
     """
 
     def __init__(self, torsion_orders, t_matrix):
@@ -59,10 +84,11 @@ class AlexanderModuleSpec:
             for j in range(k)
         )
         self.size = prod(self.torsion_orders)
-        if not self._t_is_bijective():
+        self.coord_rows = _digits(self.size, self.torsion_orders)
+        self.t_rows = self.coord_rows @ np.array(self.t_matrix, dtype=np.int64).T % self.torsion_orders
+        self.t_perm = _codes(self.t_rows, self.torsion_orders)
+        if np.unique(self.t_perm).size != self.size:
             raise NonInvertibleT(f"T = {self.t_matrix} is not invertible on the module")
-        self._connected = None
-        self._t_perm = None
 
     @classmethod
     def scalar(cls, torsion_orders, t: int) -> "AlexanderModuleSpec":
@@ -113,28 +139,14 @@ class AlexanderModuleSpec:
     def one_minus_t(self, v) -> tuple[int, ...]:
         return self.sub(v, self.t_apply(v))
 
-    def _t_is_bijective(self) -> bool:
-        images = {self.t_apply(self.coords(i)) for i in self.elements()}
-        return len(images) == self.size
-
     def t_order(self) -> int:
         """Multiplicative order of T on the module (the quandle type)."""
-        if self._t_perm is None:
-            n = 1
-            v = {i: self.coords(i) for i in self.elements()}
-            cur = {i: self.t_apply(c) for i, c in v.items()}
-            while any(cur[i] != v[i] for i in self.elements()):
-                cur = {i: self.t_apply(c) for i, c in cur.items()}
-                n += 1
-            self._t_perm = n
-        return self._t_perm
+        return perms.perm_order(self.t_perm.tolist())
 
     def is_connected(self) -> bool:
-        """Connected iff (1 - T) is onto the module."""
-        if self._connected is None:
-            images = {self.one_minus_t(self.coords(i)) for i in self.elements()}
-            self._connected = len(images) == self.size
-        return self._connected
+        """Connected iff (1 - T) is onto the module, i.e. one-to-one."""
+        images = _codes(self.coord_rows - self.t_rows, self.torsion_orders)
+        return np.unique(images).size == self.size
 
     def label(self) -> str:
         orders = ",".join(str(d) for d in self.torsion_orders)
@@ -158,19 +170,17 @@ class AlexanderModuleSpec:
 
 
 def alexander(spec: AlexanderModuleSpec) -> FiniteQuandle:
-    """The Alexander quandle x <| y = y + T(x - y) on the module."""
-    n = spec.size
-    coords = [spec.coords(i) for i in range(n)]
-    table = []
-    for x in range(n):
-        cx = coords[x]
-        row = []
-        for y in range(n):
-            cy = coords[y]
-            row.append(spec.index(spec.add(cy, spec.t_apply(spec.sub(cx, cy)))))
-        table.append(row)
-    labels = ["(" + ",".join(str(v) for v in c) + ")" for c in coords]
-    return validate(table, labels=labels)
+    """The Alexander quandle x <| y = Tx + (1 - T)y on the module.
+
+    Row x of the table is the codes of Tx + (1 - T)y over all y, read off
+    the spec's coordinate arrays, so the only n x n array is the table.
+    """
+    one_minus_t = spec.coord_rows - spec.t_rows
+    table = np.empty((spec.size, spec.size), dtype=np.int64)
+    for x, tx in enumerate(spec.t_rows):
+        table[x] = _codes(tx + one_minus_t, spec.torsion_orders)
+    labels = ["(" + ",".join(str(v) for v in c) + ")" for c in spec.coord_rows.tolist()]
+    return validate(table.tolist(), labels=labels)
 
 
 def dihedral(n: int) -> FiniteQuandle:

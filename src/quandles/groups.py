@@ -23,6 +23,8 @@ class GroupTable:
         self.order = n
         self.labels = tuple(labels) if labels else None
         self.name = name
+        if n == 0:
+            raise InvalidGroupTable("a group needs at least its identity 0")
         if self.labels and len(self.labels) != n:
             raise InvalidGroupTable("label count does not match order")
         for i, row in enumerate(self.table):

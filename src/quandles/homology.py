@@ -24,8 +24,6 @@ diagonalizes the residual by Euclidean elimination.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .core import FiniteQuandle
@@ -40,7 +38,6 @@ RACK = "rack"
 QUANDLE = "quandle"
 
 DEFAULT_CELL_CAP = 10_000_000
-CAP_ENV_VAR = "QF_CAP"
 
 
 class SizeCap(RuntimeError):
@@ -53,12 +50,7 @@ class SizeCap(RuntimeError):
 
 
 def effective_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_CELL_CAP
+    return DEFAULT_CELL_CAP if cap is None else cap
 
 
 def boundary_chain(q: FiniteQuandle, tup) -> dict[tuple, int]:

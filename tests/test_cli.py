@@ -79,6 +79,20 @@ class TestExitCodes:
         assert code == 2
         assert "not connected" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "coxeter", "cyclic:0"],
+            ["verify", "--suite", "coxeter", "cyclic:-3"],
+            ["check", "core group=cyclic:0"],
+        ],
+    )
+    def test_empty_group_is_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "a group needs at least its identity 0" in err
+
     @pytest.mark.parametrize("command", ["invariants", "homology"])
     def test_axiom_failure_outside_a_check_is_two(self, capsys, command):
         code, out, err = run(capsys, command, os.path.join(GOLDEN, "broken-iii.quandle"))

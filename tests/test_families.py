@@ -5,6 +5,10 @@ and types, the connectivity criterion cross-checked against orbit
 computation, and order formulas for the linear-algebraic families.
 """
 
+from itertools import product
+from math import prod
+from types import SimpleNamespace
+
 import pytest
 
 from quandles import families
@@ -15,6 +19,13 @@ from quandles.families import (
     SeedNotInvolution,
 )
 from quandles.fields import FiniteField
+from quandles.grid import standard_grid
+
+
+def _spec(orders, t):
+    if isinstance(t, int):
+        return AlexanderModuleSpec.scalar(orders, t)
+    return AlexanderModuleSpec(orders, t)
 
 
 class TestAlexanderModuleSpec:
@@ -58,11 +69,7 @@ class TestAlexanderModuleSpec:
         ],
     )
     def test_connectivity_criterion(self, orders, t, connected):
-        spec = (
-            AlexanderModuleSpec.scalar(orders, t)
-            if isinstance(t, int)
-            else AlexanderModuleSpec(orders, t)
-        )
+        spec = _spec(orders, t)
         assert spec.is_connected() == connected
         # oracle: orbit count of the built quandle
         q = families.alexander(spec)
@@ -80,11 +87,7 @@ class TestAlexanderModuleSpec:
         ],
     )
     def test_type_is_order_of_t(self, orders, t, t_order):
-        spec = (
-            AlexanderModuleSpec.scalar(orders, t)
-            if isinstance(t, int)
-            else AlexanderModuleSpec(orders, t)
-        )
+        spec = _spec(orders, t)
         assert spec.t_order() == t_order
         assert families.alexander(spec).type == t_order
 
@@ -101,6 +104,96 @@ class TestAlexander:
         for n in (1, 2, 3, 5, 8):
             spec = AlexanderModuleSpec.scalar((n,), -1)
             assert families.alexander(spec).table == families.dihedral(n).table
+
+
+def _tuple_table(spec):
+    """x <| y = y + T(x - y), one cell at a time with the tuple methods."""
+    coords = [spec.coords(i) for i in spec.elements()]
+    return tuple(
+        tuple(spec.index(spec.add(cy, spec.t_apply(spec.sub(cx, cy)))) for cy in coords)
+        for cx in coords
+    )
+
+
+def _tuple_t_order(spec):
+    start = [spec.coords(i) for i in spec.elements()]
+    current, m = [spec.t_apply(c) for c in start], 1
+    while current != start:
+        current, m = [spec.t_apply(c) for c in current], m + 1
+    return m
+
+
+def _tuple_connected(spec):
+    return len({spec.one_minus_t(spec.coords(i)) for i in spec.elements()}) == spec.size
+
+
+# x^8 + x^4 + x^3 + x^2 + 1 is primitive over F_2: its companion matrix has order 255
+_LOW = [1, 0, 1, 1, 1, 0, 0, 0]
+_COMPANION = [[int(i == j + 1) for j in range(7)] + [_LOW[i]] for i in range(8)]
+
+_CATALOGUE_SPECS = sorted(
+    {e.alexander_spec for e in standard_grid() if e.alexander_spec is not None},
+    key=lambda s: s.label(),
+)
+_EXTRA_SPECS = [
+    ((2, 4), [[1, 1], [2, 1]]),  # mixed orders, non-scalar T of order 4
+    ((6,), 5),  # 1 - T = 2 is not onto Z/6
+    ((2, 3), [[1, 0], [0, 2]]),  # 1 - T kills the Z/2 summand
+    ((1,), 1),
+]
+
+
+class TestArrayPathAgainstTuples:
+    """The spec's coordinate arrays and T permutation, read by `alexander`,
+    t_order and is_connected, against the one-element tuple methods."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        _CATALOGUE_SPECS + [_spec(o, t) for o, t in _EXTRA_SPECS],
+        ids=lambda s: s.label(),
+    )
+    def test_table_type_and_connectivity(self, spec):
+        q = families.alexander(spec)
+        assert q.table == _tuple_table(spec)
+        assert q.labels == tuple(
+            "(" + ",".join(str(v) for v in spec.coords(i)) + ")" for i in spec.elements()
+        )
+        assert spec.t_order() == _tuple_t_order(spec)
+        assert spec.is_connected() == _tuple_connected(spec)
+        images = [spec.index(spec.t_apply(spec.coords(i))) for i in spec.elements()]
+        assert spec.t_perm.tolist() == images
+
+    def test_every_catalogue_spec_is_compared(self):
+        assert len(_CATALOGUE_SPECS) == 18
+
+    def test_order_256_primitive_module(self):
+        spec = AlexanderModuleSpec((2,) * 8, _COMPANION)
+        assert spec.t_order() == _tuple_t_order(spec) == 255
+        assert spec.is_connected() and _tuple_connected(spec)
+
+    @pytest.mark.parametrize("orders", [(2, 4), (3, 3), (2, 2, 2)])
+    def test_invertibility_against_tuple_images(self, orders):
+        """Every T reduced by rows that descends: NonInvertibleT is raised
+        exactly when the tuple images of T are not all distinct."""
+        k, n = len(orders), prod(orders)
+        raised = 0
+        for flat in product(*(range(d) for d in orders for _ in range(k))):
+            t = [flat[r * k : (r + 1) * k] for r in range(k)]
+            plain = SimpleNamespace(torsion_orders=orders, t_matrix=t)
+            images = {
+                AlexanderModuleSpec.t_apply(plain, AlexanderModuleSpec.coords(plain, i))
+                for i in range(n)
+            }
+            try:
+                AlexanderModuleSpec(orders, t)
+            except NonInvertibleT:
+                raised += 1
+                assert len(images) < n, t
+            except ValueError:
+                continue  # T does not descend to the module
+            else:
+                assert len(images) == n, t
+        assert raised
 
 
 class TestDihedralAndTrivial:

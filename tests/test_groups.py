@@ -8,6 +8,7 @@ import pytest
 
 from quandles.groups import (
     GroupTable,
+    InvalidGroupTable,
     cyclic,
     dihedral_group,
     direct_product,
@@ -53,6 +54,18 @@ def test_named_groups_are_groups(name, order):
 def test_unknown_name():
     with pytest.raises(ValueError):
         named_group("monster")
+
+
+def test_empty_table_is_not_a_group():
+    # a group contains its identity 0
+    with pytest.raises(InvalidGroupTable):
+        GroupTable([])
+
+
+@pytest.mark.parametrize("name", ["cyclic:0", "cyclic:-3"])
+def test_named_group_of_order_zero(name):
+    with pytest.raises(InvalidGroupTable):
+        named_group(name)
 
 
 class TestStructure:

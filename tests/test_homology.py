@@ -20,7 +20,7 @@ from quandles.core import validate
 from quandles.families import AlexanderModuleSpec
 from quandles.grid import grid_by_key, standard_grid
 from quandles.homology import (
-    CAP_ENV_VAR,
+    DEFAULT_CELL_CAP,
     QUANDLE,
     RACK,
     SizeCap,
@@ -211,11 +211,9 @@ class TestCaps:
         assert exc.value.needed > 10
         assert exc.value.cap == 10
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(CAP_ENV_VAR, "123")
-        assert effective_cap(None) == 123
-        monkeypatch.delenv(CAP_ENV_VAR)
+    def test_explicit_cap(self):
         assert effective_cap(7) == 7
+        assert effective_cap(None) == DEFAULT_CELL_CAP
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
