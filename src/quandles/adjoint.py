@@ -19,6 +19,10 @@ the classes [x (x) y] and coker addition once, so that products, inverses
 and the action are a few list lookups.  [x (x) y] is bilinear, so its
 table is read off the k x k classes [e_i (x) e_j].
 
+The checks of the model are its methods (verify, kernel, central_power,
+stabilizer_h2), so that a caller builds one model and runs them all on
+it; the quandle table they read is built once per model too.
+
 This module also provides the (non-homogeneous) bar complex of a group,
 the chain maps c_k from the rack complex into it, the explicit homotopies
 h_k, and verification routines for the degree-2 and degree-3 homotopy
@@ -79,6 +83,21 @@ class ClauwensElement(NamedTuple):
 _new_tuple = tuple.__new__
 
 
+def _sum_codes(digits: np.ndarray, radices) -> list[int]:
+    """Entry i * n + j is the code of digit row i plus digit row j.
+
+    The n x n table is accumulated one coordinate at a time, so the
+    temporaries stay n x n whatever the number of coordinates.
+    """
+    n = len(digits)
+    out = np.zeros((n, n), dtype=np.int64)
+    place = 1
+    for col, d in zip(digits.T, radices):
+        out += (col[:, None] + col[None, :]) % d * place
+        place *= d
+    return out.ravel().tolist()
+
+
 class ClauwensGroup:
     """Exact model of the adjoint group of a connected Alexander quandle."""
 
@@ -115,12 +134,12 @@ class ClauwensGroup:
         n = self._size = spec.size
         coords = spec.coord_rows
         # _t_pow[m][v] is the index of T^m v, for 0 <= m < type
-        self._type = spec.t_order()
+        self.type = spec.t_order()
         powers = [np.arange(n)]
-        for _ in range(1, self._type):
+        for _ in range(1, self.type):
             powers.append(spec.t_perm[powers[-1]])
         self._t_pow = [p.tolist() for p in powers]
-        self._add = _codes(coords[:, None, :] + coords[None, :, :], orders).ravel().tolist()
+        self._add = _sum_codes(coords, orders)
         self._neg = _codes(-coords, orders).tolist()
         self._one_minus_t = _codes(coords - spec.t_rows, orders).tolist()
         # coordinate p of [x (x) y] is x^T B_p y, where B_p[i][j] is
@@ -134,9 +153,19 @@ class ClauwensGroup:
         self._tensor = tensor.ravel().tolist()
         self._invariants = invariants
         alphas = _digits(self.coker_order, invariants)
-        coker_sums = alphas[:, None, :] + alphas[None, :, :]
-        self._coker_add = _codes(coker_sums, invariants).ravel().tolist()
+        self._coker_add = _sum_codes(alphas, invariants)
         self._coker_neg = _codes(-alphas, invariants).tolist()
+        # the table behind `quandle`; not a functools.cached_property, which
+        # writes through the instance __dict__ and so, on CPython 3.11, makes
+        # every attribute read in mul slower (mul took about 1.4x as long)
+        self._quandle = None
+
+    @property
+    def quandle(self):
+        """The Alexander quandle table of the spec, built on first use."""
+        if self._quandle is None:
+            self._quandle = alexander(self.spec)
+        return self._quandle
 
     def alpha_coords(self, alpha: int) -> tuple[int, ...]:
         """The coker(mu) coordinates of a class code."""
@@ -156,14 +185,14 @@ class ClauwensGroup:
         n, x, a = g
         m, y, b = h
         c = self.coker_order
-        i = self._t_pow[m % self._type][x] * self._size + y
+        i = self._t_pow[m % self.type][x] * self._size + y
         add = self._coker_add
         alpha = add[add[a * c + b] * c + self._tensor[i]]
         return _new_tuple(ClauwensElement, (n + m, self._add[i], alpha))
 
     def inv(self, g: ClauwensElement) -> ClauwensElement:
         n, x, a = g
-        tx = self._t_pow[-n % self._type][x]
+        tx = self._t_pow[-n % self.type][x]
         y = self._neg[tx]
         beta = self._coker_add[a * self.coker_order + self._tensor[tx * self._size + y]]
         return _new_tuple(ClauwensElement, (-n, y, self._coker_neg[beta]))
@@ -182,7 +211,7 @@ class ClauwensGroup:
 
     def act_index(self, v_index: int, g: ClauwensElement) -> int:
         """Right action on the quandle: v . (n, x, a) = T^n v + (1 - T) x."""
-        tv = self._t_pow[g.n % self._type][v_index]
+        tv = self._t_pow[g.n % self.type][v_index]
         return self._add[tv * self._size + self._one_minus_t[g.x]]
 
     def acts_trivially(self, g: ClauwensElement) -> bool:
@@ -197,9 +226,8 @@ class ClauwensGroup:
     def verify(self, sample_limit: int = 6):
         """Construction checks: defining relations, action compatibility,
         associativity and inverses on a deterministic sample."""
-        spec = self.spec
-        n = spec.size
-        quandle = alexander(spec)
+        n = self.spec.size
+        quandle = self.quandle
         for x in range(n):
             for y in range(n):
                 lhs = self.e(quandle.apply(x, y))
@@ -221,6 +249,61 @@ class ClauwensGroup:
                         raise AssertionError("associativity fails")
         return True
 
+    def kernel(self) -> tuple[int, AbelianGroupInvariants]:
+        """Kernel of the action on the quandle: type * Z  x  coker(mu).
+
+        Enumerates the kernel elements with |exponent| <= 2 * type and
+        certifies they are exactly { (m, 0, alpha) : type | m }.  Returns
+        (type, coker invariants).
+        """
+        t = self.type
+        found = []
+        for m in range(-2 * t, 2 * t + 1):
+            for x_index in self.spec.elements():
+                for alpha in range(self.coker_order):
+                    g = ClauwensElement(m, x_index, alpha)
+                    if self.acts_trivially(g):
+                        found.append(g)
+        expected = {
+            (m, 0, alpha)
+            for m in range(-2 * t, 2 * t + 1)
+            if m % t == 0
+            for alpha in range(self.coker_order)
+        }
+        if set(found) != expected:
+            raise AssertionError("action kernel does not have the product shape")
+        positives = sorted(g.n for g in found if g.n > 0)
+        if not positives or positives[0] != t:
+            raise AssertionError("least positive kernel exponent is not the type")
+        return t, self.coker_invariants
+
+    def central_power(self) -> bool:
+        """e_x^t is one central element independent of x (t the quandle type)."""
+        elements = self.spec.elements()
+        powers = {self.power(self.e(x), self.type) for x in elements}
+        if len(powers) != 1:
+            return False
+        z = next(iter(powers))
+        return all(self.mul(z, self.e(y)) == self.mul(self.e(y), z) for y in elements)
+
+    def stabilizer_h2(self) -> AbelianGroupInvariants:
+        """H_2 of the quandle from the stabilizer side of the model.
+
+        The elements of exponent zero fixing the base point form exactly
+        the slice {(0, 0, alpha)}; its invariants as an abstract abelian
+        group are the second quandle homology.
+        """
+        base = 0
+        members = [g for g in self.kernel_slice() if self.act_index(base, g) == base]
+        expected = {ClauwensElement(0, 0, a) for a in range(self.coker_order)}
+        if set(members) != expected:
+            raise AssertionError("stabilizer slice is not {(0, 0, alpha)}")
+        for a in members:
+            for b in members:
+                if self.mul(a, b) != self.mul(b, a):
+                    raise AssertionError("stabilizer slice is not abelian")
+        return _abelian_invariants_from_mul(members, self.mul)
+
 
 def clauwens_group(spec: AlexanderModuleSpec) -> ClauwensGroup:
     """Build and self-check the adjoint-group model."""
@@ -230,47 +313,13 @@ def clauwens_group(spec: AlexanderModuleSpec) -> ClauwensGroup:
 
 
 def action_kernel(spec: AlexanderModuleSpec):
-    """Kernel of the action on the quandle: t_X * Z  x  coker(mu).
-
-    Enumerates the kernel elements with |exponent| <= 2 * type and certifies
-    they are exactly { (m, 0, alpha) : type | m }.  Returns
-    (type, coker invariants).
-    """
-    model = ClauwensGroup(spec)
-    t = spec.t_order()
-    found = []
-    for m in range(-2 * t, 2 * t + 1):
-        for x_index in spec.elements():
-            for alpha in range(model.coker_order):
-                g = ClauwensElement(m, x_index, alpha)
-                if model.acts_trivially(g):
-                    found.append(g)
-    expected = {
-        (m, 0, alpha)
-        for m in range(-2 * t, 2 * t + 1)
-        if m % t == 0
-        for alpha in range(model.coker_order)
-    }
-    if set(found) != expected:
-        raise AssertionError("action kernel does not have the product shape")
-    positives = sorted(g.n for g in found if g.n > 0)
-    if not positives or positives[0] != t:
-        raise AssertionError("least positive kernel exponent is not the type")
-    return t, model.coker_invariants
+    """(type, coker invariants) of the action kernel; see ClauwensGroup.kernel."""
+    return ClauwensGroup(spec).kernel()
 
 
 def central_power_check(spec: AlexanderModuleSpec) -> bool:
-    """e_x^t is one central element independent of x (t the quandle type)."""
-    model = ClauwensGroup(spec)
-    t = spec.t_order()
-    powers = {model.power(model.e(x), t) for x in spec.elements()}
-    if len(powers) != 1:
-        return False
-    z = next(iter(powers))
-    return all(
-        model.mul(z, model.e(y)) == model.mul(model.e(y), z)
-        for y in spec.elements()
-    )
+    """e_x^t is one central element; see ClauwensGroup.central_power."""
+    return ClauwensGroup(spec).central_power()
 
 
 def _abelian_invariants_from_mul(elements, mul) -> AbelianGroupInvariants:
@@ -299,27 +348,8 @@ def _abelian_invariants_from_mul(elements, mul) -> AbelianGroupInvariants:
 
 
 def eisermann_h2(spec: AlexanderModuleSpec) -> AbelianGroupInvariants:
-    """H_2 of the quandle from the stabilizer side of the model.
-
-    Inside the adjoint model, the elements of exponent zero fixing the
-    base point form exactly the slice {(0, 0, alpha)}; its invariants as
-    an abstract abelian group are the second quandle homology.
-    """
-    model = ClauwensGroup(spec)
-    base = 0
-    members = [
-        g
-        for g in model.kernel_slice()
-        if model.act_index(base, g) == base
-    ]
-    expected = {ClauwensElement(0, 0, a) for a in range(model.coker_order)}
-    if set(members) != expected:
-        raise AssertionError("stabilizer slice is not {(0, 0, alpha)}")
-    for a in members:
-        for b in members:
-            if model.mul(a, b) != model.mul(b, a):
-                raise AssertionError("stabilizer slice is not abelian")
-    return _abelian_invariants_from_mul(members, model.mul)
+    """H_2 of the quandle from the model; see ClauwensGroup.stabilizer_h2."""
+    return ClauwensGroup(spec).stabilizer_h2()
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +470,8 @@ class HomotopyVerifier:
     def __init__(self, spec: AlexanderModuleSpec):
         self.spec = spec
         self.model = ClauwensGroup(spec)
-        self.quandle = alexander(spec)
-        self.t = spec.t_order()
+        self.quandle = self.model.quandle
+        self.t = self.model.type
         self._e = [self.model.e(x) for x in range(spec.size)]
         # _pow[x][j] = e_x^j for 0 <= j <= t
         self._pow = []
@@ -583,6 +613,69 @@ class HomotopyVerifier:
             pairs += (((ey, py, ey), -1), ((ew, pw, ew), 1))
         return _chain(3, pairs)
 
+    # the identities, certified on every tuple ------------------------------
+
+    def degree_2(self) -> HomotopyReport:
+        """Certify h1 d^R - d^gr h2 = t c2 on every pair, term for term."""
+        n = self.spec.size
+        checked = 0
+        for x in range(n):
+            for y in range(n):
+                r = self.residual_2(x, y)
+                if not r.is_zero():
+                    raise IdentityFailed("degree-2 homotopy identity", (x, y), r.terms)
+                checked += 1
+        return self._report("h1 dR - dgr h2 = t c2", checked)
+
+    def degree_3(self) -> HomotopyReport:
+        """Certify the degree-3 residual t c3 - h2 d^R - d^gr h3:
+
+        (a) it does not depend on the first argument,
+        (b) it matches its closed form in y and z term for term,
+        (c) c3(x, x, z) vanishes identically as a chain.
+        """
+        n = self.spec.size
+        checked = 0
+        for y in range(n):
+            for z in range(n):
+                expected = self.residual_3_template(y, z)
+                first = None
+                for x in range(n):
+                    r = self.residual_3(x, y, z)
+                    if first is None:
+                        first = r
+                    elif r != first:
+                        raise IdentityFailed(
+                            "degree-3 residual depends on first argument",
+                            (x, y, z),
+                            (r - first).terms,
+                        )
+                    if r != expected:
+                        raise IdentityFailed(
+                            "degree-3 residual differs from its closed form",
+                            (x, y, z),
+                            (r - expected).terms,
+                        )
+                    checked += 1
+        for x in range(n):
+            for z in range(n):
+                c = self.c3(x, x, z)
+                if not c.is_zero():
+                    raise IdentityFailed("c3 on repeated arguments", (x, x, z), c.terms)
+        return self._report(
+            "t c3 - h2 dR - dgr h3 is independent of x; c3(x,x,z) = 0", checked
+        )
+
+    def _report(self, identity: str, checked: int) -> HomotopyReport:
+        return HomotopyReport(
+            identity=identity,
+            spec_label=self.spec.label(),
+            quandle_order=self.spec.size,
+            type=self.t,
+            tuples_checked=checked,
+            status="pass",
+        )
+
 
 @dataclass
 class HomotopyReport:
@@ -598,70 +691,13 @@ class HomotopyReport:
 
 
 def verify_homotopy_2(spec: AlexanderModuleSpec) -> HomotopyReport:
-    """Certify h1 d^R - d^gr h2 = t c2 on every pair, term for term."""
-    v = HomotopyVerifier(spec)
-    n = spec.size
-    checked = 0
-    for x in range(n):
-        for y in range(n):
-            r = v.residual_2(x, y)
-            if not r.is_zero():
-                raise IdentityFailed("degree-2 homotopy identity", (x, y), r.terms)
-            checked += 1
-    return HomotopyReport(
-        identity="h1 dR - dgr h2 = t c2",
-        spec_label=spec.label(),
-        quandle_order=n,
-        type=v.t,
-        tuples_checked=checked,
-        status="pass",
-    )
+    """The degree-2 identity on every pair; see HomotopyVerifier.degree_2."""
+    return HomotopyVerifier(spec).degree_2()
 
 
 def verify_homotopy_3(spec: AlexanderModuleSpec) -> HomotopyReport:
-    """Certify the degree-3 residual t c3 - h2 d^R - d^gr h3:
-
-    (a) it does not depend on the first argument,
-    (b) it matches its closed form in y and z term for term,
-    (c) c3(x, x, z) vanishes identically as a chain.
-    """
-    v = HomotopyVerifier(spec)
-    n = spec.size
-    checked = 0
-    for y in range(n):
-        for z in range(n):
-            expected = v.residual_3_template(y, z)
-            first = None
-            for x in range(n):
-                r = v.residual_3(x, y, z)
-                if first is None:
-                    first = r
-                elif r != first:
-                    raise IdentityFailed(
-                        "degree-3 residual depends on first argument",
-                        (x, y, z),
-                        (r - first).terms,
-                    )
-                if r != expected:
-                    raise IdentityFailed(
-                        "degree-3 residual differs from its closed form",
-                        (x, y, z),
-                        (r - expected).terms,
-                    )
-                checked += 1
-    for x in range(n):
-        for z in range(n):
-            c = v.c3(x, x, z)
-            if not c.is_zero():
-                raise IdentityFailed("c3 on repeated arguments", (x, x, z), c.terms)
-    return HomotopyReport(
-        identity="t c3 - h2 dR - dgr h3 is independent of x; c3(x,x,z) = 0",
-        spec_label=spec.label(),
-        quandle_order=n,
-        type=v.t,
-        tuples_checked=checked,
-        status="pass",
-    )
+    """The degree-3 residual checks; see HomotopyVerifier.degree_3."""
+    return HomotopyVerifier(spec).degree_3()
 
 
 # ---------------------------------------------------------------------------

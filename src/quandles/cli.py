@@ -29,17 +29,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Callable, Optional
 
-from . import __version__, families
+from . import __version__
 from .adjoint import (
     BAR_GROUP_CAP,
+    ClauwensGroup,
+    HomotopyVerifier,
     NotConnected,
-    action_kernel,
-    central_power_check,
     clauwens_group,
-    eisermann_h2,
     group_h2_bar,
-    verify_homotopy_2,
-    verify_homotopy_3,
 )
 from .core import AxiomViolation, FiniteQuandle, load_table
 from .coverings import (
@@ -48,9 +45,9 @@ from .coverings import (
     export_covering,
     universal_covering_alexander,
 )
-from .families import AlexanderModuleSpec
+from .families import AlexanderModuleSpec, coxeter_generators
 from .grid import FAMILIES, Recipe, grid_by_key, parse_family, standard_grid
-from .groups import GroupTable, InvalidGroupTable, named_group, symmetric_group, dihedral_group
+from .groups import TABLE_LIMIT, GroupTable, InvalidGroupTable, from_permutations, named_group
 from .homology import QUANDLE, RACK, adjoint_abelianization, homology, quandle_h2
 from .intlin import AbelianGroupInvariants
 from .report import CheckEntry, ReportDocument
@@ -98,19 +95,11 @@ def parse_input(tokens) -> Recipe:
 
 def _coxeter_group(kind: str) -> GroupTable:
     """The reflection group a Coxeter label names, as a multiplication table."""
-    kind = kind.strip().upper()
     try:
-        if kind.startswith("A") and kind[1:].isdigit():
-            return symmetric_group(int(kind[1:]) + 1)
-        if kind == "B2":
-            return dihedral_group(4)
-        if kind == "G2":
-            return dihedral_group(6)
-        if kind.startswith("I2(") and kind.endswith(")"):
-            return dihedral_group(int(kind[3:-1]))
+        name, degree, gens = coxeter_generators(kind, max_order=TABLE_LIMIT)
+        return from_permutations(degree, gens, name=name)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    raise CLIError(f"no group table for Coxeter label {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,59 +203,50 @@ def cmd_adjoint(args) -> ReportDocument:
     parsed = parse_input(args.input)
     spec = _require_connected_alexander(parsed)
     doc = ReportDocument(parsed.description, __version__)
-    with doc.check(
-        "model", "adjoint-group model satisfies the defining relations and acts correctly"
-    ) as e:
-        model = clauwens_group(spec)
-        e.status = "pass"
-        e.data = {"coker": str(model.coker_invariants), "generators": spec.size}
-    if doc.failed:
-        return doc
-    with doc.check("kernel", "kernel of the action on the quandle is (type * Z) x coker") as e:
-        t, coker = action_kernel(spec)
-        e.status, e.data = "pass", {"type": t, "coker": str(coker)}
-    if doc.failed:
-        return doc
-    with doc.check(
-        "central-power", "the type-th power of every generator is one central element"
-    ) as e:
-        e.status = "pass" if central_power_check(spec) else "fail"
-        e.data = {"type": t}
-    with doc.check("h2", "second homology read off the base-point stabilizer of the model") as e:
-        e.data = {"group": str(eisermann_h2(spec))}
+    model = _verify_clauwens(doc, spec)
+    if model is not None:
+        with doc.check("h2", "second homology read off the base-point stabilizer of the model") as e:
+            e.data = {"group": str(model.stabilizer_h2())}
     return doc
 
 
-def _verify_clauwens(doc: ReportDocument, spec: AlexanderModuleSpec):
+def _verify_clauwens(doc: ReportDocument, spec: AlexanderModuleSpec) -> Optional[ClauwensGroup]:
+    """Build the adjoint-group model once and run its checks on it; the
+    model, or None when its relations failed and the rest was not run."""
+    model = None
     with doc.check(
         "relations",
         "generators satisfy e(x <| y) = e(y)^-1 e(x) e(y) and act as the columns",
     ) as e:
         model = clauwens_group(spec)
         e.status, e.data = "pass", {"coker": str(model.coker_invariants)}
+    if model is None:
+        return None
     with doc.check("kernel-structure", "action kernel is exactly (type * Z) x coker") as e:
-        t, coker = action_kernel(spec)
+        t, coker = model.kernel()
         e.status, e.data = "pass", {"type": t, "coker": str(coker)}
     with doc.check(
         "central-power", "the type-th power of every generator is one central element"
     ) as e:
-        e.status = "pass" if central_power_check(spec) else "fail"
+        e.status = "pass" if model.central_power() else "fail"
+    return model
 
 
 def _verify_homotopy(doc: ReportDocument, spec: AlexanderModuleSpec):
+    verifier = HomotopyVerifier(spec)
     with doc.check(
         "degree-2",
         "h1 after the rack boundary minus the group boundary after h2 "
         "equals type times the 2-cycle, on every pair",
     ) as e:
-        r2 = verify_homotopy_2(spec)
+        r2 = verifier.degree_2()
         e.status, e.data = "pass", {"pairs": r2.tuples_checked, "type": r2.type}
     with doc.check(
         "degree-3",
         "the degree-3 residual is independent of the first argument, matches "
         "its closed form, and the 3-cycle vanishes on repeated arguments",
     ) as e:
-        r3 = verify_homotopy_3(spec)
+        r3 = verifier.degree_3()
         e.status, e.data = "pass", {"triples": r3.tuples_checked, "type": r3.type}
 
 
@@ -274,9 +254,10 @@ def _verify_eisermann(doc: ReportDocument, spec: AlexanderModuleSpec, cap):
     with doc.check(
         "triple-oracle", "chain-level H2, stabilizer H2 and the presentation cokernel agree"
     ) as e:
-        coker = clauwens_group(spec).coker_invariants
-        stab = eisermann_h2(spec)
-        chain = quandle_h2(families.alexander(spec), cap=cap)
+        model = clauwens_group(spec)
+        coker = model.coker_invariants
+        stab = model.stabilizer_h2()
+        chain = quandle_h2(model.quandle, cap=cap)
         e.status = "pass" if chain == stab == coker else "fail"
         e.data = {"chain": str(chain), "stabilizer": str(stab), "cokernel": str(coker)}
 
@@ -338,9 +319,9 @@ def cmd_verify(args) -> ReportDocument:
             except ValueError:
                 try:
                     group = _coxeter_group(name)
-                except CLIError:
+                except CLIError as exc:
                     raise CLIError(
-                        f"coxeter suite needs a group name or Coxeter label, got {name!r}"
+                        f"coxeter suite needs a group name or Coxeter label, got {name!r}: {exc}"
                     ) from None
             description = f"group {name}"
         doc = ReportDocument(f"verify coxeter: {description}", __version__)
@@ -401,11 +382,12 @@ def _census_row(key: str, cap: Optional[int]) -> list[CheckEntry]:
                 e.data["detail"] = "abelianization is not free of orbit rank"
             spec = entry.alexander_spec
             if spec is not None and spec.is_connected():
-                t, coker = action_kernel(spec)
+                model = ClauwensGroup(spec)
+                t, coker = model.kernel()
                 e.data["kernel_type"] = t
                 e.data["kernel_coker"] = str(coker)
                 if spec.size <= 16:
-                    stab = eisermann_h2(spec)
+                    stab = model.stabilizer_h2()
                     chain = quandle_h2(q, cap=cap)
                     e.data["h2"] = str(chain)
                     if not (chain == stab == coker):

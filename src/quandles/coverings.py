@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .adjoint import ClauwensGroup
 from .core import FiniteQuandle, dump_table, is_covering, is_isomorphic, validate
-from .families import AlexanderModuleSpec, alexander
+from .families import AlexanderModuleSpec
 from .homology import SizeCap, effective_cap, quandle_h2
 from .report import ReportDocument
 
@@ -70,7 +70,7 @@ def universal_covering_alexander(
     ]
     total = validate(table, labels)
     projection = tuple(model.act_index(base_point, g) for g in elements)
-    base = alexander(spec)
+    base = model.quandle
     if not is_covering(projection, total, base):
         raise AssertionError("constructed projection is not a covering")
     fiber_sizes = {projection.count(v) for v in set(projection)}

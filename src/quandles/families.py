@@ -311,36 +311,55 @@ def conjugation_reflections(w: PermGroup, seeds) -> FiniteQuandle:
     return validate(table, labels=labels)
 
 
-def coxeter_reflection_quandle(kind: str) -> FiniteQuandle:
-    """Reflection quandles for named Coxeter groups.
+def coxeter_generators(
+    kind: str, max_order: int | None = None
+) -> tuple[str, int, list[tuple[int, ...]]]:
+    """The reflection group a Coxeter label names: (name, degree, simple reflections).
 
-    'A<n>' is the symmetric group S_{n+1} with all transpositions;
-    'I2(<m>)' is the dihedral group of the m-gon with all reflections.
+    'A<n>' (n >= 1) is the symmetric group S_{n+1} with the adjacent
+    transpositions; 'I2(<m>)' (m >= 3) is the dihedral group of the m-gon
+    with two adjacent reflections; 'B2' and 'G2' are I2(4) and I2(6).  A
+    group of more than max_order elements is refused before any
+    permutation is built.
     """
     kind = kind.strip().upper()
-    if kind.startswith("A"):
+    kind = {"B2": "I2(4)", "G2": "I2(6)"}.get(kind, kind)
+    if kind.startswith("A") and kind[1:].isdigit():
         n = int(kind[1:])
         if n < 1:
             raise ValueError("need A1 or higher")
+        _check_order(kind, range(2, n + 2), max_order)
         degree = n + 1
         gens = []
         for i in range(n):
             img = list(range(degree))
             img[i], img[i + 1] = img[i + 1], img[i]
             gens.append(tuple(img))
-        w = PermGroup(degree, gens)
-        return conjugation_reflections(w, gens)
-    if kind.startswith("I2(") and kind.endswith(")"):
+        return f"sym{degree}", degree, gens
+    if kind.startswith("I2(") and kind.endswith(")") and kind[3:-1].isdigit():
         m = int(kind[3:-1])
         if m < 3:
             raise ValueError("need I2(3) or higher")
+        _check_order(kind, (2, m), max_order)
         rot = tuple((i + 1) % m for i in range(m))
         ref = tuple((-i) % m for i in range(m))
-        w = PermGroup(m, [rot, ref])
-        seeds = [ref, perms.compose(ref, rot)]
-        return conjugation_reflections(w, seeds)
-    if kind == "B2":
-        return coxeter_reflection_quandle("I2(4)")
-    if kind == "G2":
-        return coxeter_reflection_quandle("I2(6)")
+        return f"dihedral{m}", m, [ref, perms.compose(ref, rot)]
     raise ValueError(f"unknown Coxeter label {kind!r}")
+
+
+def _check_order(kind: str, factors, max_order: int | None) -> None:
+    """Refuse a group whose order, the product of factors, exceeds max_order."""
+    if max_order is None:
+        return
+    order = 1
+    for f in factors:
+        order *= f
+        if order > max_order:
+            raise ValueError(f"{kind} names a group of more than {max_order} elements")
+
+
+def coxeter_reflection_quandle(kind: str) -> FiniteQuandle:
+    """The reflections of the Coxeter group a label names (see
+    coxeter_generators): the conjugates of its simple reflections."""
+    _name, degree, gens = coxeter_generators(kind)
+    return conjugation_reflections(PermGroup(degree, gens), gens)

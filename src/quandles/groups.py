@@ -137,7 +137,11 @@ def klein4() -> GroupTable:
     return g
 
 
-def from_permutations(degree: int, gens, name=None, limit=4096) -> GroupTable:
+# the most elements a group table is built for from permutations
+TABLE_LIMIT = 4096
+
+
+def from_permutations(degree: int, gens, name=None, limit=TABLE_LIMIT) -> GroupTable:
     """Group table of the closure of `gens`, elements sorted lexicographically.
 
     The identity image tuple is lexicographically least, so it lands at

@@ -13,6 +13,9 @@ Oracles:
 
 import functools
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +99,38 @@ class TestModelArithmetic:
         spec = AlexanderModuleSpec.scalar((4,), -1)
         with pytest.raises(NotConnected):
             ClauwensGroup(spec)
+
+    def test_model_memory_is_quadratic(self):
+        # the addition table was formed from an |M| x |M| x k temporary: 311 MB here
+        code = (
+            "import resource\n"
+            "from quandles.adjoint import ClauwensGroup\n"
+            "from quandles.families import AlexanderModuleSpec\n"
+            "low = [1, 0, 0, 1, 0, 0, 0, 0, 0, 0]  # x^10 + x^3 + 1\n"
+            "t = [[int(i == j + 1) for j in range(9)] + [low[i]] for i in range(10)]\n"
+            "assert ClauwensGroup(AlexanderModuleSpec((2,) * 10, t)).type == 1023\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        assert int(out.stdout) < 200 * 1024  # ru_maxrss is in KiB on Linux
+
+    def test_checks_share_one_model_and_table(self):
+        spec = AlexanderModuleSpec.scalar((3, 3), -1)
+        model = ClauwensGroup(spec)
+        assert model.quandle is model.quandle
+        assert model.quandle.table == families.alexander(spec).table
+        assert model.kernel() == action_kernel(spec)
+        assert model.central_power() and central_power_check(spec)
+        assert model.stabilizer_h2() == eisermann_h2(spec) == Z(0, 3)
+        verifier = HomotopyVerifier(spec)
+        assert verifier.quandle is verifier.model.quandle
+        assert verifier.degree_2() == verify_homotopy_2(spec)
+        assert verifier.degree_3() == verify_homotopy_3(spec)
 
 
 class TestKernelStructure:

@@ -1,14 +1,17 @@
 """The command-line frontend: parsing, exit codes, report golden checks."""
 
 import os
+import sys
 import time
 
 import pytest
 
 from quandles import cli, families
+from quandles.adjoint import ClauwensGroup
 from quandles.cli import CLIError, main, parse_input
 from quandles.core import FiniteQuandle, dump_table
 from quandles.coverings import universal_covering_alexander
+from quandles.groups import dihedral_group, symmetric_group
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -92,6 +95,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "a group needs at least its identity 0" in err
+
+    @pytest.mark.parametrize("label", ["A0", "coxeter type=A0", "I2(2)", "A400", "I2(3000)"])
+    def test_bad_coxeter_label_is_two(self, capsys, label):
+        # `check "coxeter type=A0"` already refused A0, which the suite read as S_1;
+        # A400 and I2(3000) are refused by their order, before any permutation is built
+        code, out, err = run(capsys, "verify", "--suite", "coxeter", label)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
 
     @pytest.mark.parametrize("command", ["invariants", "homology"])
     def test_axiom_failure_outside_a_check_is_two(self, capsys, command):
@@ -244,14 +256,52 @@ class TestCommands:
         ],
     )
     def test_model_assertion_is_a_fail_entry(self, capsys, monkeypatch, name, argv):
-        def broken(spec):
+        def broken(*args):
             raise AssertionError("model relation broken")
 
-        monkeypatch.setattr(cli, name, broken)
+        # action_kernel(spec) is ClauwensGroup.kernel on one model; the CLI calls the method
+        owner, attr = (ClauwensGroup, "kernel") if name == "action_kernel" else (cli, name)
+        monkeypatch.setattr(owner, attr, broken)
         code, out, _ = run(capsys, *argv)
         assert code == 1
         assert "status: fail" in out
         assert "data.detail: model relation broken" in out.splitlines()
+
+    def test_clauwens_suite_stops_after_failed_relations(self, capsys, monkeypatch):
+        def broken(self):
+            raise AssertionError("relation fails at (0, 1)")
+
+        monkeypatch.setattr(ClauwensGroup, "verify", broken)
+        code, out, _ = run(capsys, "verify", "--suite", "clauwens", "alexander orders=3 t=-1")
+        assert code == 1
+        assert "checks: 1" in out
+        assert "[relations]" in out and "[kernel-structure]" not in out
+
+    def test_adjoint_reports_past_a_failed_kernel(self, capsys, monkeypatch):
+        def broken(self):
+            raise AssertionError("kernel broken")
+
+        monkeypatch.setattr(ClauwensGroup, "kernel", broken)
+        code, out, _ = run(capsys, "adjoint", "alexander orders=3 t=-1")
+        assert code == 1
+        ids = [line for line in out.splitlines() if line.startswith("[")]
+        assert ids == ["[relations]", "[kernel-structure]", "[central-power]", "[h2]"]
+        assert out.endswith("status: reported\ndata.group: 0\n")
+
+    @pytest.mark.parametrize(
+        "label, group",
+        [
+            ("A1", symmetric_group(2)),
+            ("A2", symmetric_group(3)),
+            ("A4", symmetric_group(5)),
+            ("B2", dihedral_group(4)),
+            ("G2", dihedral_group(6)),
+            ("i2(5)", dihedral_group(5)),
+        ],
+    )
+    def test_coxeter_label_names_the_same_group_table(self, label, group):
+        built = cli._coxeter_group(label)
+        assert (built.name, built.table) == (group.name, group.table)
 
     def test_check_on_file(self, capsys, tmp_path):
         p = tmp_path / "r5.quandle"
@@ -293,3 +343,51 @@ class TestCensus:
         code, _, err = run(capsys, "census", "--dir", str(tmp_path))
         assert code == 2
         assert "error:" in err
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count adjoint-model constructions and Alexander table builds."""
+    counts = {"models": 0, "tables": 0}
+    init = ClauwensGroup.__init__
+
+    def counting_init(self, spec):
+        counts["models"] += 1
+        init(self, spec)
+
+    original = families.alexander
+
+    def counting_alexander(spec):
+        counts["tables"] += 1
+        return original(spec)
+
+    monkeypatch.setattr(ClauwensGroup, "__init__", counting_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quandles") and getattr(module, "alexander", None) is original:
+            monkeypatch.setattr(module, "alexander", counting_alexander)
+    return counts
+
+
+class TestOneModelPerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adjoint"],
+            ["verify", "--suite", "clauwens"],
+            ["verify", "--suite", "eisermann"],
+            ["verify", "--suite", "homotopy"],
+            ["verify", "--suite", "covering"],
+            ["covering"],
+        ],
+        ids=" ".join,
+    )
+    def test_one_model_and_one_table(self, capsys, builds, argv):
+        code, _, _ = run(capsys, *argv, "alexander orders=3,3 t=-1")
+        assert code == 0
+        assert builds["models"] == 1
+        assert builds["tables"] <= 1
+
+    def test_census_builds_one_model_per_connected_alexander_entry(self, capsys, builds):
+        code, _, _ = run(capsys, "census")
+        assert code == 0
+        assert builds["models"] == 20
