@@ -50,6 +50,7 @@ from .grid import FAMILIES, Recipe, grid_by_key, parse_family, standard_grid
 from .groups import TABLE_LIMIT, GroupTable, InvalidGroupTable, from_permutations, named_group
 from .homology import QUANDLE, RACK, adjoint_abelianization, homology, quandle_h2
 from .intlin import AbelianGroupInvariants
+from .perms import PermGroup
 from .report import CheckEntry, ReportDocument
 
 
@@ -93,13 +94,14 @@ def parse_input(tokens) -> Recipe:
     )
 
 
-def _coxeter_group(kind: str) -> GroupTable:
-    """The reflection group a Coxeter label names, as a multiplication table."""
+def _coxeter_group(kind: str) -> tuple[int, Callable[[], GroupTable]]:
+    """The order of the reflection group a Coxeter label names, read from its
+    stabilizer chain, and a function that builds its multiplication table."""
     try:
         name, degree, gens = coxeter_generators(kind, max_order=TABLE_LIMIT)
-        return from_permutations(degree, gens, name=name)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
+    return PermGroup(degree, gens).order, lambda: from_permutations(degree, gens, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +288,16 @@ def _verify_covering(
     return inst
 
 
-def _verify_coxeter(doc: ReportDocument, group: GroupTable, cap):
+def _verify_coxeter(doc: ReportDocument, order: int, build: Callable[[], GroupTable], cap):
+    """The group's table is built only when its order is within the cap."""
     limit = BAR_GROUP_CAP if cap is None else cap
     with doc.check(
         "schur-2-power", "bar-complex H2 of the reflection group has only 2-power torsion"
     ) as e:
-        if group.order > limit:
-            e.status, e.data = "skipped", {"order": group.order, "cap": limit}
+        if order > limit:
+            e.status, e.data = "skipped", {"order": order, "cap": limit}
             return
+        group = build()
         h2 = group_h2_bar(group, cap=limit)
         ok = h2.free_rank == 0 and all(d & (d - 1) == 0 for d in h2.torsion)
         e.status = "pass" if ok else "fail"
@@ -308,7 +312,7 @@ def cmd_verify(args) -> ReportDocument:
             parsed = parse_input(args.input)
             if parsed.coxeter_kind is None:
                 raise CLIError(f"coxeter suite needs a Coxeter group, got {parsed.description!r}")
-            group = _coxeter_group(parsed.coxeter_kind)
+            order, build = _coxeter_group(parsed.coxeter_kind)
             description = parsed.description
         else:
             name = " ".join(tokens)
@@ -318,14 +322,16 @@ def cmd_verify(args) -> ReportDocument:
                 raise CLIError(f"bad group {name!r}: {exc}") from None
             except ValueError:
                 try:
-                    group = _coxeter_group(name)
+                    order, build = _coxeter_group(name)
                 except CLIError as exc:
                     raise CLIError(
                         f"coxeter suite needs a group name or Coxeter label, got {name!r}: {exc}"
                     ) from None
+            else:
+                order, build = group.order, lambda: group
             description = f"group {name}"
         doc = ReportDocument(f"verify coxeter: {description}", __version__)
-        _verify_coxeter(doc, group, args.cap_group)
+        _verify_coxeter(doc, order, build, args.cap_group)
         return doc
 
     parsed = parse_input(args.input)

@@ -39,15 +39,14 @@ class NotSurjective(ValueError):
 class FiniteQuandle:
     """A validated finite quandle.  Use `validate` to construct from a table."""
 
-    def __init__(self, table, labels=None, _validated=False):
+    def __init__(self, table, labels=None):
         self.table: tuple[tuple[int, ...], ...] = tuple(
             tuple(int(v) for v in row) for row in table
         )
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != len(self.table):
             raise ValueError("label count does not match order")
-        if not _validated:
-            _check_axioms(self.table)
+        _check_axioms(self.table)
         self._type = None
         self._orbits = None
         self._inn = None
@@ -216,9 +215,7 @@ def _check_axioms(table):
 
 def validate(table, labels=None) -> FiniteQuandle:
     """Check all three axioms exhaustively and wrap the table."""
-    q = FiniteQuandle(table, labels=labels, _validated=True)
-    _check_axioms(q.table)
-    return q
+    return FiniteQuandle(table, labels=labels)
 
 
 def load_table(text: str) -> FiniteQuandle:

@@ -3,6 +3,8 @@
 Sparse integer matrices, Smith normal form, cokernels and homology of
 two-step chain complexes.  All arithmetic uses Python's arbitrary-precision
 integers; nothing is ever done in floating point or modular shortcut.
+A sparse matrix is stored once, by rows ({row: {col: value}}); the Smith
+form and the check that two boundaries compose to zero read those rows.
 
 The Smith diagonal is computed sparsely in two phases.  The peel takes
 every unit pivot: the sparsest row holding an entry +-1 pivots there, row
@@ -99,19 +101,20 @@ class AbelianGroupInvariants:
 
 
 class SparseIntMatrix:
-    """An integer matrix stored as a dict of nonzero entries."""
+    """An integer matrix stored by rows: {row: {col: value}}.
 
-    __slots__ = ("rows", "cols", "_data")
+    No row holds a zero value and no stored row is empty, so two equal
+    matrices have equal row dicts.
+    """
 
-    def __init__(self, rows: int, cols: int, data=None):
+    __slots__ = ("rows", "cols", "_by_row")
+
+    def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
         self.rows = rows
         self.cols = cols
-        self._data: dict[tuple[int, int], int] = {}
-        if data:
-            for (r, c), v in (data.items() if isinstance(data, dict) else data):
-                self.set(r, c, v)
+        self._by_row: dict[int, dict[int, int]] = {}
 
     @classmethod
     def from_dense(cls, dense) -> "SparseIntMatrix":
@@ -121,9 +124,9 @@ class SparseIntMatrix:
         for r, row in enumerate(dense):
             if len(row) != cols:
                 raise ValueError("ragged dense matrix")
-            for c, v in enumerate(row):
-                if v:
-                    m._data[(r, c)] = int(v)
+            entries = {c: int(v) for c, v in enumerate(row) if v}
+            if entries:
+                m._by_row[r] = entries
         return m
 
     @classmethod
@@ -138,62 +141,56 @@ class SparseIntMatrix:
         if 0 in vs:
             raise ValueError("explicit zero entry")
         m = cls(rows, cols)
-        m._data = dict(zip(zip(rs, cs), vs))
-        if len(m._data) != len(vs):
+        by_row = m._by_row
+        for r, c, v in zip(rs, cs, vs):
+            by_row.setdefault(r, {})[c] = v
+        if m.nnz != len(vs):
             raise ValueError("repeated entry position")
         return m
 
     def set(self, r: int, c: int, v: int):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError((r, c))
+        row = self._by_row.setdefault(r, {})
         if v:
-            self._data[(r, c)] = int(v)
+            row[c] = int(v)
         else:
-            self._data.pop((r, c), None)
+            row.pop(c, None)
+            if not row:
+                del self._by_row[r]
 
     def add(self, r: int, c: int, v: int):
         """Accumulate v into entry (r, c)."""
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError((r, c))
-        w = self._data.get((r, c), 0) + v
-        if w:
-            self._data[(r, c)] = w
-        else:
-            self._data.pop((r, c), None)
+        self.set(r, c, self.get(r, c) + v)
 
     def get(self, r: int, c: int) -> int:
-        return self._data.get((r, c), 0)
+        row = self._by_row.get(r)
+        return row.get(c, 0) if row else 0
 
     @property
     def nnz(self) -> int:
-        return len(self._data)
+        return sum(map(len, self._by_row.values()))
 
     def entries(self) -> list[tuple[int, int, int]]:
         """Nonzero entries as sorted (row, col, value) triples."""
-        return [(r, c, self._data[(r, c)]) for r, c in sorted(self._data)]
+        rows = self._by_row
+        return [(r, c, v) for r in sorted(rows) for c, v in sorted(rows[r].items())]
 
     def to_dense(self) -> list[list[int]]:
         dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self._data.items():
+        for r, c, v in self.entries():
             dense[r][c] = v
         return dense
 
-    def columns(self) -> dict[int, dict[int, int]]:
-        """Column-major view {c: {r: v}}."""
-        cols: dict[int, dict[int, int]] = {}
-        for (r, c), v in self._data.items():
-            cols.setdefault(c, {})[r] = v
-        return cols
-
     def is_zero(self) -> bool:
-        return not self._data
+        return not self._by_row
 
     def __eq__(self, other):
         return (
             isinstance(other, SparseIntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._data == other._data
+            and self._by_row == other._by_row
         )
 
     def __repr__(self):
@@ -429,11 +426,11 @@ def _snf_diagonal_sparse(m: SparseIntMatrix) -> list[int]:
     absolute value is the pivot, and division with remainder clears its
     column and row or leaves a smaller entry to pivot on next.
     """
-    rows: dict[int, dict[int, int]] = {}
+    rows = {r: dict(row) for r, row in m._by_row.items()}
     colrows: dict[int, set[int]] = {}
-    for (r, c), v in m._data.items():
-        rows.setdefault(r, {})[c] = v
-        colrows.setdefault(c, set()).add(r)
+    for r, row in rows.items():
+        for c in row:
+            colrows.setdefault(c, set()).add(r)
 
     ones = 0
     # Heap of (row nnz at push time, row index).  Every row operation pushes
@@ -532,19 +529,22 @@ def kernel_rank(m: SparseIntMatrix) -> int:
 
 
 def compose_is_zero(outer: SparseIntMatrix, inner: SparseIntMatrix):
-    """Check outer * inner == 0; returns None or (column, image dict)."""
+    """Check outer * inner == 0 row by row, (outer * inner)[r] = sum_k
+    outer[r][k] * inner[k].  Returns None, or the least column with a
+    nonzero image and that image as {outer row: value} by ascending row."""
     if inner.rows != outer.cols:
         raise ValueError("dimension mismatch in composite")
-    outer_cols = outer.columns()
-    for c, col in sorted(inner.columns().items()):
+    bad: dict[int, dict[int, int]] = {}
+    for r, row in outer._by_row.items():
         acc: dict[int, int] = {}
-        for k, v in col.items():
-            oc = outer_cols.get(k)
-            if oc:
-                _combine(acc, oc, v)
+        for k, v in row.items():
+            _combine(acc, inner._by_row.get(k, {}), v)
         if acc:
-            return c, acc
-    return None
+            bad[r] = acc
+    if not bad:
+        return None
+    column = min(min(acc) for acc in bad.values())
+    return column, {r: bad[r][column] for r in sorted(bad) if column in bad[r]}
 
 
 def homology_at(

@@ -49,19 +49,7 @@ def is_identity(p: Perm) -> bool:
 
 def perm_order(p: Perm) -> int:
     """Order of p: lcm of its cycle lengths."""
-    n = len(p)
-    seen = [False] * n
-    result = 1
-    for i in range(n):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            result = lcm(result, length)
-    return result
+    return lcm(*cycle_type(p))
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """The command-line frontend: parsing, exit codes, report golden checks."""
 
 import os
+import subprocess
 import sys
 import time
 
@@ -300,8 +301,21 @@ class TestCommands:
         ],
     )
     def test_coxeter_label_names_the_same_group_table(self, label, group):
-        built = cli._coxeter_group(label)
+        order, build = cli._coxeter_group(label)
+        built = build()
+        assert order == group.order
         assert (built.name, built.table) == (group.name, group.table)
+
+    def test_coxeter_group_over_the_cap_is_skipped_before_its_table(self):
+        # the whole 720 x 720 table of A5 was built (38 s) only to be skipped
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run(
+            [sys.executable, "-m", "quandles.cli", "verify", "--suite", "coxeter", "A5"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=10, check=True,
+        )
+        assert "status: skipped" in out.stdout
+        assert "data.order: 720" in out.stdout
 
     def test_check_on_file(self, capsys, tmp_path):
         p = tmp_path / "r5.quandle"

@@ -356,6 +356,66 @@ class TestComposeIsZero:
         inner = SparseIntMatrix.from_dense([[1], [2]])
         assert compose_is_zero(outer, inner) is None
 
+    def test_witness_is_least_column_with_its_whole_image(self):
+        # rows set from the bottom up: the row walk meets column 1 (row 2), then
+        # column 0 in row 1 before row 0, so the image must be put in row order
+        outer = SparseIntMatrix(3, 3)
+        for r, c, v in [(2, 0, 1), (1, 1, 1), (0, 2, 1), (0, 0, 1), (0, 1, -1)]:
+            outer.set(r, c, v)
+        inner = SparseIntMatrix.from_dense([[0, 5, 0, 0], [4, 5, 0, 7], [0, -2, 0, 1]])
+        product = [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*inner.to_dense())]
+            for row in outer.to_dense()
+        ]
+        assert product == [[-4, -2, 0, -6], [4, 5, 0, 7], [0, 5, 0, 0]]
+        column, image = compose_is_zero(outer, inner)
+        assert column == 0
+        assert list(image.items()) == [(0, -4), (1, 4)]
+        with pytest.raises(NotAComplex) as exc:
+            homology_at(inner, outer)
+        assert str(exc.value) == "boundary composite is nonzero on basis column 0: {0: -4, 1: 4}"
+
+    def test_witness_matches_dense_product(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            outer = _random_matrix(rng, rng.randint(1, 5), 4, -2, 2, 0.3)
+            inner = _random_matrix(rng, 4, rng.randint(1, 5), -2, 2, 0.3)
+            product = [
+                [sum(a * b for a, b in zip(row, col)) for col in zip(*inner)] for row in outer
+            ]
+            bad = [c for c in range(len(inner[0])) if any(row[c] for row in product)]
+            found = compose_is_zero(
+                SparseIntMatrix.from_dense(outer), SparseIntMatrix.from_dense(inner)
+            )
+            if not bad:
+                assert found is None
+                continue
+            image = {r: row[bad[0]] for r, row in enumerate(product) if row[bad[0]]}
+            assert found == (bad[0], image)
+            assert list(found[1]) == sorted(image)
+
+
+class TestRowLayout:
+    def test_zeroing_the_last_entry_of_a_row(self):
+        m = SparseIntMatrix.from_dense([[0, 3], [2, 0]])
+        m.set(0, 1, 0)
+        m.add(1, 0, -2)
+        assert m == SparseIntMatrix(2, 2)
+        assert m.nnz == 0 and m.is_zero()
+        m.add(1, 1, 4)
+        assert m == SparseIntMatrix.from_dense([[0, 0], [0, 4]])
+        assert m.nnz == 1 and not m.is_zero()
+        assert m.entries() == [(1, 1, 4)]
+
+    def test_setting_zero_where_nothing_is_stored(self):
+        m = SparseIntMatrix(2, 2)
+        m.set(1, 0, 0)
+        m.add(0, 1, 0)
+        assert m == SparseIntMatrix(2, 2)
+        assert m.nnz == 0 and m.is_zero()
+        with pytest.raises(IndexError):
+            m.add(2, 0, 1)
+
 
 class TestFromArrays:
     def test_same_matrix_as_entry_by_entry(self):
@@ -377,6 +437,12 @@ class TestFromArrays:
             make([0, 0], [1, 1], [1, 2])
         with pytest.raises(ValueError):
             make([0, 1], [0], [1, 1])
+
+    def test_rejects_a_repeat_apart_from_its_first(self):
+        with pytest.raises(ValueError, match="repeated entry position"):
+            SparseIntMatrix.from_arrays(
+                2, 3, np.array([0, 1, 0]), np.array([1, 0, 1]), np.array([1, 2, 1])
+            )
 
 
 class TestSerialization:
