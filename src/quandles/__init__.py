@@ -56,7 +56,6 @@ from .adjoint import (
     verify_homotopy_2,
     verify_homotopy_3,
 )
-from .coregroup import core_inner_model, verify_core_inner
 from .coverings import universal_covering_alexander
 from .grid import standard_grid
 
@@ -89,7 +88,6 @@ __all__ = [
     "closure_order",
     "conjugation_reflections",
     "core",
-    "core_inner_model",
     "coxeter_reflection_quandle",
     "dihedral",
     "dump_table",
@@ -111,7 +109,6 @@ __all__ = [
     "trivial",
     "universal_covering_alexander",
     "validate",
-    "verify_core_inner",
     "verify_homotopy_2",
     "verify_homotopy_3",
 ]

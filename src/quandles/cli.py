@@ -47,7 +47,7 @@ from .coverings import (
 )
 from .families import AlexanderModuleSpec, coxeter_generators
 from .grid import FAMILIES, Recipe, grid_by_key, parse_family, standard_grid
-from .groups import TABLE_LIMIT, GroupTable, InvalidGroupTable, from_permutations, named_group
+from .groups import TABLE_LIMIT, GroupTable, InvalidGroupTable, from_permutations, parse_group_name
 from .homology import QUANDLE, RACK, adjoint_abelianization, homology, quandle_h2
 from .intlin import AbelianGroupInvariants
 from .perms import PermGroup
@@ -317,7 +317,7 @@ def cmd_verify(args) -> ReportDocument:
         else:
             name = " ".join(tokens)
             try:
-                group = named_group(name)
+                order, build = parse_group_name(name)
             except InvalidGroupTable as exc:
                 raise CLIError(f"bad group {name!r}: {exc}") from None
             except ValueError:
@@ -327,8 +327,10 @@ def cmd_verify(args) -> ReportDocument:
                     raise CLIError(
                         f"coxeter suite needs a group name or Coxeter label, got {name!r}: {exc}"
                     ) from None
-            else:
-                order, build = group.order, lambda: group
+            if order > TABLE_LIMIT:
+                raise CLIError(
+                    f"group {name!r} has order {order}, over the table limit {TABLE_LIMIT}"
+                )
             description = f"group {name}"
         doc = ReportDocument(f"verify coxeter: {description}", __version__)
         _verify_coxeter(doc, order, build, args.cap_group)

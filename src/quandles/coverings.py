@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 
 from .adjoint import ClauwensGroup
-from .core import FiniteQuandle, dump_table, is_covering, is_isomorphic, validate
+from .core import FiniteQuandle, dump_table, is_covering, validate
 from .families import AlexanderModuleSpec
 from .homology import SizeCap, effective_cap, quandle_h2
 from .report import ReportDocument
@@ -128,24 +128,6 @@ def covering_properties(
     with doc.check("projection_covering", "projection is a quandle covering") as e:
         e.status = "pass" if is_covering(inst.projection, inst.total, inst.base) else "fail"
         e.data = {"fiber_size": inst.fiber_size}
-
-
-def base_point_independent(spec: AlexanderModuleSpec, max_order: int = 12) -> bool:
-    """Totals built from different base points are isomorphic (small cases).
-
-    Brute-force isomorphism search, so only run where the total order is
-    at most max_order.
-    """
-    first = universal_covering_alexander(spec, base_point=0)
-    if first.total.order > max_order:
-        raise ValueError(
-            f"total order {first.total.order} exceeds isomorphism-search bound"
-        )
-    for b in range(1, spec.size):
-        other = universal_covering_alexander(spec, base_point=b)
-        if not is_isomorphic(first.total, other.total, max_order=max_order):
-            return False
-    return True
 
 
 def export_covering(inst: CoveringInstance, directory: str) -> list[str]:

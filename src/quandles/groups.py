@@ -7,6 +7,8 @@ trust any GroupTable it receives.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from . import perms
 
 
@@ -62,30 +64,6 @@ class GroupTable:
 
     def inv(self, a: int) -> int:
         return self._inv[a]
-
-    def conj(self, a: int, b: int) -> int:
-        """b^-1 * a * b."""
-        return self.mul(self.mul(self._inv[b], a), b)
-
-    def commutator_subgroup(self) -> frozenset[int]:
-        """Elements of [G, G] (closure of all commutators)."""
-        comms = {
-            self.mul(self.mul(self._inv[a], self._inv[b]), self.mul(a, b))
-            for a in range(self.order)
-            for b in range(self.order)
-        }
-        elems = {0} | comms
-        frontier = list(elems)
-        while frontier:
-            new = []
-            for x in frontier:
-                for y in comms:
-                    z = self.mul(x, y)
-                    if z not in elems:
-                        elems.add(z)
-                        new.append(z)
-            frontier = new
-        return frozenset(elems)
 
     def center(self) -> frozenset[int]:
         return frozenset(
@@ -201,23 +179,34 @@ def quaternion8() -> GroupTable:
 
 
 _NAMED = {
-    "klein4": klein4,
-    "q8": quaternion8,
-    "s3": lambda: symmetric_group(3),
-    "s4": lambda: symmetric_group(4),
+    "klein4": (4, klein4),
+    "q8": (8, quaternion8),
+    "s3": (6, lambda: symmetric_group(3)),
+    "s4": (24, lambda: symmetric_group(4)),
 }
 
 
-def named_group(name: str) -> GroupTable:
-    """Look up a group by name: cyclic:n, dihedral:m, s3, s4, q8, klein4."""
+def parse_group_name(name: str) -> tuple[int, Callable[[], GroupTable]]:
+    """The order of a named group, read from its name before any table is
+    built, and a function that builds the table.  Names: cyclic:n,
+    dihedral:m, s3, s4, q8, klein4."""
     name = name.strip().lower()
     if name in _NAMED:
-        return _NAMED[name]()
+        return _NAMED[name]
     if ":" in name:
         kind, _, arg = name.partition(":")
         n = int(arg)
         if kind == "cyclic":
-            return cyclic(n)
+            if n < 1:
+                raise InvalidGroupTable("a group needs at least its identity 0")
+            return n, lambda: cyclic(n)
         if kind == "dihedral":
-            return dihedral_group(n)
+            if n < 3:
+                raise InvalidGroupTable("dihedral:m needs m >= 3")
+            return 2 * n, lambda: dihedral_group(n)
     raise ValueError(f"unknown group name {name!r}")
+
+
+def named_group(name: str) -> GroupTable:
+    """Look up a group by name: cyclic:n, dihedral:m, s3, s4, q8, klein4."""
+    return parse_group_name(name)[1]()

@@ -197,40 +197,6 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def dump_matrix(m: SparseIntMatrix) -> str:
-    """Serialize in the 'rows cols nnz' header + one 'r c v' line per entry format."""
-    lines = [f"{m.rows} {m.cols} {m.nnz}"]
-    lines.extend(f"{r} {c} {v}" for r, c, v in m.entries())
-    return "\n".join(lines) + "\n"
-
-
-def load_matrix(text: str) -> SparseIntMatrix:
-    """Parse the dump_matrix format; '#' starts a comment."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise ValueError("empty matrix file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"bad header {lines[0]!r}, expected 'rows cols nnz'")
-    rows, cols, nnz = (int(t) for t in head)
-    if len(lines) - 1 != nnz:
-        raise ValueError(f"header announces {nnz} entries, found {len(lines) - 1}")
-    m = SparseIntMatrix(rows, cols)
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad entry line {line!r}")
-        r, c, v = (int(t) for t in parts)
-        if v == 0:
-            raise ValueError(f"explicit zero entry at ({r}, {c})")
-        m.set(r, c, v)
-    return m
-
-
 # ---------------------------------------------------------------------------
 # dense Smith normal form
 
@@ -524,10 +490,6 @@ def cokernel(m: SparseIntMatrix) -> AbelianGroupInvariants:
     return AbelianGroupInvariants(m.rows - len(diag), torsion)
 
 
-def kernel_rank(m: SparseIntMatrix) -> int:
-    return m.cols - rank(m)
-
-
 def compose_is_zero(outer: SparseIntMatrix, inner: SparseIntMatrix):
     """Check outer * inner == 0 row by row, (outer * inner)[r] = sum_k
     outer[r][k] * inner[k].  Returns None, or the least column with a
@@ -574,26 +536,3 @@ def homology_at(
     torsion = tuple(d for d in diag_in if d > 1)
     return AbelianGroupInvariants(free, torsion)
 
-
-def det(a: list[list[int]]) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -78,13 +78,6 @@ def format_perm(p: Perm) -> str:
     return " ".join(str(i) for i in p)
 
 
-def parse_perm(text: str) -> Perm:
-    p = tuple(int(t) for t in text.split())
-    if not is_permutation(p, len(p)):
-        raise ValueError(f"not a permutation image list: {text!r}")
-    return p
-
-
 class _ChainLevel:
     __slots__ = ("point", "transversal", "gens")
 

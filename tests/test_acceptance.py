@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven end-to-end criteria with pinned runtime bounds.
+"""Acceptance suite: ten end-to-end criteria with pinned runtime bounds.
 
 Each test prints one `ACCEPTANCE <n>: PASS` line on success (visible with
 pytest -s); a failure of any assertion fails the criterion.  Runtime
@@ -18,7 +18,6 @@ from quandles.adjoint import (
 )
 from quandles.cli import main
 from quandles.core import is_covering, validate
-from quandles.coregroup import core_inner_model, verify_core_inner
 from quandles.fields import FiniteField
 from quandles.grid import connected_alexander_specs, homotopy_suite_specs, standard_grid
 from quandles.groups import named_group
@@ -133,19 +132,6 @@ def test_criterion_06_classical_group_orders():
             brute = closure_order(quandle.order, quandle.inner_generators())
             assert chain_order == brute, q
     report(6, "symplectic orders q(q^2-1) and spherical brute-force match", t)
-
-
-def test_criterion_07_core_inner_groups():
-    """Inn of the core quandle has order |G1|/|G2|, with an explicit
-    bijective homomorphism for |G| <= 8.  Exact."""
-    for name in ("cyclic:3", "cyclic:4", "s3", "q8"):
-        group = named_group(name)
-        model = core_inner_model(group)
-        inn = families.core(group).inn()
-        assert model.quotient_order == inn.order, name
-        rep = verify_core_inner(group)
-        assert rep.orders_match and rep.isomorphism_checked and rep.isomorphism_ok
-    report(7, "four groups: order match plus constructed isomorphism")
 
 
 def test_criterion_08_reflection_group_h2():

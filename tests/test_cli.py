@@ -12,15 +12,24 @@ from quandles.adjoint import ClauwensGroup
 from quandles.cli import CLIError, main, parse_input
 from quandles.core import FiniteQuandle, dump_table
 from quandles.coverings import universal_covering_alexander
-from quandles.groups import dihedral_group, symmetric_group
+from quandles.groups import TABLE_LIMIT, dihedral_group, symmetric_group
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _run_cli(*argv):
+    """Run the command in a fresh process, so a slow path hits the timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "quandles.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=10,
+    )
 
 
 class TestParseInput:
@@ -308,14 +317,24 @@ class TestCommands:
 
     def test_coxeter_group_over_the_cap_is_skipped_before_its_table(self):
         # the whole 720 x 720 table of A5 was built (38 s) only to be skipped
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        out = subprocess.run(
-            [sys.executable, "-m", "quandles.cli", "verify", "--suite", "coxeter", "A5"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-            timeout=10, check=True,
-        )
+        out = _run_cli("verify", "--suite", "coxeter", "A5")
+        assert out.returncode == 0
         assert "status: skipped" in out.stdout
         assert "data.order: 720" in out.stdout
+
+    def test_named_group_over_the_cap_is_skipped_before_its_table(self):
+        # checking a 1000 x 1000 table takes about a minute; the order alone decides the skip
+        out = _run_cli("verify", "--suite", "coxeter", "cyclic:1000")
+        assert out.returncode == 0
+        assert "status: skipped" in out.stdout
+        assert "data.order: 1000" in out.stdout
+
+    def test_named_group_over_the_table_limit_is_two(self):
+        # refused by the order read from its name, before any permutation is built
+        out = _run_cli("verify", "--suite", "coxeter", "dihedral:5000")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert f"over the table limit {TABLE_LIMIT}" in out.stderr
 
     def test_check_on_file(self, capsys, tmp_path):
         p = tmp_path / "r5.quandle"

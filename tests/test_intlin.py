@@ -20,11 +20,7 @@ from quandles.intlin import (
     SparseIntMatrix,
     cokernel,
     compose_is_zero,
-    det,
-    dump_matrix,
     homology_at,
-    kernel_rank,
-    load_matrix,
     rank,
     smith_normal_form,
 )
@@ -32,6 +28,11 @@ from quandles.intlin import (
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
+
+
+def _det(dense) -> int:
+    # exact, over ZZ; plain Matrix.det takes seconds at 100 x 100
+    return int(sympy.Matrix(dense).to_DM().det())
 
 
 def _random_matrix(rng, rows, cols, lo=-6, hi=6, density=0.7):
@@ -82,8 +83,8 @@ class TestSmithNormalForm:
             diag, U, V = smith_normal_form(
                 SparseIntMatrix.from_dense(dense), transforms=True
             )
-            assert abs(det(U)) == 1
-            assert abs(det(V)) == 1
+            assert abs(_det(U)) == 1
+            assert abs(_det(V)) == 1
             # U * A * V must be diag padded with zeros
             prod = [
                 [
@@ -106,7 +107,7 @@ class TestSmithNormalForm:
         for _ in range(25):
             n = rng.randint(1, 5)
             dense = _random_matrix(rng, n, n, density=1.0)
-            d = det(dense)
+            d = _det(dense)
             diag = smith_normal_form(SparseIntMatrix.from_dense(dense))
             prod = 1
             for v in diag:
@@ -231,7 +232,7 @@ class TestSparseSmithForm:
         ):
             dense = _sparse_matrix(rng, n, n, per_col, values)
             diag = smith_normal_form(SparseIntMatrix.from_dense(dense))
-            d = det(dense)
+            d = _det(dense)
             if d:
                 assert len(diag) == n and prod(diag) == abs(d)
             else:
@@ -241,7 +242,7 @@ class TestSparseSmithForm:
         rng = random.Random(109)
         diag = [1] * 94 + [2, 4, 4, 12, 36, 72]
         dense = _from_diagonal(rng, 100, 100, diag)
-        assert abs(det(dense)) == prod(diag)
+        assert abs(_det(dense)) == prod(diag)
         assert smith_normal_form(SparseIntMatrix.from_dense(dense)) == diag
 
     def test_matches_dense_elimination(self):
@@ -260,12 +261,11 @@ class TestRankAndKernel:
             dense = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             m = SparseIntMatrix.from_dense(dense)
             assert rank(m) == sympy.Matrix(dense).rank()
-            assert kernel_rank(m) == m.cols - sympy.Matrix(dense).rank()
+            assert m.cols - rank(m) == len(sympy.Matrix(dense).nullspace())
 
     def test_zero_matrix(self):
         m = SparseIntMatrix(3, 4)
         assert rank(m) == 0
-        assert kernel_rank(m) == 4
         assert smith_normal_form(m) == []
 
 
@@ -443,14 +443,6 @@ class TestFromArrays:
             SparseIntMatrix.from_arrays(
                 2, 3, np.array([0, 1, 0]), np.array([1, 0, 1]), np.array([1, 2, 1])
             )
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        m = SparseIntMatrix.from_dense([[0, -3], [7, 0]])
-        again = load_matrix(dump_matrix(m))
-        assert again == m
-        assert again.rows == 2 and again.cols == 2
 
 
 @settings(max_examples=60, deadline=None)

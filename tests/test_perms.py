@@ -17,11 +17,9 @@ from quandles.perms import (
     closure_order,
     compose,
     cycle_type,
-    format_perm,
     identity,
     inverse,
     is_identity,
-    parse_perm,
     perm_order,
 )
 
@@ -107,12 +105,6 @@ class TestPlumbing:
         p = (1, 0, 3, 4, 2)  # a 2-cycle and a 3-cycle
         assert cycle_type(p) == (2, 3)
         assert perm_order(p) == 6
-
-    def test_format_parse_round_trip(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            p = _random_perm(rng, rng.randint(1, 7))
-            assert parse_perm(format_perm(p)) == p
 
 
 class TestPermGroup:
