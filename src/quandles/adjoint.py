@@ -38,7 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import AlexanderModuleSpec, _codes, _digits, alexander
+from .families import AlexanderModuleSpec, alexander
+from .fields import codes, digit_rows
 from .groups import GroupTable
 from .homology import boundary_chain
 from .intlin import (
@@ -140,8 +141,8 @@ class ClauwensGroup:
             powers.append(spec.t_perm[powers[-1]])
         self._t_pow = [p.tolist() for p in powers]
         self._add = _sum_codes(coords, orders)
-        self._neg = _codes(-coords, orders).tolist()
-        self._one_minus_t = _codes(coords - spec.t_rows, orders).tolist()
+        self._neg = codes(-coords, orders).tolist()
+        self._one_minus_t = codes(coords - spec.t_rows, orders).tolist()
         # coordinate p of [x (x) y] is x^T B_p y, where B_p[i][j] is
         # coordinate p of the class [e_i (x) e_j]: row p of U at i*k + j
         tensor = np.zeros((n, n), dtype=np.int64)
@@ -152,9 +153,9 @@ class ClauwensGroup:
             place *= d
         self._tensor = tensor.ravel().tolist()
         self._invariants = invariants
-        alphas = _digits(self.coker_order, invariants)
+        alphas = digit_rows(self.coker_order, invariants)
         self._coker_add = _sum_codes(alphas, invariants)
-        self._coker_neg = _codes(-alphas, invariants).tolist()
+        self._coker_neg = codes(-alphas, invariants).tolist()
         # the table behind `quandle`; not a functools.cached_property, which
         # writes through the instance __dict__ and so, on CPython 3.11, makes
         # every attribute read in mul slower (mul took about 1.4x as long)

@@ -6,19 +6,20 @@ runs and platforms.  Alexander quandles are built from an
 AlexanderModuleSpec, the one place that encodes module elements: it
 tabulates their coordinates and the action of T once, and the quandle
 table, type, connectivity test and the adjoint-group model all read
-those arrays.
+those arrays.  The vector families (symplectic, spherical) are built on
+the arrays of `fields.FiniteField`: the form and the image of every pair
+are gathers from its add/mul/neg tables.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import prod
 
 import numpy as np
 
 from . import perms
 from .core import FiniteQuandle, validate
-from .fields import FiniteField
+from .fields import FiniteField, codes, digit_rows
 from .groups import GroupTable
 from .perms import PermGroup
 
@@ -33,18 +34,6 @@ class EvenCharacteristic(ValueError):
 
 class SeedNotInvolution(ValueError):
     """Reflection quandle seeds must be involutions."""
-
-
-def _digits(count: int, radices) -> np.ndarray:
-    """The mixed-radix digits of the codes 0..count-1, one row per code."""
-    place = np.cumprod((1, *radices), dtype=np.int64)[:-1]
-    return np.arange(count, dtype=np.int64)[:, None] // place % np.array(radices, dtype=np.int64)
-
-
-def _codes(digits: np.ndarray, radices) -> np.ndarray:
-    """Mixed-radix codes of digit rows (last axis), each digit reduced first."""
-    place = np.cumprod((1, *radices), dtype=np.int64)[:-1]
-    return (digits % np.array(radices, dtype=np.int64) * place).sum(axis=-1)
 
 
 class AlexanderModuleSpec:
@@ -84,9 +73,9 @@ class AlexanderModuleSpec:
             for j in range(k)
         )
         self.size = prod(self.torsion_orders)
-        self.coord_rows = _digits(self.size, self.torsion_orders)
+        self.coord_rows = digit_rows(self.size, self.torsion_orders)
         self.t_rows = self.coord_rows @ np.array(self.t_matrix, dtype=np.int64).T % self.torsion_orders
-        self.t_perm = _codes(self.t_rows, self.torsion_orders)
+        self.t_perm = codes(self.t_rows, self.torsion_orders)
         if np.unique(self.t_perm).size != self.size:
             raise NonInvertibleT(f"T = {self.t_matrix} is not invertible on the module")
 
@@ -145,7 +134,7 @@ class AlexanderModuleSpec:
 
     def is_connected(self) -> bool:
         """Connected iff (1 - T) is onto the module, i.e. one-to-one."""
-        images = _codes(self.coord_rows - self.t_rows, self.torsion_orders)
+        images = codes(self.coord_rows - self.t_rows, self.torsion_orders)
         return np.unique(images).size == self.size
 
     def label(self) -> str:
@@ -178,7 +167,7 @@ def alexander(spec: AlexanderModuleSpec) -> FiniteQuandle:
     one_minus_t = spec.coord_rows - spec.t_rows
     table = np.empty((spec.size, spec.size), dtype=np.int64)
     for x, tx in enumerate(spec.t_rows):
-        table[x] = _codes(tx + one_minus_t, spec.torsion_orders)
+        table[x] = codes(tx + one_minus_t, spec.torsion_orders)
     labels = ["(" + ",".join(str(v) for v in c) + ")" for c in spec.coord_rows.tolist()]
     return validate(table.tolist(), labels=labels)
 
@@ -198,12 +187,35 @@ def trivial(n: int) -> FiniteQuandle:
     return validate([[x] * n for x in range(n)])
 
 
-def _vectors(field: FiniteField, length: int, nonzero_only=False):
-    vs = [tuple(v) for v in product(range(field.q), repeat=length)]
-    if nonzero_only:
-        zero = (0,) * length
-        vs = [v for v in vs if v != zero]
-    return vs
+def _field_vectors(F: FiniteField, length: int) -> np.ndarray:
+    """Every vector of F_q^length, one row each, in itertools.product order:
+    row i is the vector whose base-q digits, first coordinate most
+    significant, spell i."""
+    return digit_rows(F.q**length, (F.q,) * length)[:, ::-1]
+
+
+def _dot(F: FiniteField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k x[..., k] * y[..., k] in F, broadcast over the other axes."""
+    s = 0
+    for k in range(x.shape[-1]):
+        s = F.add_table[s, F.mul_table[x[..., k], y[..., k]]]
+    return s
+
+
+def _vector_quandle(F: FiniteField, vecs, keep, form, x_term) -> FiniteQuandle:
+    """The quandle on the vector rows vecs, at product-order indices keep,
+    with x <| y = form[x, y] y + x_term[x].
+
+    Every image coordinate is a gather from the field tables; the image's
+    product-order index maps back to its element through one array.
+    """
+    image = 0
+    for k in range(vecs.shape[1]):
+        image = image * F.q + F.add_table[F.mul_table[form, vecs[:, k]], x_term[:, k, None]]
+    index = np.full(F.q ** vecs.shape[1], -1, dtype=np.int64)
+    index[keep] = np.arange(len(keep))
+    labels = ["(" + ",".join(str(v) for v in vec) + ")" for vec in vecs.tolist()]
+    return validate(index[image].tolist(), labels=labels)
 
 
 def symplectic(g: int, field) -> FiniteQuandle:
@@ -214,26 +226,13 @@ def symplectic(g: int, field) -> FiniteQuandle:
     if g < 1:
         raise ValueError("need g >= 1")
     F = field if isinstance(field, FiniteField) else FiniteField.of(field)
-    vecs = _vectors(F, 2 * g, nonzero_only=True)
-    index = {v: i for i, v in enumerate(vecs)}
-
-    def form(x, y):
-        s = 0
-        for i in range(g):
-            a = F.mul(x[2 * i], y[2 * i + 1])
-            b = F.mul(x[2 * i + 1], y[2 * i])
-            s = F.add(s, F.sub(a, b))
-        return s
-
-    table = []
-    for x in vecs:
-        row = []
-        for y in vecs:
-            c = form(x, y)
-            row.append(index[tuple(F.add(F.mul(c, yv), xv) for xv, yv in zip(x, y))])
-        table.append(row)
-    labels = ["(" + ",".join(str(v) for v in vec) + ")" for vec in vecs]
-    return validate(table, labels=labels)
+    vectors = _field_vectors(F, 2 * g)
+    keep = np.arange(1, len(vectors))  # all but the zero vector
+    x = vectors[keep]
+    # <x, y> = x . Jy with (Jy)_{2i} = y_{2i+1} and (Jy)_{2i+1} = -y_{2i}
+    jy = x[:, np.arange(2 * g) ^ 1]
+    jy[:, 1::2] = F.neg_table[jy[:, 1::2]]
+    return _vector_quandle(F, x, keep, _dot(F, x[:, None], jy[None, :]), x)
 
 
 def spherical(n: int, field) -> FiniteQuandle:
@@ -246,25 +245,11 @@ def spherical(n: int, field) -> FiniteQuandle:
     F = field if isinstance(field, FiniteField) else FiniteField.of(field)
     if F.p == 2:
         raise EvenCharacteristic("spherical quandles need odd characteristic")
-
-    def dot(x, y):
-        s = 0
-        for a, b in zip(x, y):
-            s = F.add(s, F.mul(a, b))
-        return s
-
-    vecs = [v for v in _vectors(F, n + 1) if dot(v, v) == 1]
-    index = {v: i for i, v in enumerate(vecs)}
-    two = F.embed(2)
-    table = []
-    for x in vecs:
-        row = []
-        for y in vecs:
-            c = F.mul(two, dot(x, y))
-            row.append(index[tuple(F.sub(F.mul(c, yv), xv) for xv, yv in zip(x, y))])
-        table.append(row)
-    labels = ["(" + ",".join(str(v) for v in vec) + ")" for vec in vecs]
-    return validate(table, labels=labels)
+    vectors = _field_vectors(F, n + 1)
+    keep = np.flatnonzero(_dot(F, vectors, vectors) == 1)
+    x = vectors[keep]
+    form = F.mul_table[F.embed(2), _dot(F, x[:, None], x[None, :])]
+    return _vector_quandle(F, x, keep, form, F.neg_table[x])
 
 
 def core(group: GroupTable) -> FiniteQuandle:

@@ -6,11 +6,20 @@ stands for c_0 + c_1*x + ... + c_{d-1}*x^{d-1} modulo a fixed irreducible
 monic polynomial.  The modulus for each (p, d) is shipped below (the
 lexicographically least irreducible choice), so element encodings are
 stable across runs and machines.
+
+F_q is its add, mul and neg tables, built once over the coefficient rows
+of the mixed-radix codec (digit_rows / codes) that the module arrays of
+`families` and `adjoint` use too.  The mul table comes from the companion
+matrix C of the frozen modulus: multiplying by a is sum_i a_i C^i acting
+on coefficient vectors mod p.  The zero-divisor check and the inverses
+are read off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # (p, d) -> monic modulus coefficients (c0, c1, ..., c_d), c_d = 1.
 IRREDUCIBLE_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
@@ -84,17 +93,43 @@ class FiniteFieldSpec:
         raise ValueError(f"{q} is not a prime power")
 
 
+def digit_rows(count: int, radices) -> np.ndarray:
+    """The mixed-radix digits of the codes 0..count-1, one row per code,
+    first digit least significant."""
+    place = np.cumprod((1, *radices), dtype=np.int64)[:-1]
+    return np.arange(count, dtype=np.int64)[:, None] // place % np.array(radices, dtype=np.int64)
+
+
+def codes(digits: np.ndarray, radices) -> np.ndarray:
+    """Mixed-radix codes of digit rows (last axis), each digit reduced first."""
+    place = np.cumprod((1, *radices), dtype=np.int64)[:-1]
+    return (digits % np.array(radices, dtype=np.int64) * place).sum(axis=-1)
+
+
 class FiniteField:
-    """Table-driven arithmetic in F_{p^d}; elements are ints 0..q-1."""
+    """F_{p^d} as int64 arrays: add_table and mul_table (q x q), neg_table
+    and inv_table (q).  The scalar methods read them and return Python ints.
+    """
 
     def __init__(self, spec: FiniteFieldSpec):
         self.spec = spec
-        self.p = spec.p
-        self.d = spec.d
-        self.q = spec.q
-        self._mul = self._build_mul_table()
-        self._check_field()
-        self._inv = self._build_inv_table()
+        p, d, q = self.p, self.d, self.q = spec.p, spec.d, spec.q
+        radices = (p,) * d
+        rows = digit_rows(q, radices)
+        self.add_table = codes(rows[:, None] + rows[None, :], radices)
+        self.neg_table = codes(-rows, radices)
+        # C maps the coefficients of b to those of x*b: shift up, reduce x^d
+        companion = np.eye(d, k=-1, dtype=np.int64)
+        companion[:, -1] = -np.array(spec.modulus[:-1]) % p
+        powers = [np.eye(d, dtype=np.int64)]
+        for _ in range(d - 1):
+            powers.append(companion @ powers[-1] % p)
+        times = np.einsum("ai,ijk->ajk", rows, np.array(powers))
+        self.mul_table = codes(np.einsum("ajk,bk->abj", times, rows), radices)
+        # the quotient ring is a field iff there are no zero divisors
+        if not self.mul_table[1:, 1:].all():
+            raise ValueError(f"modulus {spec.modulus} is reducible over F_{p}")
+        self.inv_table = np.argmax(self.mul_table == 1, axis=1)
 
     @classmethod
     def of(cls, q) -> "FiniteField":
@@ -102,95 +137,22 @@ class FiniteField:
             return cls(q)
         return cls(FiniteFieldSpec.of(q))
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.d):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _pack(self, digits) -> int:
-        value = 0
-        for c in reversed(digits):
-            value = value * self.p + c
-        return value
-
-    def _build_mul_table(self):
-        p, d, q = self.p, self.d, self.q
-        mod = self.spec.modulus
-        # reduction of x^k for k = d .. 2d-2
-        xpow = {}
-        cur = [(-mod[i]) % p for i in range(d)]  # x^d
-        xpow[d] = cur[:]
-        for k in range(d + 1, 2 * d - 1):
-            nxt = [0] * d
-            for i in range(d - 1):
-                nxt[i + 1] = cur[i]
-            if cur[d - 1]:
-                for i in range(d):
-                    nxt[i] = (nxt[i] + cur[d - 1] * ((-mod[i]) % p)) % p
-            xpow[k] = nxt
-            cur = nxt
-        table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = self._digits(a)
-            for b in range(a, q):
-                db = self._digits(b)
-                raw = [0] * (2 * d - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            raw[i + j] = (raw[i + j] + x * y) % p
-                acc = raw[:d]
-                for k in range(d, 2 * d - 1):
-                    if raw[k]:
-                        red = xpow[k]
-                        for i in range(d):
-                            acc[i] = (acc[i] + raw[k] * red[i]) % p
-                v = self._pack(acc)
-                table[a][b] = v
-                table[b][a] = v
-        return table
-
-    def _check_field(self):
-        # the quotient ring is a field iff there are no zero divisors
-        for a in range(1, self.q):
-            row = self._mul[a]
-            for b in range(1, self.q):
-                if row[b] == 0:
-                    raise ValueError(
-                        f"modulus {self.spec.modulus} is reducible over F_{self.p}"
-                    )
-
-    def _build_inv_table(self):
-        inv = [0] * self.q
-        for a in range(1, self.q):
-            row = self._mul[a]
-            for b in range(1, self.q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        return inv
-
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._pack([(x + y) % p for x, y in zip(da, db)])
+        return int(self.add_table[a, b])
 
     def neg(self, a: int) -> int:
-        p = self.p
-        return self._pack([(-x) % p for x in self._digits(a)])
+        return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.add_table[a, self.neg_table[b]])
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return int(self.mul_table[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._inv[a]
+        return int(self.inv_table[a])
 
     def embed(self, k: int) -> int:
         """Image of the integer k in the prime subfield."""
@@ -201,7 +163,7 @@ class FiniteField:
             raise ValueError("zero has no multiplicative order")
         n, x = 1, a
         while x != 1:
-            x = self._mul[x][a]
+            x = self.mul_table[x, a]
             n += 1
         return n
 

@@ -29,7 +29,7 @@ from .core import FiniteQuandle
 from .coverings import universal_covering_alexander
 from .families import AlexanderModuleSpec
 from .fields import FiniteFieldSpec
-from .groups import named_group
+from .groups import TABLE_LIMIT, parse_group_name
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,10 @@ def _spherical(s) -> Recipe:
 
 
 def _core(s) -> Recipe:
-    group = named_group(s["group"])
-    return Recipe(f"core group={s['group']}", "core", lambda: families.core(group))
+    order, build = parse_group_name(s["group"])
+    if order > TABLE_LIMIT:
+        raise ValueError(f"group order {order} exceeds limit {TABLE_LIMIT}")
+    return Recipe(f"core group={s['group']}", "core", lambda: families.core(build()))
 
 
 def _coxeter(s) -> Recipe:

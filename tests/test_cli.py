@@ -24,11 +24,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, timeout=10):
     """Run the command in a fresh process, so a slow path hits the timeout."""
     return subprocess.run(
         [sys.executable, "-m", "quandles.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -335,6 +335,13 @@ class TestCommands:
         assert out.returncode == 2
         assert out.stdout == ""
         assert f"over the table limit {TABLE_LIMIT}" in out.stderr
+
+    def test_core_group_over_the_table_limit_is_two(self):
+        # refused by the order read from its name, well inside the timeout;
+        # building the group's 10000 permutations first took seconds
+        out = _run_cli("check", "core group=dihedral:5000", timeout=3)
+        assert out.returncode == 2
+        assert f"exceeds limit {TABLE_LIMIT}" in out.stderr
 
     def test_check_on_file(self, capsys, tmp_path):
         p = tmp_path / "r5.quandle"

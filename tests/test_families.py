@@ -5,6 +5,7 @@ and types, the connectivity criterion cross-checked against orbit
 computation, and order formulas for the linear-algebraic families.
 """
 
+import hashlib
 from itertools import product
 from math import prod
 from types import SimpleNamespace
@@ -19,7 +20,8 @@ from quandles.families import (
     SeedNotInvolution,
 )
 from quandles.fields import FiniteField
-from quandles.grid import standard_grid
+from quandles.core import dump_table
+from quandles.grid import CATALOGUE, parse_family, standard_grid
 
 
 def _spec(orders, t):
@@ -209,6 +211,148 @@ class TestDihedralAndTrivial:
     def test_trivial(self):
         q = families.trivial(3)
         assert q.table == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
+
+
+# sha256 of dump_table(quandle) and of its labels joined by newlines, for
+# every symplectic and spherical catalogue row plus four larger tables (two
+# over fields of degree 2 not in the catalogue); frozen from the
+# per-element polynomial arithmetic the array builders replaced
+FROZEN_VECTOR_TABLES = [
+    (
+        "symplectic g=1 q=2",
+        "2340c125c6500d2b63e4ad46853e07f5e73d8de51d021a8bb060e5258fea53f9",
+        "92036c0d83b731b8ca02e5845f9b5825ee43ed0c2545044ea8f9bfd8e76ff98d",
+    ),
+    (
+        "symplectic g=1 q=3",
+        "539be7520818587886a6c6f51677a69f0166ec37fb928adaec040022e4a2dbd3",
+        "0e4ceeb5edf2c353ba366175a3d3f5f29ae6762688953159044951b11ca3ab24",
+    ),
+    (
+        "symplectic g=1 q=4",
+        "e0b9b6193d896d58d15d77f900608c5d9851c08a9d254a702c8a9bf567507cec",
+        "f12db823d5dcd021ea2a10c0babecfd47d39135dc541c3afdccdd9f061f86d42",
+    ),
+    (
+        "symplectic g=1 q=5",
+        "8a35ea16dde8e2fea496ab39dd2f857bb11b0ec9cbc0082fc823037b81dfe80b",
+        "365c696fee2abec658d0056fb0c94f73cb6bd45d99d26b339a865d8c3341001d",
+    ),
+    (
+        "symplectic g=1 q=7",
+        "cb2276d28c6978feb8cc520af03d9a4a3b1c6612325fe0865978b715ada5f4b4",
+        "69780c90ebd6ce820b31e2bc7016cb25ecd26c3ed2362e1cb8b58bd4524fedab",
+    ),
+    (
+        "symplectic g=1 q=8",
+        "e192f8234431b33db20de89b6cc30277ceb77647cbb99a9014d325a136781d67",
+        "da2f1cbb6d92d0bb96b682ec94dca693898d4c1b375bc696f6b9a9df4747fdf3",
+    ),
+    (
+        "symplectic g=2 q=2",
+        "e25f787c7506f2546066445e525880397626de1fca59de71c26960eea317f0c5",
+        "10a2c637ad84ce41a63365c5b589395ca67116c84576aae720c5725f34712af6",
+    ),
+    (
+        "spherical n=2 q=3",
+        "ad46943c4bc04c452d29084355b0093891a5e0198ddfa2ca6df0ca785ccd9b18",
+        "09802ce9588d92eccf7f65bfd389d68106e688aba196629f1f53bb64ea7061c5",
+    ),
+    (
+        "spherical n=2 q=5",
+        "8338cca5c2bf0188d23a41b5f598d71fd801aa2e9a7353cb7d432a53a810fc04",
+        "5c28a3169144e14236081e26c0aea51b258a142db1f8661b249fa2814f452a44",
+    ),
+    (
+        "spherical n=2 q=7",
+        "bcf243b2f7313649c43b451b3744eab0bfe9c50e5d7b35ac87f5a3f8216c5433",
+        "a1192f6ae9c516a07c60909be228cbe37c72213951edc4f31b4b0ceb2f316770",
+    ),
+    (
+        "spherical n=3 q=3",
+        "2a40e7ed798bce0d695aff3b11905c574428ff3e33339c545e204131a7508c8e",
+        "9a0f26649e8bad95628296be61780d9c376365222f6eedd849bcaa468bae355f",
+    ),
+    (
+        "symplectic g=2 q=3",
+        "e2f1d82e7702c104e56d6fd080654cc6840d5783d963c3da9d0d7dfb30c2e9d1",
+        "421362bea30a9d30397b1da8b7282ad3fe738b7ab4f4b46820794169b7c8fc65",
+    ),
+    (
+        "spherical n=3 q=5",
+        "00323483785fa21fbfc53afe9d36056a6543c6bb482eb3865c0022d8bd758943",
+        "a30a7ba772ff61ed5e1360301c9fd9a8ee4c868e6e79203c8315ac9a9ff9a645",
+    ),
+    (
+        "symplectic g=1 q=9",
+        "4a394b83376a27b84bd2d3fb8bb64a81356ab81eb55b98b00da2cbd2b340757b",
+        "f972336f4d022304c8c2ba728ca268075700720658d8914becf94820f8f30a19",
+    ),
+    (
+        "spherical n=2 q=9",
+        "ae3696ca25cebbc1e2a77e83ab806b299f4e9d1abeddd4568bc7f02b39fd8ae5",
+        "3fa91489215e1b935a5af2a146906e19697228884a7f261be76775556eb9bb9e",
+    ),
+]
+
+
+def test_frozen_tables_cover_the_vector_catalogue_rows():
+    frozen = {spec for spec, _table, _labels in FROZEN_VECTOR_TABLES}
+    for _key, spec, _order in CATALOGUE:
+        if spec.split()[0] in ("symplectic", "spherical"):
+            assert spec in frozen
+
+
+@pytest.mark.parametrize("spec,table_sha,labels_sha", FROZEN_VECTOR_TABLES)
+def test_vector_family_tables_are_frozen(spec, table_sha, labels_sha):
+    quandle = parse_family(spec.split()).build()
+    assert hashlib.sha256(dump_table(quandle).encode()).hexdigest() == table_sha
+    assert hashlib.sha256("\n".join(quandle.labels).encode()).hexdigest() == labels_sha
+
+
+def _per_cell_reference(F, vecs, form, sign):
+    """x <| y = form(x, y) y + sign x, one cell at a time with F's scalar methods."""
+    index = {v: i for i, v in enumerate(vecs)}
+    return [
+        [
+            index[tuple(F.add(F.mul(form(x, y), b), a if sign > 0 else F.neg(a)) for a, b in zip(x, y))]
+            for y in vecs
+        ]
+        for x in vecs
+    ]
+
+
+@pytest.mark.parametrize("g,q", [(1, 4), (1, 9), (2, 2)])
+def test_symplectic_matches_per_cell_reference(g, q):
+    F = FiniteField.of(q)
+
+    def form(x, y):
+        s = 0
+        for i in range(g):
+            s = F.add(s, F.sub(F.mul(x[2 * i], y[2 * i + 1]), F.mul(x[2 * i + 1], y[2 * i])))
+        return s
+
+    vecs = list(product(range(q), repeat=2 * g))[1:]
+    quandle = families.symplectic(g, F)
+    assert [list(row) for row in quandle.table] == _per_cell_reference(F, vecs, form, 1)
+    assert quandle.labels == tuple("(" + ",".join(map(str, v)) + ")" for v in vecs)
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (2, 9), (3, 3)])
+def test_spherical_matches_per_cell_reference(n, q):
+    F = FiniteField.of(q)
+
+    def dot(x, y):
+        s = 0
+        for a, b in zip(x, y):
+            s = F.add(s, F.mul(a, b))
+        return s
+
+    vecs = [v for v in product(range(q), repeat=n + 1) if dot(v, v) == 1]
+    quandle = families.spherical(n, F)
+    reference = _per_cell_reference(F, vecs, lambda x, y: F.mul(F.embed(2), dot(x, y)), -1)
+    assert [list(row) for row in quandle.table] == reference
+    assert quandle.labels == tuple("(" + ",".join(map(str, v)) + ")" for v in vecs)
 
 
 class TestSymplectic:

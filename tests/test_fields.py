@@ -1,12 +1,15 @@
 """Finite field arithmetic tables.
 
 Oracles: the field axioms checked exhaustively for every supported size,
-Fermat's little theorem, and cyclicity of the multiplicative group.
+Fermat's little theorem, cyclicity of the multiplicative group, and
+sympy's GF(p) polynomial product reduced mod the same modulus.
 """
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_mul, gf_rem
 
-from quandles.fields import FiniteField, FiniteFieldSpec
+from quandles.fields import IRREDUCIBLE_MODULI, FiniteField, FiniteFieldSpec
 
 SMALL_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49]
 
@@ -21,11 +24,9 @@ def test_field_axioms_exhaustive(q):
         assert f.add(a, f.neg(a)) == 0
         if a != 0:
             assert f.mul(a, f.inv(a)) == f.embed(1)
-    # distributivity on a deterministic sample
-    sample = [0, 1, q - 1, q // 2, 2 % q]
-    for a in sample:
-        for b in sample:
-            for c in sample:
+    for a in elems:
+        for b in elems:
+            for c in elems:
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
@@ -53,6 +54,22 @@ def test_multiplicative_group_cyclic(q):
     assert max(orders) == q - 1  # a generator exists
     for n in orders:
         assert (q - 1) % n == 0
+
+
+@pytest.mark.parametrize("p,d", sorted(IRREDUCIBLE_MODULI))
+def test_mul_matches_sympy_polynomials(p, d):
+    """Element a is the polynomial with base-p digits of a as coefficients,
+    constant term first; a*b is sympy's product reduced mod the modulus."""
+    f = FiniteField(FiniteFieldSpec(p, d))
+    modulus = list(reversed(IRREDUCIBLE_MODULI[(p, d)]))
+    # galoistools lists coefficients leading term first
+    polys = [[a // p**i % p for i in reversed(range(d))] for a in range(p**d)]
+    for a, pa in enumerate(polys):
+        for b, pb in enumerate(polys):
+            code = 0
+            for c in gf_rem(gf_mul(pa, pb, p, ZZ), modulus, p, ZZ):
+                code = code * p + int(c)
+            assert f.mul(a, b) == code
 
 
 def test_gf4_known_multiplication():
@@ -83,6 +100,12 @@ def test_rejects_non_prime_power():
 def test_bad_modulus_rejected():
     with pytest.raises(ValueError):
         FiniteFieldSpec(2, 2, (1, 1))  # not degree d+1
+
+
+def test_reducible_modulus_rejected():
+    # F_2[x]/(x^2 + 1) has the zero divisor (x + 1)^2 = 0
+    with pytest.raises(ValueError, match=r"modulus \(1, 0, 1\) is reducible"):
+        FiniteField(FiniteFieldSpec(2, 2, (1, 0, 1)))
 
 
 def test_spec_of_prime_power():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from quandles import families, grid
+from quandles import families, grid, groups
 from quandles.cli import parse_input
 from quandles.core import validate
 from quandles.families import AlexanderModuleSpec
@@ -118,3 +118,20 @@ def test_standard_grid_builds_nothing(monkeypatch):
     assert by_key["alexander:3:t-1"].alexander_spec.size == 3
     assert by_key["dihedral:3"].build().order == 3
     assert calls == ["AlexanderModuleSpec.__init__", "quandles.families.dihedral"]
+
+
+def test_core_spec_reads_the_group_order_without_building(monkeypatch):
+    calls = []
+    original = groups.from_permutations
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "from_permutations", counting)
+    with pytest.raises(ValueError, match=f"group order 10000 exceeds limit {groups.TABLE_LIMIT}"):
+        grid.parse_family(["core", "group=dihedral:5000"])
+    recipe = grid.parse_family(["core", "group=s3"])
+    assert calls == []
+    assert recipe.build().order == 6
+    assert len(calls) == 1
