@@ -5,8 +5,10 @@ A quandle is a set with a binary operation x <| y satisfying
   (ii)  right translations    (- <| y) are bijections
   (iii) self-distributivity:  (x <| y) <| z == (x <| z) <| (y <| z)
 
-Elements are 0..n-1 and the table is row-major: table[x][y] = x <| y.
-Validation is exhaustive; everything downstream assumes a validated table.
+Elements are 0..n-1.  A table is one int64 array, array[x, y] = x <| y,
+checked exhaustively and kept read-only; `table` is its tuple view for
+scalar lookups, equality, hashing and serialization, and whole-table
+questions (orbits, morphism checks, complex assembly) read the array.
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ class FiniteQuandle:
     """A validated finite quandle.  Use `validate` to construct from a table."""
 
     def __init__(self, table, labels=None):
-        self.table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(v) for v in row) for row in table
-        )
         self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != len(self.table):
+        if self.labels is not None and len(self.labels) != len(table):
             raise ValueError("label count does not match order")
-        _check_axioms(self.table)
+        self.array = _check_axioms(table)
+        self.array.setflags(write=False)
+        self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, self.array.tolist()))
         self._type = None
         self._orbits = None
         self._inn = None
@@ -61,18 +62,11 @@ class FiniteQuandle:
 
     def column(self, y: int) -> perms.Perm:
         """The right translation by y as a permutation image tuple."""
-        return tuple(self.table[x][y] for x in range(self.order))
+        return tuple(self.array[:, y].tolist())
 
     def inner_generators(self) -> list[perms.Perm]:
         """Distinct right-translation permutations, ordered by first column."""
-        seen = set()
-        out = []
-        for y in range(self.order):
-            c = self.column(y)
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-        return out
+        return list(dict.fromkeys(self.column(y) for y in range(self.order)))
 
     def inn(self) -> PermGroup:
         """The inner automorphism group, generated by right translations."""
@@ -88,35 +82,30 @@ class FiniteQuandle:
         hence always a finite positive integer for a finite table.
         """
         if self._type is None:
-            t = 1
-            for y in range(self.order):
-                t = lcm(t, perms.perm_order(self.column(y)))
-            self._type = t
+            self._type = lcm(*(perms.perm_order(c) for c in self.inner_generators()))
         return self._type
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbits of the inner group, i.e. connected components."""
         if self._orbits is None:
-            parent = list(range(self.order))
-
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for x in range(self.order):
-                row = self.table[x]
-                for y in range(self.order):
-                    ra, rb = find(x), find(row[y])
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
+            # hook the labels of the ends of each edge x -- x <| y to each other
+            # and jump pointers; labels fall inside an orbit to its least element
+            n = self.order
+            tail, head = np.repeat(np.arange(n), n), self.array.ravel()
+            least = np.arange(n)
+            while True:
+                hooked = least.copy()
+                np.minimum.at(hooked, least[tail], least[head])
+                np.minimum.at(hooked, least[head], least[tail])
+                while not np.array_equal(hooked[hooked], hooked):
+                    hooked = hooked[hooked]
+                if np.array_equal(hooked, least):
+                    break
+                least = hooked
             groups: dict[int, list[int]] = {}
-            for x in range(self.order):
-                groups.setdefault(find(x), []).append(x)
-            self._orbits = sorted(
-                (tuple(sorted(v)) for v in groups.values()), key=lambda t: t[0]
-            )
+            for x, root in enumerate(least.tolist()):
+                groups.setdefault(root, []).append(x)
+            self._orbits = [tuple(v) for v in groups.values()]
         return self._orbits
 
     def is_connected(self) -> bool:
@@ -164,34 +153,40 @@ class QuandleProfile:
 _AXIOM_BLOCK_CELLS = 1 << 18
 
 
-def _check_axioms(table):
+def _check_axioms(table) -> np.ndarray:
+    """Check the three axioms on the table as an int64 array and return it;
+    the first malformed row or entry in row-major order is the witness."""
     n = len(table)
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise AxiomViolation("ii", i, f"row {i} has length {len(row)}, want {n}")
-        for v in row:
-            if not (0 <= v < n):
-                raise AxiomViolation("ii", (i, v), f"entry {v} outside 0..{n - 1}")
+    full = next((i for i, row in enumerate(table) if len(row) != n), n)
+    try:
+        arr = np.array(table[:full], dtype=np.int64).reshape(full, n)
+    except OverflowError:  # an entry beyond int64 is out of range all the same
+        arr = np.array(table[:full], dtype=object).reshape(full, n)
+    bad = np.argwhere((arr < 0) | (arr >= n))
+    if len(bad):
+        v = arr[tuple(bad[0])]
+        raise AxiomViolation("ii", (int(bad[0][0]), int(v)), f"entry {v} outside 0..{n - 1}")
+    if full < n:
+        raise AxiomViolation("ii", full, f"row {full} has length {len(table[full])}, want {n}")
     if n == 0:
         raise AxiomViolation("i", None, "empty carrier")
-    arr = np.array(table, dtype=np.int64)
     diag = arr.diagonal()
     if not np.array_equal(diag, np.arange(n)):
         x = int(np.argwhere(diag != np.arange(n))[0][0])
-        raise AxiomViolation("i", x, f"{x} <| {x} == {table[x][x]} != {x}")
-    for y in range(n):
-        col = arr[:, y]
-        if len(np.unique(col)) != n:
-            seen = {}
-            for x in range(n):
-                v = table[x][y]
-                if v in seen:
-                    raise AxiomViolation(
-                        "ii",
-                        (seen[v], x, y),
-                        f"right translation by {y} maps both {seen[v]} and {x} to {v}",
-                    )
-                seen[v] = x
+        raise AxiomViolation("i", x, f"{x} <| {x} == {arr[x, x]} != {x}")
+    # entries are in range, so column y is a bijection iff it sorts to 0..n-1
+    bad_cols = (np.sort(arr, axis=0) != np.arange(n)[:, None]).any(axis=0)
+    if bad_cols.any():
+        y = int(np.argmax(bad_cols))
+        seen = {}
+        for x, v in enumerate(arr[:, y].tolist()):
+            if v in seen:
+                raise AxiomViolation(
+                    "ii",
+                    (seen[v], x, y),
+                    f"right translation by {y} maps both {seen[v]} and {x} to {v}",
+                )
+            seen[v] = x
     # (x <| y) <| z  vs  (x <| z) <| (y <| z), one block of x rows at a time so
     # memory stays O(n^2); blocks run in order of x, so the first mismatch
     # found is the lexicographically first (x, y, z)
@@ -211,6 +206,7 @@ def _check_axioms(table):
                 f"({x}<|{y})<|{z} == {int(left[i, y, z])} but "
                 f"({x}<|{z})<|({y}<|{z}) == {int(right[i, y, z])}",
             )
+    return arr
 
 
 def validate(table, labels=None) -> FiniteQuandle:
@@ -261,11 +257,8 @@ def is_homomorphism(f, src: FiniteQuandle, dst: FiniteQuandle) -> bool:
     f = tuple(f)
     if len(f) != src.order or any(not 0 <= v < dst.order for v in f):
         return False
-    return all(
-        f[src.apply(a, b)] == dst.apply(f[a], f[b])
-        for a in range(src.order)
-        for b in range(src.order)
-    )
+    f = np.array(f, dtype=np.int64)
+    return bool(np.array_equal(f[src.array], dst.array[f[:, None], f[None, :]]))
 
 
 def is_covering(f, src: FiniteQuandle, dst: FiniteQuandle) -> bool:
@@ -279,14 +272,10 @@ def is_covering(f, src: FiniteQuandle, dst: FiniteQuandle) -> bool:
         return False
     if set(f) != set(range(dst.order)):
         raise NotSurjective(f"image has {len(set(f))} of {dst.order} elements")
-    fibers: dict[int, list[int]] = {}
-    for x, v in enumerate(f):
-        fibers.setdefault(v, []).append(x)
-    for members in fibers.values():
-        first = src.column(members[0])
-        if any(src.column(m) != first for m in members[1:]):
-            return False
-    return True
+    # column x must equal the column of the first element of x's fiber
+    f = np.array(f)
+    _, first = np.unique(f, return_index=True)
+    return bool(np.array_equal(src.array[:, first[f]], src.array))
 
 
 def _element_signature(q: FiniteQuandle, x: int):

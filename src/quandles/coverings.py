@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 
 from .adjoint import ClauwensGroup
-from .core import FiniteQuandle, dump_table, is_covering, validate
+from .core import FiniteQuandle, NotSurjective, dump_table, is_covering, validate
 from .families import AlexanderModuleSpec
 from .homology import SizeCap, effective_cap, quandle_h2
 from .report import ReportDocument
@@ -48,7 +48,8 @@ def universal_covering_alexander(
 
     The total space is the exponent-zero slice {(0, x, alpha)} of the
     adjoint model with the quoted operation; the projection sends g to
-    the image of the base point under g.
+    the image of the base point under g.  That it is a covering with fibers
+    of cokernel size is checked once, by `covering_properties`.
     """
     model = ClauwensGroup(spec)
     size = spec.size * model.coker_order
@@ -69,17 +70,10 @@ def universal_covering_alexander(
         for g in elements
     ]
     total = validate(table, labels)
-    projection = tuple(model.act_index(base_point, g) for g in elements)
-    base = model.quandle
-    if not is_covering(projection, total, base):
-        raise AssertionError("constructed projection is not a covering")
-    fiber_sizes = {projection.count(v) for v in set(projection)}
-    if fiber_sizes != {model.coker_order}:
-        raise AssertionError("fibers are not uniformly of cokernel size")
     return CoveringInstance(
-        base=base,
+        base=model.quandle,
         total=total,
-        projection=projection,
+        projection=tuple(model.act_index(base_point, g) for g in elements),
         base_point=base_point,
         spec=spec,
         fiber_size=model.coker_order,
@@ -95,8 +89,9 @@ def covering_properties(
     total space is connected, (b) its type equals the base type, (c) the
     torsion of its second quandle homology divides a power of the base
     type, (d) the sharper fact that this torsion is annihilated by the base
-    type, and (e) the projection is a covering.  A cell cap on (c) skips it,
-    with the cap's message as data.reason, and leaves (d) out.
+    type, and (e) the projection is a covering whose fibers all have
+    fiber_size elements.  A cell cap on (c) skips it, with the cap's
+    message as data.reason, and leaves (d) out.
     """
     base_t = inst.base.type
     total_q = inst.total
@@ -126,7 +121,12 @@ def covering_properties(
             e.data = {"h2": str(h2), "type": base_t}
 
     with doc.check("projection_covering", "projection is a quandle covering") as e:
-        e.status = "pass" if is_covering(inst.projection, inst.total, inst.base) else "fail"
+        try:
+            covers = is_covering(inst.projection, inst.total, inst.base)
+        except NotSurjective:
+            covers = False
+        sizes = {len(members) for members in inst.fibers().values()}
+        e.status = "pass" if covers and sizes == {inst.fiber_size} else "fail"
         e.data = {"fiber_size": inst.fiber_size}
 
 

@@ -2,13 +2,14 @@
 
 Every constructor returns a validated FiniteQuandle with elements 0..n-1
 in a deterministic enumeration order, so tables are reproducible across
-runs and platforms.  Alexander quandles are built from an
-AlexanderModuleSpec, the one place that encodes module elements: it
-tabulates their coordinates and the action of T once, and the quandle
-table, type, connectivity test and the adjoint-group model all read
-those arrays.  The vector families (symplectic, spherical) are built on
-the arrays of `fields.FiniteField`: the form and the image of every pair
-are gathers from its add/mul/neg tables.
+runs and platforms; each passes its table to `validate` as one int array.
+Alexander quandles are built from an AlexanderModuleSpec, the one place
+that encodes module elements: it tabulates their coordinates and the
+action of T once, and the quandle table, type, connectivity test and the
+adjoint-group model all read those arrays.  The vector families
+(symplectic, spherical) are built on the arrays of `fields.FiniteField`:
+the form and the image of every pair are gathers from its add/mul/neg
+tables.
 """
 
 from __future__ import annotations
@@ -169,22 +170,22 @@ def alexander(spec: AlexanderModuleSpec) -> FiniteQuandle:
     for x, tx in enumerate(spec.t_rows):
         table[x] = codes(tx + one_minus_t, spec.torsion_orders)
     labels = ["(" + ",".join(str(v) for v in c) + ")" for c in spec.coord_rows.tolist()]
-    return validate(table.tolist(), labels=labels)
+    return validate(table, labels=labels)
 
 
 def dihedral(n: int) -> FiniteQuandle:
     """The dihedral quandle R_n: x <| y = 2y - x mod n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    table = [[(2 * y - x) % n for y in range(n)] for x in range(n)]
-    return validate(table)
+    elements = np.arange(n)
+    return validate((2 * elements - elements[:, None]) % n)
 
 
 def trivial(n: int) -> FiniteQuandle:
     """The trivial quandle: x <| y = x."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return validate([[x] * n for x in range(n)])
+    return validate(np.broadcast_to(np.arange(n)[:, None], (n, n)))
 
 
 def _field_vectors(F: FiniteField, length: int) -> np.ndarray:
@@ -215,7 +216,7 @@ def _vector_quandle(F: FiniteField, vecs, keep, form, x_term) -> FiniteQuandle:
     index = np.full(F.q ** vecs.shape[1], -1, dtype=np.int64)
     index[keep] = np.arange(len(keep))
     labels = ["(" + ",".join(str(v) for v in vec) + ")" for vec in vecs.tolist()]
-    return validate(index[image].tolist(), labels=labels)
+    return validate(index[image], labels=labels)
 
 
 def symplectic(g: int, field) -> FiniteQuandle:
@@ -254,12 +255,10 @@ def spherical(n: int, field) -> FiniteQuandle:
 
 def core(group: GroupTable) -> FiniteQuandle:
     """The core quandle of a group: g <| h = h g^-1 h."""
-    n = group.order
-    table = [
-        [group.mul(group.mul(h, group.inv(g)), h) for h in range(n)]
-        for g in range(n)
-    ]
-    return validate(table, labels=group.labels)
+    n, m = group.order, group.array
+    inv = [group.inv(g) for g in range(n)]
+    # m[:, inv].T[g, h] = h g^-1, and the gather multiplies it by h on the right
+    return validate(m[m[:, inv].T, np.arange(n)], labels=group.labels)
 
 
 def conjugation_reflections(w: PermGroup, seeds) -> FiniteQuandle:

@@ -1,13 +1,17 @@
 """Small finite groups given by multiplication tables.
 
-Elements are 0..n-1 with 0 the identity.  Tables are validated on
-construction (associativity, identity, inverses), so downstream code can
-trust any GroupTable it receives.
+Elements are 0..n-1 with 0 the identity.  A table is one int64 array,
+validated on construction (rows and columns are permutations, identity,
+inverses, associativity in blocks of rows) and kept read-only as `array`;
+`table` is its tuple-of-tuples view, which `mul` reads.  Downstream code
+can trust any GroupTable it receives.
 """
 
 from __future__ import annotations
 
 from typing import Callable
+
+import numpy as np
 
 from . import perms
 
@@ -16,12 +20,15 @@ class InvalidGroupTable(ValueError):
     """The table is not a group multiplication table."""
 
 
+# cells of (ab)c compared per block in the associativity check
+_ASSOCIATIVITY_BLOCK_CELLS = 1 << 18
+
+
 class GroupTable:
     """A finite group as a multiplication table with identity 0."""
 
     def __init__(self, table, labels=None, name=None):
-        self.table = tuple(tuple(int(v) for v in row) for row in table)
-        n = len(self.table)
+        n = len(table)
         self.order = n
         self.labels = tuple(labels) if labels else None
         self.name = name
@@ -29,35 +36,38 @@ class GroupTable:
             raise InvalidGroupTable("a group needs at least its identity 0")
         if self.labels and len(self.labels) != n:
             raise InvalidGroupTable("label count does not match order")
-        for i, row in enumerate(self.table):
-            if len(row) != n:
-                raise InvalidGroupTable(f"row {i} has length {len(row)}")
-            if sorted(row) != list(range(n)):
-                raise InvalidGroupTable(f"row {i} is not a permutation")
-        for j in range(n):
-            if sorted(self.table[i][j] for i in range(n)) != list(range(n)):
-                raise InvalidGroupTable(f"column {j} is not a permutation")
-        for i in range(n):
-            if self.table[0][i] != i or self.table[i][0] != i:
-                raise InvalidGroupTable("element 0 is not an identity")
-        self._inv = [0] * n
-        for i in range(n):
-            inv = None
-            for j in range(n):
-                if self.table[i][j] == 0:
-                    inv = j
-                    break
-            if inv is None or self.table[inv][i] != 0:
-                raise InvalidGroupTable(f"element {i} has no two-sided inverse")
-            self._inv[i] = inv
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise InvalidGroupTable(
-                            f"associativity fails at ({a}, {b}, {c})"
-                        )
+        # each failure is reported at the first row, column, element or
+        # (a, b, c) in lexicographic order
+        full = next((i for i, row in enumerate(table) if len(row) != n), n)
+        m = np.array(table[:full], dtype=np.int64).reshape(full, n)
+        identity = np.arange(n)
+        bad = (np.sort(m, axis=1) != identity).any(axis=1)
+        if bad.any():
+            raise InvalidGroupTable(f"row {int(np.argmax(bad))} is not a permutation")
+        if full < n:
+            raise InvalidGroupTable(f"row {full} has length {len(table[full])}")
+        bad = (np.sort(m, axis=0) != identity[:, None]).any(axis=0)
+        if bad.any():
+            raise InvalidGroupTable(f"column {int(np.argmax(bad))} is not a permutation")
+        if (m[0] != identity).any() or (m[:, 0] != identity).any():
+            raise InvalidGroupTable("element 0 is not an identity")
+        inv = m.argmin(axis=1)  # every row is a permutation, so its 0 sits at the inverse
+        bad = m[inv, identity] != 0
+        if bad.any():
+            raise InvalidGroupTable(f"element {int(np.argmax(bad))} has no two-sided inverse")
+        # (ab)c == a(bc) for a block of a rows at a time, in order of a, so
+        # the first mismatch found is the lexicographically first (a, b, c)
+        step = max(1, _ASSOCIATIVITY_BLOCK_CELLS // (n * n))
+        for a0 in range(0, n, step):
+            rows = m[a0 : a0 + step]
+            bad = m[rows] != rows[:, m]
+            if bad.any():
+                a, b, c = (int(v) for v in np.argwhere(bad)[0])
+                raise InvalidGroupTable(f"associativity fails at ({a0 + a}, {b}, {c})")
+        m.setflags(write=False)
+        self.array = m
+        self.table = tuple(map(tuple, m.tolist()))
+        self._inv = inv.tolist()
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -66,18 +76,11 @@ class GroupTable:
         return self._inv[a]
 
     def center(self) -> frozenset[int]:
-        return frozenset(
-            z
-            for z in range(self.order)
-            if all(self.mul(z, k) == self.mul(k, z) for k in range(self.order))
-        )
+        commutes = (self.array == self.array.T).all(axis=1)
+        return frozenset(np.flatnonzero(commutes).tolist())
 
     def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(self.order)
-        )
+        return bool(np.array_equal(self.array, self.array.T))
 
     def element_order(self, a: int) -> int:
         n, x = 1, a
@@ -91,22 +94,16 @@ class GroupTable:
 
 
 def cyclic(n: int) -> GroupTable:
-    return GroupTable(
-        [[(i + j) % n for j in range(n)] for i in range(n)], name=f"cyclic{n}"
-    )
+    elements = np.arange(n)
+    return GroupTable((elements[:, None] + elements) % n, name=f"cyclic{n}")
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
-    n, m = a.order, b.order
-    table = [
-        [
-            a.mul(i // m, j // m) * m + b.mul(i % m, j % m)
-            for j in range(n * m)
-        ]
-        for i in range(n * m)
-    ]
+    """Pairs (i, j) as elements i * b.order + j, multiplied componentwise."""
+    m = b.order
+    table = a.array[:, None, :, None] * m + b.array[None, :, None, :]
     name = f"{a.name or a.order}x{b.name or b.order}"
-    return GroupTable(table, name=name)
+    return GroupTable(table.reshape(a.order * m, -1), name=name)
 
 
 def klein4() -> GroupTable:

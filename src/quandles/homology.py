@@ -147,7 +147,7 @@ class RackComplexSlice:
         row_of[row_codes] = np.arange(len(row_codes), dtype=dtype)
         cols = self._basis_codes(k)
         digits = _digits(cols, n, k)
-        table = np.array(self.quandle.table, dtype=dtype)
+        table = self.quandle.array.astype(dtype)
         faces = np.empty((len(cols), 2 * k), dtype=dtype)
         for i in range(k):
             plain = np.zeros(len(cols), dtype=dtype)
@@ -208,14 +208,8 @@ def adjoint_abelianization(q: FiniteQuandle) -> AbelianGroupInvariants:
     Always free abelian, one Z per connected component.
     """
     n = q.order
-    m = SparseIntMatrix(n, n * n)
-    j = 0
-    for x in range(n):
-        row = q.table[x]
-        for y in range(n):
-            z = row[y]
-            if z != x:
-                m.add(z, j, 1)
-                m.add(x, j, -1)
-            j += 1
-    return cokernel(m)
+    images, x = q.array.ravel(), np.repeat(np.arange(n), n)
+    cols = np.flatnonzero(images != x)  # column x*n + y holds e_{x <| y} - e_x
+    rows = np.stack([images[cols], x[cols]], axis=1).ravel()
+    values = np.tile([1, -1], len(cols))
+    return cokernel(SparseIntMatrix.from_arrays(n, n * n, rows, np.repeat(cols, 2), values))

@@ -343,6 +343,13 @@ class TestCommands:
         assert out.returncode == 2
         assert f"exceeds limit {TABLE_LIMIT}" in out.stderr
 
+    def test_core_of_cyclic400_within_the_timeout(self):
+        # the group's associativity check is blocked on arrays; the per-cell
+        # triple loop over its 64M (a, b, c) made this take about 8 s
+        out = _run_cli("check", "core group=cyclic:400", timeout=6)
+        assert out.returncode == 0
+        assert "result: pass" in out.stdout
+
     def test_check_on_file(self, capsys, tmp_path):
         p = tmp_path / "r5.quandle"
         p.write_text(dump_table(families.dihedral(5)))

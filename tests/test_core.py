@@ -1,9 +1,11 @@
 """Quandle axioms, profiles, serialization, morphisms, isomorphism search."""
 
 import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from quandles.core import (
     _AXIOM_BLOCK_CELLS,
     AxiomViolation,
     FiniteQuandle,
+    NotSurjective,
     dump_table,
     find_isomorphism,
     is_covering,
@@ -88,10 +91,196 @@ class TestValidate:
         assert int(out.stdout) < 200 * 1024  # ru_maxrss is in KiB on Linux
 
     def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AxiomViolation) as exc:
             validate([[0, 1], [0]])
-        with pytest.raises(ValueError):
+        assert str(exc.value) == "axiom (ii) fails: row 1 has length 1, want 2"
+        with pytest.raises(AxiomViolation) as exc:
             validate([[5]])
+        assert str(exc.value) == "axiom (ii) fails: entry 5 outside 0..0"
+
+    @pytest.mark.parametrize(
+        "table,witness",
+        [
+            ([[0, 1, 7], [1, 9, 0], [2, 2, -1]], (0, 7)),
+            ([[0, 1, 2], [1, 1, -4], [9, 2, 2]], (1, -4)),
+            ([[0, 1, 2], [1, 1], [9, 2, 2]], 1),  # the short row comes first
+            ([[0, 3], [1]], (0, 3)),  # the bad entry comes before the short row
+            ([[0, 10**30], [1, 1]], (0, 10**30)),  # beyond int64
+        ],
+    )
+    def test_malformed_witness_is_first_in_row_major_order(self, table, witness):
+        with pytest.raises(AxiomViolation) as exc:
+            validate(table)
+        assert exc.value.axiom == "ii"
+        assert exc.value.witness == witness
+
+
+class TestArrayLayout:
+    def test_array_is_read_only_and_matches_the_table(self):
+        q = families.spherical(2, 3)
+        assert not q.array.flags.writeable
+        with pytest.raises(ValueError):
+            q.array[0, 0] = 1
+        assert q.array.dtype == np.int64
+        assert q.array.tolist() == [list(r) for r in q.table]
+
+    def test_lists_tuples_and_arrays_give_equal_quandles(self):
+        rows = families.dihedral(6).array.tolist()
+        qs = [
+            validate(rows),
+            validate(tuple(map(tuple, rows))),
+            validate(np.array(rows, dtype=np.int64)),
+            validate(np.array(rows, dtype=np.int32)),
+        ]
+        assert all(q == qs[0] and hash(q) == hash(qs[0]) for q in qs)
+        assert all(type(v) is int for row in qs[2].table for v in row)
+
+
+# The per-cell loops that orbits, is_homomorphism and is_covering ran before
+# they read the table array; the array versions must agree with them.
+
+
+def reference_orbits(q):
+    parent = list(range(q.order))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for x in range(q.order):
+        for y in range(q.order):
+            ra, rb = find(x), find(q.apply(x, y))
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for x in range(q.order):
+        groups.setdefault(find(x), []).append(x)
+    return sorted((tuple(sorted(v)) for v in groups.values()), key=lambda t: t[0])
+
+
+def reference_is_homomorphism(f, src, dst):
+    f = tuple(f)
+    if len(f) != src.order or any(not 0 <= v < dst.order for v in f):
+        return False
+    return all(
+        f[src.apply(a, b)] == dst.apply(f[a], f[b])
+        for a in range(src.order)
+        for b in range(src.order)
+    )
+
+
+def reference_is_covering(f, src, dst):
+    f = tuple(f)
+    if not reference_is_homomorphism(f, src, dst):
+        return False
+    if set(f) != set(range(dst.order)):
+        raise NotSurjective(f"image has {len(set(f))} of {dst.order} elements")
+    fibers = {}
+    for x, v in enumerate(f):
+        fibers.setdefault(v, []).append(x)
+
+    def column(y):
+        return tuple(src.apply(x, y) for x in range(src.order))
+
+    for members in fibers.values():
+        first = column(members[0])
+        if any(column(m) != first for m in members[1:]):
+            return False
+    return True
+
+
+def covering_outcome(check, f, src, dst):
+    try:
+        return check(f, src, dst)
+    except NotSurjective as exc:
+        return str(exc)
+
+
+def assert_morphism_checks_agree(f, src, dst):
+    assert is_homomorphism(f, src, dst) == reference_is_homomorphism(f, src, dst)
+    assert covering_outcome(is_covering, f, src, dst) == covering_outcome(
+        reference_is_covering, f, src, dst
+    )
+
+
+def relabeled(q, rng):
+    """q with element x renamed sigma(x), and sigma."""
+    sigma = np.array(rng.sample(range(q.order), q.order))
+    table = np.empty_like(q.array)
+    table[sigma[:, None], sigma[None, :]] = sigma[q.array]
+    return validate(table), sigma.tolist()
+
+
+# the four tables of the benchmark's `tables` workload; COMPANION is the
+# companion matrix of x^8 + x^4 + x^3 + x^2 + 1, primitive over F_2
+_LOW = [1, 0, 1, 1, 1, 0, 0, 0]
+COMPANION = [[int(i == j + 1) for j in range(7)] + [_LOW[i]] for i in range(8)]
+TABLE_INPUTS = {
+    "symplectic-g2-q3": lambda: families.symplectic(2, 3),
+    "alexander-2e8-primitive": lambda: families.alexander(
+        families.AlexanderModuleSpec((2,) * 8, COMPANION)
+    ),
+    "spherical-n3-q5": lambda: families.spherical(3, 5),
+    "dihedral-n200": lambda: families.dihedral(200),
+}
+
+
+class TestArrayChecksAgainstReferences:
+    def test_orbits_of_every_catalogue_entry(self):
+        from quandles.grid import standard_grid
+
+        for entry in standard_grid():
+            q = entry.build()
+            assert q.orbits() == reference_orbits(q), entry.key
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_orbits_along_one_long_cycle(self, n):
+        # n points acted on by an n-cycle through one more point; hooking only
+        # each x to its neighbours' labels would need about n rounds here
+        q = validate([[x] * n + [(x + 1) % n] for x in range(n)] + [[n] * (n + 1)])
+        assert q.orbits() == reference_orbits(q) == [tuple(range(n)), (n,)]
+
+    @pytest.mark.parametrize("name", TABLE_INPUTS)
+    def test_relabeled_tables(self, name):
+        q = TABLE_INPUTS[name]()
+        r, sigma = relabeled(q, random.Random(q.order))
+        assert r.orbits() == reference_orbits(r)
+        assert len(r.orbits()) == len(q.orbits())
+        assert is_covering(sigma, q, r)
+        swapped = list(sigma)
+        swapped[0], swapped[-1] = swapped[-1], swapped[0]
+        for f in (sigma, swapped, [0] * q.order):
+            assert_morphism_checks_agree(f, q, r)
+
+    @pytest.mark.parametrize(
+        "orders,t",
+        [((2, 2), [[0, 1], [1, 1]]), ((3, 3), -1), ((3, 3, 3), -1)],
+        ids=["FIB", "NEG33", "3,3,3:t-1"],
+    )
+    def test_coverings_and_broken_projections(self, orders, t):
+        from quandles.coverings import universal_covering_alexander
+
+        spec = (
+            families.AlexanderModuleSpec.scalar(orders, t)
+            if isinstance(t, int)
+            else families.AlexanderModuleSpec(orders, t)
+        )
+        inst = universal_covering_alexander(spec)
+        total, base, p = inst.total, inst.base, list(inst.projection)
+        assert total.orbits() == reference_orbits(total)
+        other = next(i for i, v in enumerate(p) if v != p[0])
+        swapped = list(p)
+        swapped[0], swapped[other] = p[other], p[0]
+        # projections of two elements of one fiber swapped: still a covering
+        same = next(i for i, v in enumerate(p) if i and v == p[0])
+        within = list(p)
+        within[0], within[same] = p[same], p[0]
+        for f in (p, swapped, within, [0] * total.order, [p[0]] * total.order):
+            assert_morphism_checks_agree(f, total, base)
+        single = families.trivial(1)
+        assert_morphism_checks_agree([0] * total.order, total, single)
 
 
 class TestInvariantPlumbing:

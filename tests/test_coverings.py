@@ -5,6 +5,8 @@ predicates, frozen sizes (total order = base order x presentation-cokernel
 order), and transport of type/connectivity/homology along the projection.
 """
 
+import dataclasses
+
 import pytest
 
 from quandles import families
@@ -16,12 +18,21 @@ from quandles.coverings import (
     universal_covering_alexander,
 )
 from quandles.families import AlexanderModuleSpec
+from quandles.grid import grid_by_key, parse_family, standard_grid
 from quandles.homology import quandle_h2
 from quandles.report import ReportDocument
 
 
 FIB = AlexanderModuleSpec((2, 2), [[0, 1], [1, 1]])  # order 4, type 3
 NEG33 = AlexanderModuleSpec.scalar((3, 3), -1)  # order 9, type 2
+
+# the base of every covering:* catalogue row (written with the keys of an
+# alexander row), then the bases the benchmark's adjoint workload covers
+COVERING_SPECS = [
+    parse_family(["alexander", *e.family_spec.split()[1:]]).alexander_spec
+    for e in standard_grid()
+    if e.kind == "covering"
+] + [grid_by_key()[f"alexander:{k}"].alexander_spec for k in ("5,5:t-1", "3,3:t-1", "3,3:rot")]
 
 
 class TestConstruction:
@@ -80,6 +91,33 @@ class TestProperties:
         assert quandle_h2(families.alexander(NEG33)).torsion == (3,)
         inst = universal_covering_alexander(NEG33)
         assert quandle_h2(inst.total).torsion == ()
+
+    @pytest.mark.parametrize("broken", ["swapped", "constant"])
+    def test_broken_projection_is_a_fail_entry(self, broken):
+        inst = universal_covering_alexander(FIB)
+        p = list(inst.projection)
+        if broken == "swapped":
+            other = next(i for i, v in enumerate(p) if v != p[0])
+            p[0], p[other] = p[other], p[0]
+        else:
+            p = [0] * len(p)  # misses every other base element
+        doc = ReportDocument("covering", "0")
+        covering_properties(dataclasses.replace(inst, projection=tuple(p)), doc, cap=None)
+        status = {e.check_id: e.status for e in doc.entries}
+        assert status["projection_covering"] == "fail"
+
+    def test_wrong_fiber_size_is_a_fail_entry(self):
+        inst = universal_covering_alexander(NEG33)
+        doc = ReportDocument("covering", "0")
+        covering_properties(dataclasses.replace(inst, fiber_size=1), doc, cap=1)
+        assert [e.status for e in doc.entries if e.check_id == "projection_covering"] == ["fail"]
+
+    @pytest.mark.parametrize("spec", COVERING_SPECS, ids=str)
+    def test_catalogue_and_bench_coverings_pass(self, spec):
+        inst = universal_covering_alexander(spec)
+        doc = ReportDocument("covering", "0")
+        covering_properties(inst, doc, cap=1)  # the cap skips only the homology checks
+        assert [e.status for e in doc.entries if e.check_id == "projection_covering"] == ["pass"]
 
     def test_size_cap_skips(self):
         inst = universal_covering_alexander(FIB)

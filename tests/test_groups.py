@@ -4,8 +4,11 @@ Oracles: hand-checked structure of the standard small groups (orders of
 centers, commutators, element orders).
 """
 
+import re
+
 import pytest
 
+from quandles import groups
 from quandles.groups import (
     GroupTable,
     InvalidGroupTable,
@@ -51,6 +54,122 @@ def test_named_groups_are_groups(name, order):
     assert g.order == order
     assert parse_group_name(name)[0] == order  # read from the name, no table built
     assert_group_axioms(g)
+
+
+def reference_group_error(table):
+    """The first failure of the per-cell checks GroupTable ran before it
+    checked its array, as the message it raised; None for a group."""
+    n = len(table)
+    if n == 0:
+        return "a group needs at least its identity 0"
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return f"row {i} has length {len(row)}"
+        if sorted(row) != list(range(n)):
+            return f"row {i} is not a permutation"
+    for j in range(n):
+        if sorted(table[i][j] for i in range(n)) != list(range(n)):
+            return f"column {j} is not a permutation"
+    for i in range(n):
+        if table[0][i] != i or table[i][0] != i:
+            return "element 0 is not an identity"
+    for i in range(n):
+        inv = next((j for j in range(n) if table[i][j] == 0), None)
+        if inv is None or table[inv][i] != 0:
+            return f"element {i} has no two-sided inverse"
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    return f"associativity fails at ({a}, {b}, {c})"
+    return None
+
+
+def corruptions(g: GroupTable):
+    """Tables one step away from g's: every cell set to every other value in
+    -1..n, every two cells of a row swapped, every two columns swapped, and
+    every intercalate (a 2 x 2 subsquare holding two values crosswise)
+    flipped."""
+    n, rows = g.order, [list(r) for r in g.table]
+    for i in range(n):
+        for j in range(n):
+            for v in range(-1, n + 1):
+                if v != rows[i][j]:
+                    t = [list(r) for r in rows]
+                    t[i][j] = v
+                    yield t
+    for i in range(n):
+        for j in range(n):
+            for k in range(j + 1, n):
+                t = [list(r) for r in rows]
+                t[i][j], t[i][k] = rows[i][k], rows[i][j]
+                yield t
+    for j in range(n):
+        for k in range(j + 1, n):
+            yield [r[:j] + [r[k]] + r[j + 1 : k] + [r[j]] + r[k + 1 :] for r in rows]
+    for i in range(n):
+        for i2 in range(i + 1, n):
+            for j in range(n):
+                for j2 in range(j + 1, n):
+                    a, b = rows[i][j], rows[i][j2]
+                    if rows[i2][j] == b and rows[i2][j2] == a:
+                        t = [list(r) for r in rows]
+                        t[i][j], t[i][j2], t[i2][j], t[i2][j2] = b, a, a, b
+                        yield t
+
+
+ALL_KINDS = {"row", "column", "element 0", "inverse", "assoc"}
+
+
+@pytest.mark.parametrize(
+    "build,reached",
+    [
+        (lambda: cyclic(6), ALL_KINDS),
+        (lambda: symmetric_group(3), ALL_KINDS),
+        (quaternion8, ALL_KINDS - {"inverse"}),  # no flip leaves a one-sided inverse
+    ],
+    ids=["cyclic6", "sym3", "quaternion8"],
+)
+def test_array_check_matches_the_per_cell_reference(build, reached):
+    kinds = set()
+    for table in corruptions(build()):
+        expected = reference_group_error(table)
+        if expected is None:
+            assert GroupTable(table).table == tuple(map(tuple, table))
+            continue
+        with pytest.raises(InvalidGroupTable) as exc:
+            GroupTable(table)
+        assert str(exc.value) == expected
+        kinds.add(next(k for k in ALL_KINDS if k in expected))
+    assert kinds == reached
+
+
+def test_associativity_blocks_keep_the_first_failure(monkeypatch):
+    # two a-rows per block, so the six rows of cyclic(6) span three blocks
+    monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_CELLS", 2 * 6 * 6)
+    failures = 0
+    for table in corruptions(cyclic(6)):
+        expected = reference_group_error(table)
+        if expected and expected.startswith("associativity"):
+            failures += 1
+            with pytest.raises(InvalidGroupTable, match=rf"^{re.escape(expected)}$"):
+                GroupTable(table)
+    assert failures
+
+
+@pytest.mark.parametrize(
+    "table,message",
+    [
+        ([[0, 1], [1]], "row 1 has length 1"),
+        ([[0, 5], [1]], "row 0 is not a permutation"),  # before the short row
+        ([[0, 1], [1, 0, 1]], "row 1 has length 3"),
+    ],
+)
+def test_malformed_rows(table, message):
+    assert reference_group_error(table) == message
+    with pytest.raises(InvalidGroupTable, match=f"^{message}$"):
+        GroupTable(table)
 
 
 def test_unknown_name():

@@ -32,7 +32,7 @@ from quandles.homology import (
     quandle_h2,
     rack_h2,
 )
-from quandles.intlin import AbelianGroupInvariants, SparseIntMatrix
+from quandles.intlin import AbelianGroupInvariants, SparseIntMatrix, cokernel
 
 
 def Z(rank=0, *torsion):
@@ -201,6 +201,19 @@ class TestAbelianization:
         q = make()
         assert adjoint_abelianization(q) == Z(rank)
         assert len(q.orbits()) == rank
+
+    @pytest.mark.parametrize("key", [e.key for e in standard_grid()])
+    def test_matches_the_per_cell_matrix(self, key):
+        # the loop that filled the relation matrix one cell at a time
+        q = grid_by_key()[key].build()
+        n = q.order
+        m = SparseIntMatrix(n, n * n)
+        for x in range(n):
+            for y in range(n):
+                if q.apply(x, y) != x:
+                    m.add(q.apply(x, y), x * n + y, 1)
+                    m.add(x, x * n + y, -1)
+        assert adjoint_abelianization(q) == cokernel(m) == Z(len(q.orbits()))
 
 
 class TestCaps:
