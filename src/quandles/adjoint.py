@@ -15,13 +15,14 @@ AlexanderModuleSpec and a is the mixed-radix code of a coker(mu) class
 over its invariant factors, first coordinate least significant.  The
 module coordinates and T as a permutation of indices come from the spec;
 from them the model tabulates T^m, module addition, negation and (1 - T),
-the classes [x (x) y] and coker addition once, so that products, inverses
-and the action are a few list lookups.  [x (x) y] is bilinear, so its
-table is read off the k x k classes [e_i (x) e_j].
-
-The checks of the model are its methods (verify, kernel, central_power,
-stabilizer_h2), so that a caller builds one model and runs them all on
-it; the quandle table they read is built once per model too.
+the classes [x (x) y] and coker addition and negation once, as read-only
+int64 arrays.  [x (x) y] is bilinear, so its table is read off the k x k
+classes [e_i (x) e_j].  mul_array, inv_array and act_array compute on
+arrays of elements, and the checks of the model (verify, kernel,
+central_power, stabilizer_h2) read them; the scalar mul, which the
+homotopy verifier calls one pair at a time, reads list views of the same
+tables.  A caller builds one model and runs all its checks on it; the
+quandle table they read is built once per model too.
 
 This module also provides the (non-homogeneous) bar complex of a group,
 the chain maps c_k from the rack complex into it, the explicit homotopies
@@ -80,12 +81,12 @@ class ClauwensElement(NamedTuple):
 
 
 # builds a ClauwensElement from a 3-tuple without the keyword-argument
-# wrapper of NamedTuple.__new__ (the hot path of mul and inv)
+# wrapper of NamedTuple.__new__ (the hot path of mul)
 _new_tuple = tuple.__new__
 
 
-def _sum_codes(digits: np.ndarray, radices) -> list[int]:
-    """Entry i * n + j is the code of digit row i plus digit row j.
+def _sum_codes(digits: np.ndarray, radices) -> np.ndarray:
+    """Entry (i, j) is the code of digit row i plus digit row j.
 
     The n x n table is accumulated one coordinate at a time, so the
     temporaries stay n x n whatever the number of coordinates.
@@ -96,7 +97,24 @@ def _sum_codes(digits: np.ndarray, radices) -> list[int]:
     for col, d in zip(digits.T, radices):
         out += (col[:, None] + col[None, :]) % d * place
         place *= d
-    return out.ravel().tolist()
+    return out
+
+
+def _list_view(table: np.ndarray) -> list:
+    """table as lists sharing one int object per value (tolist() makes one
+    per entry above 256), so that a list view costs a pointer per cell."""
+    return np.arange(int(table.max()) + 1, dtype=object)[table].tolist()
+
+
+def _equal(g, h) -> np.ndarray:
+    """Where the elements g and h, triples (n, x, alpha) of arrays, agree."""
+    return (g[0] == h[0]) & (g[1] == h[1]) & (g[2] == h[2])
+
+
+# cells per block of the n x n gathers in verify and in the covering table
+BLOCK_CELLS = 1 << 18
+# verify checks inverses and associativity on e_0 .. e_5 and e_0^-1
+_SAMPLE = 6
 
 
 class ClauwensGroup:
@@ -134,28 +152,35 @@ class ClauwensGroup:
 
         n = self._size = spec.size
         coords = spec.coord_rows
-        # _t_pow[m][v] is the index of T^m v, for 0 <= m < type
         self.type = spec.t_order()
-        powers = [np.arange(n)]
-        for _ in range(1, self.type):
-            powers.append(spec.t_perm[powers[-1]])
-        self._t_pow = [p.tolist() for p in powers]
-        self._add = _sum_codes(coords, orders)
-        self._neg = codes(-coords, orders).tolist()
-        self._one_minus_t = codes(coords - spec.t_rows, orders).tolist()
+        # t_pow[m, v] is the index of T^m v, for 0 <= m < type
+        self.t_pow = np.empty((self.type, n), dtype=np.int64)
+        self.t_pow[0] = np.arange(n)
+        for m in range(1, self.type):
+            self.t_pow[m] = spec.t_perm[self.t_pow[m - 1]]
+        self.add_table = _sum_codes(coords, orders)
+        self.neg_table = codes(-coords, orders)
+        self.one_minus_t = codes(coords - spec.t_rows, orders)
         # coordinate p of [x (x) y] is x^T B_p y, where B_p[i][j] is
         # coordinate p of the class [e_i (x) e_j]: row p of U at i*k + j
-        tensor = np.zeros((n, n), dtype=np.int64)
+        self.tensor = np.zeros((n, n), dtype=np.int64)
         place = 1
         for pos, d in zip(positions, invariants):
             b = np.array([v % d for v in U[pos]], dtype=np.int64).reshape(k, k)
-            tensor += (coords @ b @ coords.T) % d * place
+            self.tensor += (coords @ b @ coords.T) % d * place
             place *= d
-        self._tensor = tensor.ravel().tolist()
-        self._invariants = invariants
-        alphas = digit_rows(self.coker_order, invariants)
-        self._coker_add = _sum_codes(alphas, invariants)
-        self._coker_neg = codes(-alphas, invariants).tolist()
+        # row a of alpha_rows holds the coker(mu) coordinates of code a
+        self.alpha_rows = digit_rows(self.coker_order, invariants)
+        self.coker_add = _sum_codes(self.alpha_rows, invariants)
+        self.coker_neg = codes(-self.alpha_rows, invariants)
+        for table in (self.t_pow, self.add_table, self.neg_table, self.one_minus_t,
+                      self.tensor, self.alpha_rows, self.coker_add, self.coker_neg):
+            table.setflags(write=False)
+        # the list views that mul reads
+        self._t_pow = _list_view(self.t_pow)
+        self._add = _list_view(self.add_table.ravel())
+        self._tensor = _list_view(self.tensor.ravel())
+        self._coker_add = _list_view(self.coker_add.ravel())
         # the table behind `quandle`; not a functools.cached_property, which
         # writes through the instance __dict__ and so, on CPython 3.11, makes
         # every attribute read in mul slower (mul took about 1.4x as long)
@@ -170,11 +195,7 @@ class ClauwensGroup:
 
     def alpha_coords(self, alpha: int) -> tuple[int, ...]:
         """The coker(mu) coordinates of a class code."""
-        out = []
-        for d in self._invariants:
-            out.append(alpha % d)
-            alpha //= d
-        return tuple(out)
+        return tuple(self.alpha_rows[alpha].tolist())
 
     # -- group operations -----------------------------------------------------
 
@@ -191,101 +212,94 @@ class ClauwensGroup:
         alpha = add[add[a * c + b] * c + self._tensor[i]]
         return _new_tuple(ClauwensElement, (n + m, self._add[i], alpha))
 
-    def inv(self, g: ClauwensElement) -> ClauwensElement:
+    def mul_array(self, g, h):
+        """mul on elements given as triples (n, x, alpha) of ints or int
+        arrays, broadcast against each other."""
         n, x, a = g
-        tx = self._t_pow[-n % self.type][x]
-        y = self._neg[tx]
-        beta = self._coker_add[a * self.coker_order + self._tensor[tx * self._size + y]]
-        return _new_tuple(ClauwensElement, (-n, y, self._coker_neg[beta]))
+        m, y, b = h
+        tx = self.t_pow[m % self.type, x]
+        alpha = self.coker_add[self.coker_add[a, b], self.tensor[tx, y]]
+        return n + m, self.add_table[tx, y], alpha
 
-    def power(self, g: ClauwensElement, m: int) -> ClauwensElement:
-        if m < 0:
-            return self.power(self.inv(g), -m)
-        acc = self.identity
-        for _ in range(m):
-            acc = self.mul(acc, g)
-        return acc
+    def inv_array(self, g):
+        n, x, a = g
+        tx = self.t_pow[-n % self.type, x]
+        y = self.neg_table[tx]
+        return -n, y, self.coker_neg[self.coker_add[a, self.tensor[tx, y]]]
+
+    def act_array(self, v, g):
+        """The right action v . (n, x, a) = T^n v + (1 - T) x, on arrays."""
+        n, x, _ = g
+        return self.add_table[self.t_pow[n % self.type, v], self.one_minus_t[x]]
+
+    def inv(self, g: ClauwensElement) -> ClauwensElement:
+        return ClauwensElement(*map(int, self.inv_array(g)))
+
+    def act_index(self, v_index: int, g: ClauwensElement) -> int:
+        return int(self.act_array(v_index, g))
 
     def epsilon(self, g: ClauwensElement) -> int:
         """Total exponent: the sum of generator exponents."""
         return g.n
 
-    def act_index(self, v_index: int, g: ClauwensElement) -> int:
-        """Right action on the quandle: v . (n, x, a) = T^n v + (1 - T) x."""
-        tv = self._t_pow[g.n % self.type][v_index]
-        return self._add[tv * self._size + self._one_minus_t[g.x]]
-
-    def acts_trivially(self, g: ClauwensElement) -> bool:
-        return all(self.act_index(v, g) == v for v in self.spec.elements())
-
-    def kernel_slice(self):
-        """All elements (0, x, alpha) --- the epsilon = 0, n = 0 slice."""
-        for x_index in self.spec.elements():
-            for alpha in range(self.coker_order):
-                yield ClauwensElement(0, x_index, alpha)
-
-    def verify(self, sample_limit: int = 6):
-        """Construction checks: defining relations, action compatibility,
-        associativity and inverses on a deterministic sample."""
-        n = self.spec.size
-        quandle = self.quandle
-        for x in range(n):
-            for y in range(n):
-                lhs = self.e(quandle.apply(x, y))
-                ey = self.e(y)
-                rhs = self.mul(self.mul(self.inv(ey), self.e(x)), ey)
-                if lhs != rhs:
-                    raise AssertionError(f"relation fails at ({x}, {y})")
-                if self.act_index(x, ey) != quandle.apply(x, y):
-                    raise AssertionError(f"action mismatch at ({x}, {y})")
-        gens = [self.e(x) for x in range(min(n, sample_limit))]
-        gens.append(self.inv(self.e(0)))
-        for a in gens:
-            b = self.inv(a)
-            if self.mul(a, b) != self.identity or self.mul(b, a) != self.identity:
-                raise AssertionError("inverse fails")
-            for c in gens:
-                for d in gens:
-                    if self.mul(self.mul(a, c), d) != self.mul(a, self.mul(c, d)):
-                        raise AssertionError("associativity fails")
+    def verify(self):
+        """Construction checks: e(x <| y) = e(y)^-1 e(x) e(y) and x . e(y) =
+        x <| y on every pair, in blocks of rows x, reporting the first
+        failing pair in row-major order; then inverses and associativity on
+        e_0 .. e_5, e_0^-1."""
+        n = self._size
+        quandle = self.quandle.array
+        ys = np.arange(n)
+        e_y = (1, ys, 0)
+        inv_e_y = self.inv_array(e_y)
+        step = max(1, BLOCK_CELLS // n)
+        for x0 in range(0, n, step):
+            xs, expected = ys[x0 : x0 + step, None], quandle[x0 : x0 + step]
+            # both sides have exponent 1 by construction
+            _, x_part, alpha = self.mul_array(self.mul_array(inv_e_y, (1, xs, 0)), e_y)
+            relation = (x_part != expected) | (alpha != 0)
+            bad = relation | (self.act_array(xs, e_y) != expected)
+            if bad.any():
+                x, y = divmod(int(np.argmax(bad)), n)
+                kind = "relation fails" if relation[x, y] else "action mismatch"
+                raise AssertionError(f"{kind} at ({x0 + x}, {y})")
+        sample = [self.e(x) for x in range(min(n, _SAMPLE))] + [self.inv(self.e(0))]
+        f, g, h = (tuple(np.reshape(v, shape) for v in zip(*sample))
+                   for shape in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
+        f_inv = self.inv_array(f)
+        inverse = (_equal(self.mul_array(f, f_inv), self.identity)
+                   & _equal(self.mul_array(f_inv, f), self.identity))
+        associative = _equal(self.mul_array(self.mul_array(f, g), h),
+                             self.mul_array(f, self.mul_array(g, h)))
+        # the first sample element failing either, its inverse checked first
+        bad = np.flatnonzero(~(inverse.ravel() & associative.all(axis=(1, 2))))
+        if bad.size:
+            raise AssertionError("associativity fails" if inverse.flat[bad[0]] else "inverse fails")
         return True
 
     def kernel(self) -> tuple[int, AbelianGroupInvariants]:
         """Kernel of the action on the quandle: type * Z  x  coker(mu).
 
-        Enumerates the kernel elements with |exponent| <= 2 * type and
-        certifies they are exactly { (m, 0, alpha) : type | m }.  Returns
-        (type, coker invariants).
+        Certifies that the kernel elements with |exponent| <= 2 * type are
+        exactly { (m, 0, alpha) : type | m }: (m, x, alpha) sends 0 to
+        (1 - T) x, so it can act trivially only if (1 - T) x = 0, and then
+        does iff row m mod type of the T^m table is the identity.
         """
-        t = self.type
-        found = []
-        for m in range(-2 * t, 2 * t + 1):
-            for x_index in self.spec.elements():
-                for alpha in range(self.coker_order):
-                    g = ClauwensElement(m, x_index, alpha)
-                    if self.acts_trivially(g):
-                        found.append(g)
-        expected = {
-            (m, 0, alpha)
-            for m in range(-2 * t, 2 * t + 1)
-            if m % t == 0
-            for alpha in range(self.coker_order)
-        }
-        if set(found) != expected:
+        fixed_x = np.flatnonzero(self.one_minus_t == 0).tolist()
+        rows = (self.add_table[self.t_pow, 0] == np.arange(self._size)).all(axis=1)
+        if fixed_x != [0] or np.flatnonzero(rows).tolist() != [0]:
             raise AssertionError("action kernel does not have the product shape")
-        positives = sorted(g.n for g in found if g.n > 0)
-        if not positives or positives[0] != t:
-            raise AssertionError("least positive kernel exponent is not the type")
-        return t, self.coker_invariants
+        return self.type, self.coker_invariants
 
     def central_power(self) -> bool:
         """e_x^t is one central element independent of x (t the quandle type)."""
-        elements = self.spec.elements()
-        powers = {self.power(self.e(x), self.type) for x in elements}
-        if len(powers) != 1:
-            return False
-        z = next(iter(powers))
-        return all(self.mul(z, self.e(y)) == self.mul(self.e(y), z) for y in elements)
+        e_x = (1, np.arange(self._size), 0)
+        power = (0, 0, 0)
+        for _ in range(self.type):
+            power = self.mul_array(power, e_x)
+        z = (power[0], power[1][0], power[2][0])
+        central = _equal(self.mul_array(z, e_x), self.mul_array(e_x, z))
+        return bool(_equal(power, z).all() and central.all())
 
     def stabilizer_h2(self) -> AbelianGroupInvariants:
         """H_2 of the quandle from the stabilizer side of the model.
@@ -294,16 +308,15 @@ class ClauwensGroup:
         the slice {(0, 0, alpha)}; its invariants as an abstract abelian
         group are the second quandle homology.
         """
-        base = 0
-        members = [g for g in self.kernel_slice() if self.act_index(base, g) == base]
-        expected = {ClauwensElement(0, 0, a) for a in range(self.coker_order)}
-        if set(members) != expected:
+        # the action ignores alpha, so the slice is read off x
+        fixing = self.act_array(0, (0, np.arange(self._size), 0)) == 0
+        alphas = np.arange(self.coker_order)
+        _, x, table = self.mul_array((0, 0, alphas[:, None]), (0, 0, alphas))
+        if np.flatnonzero(fixing).tolist() != [0] or x != 0:
             raise AssertionError("stabilizer slice is not {(0, 0, alpha)}")
-        for a in members:
-            for b in members:
-                if self.mul(a, b) != self.mul(b, a):
-                    raise AssertionError("stabilizer slice is not abelian")
-        return _abelian_invariants_from_mul(members, self.mul)
+        if (table != table.T).any():
+            raise AssertionError("stabilizer slice is not abelian")
+        return _abelian_invariants(table)
 
 
 def clauwens_group(spec: AlexanderModuleSpec) -> ClauwensGroup:
@@ -323,25 +336,16 @@ def central_power_check(spec: AlexanderModuleSpec) -> bool:
     return ClauwensGroup(spec).central_power()
 
 
-def _abelian_invariants_from_mul(elements, mul) -> AbelianGroupInvariants:
-    """Invariant factors of a finite abelian group given by multiplication.
-
-    Presents the group on all its elements with one relation per product
-    and reads the abelianization off the Smith form; for abelian groups
-    this is the group itself.
-    """
-    elems = list(elements)
-    index = {g: i for i, g in enumerate(elems)}
-    n = len(elems)
+def _abelian_invariants(table: np.ndarray) -> AbelianGroupInvariants:
+    """Invariant factors of a finite abelian group given by its product
+    table on 0 .. n-1: the group presented on all its elements with one
+    relation per product, read off the Smith form."""
+    n = len(table)
     m = SparseIntMatrix(n, n * n)
-    col = 0
-    for a in elems:
-        for b in elems:
-            c = mul(a, b)
-            m.add(index[a], col, 1)
-            m.add(index[b], col, 1)
-            m.add(index[c], col, -1)
-            col += 1
+    for col, (a, b) in enumerate(product(range(n), repeat=2)):
+        m.add(a, col, 1)
+        m.add(b, col, 1)
+        m.add(int(table[a, b]), col, -1)
     inv = cokernel(m)
     if inv.free_rank != 0:
         raise AssertionError("finite group with free abelianization")
@@ -363,10 +367,6 @@ class BarChain:
 
     degree: int
     terms: dict
-
-    @classmethod
-    def zero(cls, degree: int) -> "BarChain":
-        return cls(degree, {})
 
     def add_term(self, tup, coeff: int):
         if len(tup) != self.degree:
@@ -390,18 +390,11 @@ class BarChain:
 
     def scale(self, k: int) -> "BarChain":
         if k == 0:
-            return BarChain.zero(self.degree)
+            return BarChain(self.degree, {})
         return BarChain(self.degree, {t: k * c for t, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BarChain)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         return f"BarChain(degree={self.degree}, terms={len(self.terms)})"

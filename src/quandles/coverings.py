@@ -8,7 +8,9 @@ adjoint group carries a quandle operation
 and g -> a . g is a covering onto X --- a surjection where elements with
 equal images induce identical right translations.  For Alexander quandles
 the adjoint model makes this kernel finite and explicit, so the whole
-total space can be tabulated: it has |X| * |coker(mu)| elements.
+total space can be tabulated: it has |X| * |coker(mu)| elements.  The
+table and the projection are gathers through the model's array product
+and action, not one scalar product per cell.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .adjoint import ClauwensGroup
+import numpy as np
+
+from .adjoint import BLOCK_CELLS, ClauwensGroup
 from .core import FiniteQuandle, NotSurjective, dump_table, is_covering, validate
 from .families import AlexanderModuleSpec
 from .homology import SizeCap, effective_cap, quandle_h2
@@ -46,37 +50,40 @@ def universal_covering_alexander(
 ) -> CoveringInstance:
     """Tabulate the universal covering of a connected Alexander quandle.
 
-    The total space is the exponent-zero slice {(0, x, alpha)} of the
-    adjoint model with the quoted operation; the projection sends g to
-    the image of the base point under g.  That it is a covering with fibers
-    of cokernel size is checked once, by `covering_properties`.
+    The total space is the exponent-zero slice of the adjoint model with
+    the quoted operation, element i = x * |coker| + alpha being (0, x,
+    alpha), tabulated in blocks of rows by the model's array product; the
+    projection sends g to the image of the base point under g.  That it is
+    a covering with fibers of cokernel size is checked once, by
+    `covering_properties`.
     """
     model = ClauwensGroup(spec)
-    size = spec.size * model.coker_order
+    fiber = model.coker_order
+    size = spec.size * fiber
     limit = effective_cap(cap)
     if size * size > limit:
         raise SizeCap(size * size, limit)
-    elements = list(model.kernel_slice())
-    index = {g: i for i, g in enumerate(elements)}
-    e_a = model.e(base_point)
-    inv_ea = model.inv(e_a)
+    elements = (0, *np.divmod(np.arange(size), fiber))
+    e_a = (1, base_point, 0)
     # g <| h = e_a^-1 (g (h^-1 e_a h)), with h^-1 e_a h computed once per h
-    conj = [model.mul(model.inv(h), model.mul(e_a, h)) for h in elements]
-    table = [[index[model.mul(inv_ea, model.mul(g, c))] for c in conj] for g in elements]
-    labels = [
-        "({};{})".format(
-            ",".join(map(str, spec.coords(g.x))), ",".join(map(str, model.alpha_coords(g.alpha)))
-        )
-        for g in elements
-    ]
+    conj = model.mul_array(model.inv_array(elements), model.mul_array(e_a, elements))
+    table = np.empty((size, size), dtype=np.int64)
+    step = max(1, BLOCK_CELLS // size)
+    for g0 in range(0, size, step):
+        g = tuple(v[g0 : g0 + step, None] for v in elements[1:])
+        _, x, alpha = model.mul_array(model.inv_array(e_a), model.mul_array((0, *g), conj))
+        table[g0 : g0 + step] = x * fiber + alpha
+    x_labels = [",".join(map(str, row)) for row in spec.coord_rows.tolist()]
+    alpha_labels = [",".join(map(str, row)) for row in model.alpha_rows.tolist()]
+    labels = [f"({x};{a})" for x in x_labels for a in alpha_labels]
     total = validate(table, labels)
     return CoveringInstance(
         base=model.quandle,
         total=total,
-        projection=tuple(model.act_index(base_point, g) for g in elements),
+        projection=tuple(model.act_array(base_point, elements).tolist()),
         base_point=base_point,
         spec=spec,
-        fiber_size=model.coker_order,
+        fiber_size=fiber,
     )
 
 
@@ -133,20 +140,16 @@ def covering_properties(
 def export_covering(inst: CoveringInstance, directory: str) -> list[str]:
     """Write base table, total table and projection map; return the paths."""
     os.makedirs(directory, exist_ok=True)
-    paths = []
-    base_path = os.path.join(directory, "base.quandle")
-    with open(base_path, "w", encoding="utf-8") as fh:
-        fh.write(dump_table(inst.base, comment="covering base"))
-    paths.append(base_path)
-    total_path = os.path.join(directory, "total.quandle")
-    with open(total_path, "w", encoding="utf-8") as fh:
-        fh.write(dump_table(inst.total, comment="covering total space"))
-    paths.append(total_path)
-    proj_path = os.path.join(directory, "projection.map")
-    with open(proj_path, "w", encoding="utf-8") as fh:
-        fh.write("# projection: total element index -> base element index\n")
-        fh.write(f"{inst.total.order} {inst.base.order}\n")
-        for i, v in enumerate(inst.projection):
-            fh.write(f"{i} {v}\n")
-    paths.append(proj_path)
+    projection = [f"{inst.total.order} {inst.base.order}\n"]
+    projection += [f"{i} {v}\n" for i, v in enumerate(inst.projection)]
+    files = {
+        "base.quandle": dump_table(inst.base, comment="covering base"),
+        "total.quandle": dump_table(inst.total, comment="covering total space"),
+        "projection.map": "# projection: total element index -> base element index\n"
+        + "".join(projection),
+    }
+    paths = [os.path.join(directory, name) for name in files]
+    for path, text in zip(paths, files.values()):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return paths

@@ -124,11 +124,11 @@ def from_permutations(degree: int, gens, name=None, limit=TABLE_LIMIT) -> GroupT
     """
     group = perms.PermGroup(degree, gens)
     elems = group.elements(limit=limit)
-    index = {p: i for i, p in enumerate(elems)}
-    table = [
-        [index[perms.compose(p, q)] for q in elems]
-        for p in elems
-    ]
+    # row p composes p with every element q, whose images q[p[i]] are the
+    # rows of images[:, p]; each row finds its index by its bytes
+    images = np.array(elems, dtype=np.int32).reshape(len(elems), degree)
+    index = {row.tobytes(): i for i, row in enumerate(images)}
+    table = [[index[row.tobytes()] for row in images[:, p]] for p in images]
     labels = [perms.format_perm(p) for p in elems]
     return GroupTable(table, labels=labels, name=name)
 

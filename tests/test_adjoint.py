@@ -8,20 +8,24 @@ Oracles:
 - classical Schur multipliers of small groups,
 - mutation checks: corrupted homotopies must be caught,
 - the model's product, inverse and action against the defining formula on
-  coordinate tuples, with an independent coker(mu) reduction.
+  coordinate tuples, with an independent coker(mu) reduction,
+- the element-at-a-time verify, kernel and central-power checks against
+  the array ones, on correct models and on models with one corrupted cell.
 """
 
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandles import families
+from quandles import adjoint, families
 from quandles.adjoint import (
     BAR_GROUP_CAP,
     BarChain,
@@ -67,7 +71,8 @@ class TestModelArithmetic:
         e0 = model.e(0)
         assert model.epsilon(e0) == 1
         assert model.mul(e0, model.inv(e0)) == model.identity
-        assert model.power(e0, 3) == model.mul(e0, model.mul(e0, e0))
+        cube = tuple(map(int, model.mul_array(model.mul_array(e0, e0), e0)))
+        assert cube == model.mul(e0, model.mul(e0, e0))
 
     def test_epsilon_is_additive(self):
         spec = AlexanderModuleSpec.scalar((5,), 2)
@@ -108,7 +113,9 @@ class TestModelArithmetic:
             "from quandles.families import AlexanderModuleSpec\n"
             "low = [1, 0, 0, 1, 0, 0, 0, 0, 0, 0]  # x^10 + x^3 + 1\n"
             "t = [[int(i == j + 1) for j in range(9)] + [low[i]] for i in range(10)]\n"
-            "assert ClauwensGroup(AlexanderModuleSpec((2,) * 10, t)).type == 1023\n"
+            "model = ClauwensGroup(AlexanderModuleSpec((2,) * 10, t))\n"
+            "assert model.type == 1023\n"
+            "assert model.kernel()[0] == 1023 and model.central_power()\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -415,3 +422,160 @@ class TestReferenceFormula:
         ref, model = reference_and_model(spec)
         a, b, c = (ref.encode(data.draw(ref.elements())) for _ in range(3))
         assert model.mul(model.mul(a, b), c) == model.mul(a, model.mul(b, c))
+
+
+# ---------------------------------------------------------------------------
+# the element-at-a-time checks the model ran before its checks read the
+# tables as arrays, kept as oracles for the array versions
+
+
+def reference_verify(model, sample_limit=6):
+    n = model.spec.size
+    quandle = model.quandle
+    for x in range(n):
+        for y in range(n):
+            lhs = model.e(quandle.apply(x, y))
+            ey = model.e(y)
+            rhs = model.mul(model.mul(model.inv(ey), model.e(x)), ey)
+            if lhs != rhs:
+                raise AssertionError(f"relation fails at ({x}, {y})")
+            if model.act_index(x, ey) != quandle.apply(x, y):
+                raise AssertionError(f"action mismatch at ({x}, {y})")
+    gens = [model.e(x) for x in range(min(n, sample_limit))]
+    gens.append(model.inv(model.e(0)))
+    for a in gens:
+        b = model.inv(a)
+        if model.mul(a, b) != model.identity or model.mul(b, a) != model.identity:
+            raise AssertionError("inverse fails")
+        for c in gens:
+            for d in gens:
+                if model.mul(model.mul(a, c), d) != model.mul(a, model.mul(c, d)):
+                    raise AssertionError("associativity fails")
+    return True
+
+
+def reference_kernel(model):
+    t = model.type
+    found = [
+        ClauwensElement(m, x, alpha)
+        for m in range(-2 * t, 2 * t + 1)
+        for x in model.spec.elements()
+        for alpha in range(model.coker_order)
+        if all(model.act_index(v, ClauwensElement(m, x, alpha)) == v for v in model.spec.elements())
+    ]
+    expected = {
+        (m, 0, alpha)
+        for m in range(-2 * t, 2 * t + 1)
+        if m % t == 0
+        for alpha in range(model.coker_order)
+    }
+    if set(found) != expected:
+        raise AssertionError("action kernel does not have the product shape")
+    return t, model.coker_invariants
+
+
+def reference_central_power(model):
+    elements = model.spec.elements()
+    powers = set()
+    for x in elements:
+        power = model.identity
+        for _ in range(model.type):
+            power = model.mul(power, model.e(x))
+        powers.add(power)
+    if len(powers) != 1:
+        return False
+    z = next(iter(powers))
+    return all(model.mul(z, model.e(y)) == model.mul(model.e(y), z) for y in elements)
+
+
+def outcome(check, model):
+    try:
+        return check(model)
+    except AssertionError as exc:
+        return str(exc)
+
+
+# each array the model keeps, its list view for mul (if any) and the range
+# of its entries
+TABLES = {
+    "t_pow": ("_t_pow", "size"),
+    "add_table": ("_add", "size"),
+    "neg_table": (None, "size"),
+    "one_minus_t": (None, "size"),
+    "tensor": ("_tensor", "coker"),
+    "coker_add": ("_coker_add", "coker"),
+    "coker_neg": (None, "coker"),
+}
+
+
+def corrupted(spec, name, cell):
+    """A model with one cell of one table moved to another value in range,
+    in the array and in its list view alike."""
+    model = ClauwensGroup(spec)
+    view, bound = TABLES[name]
+    bound = spec.size if bound == "size" else model.coker_order
+    table = getattr(model, name).copy()
+    table.flat[cell] = (table.flat[cell] + 1) % bound
+    setattr(model, name, table)
+    if view is not None:
+        # mul reads t_pow row by row and the square tables flat
+        setattr(model, view, (table if name == "t_pow" else table.ravel()).tolist())
+    return model
+
+
+class TestArrayChecksAgainstReferences:
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.label())
+    def test_checks_match(self, spec):
+        model = ClauwensGroup(spec)
+        assert model.verify() is reference_verify(model) is True
+        assert model.kernel() == reference_kernel(model)
+        assert model.central_power() is reference_central_power(model) is True
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.label())
+    def test_array_forms_match_the_scalar_ones(self, spec):
+        model = ClauwensGroup(spec)
+        rng = random.Random(spec.label())
+        t, n, c = model.type, spec.size, model.coker_order
+        sample = [
+            ClauwensElement(rng.randint(-2 * t, 2 * t), rng.randrange(n), rng.randrange(c))
+            for _ in range(60)
+        ]
+        g = tuple(np.array(column) for column in zip(*sample))
+        products = model.mul_array(tuple(v[:, None] for v in g), tuple(v[None, :] for v in g))
+        expected = [[model.mul(a, b) for b in sample] for a in sample]
+        assert np.array_equal(np.stack(np.broadcast_arrays(*products), axis=-1), expected)
+        assert np.array_equal(np.stack(model.inv_array(g), axis=-1), [model.inv(a) for a in sample])
+        assert [model.mul(a, model.inv(a)) for a in sample] == [model.identity] * len(sample)
+        images = model.act_array(np.arange(n)[:, None], g)
+        assert images.T.tolist() == [[model.act_index(v, a) for v in range(n)] for a in sample]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [AlexanderModuleSpec.scalar((3, 3), -1), AlexanderModuleSpec.scalar((5,), 2),
+         AlexanderModuleSpec.scalar((9,), 2)],
+        ids=lambda s: s.label(),
+    )
+    def test_corrupted_cell_gives_the_same_message(self, spec, monkeypatch):
+        # blocks of two rows, so that the first failure is found across blocks
+        monkeypatch.setattr(adjoint, "BLOCK_CELLS", 2 * spec.size)
+        outcomes = set()
+        for name in TABLES:
+            size = getattr(ClauwensGroup(spec), name).size
+            for cell in range(size):
+                model = corrupted(spec, name, cell)
+                for check, reference in (
+                    (ClauwensGroup.verify, reference_verify),
+                    (ClauwensGroup.kernel, reference_kernel),
+                    (ClauwensGroup.central_power, reference_central_power),
+                ):
+                    result = outcome(check, model)
+                    assert result == outcome(reference, model), (name, cell, check.__name__)
+                    outcomes.add(result.split(" at ")[0] if isinstance(result, str) else result)
+        # every kind of failure the checks report is reached
+        assert outcomes >= {
+            "relation fails",
+            "action mismatch",
+            "associativity fails",
+            "action kernel does not have the product shape",
+            False,
+        }

@@ -2,15 +2,16 @@
 
 Oracles: the covering axioms re-checked through the generic morphism
 predicates, frozen sizes (total order = base order x presentation-cokernel
-order), and transport of type/connectivity/homology along the projection.
+order), transport of type/connectivity/homology along the projection, and
+the table tabulated one scalar product at a time against the array one.
 """
 
 import dataclasses
 
 import pytest
 
-from quandles import families
-from quandles.adjoint import ClauwensGroup
+from quandles import coverings, families
+from quandles.adjoint import ClauwensElement, ClauwensGroup
 from quandles.core import is_covering, is_homomorphism, is_isomorphic, load_table
 from quandles.coverings import (
     covering_properties,
@@ -158,3 +159,65 @@ class TestExport:
             i, p = map(int, ln.split())
             mapping[i] = p
         assert is_covering(mapping, total, base)
+
+
+def reference_covering(spec, base_point):
+    """Table, labels and projection one scalar product at a time, as the
+    covering was first tabulated."""
+    model = ClauwensGroup(spec)
+    elements = [
+        ClauwensElement(0, x, alpha) for x in spec.elements() for alpha in range(model.coker_order)
+    ]
+    index = {g: i for i, g in enumerate(elements)}
+    e_a = model.e(base_point)
+    inv_ea = model.inv(e_a)
+    conj = [model.mul(model.inv(h), model.mul(e_a, h)) for h in elements]
+    table = tuple(tuple(index[model.mul(inv_ea, model.mul(g, c))] for c in conj) for g in elements)
+    labels = tuple(
+        "({};{})".format(
+            ",".join(map(str, spec.coords(g.x))), ",".join(map(str, model.alpha_coords(g.alpha)))
+        )
+        for g in elements
+    )
+    return table, labels, tuple(model.act_index(base_point, g) for g in elements)
+
+
+def assert_matches_reference(spec, base_point):
+    inst = universal_covering_alexander(spec, base_point=base_point)
+    table, labels, projection = reference_covering(spec, base_point)
+    assert inst.total.table == table
+    assert inst.total.labels == labels
+    assert inst.projection == projection
+
+
+class TestArrayTableAgainstReference:
+    @pytest.mark.parametrize("spec", COVERING_SPECS, ids=str)
+    def test_catalogue_and_bench_coverings(self, spec):
+        for base_point in sorted({0, 1, spec.size // 2, spec.size - 1}):
+            assert_matches_reference(spec, base_point)
+
+    def test_blocks_of_rows(self, monkeypatch):
+        # three rows per block: the last block is short
+        monkeypatch.setattr(coverings, "BLOCK_CELLS", 3 * 27)
+        assert_matches_reference(NEG33, 4)
+
+    def test_order_729_total(self):
+        assert_matches_reference(AlexanderModuleSpec.scalar((3, 3, 3), -1), 0)
+
+
+def test_model_checks_and_covering_make_no_scalar_products(monkeypatch):
+    calls = 0
+    mul = ClauwensGroup.mul
+
+    def counted(self, g, h):
+        nonlocal calls
+        calls += 1
+        return mul(self, g, h)
+
+    monkeypatch.setattr(ClauwensGroup, "mul", counted)
+    spec = AlexanderModuleSpec.scalar((3, 3, 3), -1)
+    model = ClauwensGroup(spec)
+    assert model.verify() and model.kernel() == (2, model.coker_invariants)
+    assert model.central_power()
+    assert universal_covering_alexander(spec).total.order == 729
+    assert calls == 0

@@ -8,7 +8,8 @@ import re
 
 import pytest
 
-from quandles import groups
+from quandles import groups, perms
+from quandles.families import coxeter_generators
 from quandles.groups import (
     GroupTable,
     InvalidGroupTable,
@@ -170,6 +171,45 @@ def test_malformed_rows(table, message):
     assert reference_group_error(table) == message
     with pytest.raises(InvalidGroupTable, match=f"^{message}$"):
         GroupTable(table)
+
+
+def _coxeter(kind):
+    _name, degree, gens = coxeter_generators(kind)
+    return lambda: from_permutations(degree, gens)
+
+
+GENERATED = (
+    [(f"sym{n}", lambda n=n: symmetric_group(n)) for n in range(1, 6)]
+    + [(f"dihedral{m}", lambda m=m: dihedral_group(m)) for m in range(3, 13)]
+    + [("A3", _coxeter("A3")), ("I2(8)", _coxeter("I2(8)"))]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in GENERATED], ids=[k for k, _ in GENERATED])
+def test_from_permutations_matches_the_pairwise_table(build):
+    # the table as it was first built: every pair of elements composed
+    g = build()
+    elems = [tuple(map(int, label.split())) for label in g.labels]
+    assert elems == sorted(elems)
+    index = {p: i for i, p in enumerate(elems)}
+    assert g.table == tuple(tuple(index[perms.compose(p, q)] for q in elems) for p in elems)
+
+
+def test_from_permutations_composes_no_pairs(monkeypatch):
+    calls = 0
+    compose = perms.compose
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(perms, "compose", counted)
+    g = dihedral_group(200)
+    # the closure composes every element with each of the two generators,
+    # the stabilizer chain once per transversal point; 160,000 pairs would
+    # be one per table cell
+    assert calls <= g.order * 2 + 200
 
 
 def test_unknown_name():
