@@ -18,11 +18,13 @@ from them the model tabulates T^m, module addition, negation and (1 - T),
 the classes [x (x) y] and coker addition and negation once, as read-only
 int64 arrays.  [x (x) y] is bilinear, so its table is read off the k x k
 classes [e_i (x) e_j].  mul_array, inv_array and act_array compute on
-arrays of elements, and the checks of the model (verify, kernel,
-central_power, stabilizer_h2) read them; the scalar mul, which the
-homotopy verifier calls one pair at a time, reads list views of the same
-tables.  A caller builds one model and runs all its checks on it; the
-quandle table they read is built once per model too.
+arrays of elements; they are the model's one product, inverse and
+action, and mul, inv and act_index are scalar wrappers over them.  The
+checks of the model (verify, kernel, central_power, stabilizer_h2) read
+the arrays, and the homotopy verifier multiplies each distinct pair it
+meets once, through a memo of its own.  A caller builds one model and
+runs all its checks on it; the quandle table they read is built once per
+model too.
 
 This module also provides the (non-homogeneous) bar complex of a group,
 the chain maps c_k from the rack complex into it, the explicit homotopies
@@ -33,6 +35,7 @@ identities, plus bar-complex H_2 for small groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product
 from math import gcd, prod
 from typing import NamedTuple
@@ -80,11 +83,6 @@ class ClauwensElement(NamedTuple):
     alpha: int
 
 
-# builds a ClauwensElement from a 3-tuple without the keyword-argument
-# wrapper of NamedTuple.__new__ (the hot path of mul)
-_new_tuple = tuple.__new__
-
-
 def _sum_codes(digits: np.ndarray, radices) -> np.ndarray:
     """Entry (i, j) is the code of digit row i plus digit row j.
 
@@ -98,12 +96,6 @@ def _sum_codes(digits: np.ndarray, radices) -> np.ndarray:
         out += (col[:, None] + col[None, :]) % d * place
         place *= d
     return out
-
-
-def _list_view(table: np.ndarray) -> list:
-    """table as lists sharing one int object per value (tolist() makes one
-    per entry above 256), so that a list view costs a pointer per cell."""
-    return np.arange(int(table.max()) + 1, dtype=object)[table].tolist()
 
 
 def _equal(g, h) -> np.ndarray:
@@ -176,22 +168,11 @@ class ClauwensGroup:
         for table in (self.t_pow, self.add_table, self.neg_table, self.one_minus_t,
                       self.tensor, self.alpha_rows, self.coker_add, self.coker_neg):
             table.setflags(write=False)
-        # the list views that mul reads
-        self._t_pow = _list_view(self.t_pow)
-        self._add = _list_view(self.add_table.ravel())
-        self._tensor = _list_view(self.tensor.ravel())
-        self._coker_add = _list_view(self.coker_add.ravel())
-        # the table behind `quandle`; not a functools.cached_property, which
-        # writes through the instance __dict__ and so, on CPython 3.11, makes
-        # every attribute read in mul slower (mul took about 1.4x as long)
-        self._quandle = None
 
-    @property
+    @cached_property
     def quandle(self):
         """The Alexander quandle table of the spec, built on first use."""
-        if self._quandle is None:
-            self._quandle = alexander(self.spec)
-        return self._quandle
+        return alexander(self.spec)
 
     def alpha_coords(self, alpha: int) -> tuple[int, ...]:
         """The coker(mu) coordinates of a class code."""
@@ -202,15 +183,6 @@ class ClauwensGroup:
     def e(self, x_index: int) -> ClauwensElement:
         """The generator e_x for the module element of the given index."""
         return ClauwensElement(1, x_index, 0)
-
-    def mul(self, g: ClauwensElement, h: ClauwensElement) -> ClauwensElement:
-        n, x, a = g
-        m, y, b = h
-        c = self.coker_order
-        i = self._t_pow[m % self.type][x] * self._size + y
-        add = self._coker_add
-        alpha = add[add[a * c + b] * c + self._tensor[i]]
-        return _new_tuple(ClauwensElement, (n + m, self._add[i], alpha))
 
     def mul_array(self, g, h):
         """mul on elements given as triples (n, x, alpha) of ints or int
@@ -231,6 +203,9 @@ class ClauwensGroup:
         """The right action v . (n, x, a) = T^n v + (1 - T) x, on arrays."""
         n, x, _ = g
         return self.add_table[self.t_pow[n % self.type, v], self.one_minus_t[x]]
+
+    def mul(self, g: ClauwensElement, h: ClauwensElement) -> ClauwensElement:
+        return ClauwensElement(*map(int, self.mul_array(g, h)))
 
     def inv(self, g: ClauwensElement) -> ClauwensElement:
         return ClauwensElement(*map(int, self.inv_array(g)))
@@ -467,13 +442,15 @@ class HomotopyVerifier:
         self.quandle = self.model.quandle
         self.t = self.model.type
         self._e = [self.model.e(x) for x in range(spec.size)]
-        # _pow[x][j] = e_x^j for 0 <= j <= t
-        self._pow = []
-        for g in self._e:
-            row = [self.model.identity]
-            for _ in range(self.t):
-                row.append(self.model.mul(row[-1], g))
-            self._pow.append(row)
+        # _pow[x][j] = e_x^j for 0 <= j <= t, raised for all x at once
+        x, alpha = np.zeros((2, self.t + 1, spec.size), dtype=np.int64)
+        e_x = (1, np.arange(spec.size), 0)
+        for j in range(1, self.t + 1):
+            _, x[j], alpha[j] = self.model.mul_array((j - 1, x[j - 1], alpha[j - 1]), e_x)
+        self._pow = [[ClauwensElement(j, *xa) for j, xa in enumerate(zip(xs, alphas))]
+                     for xs, alphas in zip(x.T.tolist(), alpha.T.tolist())]
+        # the products the bar boundaries meet, each computed once
+        self._mul = cache(self.model.mul)
         # h2 chains of the rack-boundary faces in residual_3, one per pair
         self._h2_of_pair: dict = {}
 
@@ -563,7 +540,7 @@ class HomotopyVerifier:
         degree-2 homotopy identity holds."""
         terms: dict = {}
         self._accumulate_h_of_boundary(terms, (x, y), self.h1, 1)
-        _accumulate_bar_boundary(terms, self.h2(x, y), self.model.mul, -1)
+        _accumulate_bar_boundary(terms, self.h2(x, y), self._mul, -1)
         _accumulate(terms, self.c2(x, y), -self.t)
         return BarChain(2, _nonzero(terms))
 
@@ -580,7 +557,7 @@ class HomotopyVerifier:
         terms: dict = {}
         _accumulate(terms, self.c3(x, y, z), self.t)
         self._accumulate_h_of_boundary(terms, (x, y, z), self._memo_h2, 1)
-        _accumulate_bar_boundary(terms, self.h3(x, y, z), self.model.mul, -1)
+        _accumulate_bar_boundary(terms, self.h3(x, y, z), self._mul, -1)
         return BarChain(3, _nonzero(terms))
 
     def residual_3_template(self, y: int, z: int) -> BarChain:

@@ -201,30 +201,6 @@ class PermGroup:
         transversal = _orbit_transversal(self.degree, point, gens)
         return PermGroup(self.degree, _schreier_generators(self.degree, transversal, gens))
 
-    def derived_subgroup(self) -> "PermGroup":
-        """Commutator subgroup via normal closure of generator commutators."""
-        comms = set()
-        for a in self.generators:
-            for b in self.generators:
-                c = compose(compose(inverse(a), inverse(b)), compose(a, b))
-                if not is_identity(c):
-                    comms.add(c)
-        gens: list[Perm] = []
-        sub = PermGroup(self.degree, [])
-        queue = sorted(comms)
-        while queue:
-            d = queue.pop(0)
-            if sub.contains(d):
-                continue
-            gens.append(d)
-            sub = PermGroup(self.degree, gens)
-            for g in self.generators:
-                queue.append(compose(compose(inverse(g), d), g))
-        return sub
-
-    def is_perfect(self) -> bool:
-        return self.derived_subgroup().order == self.order
-
     def elements(self, limit: int = 1_000_000) -> list[Perm]:
         """All elements by closure, sorted; guarded by `limit`."""
         if self.order > limit:

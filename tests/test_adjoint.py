@@ -10,7 +10,9 @@ Oracles:
 - the model's product, inverse and action against the defining formula on
   coordinate tuples, with an independent coker(mu) reduction,
 - the element-at-a-time verify, kernel and central-power checks against
-  the array ones, on correct models and on models with one corrupted cell.
+  the array ones, on correct models and on models with one corrupted cell,
+- the scalar product on list views of the tables, the model's second
+  product before mul became a wrapper, against the array product.
 """
 
 import functools
@@ -125,6 +127,21 @@ class TestModelArithmetic:
             timeout=300, check=True,
         )
         assert int(out.stdout) < 200 * 1024  # ru_maxrss is in KiB on Linux
+
+    def test_homotopy_checks_multiply_each_distinct_pair_once(self, monkeypatch):
+        # the verifier called mul 66,794 times here on its 182 distinct pairs
+        calls = []
+        mul = ClauwensGroup.mul
+
+        def counted(self, g, h):
+            calls.append((g, h))
+            return mul(self, g, h)
+
+        monkeypatch.setattr(ClauwensGroup, "mul", counted)
+        verifier = HomotopyVerifier(AlexanderModuleSpec.scalar((13,), -1))
+        verifier.degree_2()
+        verifier.degree_3()
+        assert len(calls) == len(set(calls)) <= 182
 
     def test_checks_share_one_model_and_table(self):
         spec = AlexanderModuleSpec.scalar((3, 3), -1)
@@ -488,6 +505,25 @@ def reference_central_power(model):
     return all(model.mul(z, model.e(y)) == model.mul(model.e(y), z) for y in elements)
 
 
+def reference_mul(model):
+    """The scalar product on list views of the model's tables, which mul
+    was before it became a wrapper over mul_array."""
+    t_pow = model.t_pow.tolist()
+    add, tensor, coker_add = (
+        t.ravel().tolist() for t in (model.add_table, model.tensor, model.coker_add)
+    )
+    size, c = model.spec.size, model.coker_order
+
+    def mul(g, h):
+        n, x, a = g
+        m, y, b = h
+        i = t_pow[m % model.type][x] * size + y
+        alpha = coker_add[coker_add[a * c + b] * c + tensor[i]]
+        return ClauwensElement(n + m, add[i], alpha)
+
+    return mul
+
+
 def outcome(check, model):
     try:
         return check(model)
@@ -495,31 +531,25 @@ def outcome(check, model):
         return str(exc)
 
 
-# each array the model keeps, its list view for mul (if any) and the range
-# of its entries
+# each array the model keeps and the range of its entries
 TABLES = {
-    "t_pow": ("_t_pow", "size"),
-    "add_table": ("_add", "size"),
-    "neg_table": (None, "size"),
-    "one_minus_t": (None, "size"),
-    "tensor": ("_tensor", "coker"),
-    "coker_add": ("_coker_add", "coker"),
-    "coker_neg": (None, "coker"),
+    "t_pow": "size",
+    "add_table": "size",
+    "neg_table": "size",
+    "one_minus_t": "size",
+    "tensor": "coker",
+    "coker_add": "coker",
+    "coker_neg": "coker",
 }
 
 
 def corrupted(spec, name, cell):
-    """A model with one cell of one table moved to another value in range,
-    in the array and in its list view alike."""
+    """A model with one cell of one table moved to another value in range."""
     model = ClauwensGroup(spec)
-    view, bound = TABLES[name]
-    bound = spec.size if bound == "size" else model.coker_order
+    bound = spec.size if TABLES[name] == "size" else model.coker_order
     table = getattr(model, name).copy()
     table.flat[cell] = (table.flat[cell] + 1) % bound
     setattr(model, name, table)
-    if view is not None:
-        # mul reads t_pow row by row and the square tables flat
-        setattr(model, view, (table if name == "t_pow" else table.ravel()).tolist())
     return model
 
 
@@ -542,8 +572,10 @@ class TestArrayChecksAgainstReferences:
         ]
         g = tuple(np.array(column) for column in zip(*sample))
         products = model.mul_array(tuple(v[:, None] for v in g), tuple(v[None, :] for v in g))
-        expected = [[model.mul(a, b) for b in sample] for a in sample]
+        mul = reference_mul(model)
+        expected = [[mul(a, b) for b in sample] for a in sample]
         assert np.array_equal(np.stack(np.broadcast_arrays(*products), axis=-1), expected)
+        assert [[model.mul(a, b) for b in sample] for a in sample] == expected
         assert np.array_equal(np.stack(model.inv_array(g), axis=-1), [model.inv(a) for a in sample])
         assert [model.mul(a, model.inv(a)) for a in sample] == [model.identity] * len(sample)
         images = model.act_array(np.arange(n)[:, None], g)

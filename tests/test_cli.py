@@ -18,6 +18,14 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+# the module (Z/2)^8 with T the companion matrix of x^8 + x^4 + x^3 + x^2 + 1,
+# primitive over F_2: a connected quandle of order 256 and type 255
+MODULE_2E8 = (
+    "alexander orders=2,2,2,2,2,2,2,2 t=0,0,0,0,0,0,0,1;1,0,0,0,0,0,0,0;0,1,0,0,0,0,0,1;"
+    "0,0,1,0,0,0,0,1;0,0,0,1,0,0,0,1;0,0,0,0,1,0,0,0;0,0,0,0,0,1,0,0;0,0,0,0,0,0,1,0"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -329,6 +337,15 @@ class TestCommands:
         assert "status: skipped" in out.stdout
         assert "data.order: 1000" in out.stdout
 
+    def test_homotopy_over_the_cap_is_skipped_before_its_tables(self):
+        # degree 3 ran for hours here while its h2 memo grew without bound;
+        # |X|^k * type cells decide the skip of the degree-k entry
+        out = _run_cli("verify", "--suite", "homotopy", MODULE_2E8, timeout=20)
+        assert out.returncode == 0
+        assert out.stdout.count("status: skipped") == 2
+        assert "data.needed_cells: 16711680" in out.stdout  # 256^2 * 255
+        assert "data.needed_cells: 4278190080" in out.stdout  # 256^3 * 255
+
     def test_named_group_over_the_table_limit_is_two(self):
         # refused by the order read from its name, before any permutation is built
         out = _run_cli("verify", "--suite", "coxeter", "dihedral:5000")
@@ -433,6 +450,25 @@ class TestOneModelPerCommand:
         assert code == 0
         assert builds["models"] == 1
         assert builds["tables"] <= 1
+
+    def test_homotopy_cap_is_read_before_the_model(self, capsys, builds):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "homotopy", "--cap-cells", "1", "alexander orders=3 t=-1"
+        )
+        assert code == 0
+        assert out.count("status: skipped") == 2
+        assert builds == {"models": 0, "tables": 0}
+
+    def test_homotopy_cap_is_read_per_degree(self, capsys, builds):
+        # order 4, type 3: degree 2 needs 48 cells, degree 3 needs 192
+        code, out, _ = run(
+            capsys, "verify", "--suite", "homotopy", "--cap-cells", "100",
+            "alexander orders=2,2 t=0,1;1,1",
+        )
+        assert code == 0
+        assert "status: pass\ndata.pairs: 16" in out
+        assert "status: skipped\ndata.cap: 100\ndata.needed_cells: 192" in out
+        assert builds["models"] == 1
 
     def test_census_builds_one_model_per_connected_alexander_entry(self, capsys, builds):
         code, _, _ = run(capsys, "census")

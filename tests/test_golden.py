@@ -53,10 +53,10 @@ REPORTS.update(
 )
 
 # homology and built-in census reports, and every `skipped` path: a cell
-# cap on homology, on the triple oracle, on the covering's construction
-# and on its H2 alone (whose data.reason payload differs from the other
-# skips), and the group cap of the coxeter suite next to the same suite
-# run in full
+# cap on homology, on the homotopy identities, on the triple oracle, on the
+# covering's construction and on its H2 alone (whose data.reason payload
+# differs from the other skips), and the group cap of the coxeter suite
+# next to the same suite run in full
 REPORTS.update(
     {
         "census": ["census"],
@@ -66,6 +66,9 @@ REPORTS.update(
         "homology-cap10-dihedral8": ["homology", "--cap-cells", "10", "dihedral n=8"],
         "verify-eisermann-cap10-neg33": [
             "verify", "--suite", "eisermann", "--cap-cells", "10", SPECS["neg33"]
+        ],
+        "verify-homotopy-cap10-fib22": [
+            "verify", "--suite", "homotopy", "--cap-cells", "10", SPECS["fib22"]
         ],
         "verify-covering-cap10-fib22": [
             "verify", "--suite", "covering", "--cap-cells", "10", SPECS["fib22"]

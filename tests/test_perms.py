@@ -136,15 +136,6 @@ class TestPermGroup:
                 stab = g.stabilizer(point)
                 assert g.order == len(g.orbit(point)) * stab.order
 
-    def test_derived_subgroup_of_s4(self):
-        s4 = PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
-        a4 = s4.derived_subgroup()
-        assert a4.order == 12
-        v4 = a4.derived_subgroup()
-        assert v4.order == 4
-        assert v4.derived_subgroup().order == 1
-        assert not s4.is_perfect()
-
     def test_elements_enumeration(self):
         g = PermGroup(3, [(1, 2, 0)])
         elems = set(g.elements())
