@@ -6,9 +6,19 @@ A quandle is a set with a binary operation x <| y satisfying
   (iii) self-distributivity:  (x <| y) <| z == (x <| z) <| (y <| z)
 
 Elements are 0..n-1.  A table is one int64 array, array[x, y] = x <| y,
-checked exhaustively and kept read-only; `table` is its tuple view for
-scalar lookups, equality, hashing and serialization, and whole-table
-questions (orbits, morphism checks, complex assembly) read the array.
+checked and kept read-only; `table` is its tuple view for scalar lookups,
+equality, hashing and serialization, and whole-table questions (orbits,
+morphism checks, complex assembly) read the array.
+
+Axioms (i) and (ii) are checked on every cell.  Axiom (iii) is checked on a
+generating set S: given (i) and (ii), the elements z whose right translation
+R_z is an automorphism form a subquandle, since R_{x<|y} = R_y R_x R_y^-1
+(apply R_y^-1 first).  So (iii) holds as soon as R_s is an endomorphism for
+every s in S, which costs 2|S| n^2 gathers instead of n^3 cells.  The same
+identity gives Inn(X) = <R_s : s in S>, and makes every R_z conjugate to
+some R_s, so the type is the lcm of the orders of the R_s.  A table that
+fails the reduced check, or whose S is too large for it to pay, gets the
+scan over all n^3 cells, which finds the lexicographically first witness.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ class FiniteQuandle:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != len(table):
             raise ValueError("label count does not match order")
-        self.array = _check_axioms(table)
+        self.array, self._generators = _check_axioms(table)
         self.array.setflags(write=False)
         self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, self.array.tolist()))
         self._type = None
@@ -64,14 +74,16 @@ class FiniteQuandle:
         """The right translation by y as a permutation image tuple."""
         return tuple(self.array[:, y].tolist())
 
-    def inner_generators(self) -> list[perms.Perm]:
-        """Distinct right-translation permutations, ordered by first column."""
-        return list(dict.fromkeys(self.column(y) for y in range(self.order)))
+    def generating_set(self) -> tuple[int, ...]:
+        """The quandle generating set S the axioms were checked on; see
+        `table_generators` for how it is chosen."""
+        return self._generators
 
     def inn(self) -> PermGroup:
-        """The inner automorphism group, generated by right translations."""
+        """The inner automorphism group, generated by the right translations
+        by the elements of S."""
         if self._inn is None:
-            self._inn = PermGroup(self.order, self.inner_generators())
+            self._inn = PermGroup(self.order, [self.column(s) for s in self._generators])
         return self._inn
 
     @property
@@ -79,10 +91,12 @@ class FiniteQuandle:
         """Least N >= 1 with x <|^N y == x for all x, y.
 
         Equals the lcm over y of the order of the right translation by y,
-        hence always a finite positive integer for a finite table.
+        hence always a finite positive integer for a finite table.  Every
+        R_y is conjugate to some R_s with s in S, so the lcm runs over S.
         """
         if self._type is None:
-            self._type = lcm(*(perms.perm_order(c) for c in self.inner_generators()))
+            columns = dict.fromkeys(self.column(s) for s in self._generators)
+            self._type = lcm(*map(perms.perm_order, columns))
         return self._type
 
     def orbits(self) -> list[tuple[int, ...]]:
@@ -149,13 +163,71 @@ class QuandleProfile:
         self.inn_order = inn_order
 
 
-# cells of (x <| y) <| z compared per block in the self-distributivity check
+def table_generators(array: np.ndarray, closed=()) -> tuple[int, ...]:
+    """A deterministic generating set of the operation table `array`, whose
+    columns are permutations.
+
+    An element whose row is constant is fixed by every column, so it is
+    reached only from itself: all such elements are generators, and come
+    first.  The rest are chosen by the greedy "first fresh column": the next
+    generator is the first element not yet reached whose column differs
+    from that of every reached element, or the first unreached element when
+    no column is fresh.  An element with a reached element's column acts
+    like it, so it seldom enlarges the closure much; skipping such elements
+    keeps S small where many elements share a column, as in the fibers of a
+    covering.  In a group table every column is fresh, so the choice is the
+    first unreached element.  `closed` lists elements known to form a
+    closed subset, such as a group's identity.
+    """
+    ids: dict[bytes, int] = {}
+    column_id = np.array([ids.setdefault(c.tobytes(), len(ids)) for c in array.T])
+    reached = (array == np.arange(len(array))[:, None]).all(axis=1)
+    reached[list(closed)] = False
+    generators = np.flatnonzero(reached).tolist()
+    reached[list(closed)] = True
+    seen = np.zeros(len(ids), dtype=bool)  # columns of the reached elements
+    seen[column_id[reached]] = True
+    while not reached.all():
+        fresh = ~reached & ~seen[column_id]
+        s = int(np.argmax(fresh if fresh.any() else ~reached))
+        generators.append(s)
+        seen[column_id[_extend_closure(array, reached, s)]] = True
+    return tuple(generators)
+
+
+def _extend_closure(array: np.ndarray, reached: np.ndarray, s: int) -> np.ndarray:
+    """Mark in `reached`, a closed subset as a boolean mask, its closure with s
+    under the operation of `array`, and return the newly marked elements.
+
+    Each element is in the frontier once, and is then multiplied on both
+    sides by every element reached so far, so every pair is covered; the
+    frontier is taken in blocks of rows so memory stays O(n^2)."""
+    frontier = np.array([s])
+    reached[s] = True
+    added = [frontier]
+    while len(frontier):
+        old = np.flatnonzero(reached)
+        step = max(1, _AXIOM_BLOCK_CELLS // len(old))
+        new = np.zeros(len(array), dtype=bool)
+        for i in range(0, len(frontier), step):
+            block = frontier[i : i + step]
+            new[array[np.ix_(block, old)]] = True
+            new[array[np.ix_(old, block)]] = True
+        frontier = np.flatnonzero(new & ~reached)
+        reached[frontier] = True
+        added.append(frontier)
+    return np.concatenate(added)
+
+
+# cells of (x <| y) <| z compared per block in the self-distributivity scan,
+# and products formed per block in a closure
 _AXIOM_BLOCK_CELLS = 1 << 18
 
 
-def _check_axioms(table) -> np.ndarray:
-    """Check the three axioms on the table as an int64 array and return it;
-    the first malformed row or entry in row-major order is the witness."""
+def _check_axioms(table) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Check the three axioms on the table as an int64 array and return it
+    with its generating set; the first malformed row or entry in row-major
+    order is the witness."""
     n = len(table)
     full = next((i for i, row in enumerate(table) if len(row) != n), n)
     try:
@@ -187,9 +259,28 @@ def _check_axioms(table) -> np.ndarray:
                     f"right translation by {y} maps both {seen[v]} and {x} to {v}",
                 )
             seen[v] = x
+    generators = table_generators(arr)
+    if 2 * len(generators) >= n:  # the reduced check would cost as much as the scan
+        _scan_distributivity(arr)
+    elif not all(_is_endomorphism(arr, s) for s in generators):
+        _scan_distributivity(arr)
+        raise RuntimeError("internal error: a right translation is no endomorphism, "
+                           "but the scan of all cells found no failure")
+    return arr, generators
+
+
+def _is_endomorphism(arr: np.ndarray, s: int) -> bool:
+    """(x <| y) <| s == (x <| s) <| (y <| s) for all x, y."""
+    col = arr[:, s]
+    return bool(np.array_equal(col[arr], arr[np.ix_(col, col)]))
+
+
+def _scan_distributivity(arr: np.ndarray) -> None:
+    """Raise on the lexicographically first (x, y, z) that fails (iii)."""
     # (x <| y) <| z  vs  (x <| z) <| (y <| z), one block of x rows at a time so
     # memory stays O(n^2); blocks run in order of x, so the first mismatch
     # found is the lexicographically first (x, y, z)
+    n = len(arr)
     flat = arr.ravel()
     step = max(1, _AXIOM_BLOCK_CELLS // (n * n))
     for x0 in range(0, n, step):
@@ -206,11 +297,10 @@ def _check_axioms(table) -> np.ndarray:
                 f"({x}<|{y})<|{z} == {int(left[i, y, z])} but "
                 f"({x}<|{z})<|({y}<|{z}) == {int(right[i, y, z])}",
             )
-    return arr
 
 
 def validate(table, labels=None) -> FiniteQuandle:
-    """Check all three axioms exhaustively and wrap the table."""
+    """Check all three axioms and wrap the table."""
     return FiniteQuandle(table, labels=labels)
 
 

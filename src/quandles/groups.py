@@ -2,9 +2,17 @@
 
 Elements are 0..n-1 with 0 the identity.  A table is one int64 array,
 validated on construction (rows and columns are permutations, identity,
-inverses, associativity in blocks of rows) and kept read-only as `array`;
-`table` is its tuple-of-tuples view, which `mul` reads.  Downstream code
-can trust any GroupTable it receives.
+inverses, associativity) and kept read-only as `array`; `table` is its
+tuple-of-tuples view, which `mul` reads.  Downstream code can trust any
+GroupTable it receives.
+
+Associativity is checked by Light's test (Clifford and Preston, The
+Algebraic Theory of Semigroups, vol. 1) on a generating set S: the
+elements s with (x s) z == x (s z) for all x and z are closed under
+products, so it is enough that each s in S passes, at 2|S| n^2 gathers
+instead of n^3 cells.  A table that fails, or whose S is too large for the
+test to pay, gets the scan over all cells in blocks of rows, which finds
+the lexicographically first failing (a, b, c).
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import perms
+from .core import table_generators
 
 
 class InvalidGroupTable(ValueError):
@@ -55,15 +64,13 @@ class GroupTable:
         bad = m[inv, identity] != 0
         if bad.any():
             raise InvalidGroupTable(f"element {int(np.argmax(bad))} has no two-sided inverse")
-        # (ab)c == a(bc) for a block of a rows at a time, in order of a, so
-        # the first mismatch found is the lexicographically first (a, b, c)
-        step = max(1, _ASSOCIATIVITY_BLOCK_CELLS // (n * n))
-        for a0 in range(0, n, step):
-            rows = m[a0 : a0 + step]
-            bad = m[rows] != rows[:, m]
-            if bad.any():
-                a, b, c = (int(v) for v in np.argwhere(bad)[0])
-                raise InvalidGroupTable(f"associativity fails at ({a0 + a}, {b}, {c})")
+        generators = table_generators(m, closed=(0,))
+        if 2 * len(generators) >= n:  # Light's test would cost as much as the scan
+            _scan_associativity(m)
+        elif not all(_associates_through(m, s) for s in generators):
+            _scan_associativity(m)
+            raise RuntimeError("internal error: Light's test failed, "
+                               "but the scan of all cells found no failure")
         m.setflags(write=False)
         self.array = m
         self.table = tuple(map(tuple, m.tolist()))
@@ -75,22 +82,27 @@ class GroupTable:
     def inv(self, a: int) -> int:
         return self._inv[a]
 
-    def center(self) -> frozenset[int]:
-        commutes = (self.array == self.array.T).all(axis=1)
-        return frozenset(np.flatnonzero(commutes).tolist())
-
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.array, self.array.T))
-
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            n += 1
-        return n
-
     def __repr__(self):
         return f"GroupTable({self.name or self.order})"
+
+
+def _associates_through(m: np.ndarray, s: int) -> bool:
+    """(x s) z == x (s z) for all x, z."""
+    return bool(np.array_equal(m[m[:, s]], m[:, m[s]]))
+
+
+def _scan_associativity(m: np.ndarray) -> None:
+    """Raise on the lexicographically first (a, b, c) with (ab)c != a(bc)."""
+    # a block of a rows at a time, in order of a, so the first mismatch
+    # found is the lexicographically first (a, b, c)
+    n = len(m)
+    step = max(1, _ASSOCIATIVITY_BLOCK_CELLS // (n * n))
+    for a0 in range(0, n, step):
+        rows = m[a0 : a0 + step]
+        bad = m[rows] != rows[:, m]
+        if bad.any():
+            a, b, c = (int(v) for v in np.argwhere(bad)[0])
+            raise InvalidGroupTable(f"associativity fails at ({a0 + a}, {b}, {c})")
 
 
 def cyclic(n: int) -> GroupTable:

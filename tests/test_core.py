@@ -1,5 +1,6 @@
 """Quandle axioms, profiles, serialization, morphisms, isomorphism search."""
 
+import importlib
 import os
 import random
 import subprocess
@@ -24,6 +25,9 @@ from quandles.core import (
     load_table,
     validate,
 )
+
+# the module, which the package's `core` family builder shadows
+core = importlib.import_module("quandles.core")
 
 R3_TABLE = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 
@@ -281,6 +285,187 @@ class TestArrayChecksAgainstReferences:
             assert_morphism_checks_agree(f, total, base)
         single = families.trivial(1)
         assert_morphism_checks_agree([0] * total.order, total, single)
+
+
+def reference_axiom_error(table):
+    """The first failure of the check validate ran before it read axiom
+    (iii) on a generating set, as (axiom, witness, message); None for a
+    quandle.  Axiom (iii) is scanned on all n^3 cells."""
+    n = len(table)
+    arr = np.array(table, dtype=np.int64)
+    if n == 0:
+        return "i", None, "axiom (i) fails: empty carrier"
+    for x in range(n):
+        if arr[x, x] != x:
+            return "i", x, f"axiom (i) fails: {x} <| {x} == {arr[x, x]} != {x}"
+    for y in range(n):
+        seen = {}
+        for x, v in enumerate(arr[:, y].tolist()):
+            if v in seen:
+                return "ii", (seen[v], x, y), (
+                    f"axiom (ii) fails: right translation by {y} maps both {seen[v]} and {x} to {v}"
+                )
+            seen[v] = x
+    flat = arr.ravel()
+    for x in range(n):
+        left = arr[arr[x]]  # left[y, z] = (x <| y) <| z
+        right = flat.take(arr[x][None, :] * n + arr)  # (x <| z) <| (y <| z)
+        bad = np.argwhere(left != right)
+        if len(bad):
+            y, z = (int(v) for v in bad[0])
+            return "iii", (x, y, z), (
+                f"axiom (iii) fails: ({x}<|{y})<|{z} == {int(left[y, z])} but "
+                f"({x}<|{z})<|({y}<|{z}) == {int(right[y, z])}"
+            )
+    return None
+
+
+def axiom_outcome(table):
+    try:
+        validate(table)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness, str(exc)
+    return None
+
+
+def column_swaps(q, rng, count):
+    """`count` tables of q with two cells of one column swapped, neither of
+    them on the diagonal, so that axioms (i) and (ii) still hold."""
+    for _ in range(count):
+        y = rng.randrange(q.order)
+        a, b = rng.sample([x for x in range(q.order) if x != y], 2)
+        t = q.array.tolist()
+        t[a][y], t[b][y] = t[b][y], t[a][y]
+        yield t
+
+
+def closure(q, generators):
+    """The subquandle generated, by products of pairs until none is new."""
+    reached = set(generators)
+    while True:
+        more = {q.apply(a, b) for a in reached for b in reached} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+def reference_generating_set(q):
+    """The elements with a constant row, then by first fresh column: the
+    first unreached element whose column differs from every reached
+    element's, else the first unreached element."""
+    generators = [x for x in range(q.order) if set(q.table[x]) == {x}]
+    reached = set(generators)
+    while len(reached) < q.order:
+        columns = {q.column(x) for x in reached}
+        unreached = [x for x in range(q.order) if x not in reached]
+        s = next((x for x in unreached if q.column(x) not in columns), unreached[0])
+        generators.append(s)
+        reached = closure(q, reached | {s})
+    return tuple(generators)
+
+
+def catalogue():
+    from quandles.grid import standard_grid
+
+    return [(entry.key, entry.build()) for entry in standard_grid()]
+
+
+def dihedral3_and_two_points():
+    """The dihedral quandle of order 3 and two points, each component acting
+    trivially on the other."""
+    table = [[x] * 5 for x in range(5)]
+    for x in range(3):
+        for y in range(3):
+            table[x][y] = (2 * y - x) % 3
+    return validate(table)
+
+
+class TestGeneratingSet:
+    def test_every_catalogue_entry(self):
+        for key, q in catalogue() + [("dihedral3+2", dihedral3_and_two_points())]:
+            s = q.generating_set()
+            assert s == reference_generating_set(q), key
+            assert closure(q, s) == set(range(q.order)), key
+            assert validate(q.array.tolist()).generating_set() == s, key
+
+    def test_fibers_of_a_covering_are_skipped(self):
+        # the 27 elements of a fiber share a column; taking each unreached
+        # element in turn would pick a whole fiber
+        from quandles.coverings import universal_covering_alexander
+
+        spec = families.AlexanderModuleSpec.scalar((3, 3, 3), -1)
+        total = universal_covering_alexander(spec).total
+        assert total.order == 729
+        assert len(total.generating_set()) == 4
+
+    def test_inn_and_type_read_the_generating_set(self):
+        from math import lcm
+
+        from quandles.perms import closure_order, perm_order
+
+        for key, q in catalogue():
+            columns = list(dict.fromkeys(q.column(y) for y in range(q.order)))
+            assert q.inn().order == closure_order(q.order, columns), key
+            assert q.type == lcm(*map(perm_order, columns)), key
+            assert set(q.inn().generators) <= set(columns), key
+
+    def test_reduced_check_agrees_with_the_full_scan(self, monkeypatch):
+        # a False from the reduced check sends validate to the scan
+        caught = 0
+        is_endomorphism = core._is_endomorphism
+
+        def counted(arr, s):
+            nonlocal caught
+            result = is_endomorphism(arr, s)
+            caught += not result
+            return result
+
+        monkeypatch.setattr(core, "_is_endomorphism", counted)
+        rng = random.Random(20140612)
+        outcomes = set()
+        for key, q in catalogue():
+            if q.order < 3:
+                continue
+            for table in column_swaps(q, rng, 30):
+                expected = reference_axiom_error(table)
+                assert axiom_outcome(table) == expected, key
+                outcomes.add(None if expected is None else expected[0])
+        assert outcomes == {None, "iii"}
+        assert caught > 1000
+
+    def test_witness_and_message_are_those_of_the_scan(self):
+        q = families.dihedral(12)
+        assert len(q.generating_set()) * 2 < q.order  # the reduced path runs first
+        table = q.array.tolist()
+        table[5][7], table[9][7] = table[9][7], table[5][7]
+        expected = reference_axiom_error(table)
+        assert expected[0] == "iii"
+        assert axiom_outcome(table) == expected
+
+    def test_trivial_quandle_takes_the_scan(self, monkeypatch):
+        calls = {"reduced": 0, "scan": 0}
+        is_endomorphism, scan = core._is_endomorphism, core._scan_distributivity
+
+        def reduced(arr, s):
+            calls["reduced"] += 1
+            return is_endomorphism(arr, s)
+
+        def full(arr):
+            calls["scan"] += 1
+            return scan(arr)
+
+        monkeypatch.setattr(core, "_is_endomorphism", reduced)
+        monkeypatch.setattr(core, "_scan_distributivity", full)
+        q = families.trivial(256)
+        assert q.generating_set() == tuple(range(256))  # each is its own subquandle
+        assert calls == {"reduced": 0, "scan": 1}
+        q = families.dihedral(256)
+        assert calls == {"reduced": len(q.generating_set()), "scan": 1}
+
+    def test_a_reduced_failure_the_scan_misses_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(core, "_is_endomorphism", lambda arr, s: False)
+        with pytest.raises(RuntimeError, match="internal error"):
+            validate(families.dihedral(7).array)
 
 
 class TestInvariantPlumbing:

@@ -4,8 +4,11 @@ Oracles: hand-checked structure of the standard small groups (orders of
 centers, commutators, element orders).
 """
 
+import collections
+import random
 import re
 
+import numpy as np
 import pytest
 
 from quandles import groups, perms
@@ -212,6 +215,112 @@ def test_from_permutations_composes_no_pairs(monkeypatch):
     assert calls <= g.order * 2 + 200
 
 
+def scan_group_error(table):
+    """The check GroupTable ran before Light's test, with associativity
+    scanned on all n^3 cells, as the message of its first failure; None for
+    a group."""
+    n = len(table)
+    m = np.array(table, dtype=np.int64)
+    identity = np.arange(n)
+    bad = (np.sort(m, axis=1) != identity).any(axis=1)
+    if bad.any():
+        return f"row {int(np.argmax(bad))} is not a permutation"
+    bad = (np.sort(m, axis=0) != identity[:, None]).any(axis=0)
+    if bad.any():
+        return f"column {int(np.argmax(bad))} is not a permutation"
+    if (m[0] != identity).any() or (m[:, 0] != identity).any():
+        return "element 0 is not an identity"
+    inv = m.argmin(axis=1)
+    bad = m[inv, identity] != 0
+    if bad.any():
+        return f"element {int(np.argmax(bad))} has no two-sided inverse"
+    for a in range(n):
+        bad = np.argwhere(m[m[a]] != m[a][m])  # (ab)c vs a(bc) for all b, c
+        if len(bad):
+            b, c = (int(v) for v in bad[0])
+            return f"associativity fails at ({a}, {b}, {c})"
+    return None
+
+
+def group_error(table):
+    try:
+        GroupTable(table)
+    except InvalidGroupTable as exc:
+        return str(exc)
+    return None
+
+
+def seeded_corruptions(g: GroupTable, rng, count):
+    """`count` tables of g with one intercalate flipped (a Latin square that
+    keeps its identity but is seldom associative), and `count` with two
+    cells of one column swapped."""
+    n, rows = g.order, g.array.tolist()
+    flips = 0
+    for _ in range(100 * count):
+        if flips == count:
+            break
+        i, i2 = rng.sample(range(1, n), 2)
+        j = rng.randrange(1, n)
+        j2 = rows[i].index(rows[i2][j])
+        a, b = rows[i][j], rows[i2][j]
+        if j2 and rows[i2][j2] == a:
+            t = [list(r) for r in rows]
+            t[i][j], t[i][j2], t[i2][j], t[i2][j2] = b, a, a, b
+            flips += 1
+            yield t
+    for _ in range(count):
+        j = rng.randrange(n)
+        i, i2 = rng.sample(range(n), 2)
+        t = [list(r) for r in rows]
+        t[i][j], t[i2][j] = t[i2][j], t[i][j]
+        yield t
+
+
+CATALOGUE = GENERATED + [
+    (name, lambda name=name: named_group(name))
+    for name in ("cyclic:2", "cyclic:7", "cyclic:16", "klein4", "q8", "dihedral:20")
+] + [("cyclic(2)xdihedral5", lambda: direct_product(cyclic(2), dihedral_group(5)))]
+
+
+def test_light_test_agrees_with_the_full_scan():
+    rng = random.Random(1961)
+    outcomes = collections.Counter()
+    for key, build in CATALOGUE:
+        g = build()
+        if g.order < 3:
+            continue
+        for table in seeded_corruptions(g, rng, 20):
+            expected = scan_group_error(table)
+            assert group_error(table) == expected, key
+            outcomes[expected.split(" ")[0] if expected else None] += 1
+    assert set(outcomes) == {None, "associativity", "row", "element"}
+    assert outcomes["associativity"] > 200, outcomes
+
+
+@pytest.mark.parametrize("key,build", CATALOGUE, ids=[k for k, _ in CATALOGUE])
+def test_light_test_passes_without_the_scan(monkeypatch, key, build):
+    g = build()
+    generators = groups.table_generators(g.array, closed=(0,))
+    calls = 0
+    scan = groups._scan_associativity
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return scan(m)
+
+    monkeypatch.setattr(groups, "_scan_associativity", counted)
+    assert GroupTable(g.array).table == g.table
+    assert calls == (2 * len(generators) >= g.order)
+    assert len(generators) <= max(1, (g.order - 1).bit_length())  # each one doubles <S>
+
+
+def test_a_light_failure_the_scan_misses_is_an_error(monkeypatch):
+    monkeypatch.setattr(groups, "_associates_through", lambda m, s: False)
+    with pytest.raises(RuntimeError, match="internal error"):
+        GroupTable(cyclic(9).array)
+
+
 def test_unknown_name():
     with pytest.raises(ValueError):
         named_group("monster")
@@ -229,39 +338,56 @@ def test_named_group_of_order_zero(name):
         named_group(name)
 
 
+def center(g: GroupTable) -> frozenset[int]:
+    commutes = (g.array == g.array.T).all(axis=1)
+    return frozenset(np.flatnonzero(commutes).tolist())
+
+
+def is_abelian(g: GroupTable) -> bool:
+    return bool(np.array_equal(g.array, g.array.T))
+
+
+def element_order(g: GroupTable, a: int) -> int:
+    n, x = 1, a
+    while x != 0:
+        x = g.mul(x, a)
+        n += 1
+    return n
+
+
 class TestStructure:
     def test_cyclic_is_abelian(self):
-        assert cyclic(7).is_abelian()
-        assert not symmetric_group(3).is_abelian()
+        assert is_abelian(cyclic(7))
+        assert not is_abelian(symmetric_group(3))
 
     def test_element_orders_divide_group_order(self):
         for g in (symmetric_group(4), quaternion8(), dihedral_group(5)):
             for a in range(g.order):
-                assert g.order % g.element_order(a) == 0
+                assert g.order % element_order(g, a) == 0
 
     def test_q8_center_and_commutator(self):
         q8 = quaternion8()
-        assert len(q8.center()) == 2
+        assert len(center(q8)) == 2
         inv = q8.inv
         comms = {q8.mul(q8.mul(inv(a), inv(b)), q8.mul(a, b)) for a in range(8) for b in range(8)}
-        assert comms == set(q8.center())  # [Q8, Q8] = Z(Q8) = {1, -1}
+        assert comms == set(center(q8))  # [Q8, Q8] = Z(Q8) = {1, -1}
 
     def test_klein4_every_element_involutive(self):
         v = klein4()
-        assert v.is_abelian()
-        assert all(v.element_order(a) in (1, 2) for a in range(4))
+        assert is_abelian(v)
+        assert all(element_order(v, a) in (1, 2) for a in range(4))
 
     def test_dihedral_structure(self):
         d5 = dihedral_group(5)
         assert d5.order == 10
-        orders = sorted(d5.element_order(a) for a in range(10))
+        orders = sorted(element_order(d5, a) for a in range(10))
         assert orders == [1, 2, 2, 2, 2, 2, 5, 5, 5, 5]
 
     def test_direct_product(self):
         g = direct_product(cyclic(2), cyclic(3))
         assert g.order == 6
-        assert g.is_abelian()
-        assert max(g.element_order(a) for a in range(6)) == 6  # it is Z/6
+        assert is_abelian(g)
+        assert max(element_order(g, a) for a in range(6)) == 6  # it is Z/6
 
     def test_from_permutations(self):
         g = from_permutations(3, [(1, 2, 0)])
