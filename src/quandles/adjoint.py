@@ -213,10 +213,6 @@ class ClauwensGroup:
     def act_index(self, v_index: int, g: ClauwensElement) -> int:
         return int(self.act_array(v_index, g))
 
-    def epsilon(self, g: ClauwensElement) -> int:
-        """Total exponent: the sum of generator exponents."""
-        return g.n
-
     def verify(self):
         """Construction checks: e(x <| y) = e(y)^-1 e(x) e(y) and x . e(y) =
         x <| y on every pair, in blocks of rows x, reporting the first

@@ -12,7 +12,9 @@ quandle table file, e.g.::
     quandles census --jobs 4
 
 Family specs and `grid:<key>` catalogue entries resolve through one table,
-`grid.FAMILIES`; its module docstring gives the family grammar.  A
+`grid.FAMILIES`; its module docstring gives the family grammar.  Group
+names, for `core group=` and `verify --suite coxeter`, resolve through
+one function, `groups.parse_group_name`; its docstring gives the grammar.  A
 `covering` input carries no module data, so `adjoint`, `verify` and
 `covering` refuse it.
 
@@ -45,9 +47,9 @@ from .coverings import (
     export_covering,
     universal_covering_alexander,
 )
-from .families import AlexanderModuleSpec, coxeter_generators
+from .families import AlexanderModuleSpec
 from .grid import FAMILIES, Recipe, grid_by_key, parse_family, standard_grid
-from .groups import TABLE_LIMIT, GroupTable, InvalidGroupTable, from_permutations, parse_group_name
+from .groups import GroupTable, parse_group_name
 from .homology import (
     QUANDLE,
     RACK,
@@ -58,7 +60,6 @@ from .homology import (
     quandle_h2,
 )
 from .intlin import AbelianGroupInvariants
-from .perms import PermGroup
 from .report import CheckEntry, ReportDocument
 
 
@@ -100,16 +101,6 @@ def parse_input(tokens) -> Recipe:
         f"cannot interpret input {' '.join(tokens)!r}: not a family spec, "
         "grid key, or readable file"
     )
-
-
-def _coxeter_group(kind: str) -> tuple[int, Callable[[], GroupTable]]:
-    """The order of the reflection group a Coxeter label names, read from its
-    stabilizer chain, and a function that builds its multiplication table."""
-    try:
-        name, degree, gens = coxeter_generators(kind, max_order=TABLE_LIMIT)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    return PermGroup(degree, gens).order, lambda: from_permutations(degree, gens, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -323,26 +314,14 @@ def cmd_verify(args) -> ReportDocument:
             parsed = parse_input(args.input)
             if parsed.coxeter_kind is None:
                 raise CLIError(f"coxeter suite needs a Coxeter group, got {parsed.description!r}")
-            order, build = _coxeter_group(parsed.coxeter_kind)
-            description = parsed.description
+            name, description = parsed.coxeter_kind, parsed.description
         else:
             name = " ".join(tokens)
-            try:
-                order, build = parse_group_name(name)
-            except InvalidGroupTable as exc:
-                raise CLIError(f"bad group {name!r}: {exc}") from None
-            except ValueError:
-                try:
-                    order, build = _coxeter_group(name)
-                except CLIError as exc:
-                    raise CLIError(
-                        f"coxeter suite needs a group name or Coxeter label, got {name!r}: {exc}"
-                    ) from None
-            if order > TABLE_LIMIT:
-                raise CLIError(
-                    f"group {name!r} has order {order}, over the table limit {TABLE_LIMIT}"
-                )
             description = f"group {name}"
+        try:
+            order, build = parse_group_name(name)
+        except ValueError as exc:
+            raise CLIError(f"bad group: {exc}") from None
         doc = ReportDocument(f"verify coxeter: {description}", __version__)
         _verify_coxeter(doc, order, build, args.cap_group)
         return doc

@@ -6,9 +6,10 @@ A quandle is a set with a binary operation x <| y satisfying
   (iii) self-distributivity:  (x <| y) <| z == (x <| z) <| (y <| z)
 
 Elements are 0..n-1.  A table is one int64 array, array[x, y] = x <| y,
-checked and kept read-only; `table` is its tuple view for scalar lookups,
-equality, hashing and serialization, and whole-table questions (orbits,
-morphism checks, complex assembly) read the array.
+checked and kept read-only; `table` is its tuple view, built on first
+read, for scalar lookups, equality, hashing and serialization, and
+whole-table questions (orbits, morphism checks, complex assembly) read
+the array.
 
 Axioms (i) and (ii) are checked on every cell.  Axiom (iii) is checked on a
 generating set S: given (i) and (ii), the elements z whose right translation
@@ -23,6 +24,7 @@ scan over all n^3 cells, which finds the lexicographically first witness.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -57,14 +59,18 @@ class FiniteQuandle:
             raise ValueError("label count does not match order")
         self.array, self._generators = _check_axioms(table)
         self.array.setflags(write=False)
-        self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, self.array.tolist()))
         self._type = None
         self._orbits = None
         self._inn = None
 
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The tuple view of `array`, built on first read."""
+        return tuple(map(tuple, self.array.tolist()))
+
     @property
     def order(self) -> int:
-        return len(self.table)
+        return len(self.array)
 
     def apply(self, x: int, y: int) -> int:
         """x <| y."""

@@ -21,7 +21,7 @@ import numpy as np
 from . import perms
 from .core import FiniteQuandle, validate
 from .fields import FiniteField, codes, digit_rows
-from .groups import GroupTable
+from .groups import GroupTable, coxeter_generators
 from .perms import PermGroup
 
 
@@ -266,6 +266,9 @@ def conjugation_reflections(w: PermGroup, seeds) -> FiniteQuandle:
 
     Elements are the W-conjugates of the seeds with a <| b = b^-1 a b;
     they are sorted lexicographically as image tuples for a stable order.
+    The closure conjugates each new element by every generator at once, by
+    gathers, and knows its elements by their keys on a base of W; the
+    table is `perms.tabulate` on that base.
     """
     seeds = [tuple(s) for s in seeds]
     for s in seeds:
@@ -273,77 +276,29 @@ def conjugation_reflections(w: PermGroup, seeds) -> FiniteQuandle:
             raise SeedNotInvolution(f"{s} is not an involution")
         if not w.contains(s):
             raise ValueError(f"seed {s} is not an element of the group")
-    closure = set(seeds)
-    queue = list(seeds)
-    while queue:
-        s = queue.pop(0)
-        for g in w.generators:
-            c = perms.compose(perms.compose(perms.inverse(g), s), g)
-            if c not in closure:
-                closure.add(c)
-                queue.append(c)
-    elems = sorted(closure)
-    index = {p: i for i, p in enumerate(elems)}
-    table = [
-        [
-            index[perms.compose(perms.compose(perms.inverse(b), a), b)]
-            for b in elems
-        ]
-        for a in elems
-    ]
-    labels = [perms.format_perm(p) for p in elems]
+    base = perms.base_points(w)
+    gens = np.array(w.generators, dtype=np.int32)
+    inverses = np.argsort(gens, axis=1)
+    frontier = np.array(list(dict.fromkeys(seeds)), dtype=np.int32).reshape(-1, w.degree)
+    known = set(perms.base_keys(frontier[:, base]).tolist())
+    closure = [frontier]
+    while len(frontier):
+        # g^-1 s g for every s in the frontier and every generator g
+        images = np.concatenate([g[frontier[:, inv]] for g, inv in zip(gens, inverses)])
+        fresh = []
+        for i, key in enumerate(perms.base_keys(images[:, base]).tolist()):
+            if key not in known:
+                known.add(key)
+                fresh.append(i)
+        frontier = images[fresh]
+        closure.append(frontier)
+    elements, table = perms.tabulate(np.concatenate(closure), base, conjugate=True)
+    labels = [perms.format_perm(p) for p in elements.tolist()]
     return validate(table, labels=labels)
-
-
-def coxeter_generators(
-    kind: str, max_order: int | None = None
-) -> tuple[str, int, list[tuple[int, ...]]]:
-    """The reflection group a Coxeter label names: (name, degree, simple reflections).
-
-    'A<n>' (n >= 1) is the symmetric group S_{n+1} with the adjacent
-    transpositions; 'I2(<m>)' (m >= 3) is the dihedral group of the m-gon
-    with two adjacent reflections; 'B2' and 'G2' are I2(4) and I2(6).  A
-    group of more than max_order elements is refused before any
-    permutation is built.
-    """
-    kind = kind.strip().upper()
-    kind = {"B2": "I2(4)", "G2": "I2(6)"}.get(kind, kind)
-    if kind.startswith("A") and kind[1:].isdigit():
-        n = int(kind[1:])
-        if n < 1:
-            raise ValueError("need A1 or higher")
-        _check_order(kind, range(2, n + 2), max_order)
-        degree = n + 1
-        gens = []
-        for i in range(n):
-            img = list(range(degree))
-            img[i], img[i + 1] = img[i + 1], img[i]
-            gens.append(tuple(img))
-        return f"sym{degree}", degree, gens
-    if kind.startswith("I2(") and kind.endswith(")") and kind[3:-1].isdigit():
-        m = int(kind[3:-1])
-        if m < 3:
-            raise ValueError("need I2(3) or higher")
-        _check_order(kind, (2, m), max_order)
-        rot = tuple((i + 1) % m for i in range(m))
-        ref = tuple((-i) % m for i in range(m))
-        return f"dihedral{m}", m, [ref, perms.compose(ref, rot)]
-    raise ValueError(f"unknown Coxeter label {kind!r}")
-
-
-def _check_order(kind: str, factors, max_order: int | None) -> None:
-    """Refuse a group whose order, the product of factors, exceeds max_order."""
-    if max_order is None:
-        return
-    order = 1
-    for f in factors:
-        order *= f
-        if order > max_order:
-            raise ValueError(f"{kind} names a group of more than {max_order} elements")
 
 
 def coxeter_reflection_quandle(kind: str) -> FiniteQuandle:
     """The reflections of the Coxeter group a label names (see
-    coxeter_generators): the conjugates of its simple reflections."""
+    groups.coxeter_generators): the conjugates of its simple reflections."""
     _name, degree, gens = coxeter_generators(kind)
     return conjugation_reflections(PermGroup(degree, gens), gens)

@@ -158,14 +158,5 @@ class FiniteField:
         """Image of the integer k in the prime subfield."""
         return k % self.p
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        n, x = 1, a
-        while x != 1:
-            x = self.mul_table[x, a]
-            n += 1
-        return n
-
     def __repr__(self):
         return f"FiniteField(q={self.q})"

@@ -8,6 +8,8 @@ catalogue both resolve names through this one table.  Families:
 alexander (orders, t -- t is a scalar or a matrix written rows-semicolon,
 entries-comma, e.g. t=0,1;1,1), dihedral (n), trivial (n), symplectic (g,
 q), spherical (n, q), core (group), coxeter (type), covering (orders, t).
+A core group is any name `groups.parse_group_name` reads, and a coxeter
+type any of its Coxeter labels; its docstring gives the grammar.
 
 The catalogue is the built-in test bed: rows of (key, family spec, order)
 spanning every family, with orders from 1 to 64.  Keys are stable
@@ -29,7 +31,7 @@ from .core import FiniteQuandle
 from .coverings import universal_covering_alexander
 from .families import AlexanderModuleSpec
 from .fields import FiniteFieldSpec
-from .groups import TABLE_LIMIT, parse_group_name
+from .groups import coxeter_generators, parse_group_name
 
 
 @dataclass(frozen=True)
@@ -90,14 +92,13 @@ def _spherical(s) -> Recipe:
 
 
 def _core(s) -> Recipe:
-    order, build = parse_group_name(s["group"])
-    if order > TABLE_LIMIT:
-        raise ValueError(f"group order {order} exceeds limit {TABLE_LIMIT}")
+    _order, build = parse_group_name(s["group"])
     return Recipe(f"core group={s['group']}", "core", lambda: families.core(build()))
 
 
 def _coxeter(s) -> Recipe:
     kind = s["type"]
+    coxeter_generators(kind)  # refuses an unknown label, or one past the table limit, now
     return Recipe(
         f"coxeter type={kind}",
         "coxeter",
@@ -267,26 +268,3 @@ def standard_grid() -> list[GridEntry]:
 
 def grid_by_key() -> dict[str, GridEntry]:
     return {e.key: e for e in standard_grid()}
-
-
-def connected_alexander_specs(max_order: int = 16) -> list[AlexanderModuleSpec]:
-    """Specs of all grid Alexander entries that are connected, up to max_order."""
-    return [
-        e.alexander_spec
-        for e in standard_grid()
-        if e.kind == "alexander"
-        and e.alexander_spec.size <= max_order
-        and e.alexander_spec.is_connected()
-    ]
-
-
-def homotopy_suite_specs() -> list[AlexanderModuleSpec]:
-    """Connected linear quandles spanning several types, kept small enough
-    that degree-3 chain computations stay fast."""
-    return [
-        AlexanderModuleSpec.scalar((3,), -1),          # type 2
-        AlexanderModuleSpec((2, 2), [[0, 1], [1, 1]]),  # type 3
-        AlexanderModuleSpec.scalar((5,), 2),           # type 4
-        AlexanderModuleSpec.scalar((3, 3), -1),        # type 2, rank 2
-        AlexanderModuleSpec.scalar((7,), 3),           # type 6
-    ]

@@ -3,8 +3,8 @@
 Elements are 0..n-1 with 0 the identity.  A table is one int64 array,
 validated on construction (rows and columns are permutations, identity,
 inverses, associativity) and kept read-only as `array`; `table` is its
-tuple-of-tuples view, which `mul` reads.  Downstream code can trust any
-GroupTable it receives.
+tuple-of-tuples view, built on first read, which `mul` reads.  Downstream
+code can trust any GroupTable it receives.
 
 Associativity is checked by Light's test (Clifford and Preston, The
 Algebraic Theory of Semigroups, vol. 1) on a generating set S: the
@@ -13,10 +13,15 @@ products, so it is enough that each s in S passes, at 2|S| n^2 gathers
 instead of n^3 cells.  A table that fails, or whose S is too large for the
 test to pay, gets the scan over all cells in blocks of rows, which finds
 the lexicographically first failing (a, b, c).
+
+`parse_group_name` is the one resolver of group names and Coxeter labels;
+its docstring gives the grammar.  It reads the order from the name, checks
+it against TABLE_LIMIT, and builds permutation groups by `from_permutations`.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,7 +43,6 @@ class GroupTable:
 
     def __init__(self, table, labels=None, name=None):
         n = len(table)
-        self.order = n
         self.labels = tuple(labels) if labels else None
         self.name = name
         if n == 0:
@@ -73,8 +77,16 @@ class GroupTable:
                                "but the scan of all cells found no failure")
         m.setflags(write=False)
         self.array = m
-        self.table = tuple(map(tuple, m.tolist()))
         self._inv = inv.tolist()
+
+    @property
+    def order(self) -> int:
+        return len(self.array)
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The tuple view of `array`, built on first read; `mul` reads it."""
+        return tuple(map(tuple, self.array.tolist()))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -124,48 +136,6 @@ def klein4() -> GroupTable:
     return g
 
 
-# the most elements a group table is built for from permutations
-TABLE_LIMIT = 4096
-
-
-def from_permutations(degree: int, gens, name=None, limit=TABLE_LIMIT) -> GroupTable:
-    """Group table of the closure of `gens`, elements sorted lexicographically.
-
-    The identity image tuple is lexicographically least, so it lands at
-    index 0 as required.
-    """
-    group = perms.PermGroup(degree, gens)
-    elems = group.elements(limit=limit)
-    # row p composes p with every element q, whose images q[p[i]] are the
-    # rows of images[:, p]; each row finds its index by its bytes
-    images = np.array(elems, dtype=np.int32).reshape(len(elems), degree)
-    index = {row.tobytes(): i for i, row in enumerate(images)}
-    table = [[index[row.tobytes()] for row in images[:, p]] for p in images]
-    labels = [perms.format_perm(p) for p in elems]
-    return GroupTable(table, labels=labels, name=name)
-
-
-def symmetric_group(n: int) -> GroupTable:
-    if n < 1 or n > 5:
-        raise ValueError("symmetric_group supports 1 <= n <= 5")
-    gens = []
-    if n >= 2:
-        gens = [
-            tuple([1, 0] + list(range(2, n))),
-            tuple(list(range(1, n)) + [0]),
-        ]
-    return from_permutations(n, gens, name=f"sym{n}")
-
-
-def dihedral_group(m: int) -> GroupTable:
-    """Symmetries of a regular m-gon (order 2m) acting on the m vertices."""
-    if m < 3:
-        raise ValueError("dihedral_group needs m >= 3")
-    rot = tuple((i + 1) % m for i in range(m))
-    ref = tuple((-i) % m for i in range(m))
-    return from_permutations(m, [rot, ref], name=f"dihedral{m}")
-
-
 def quaternion8() -> GroupTable:
     """The quaternion group {1, -1, i, -i, j, -j, k, -k}."""
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
@@ -190,32 +160,124 @@ def quaternion8() -> GroupTable:
 _NAMED = {
     "klein4": (4, klein4),
     "q8": (8, quaternion8),
-    "s3": (6, lambda: symmetric_group(3)),
-    "s4": (24, lambda: symmetric_group(4)),
 }
+
+# the most elements of a named group, or of the reflection quandle of a
+# Coxeter label, that a table is built for
+TABLE_LIMIT = 4096
+
+
+def _within_limit(name: str, what: str, factors) -> int:
+    """The product of `factors`, the size of the `what` that `name` names,
+    refused as soon as it passes TABLE_LIMIT."""
+    size = 1
+    for f in factors:
+        size *= f
+        if size > TABLE_LIMIT:
+            raise ValueError(f"{name} names {what} of more than {TABLE_LIMIT} elements")
+    return size
+
+
+def from_permutations(degree: int, gens, name=None, limit=TABLE_LIMIT) -> GroupTable:
+    """Group table of the closure of `gens`, elements sorted lexicographically
+    as image tuples, tabulated by `perms.tabulate` on a base of the group.
+
+    The identity image tuple is lexicographically least, so it lands at
+    index 0 as required.
+    """
+    group = perms.PermGroup(degree, gens)
+    elements = group.elements(limit=limit)
+    elements, table = perms.tabulate(
+        np.array(elements, dtype=np.int32).reshape(len(elements), degree), perms.base_points(group)
+    )
+    labels = [perms.format_perm(p) for p in elements.tolist()]
+    return GroupTable(table, labels=labels, name=name)
+
+
+def _coxeter_label(label: str) -> tuple[str, int] | None:
+    """('A', n) for A<n> (n >= 1) and ('I2', m) for I2(<m>) (m >= 3), with
+    B2 = I2(4) and G2 = I2(6); None for a name that is no Coxeter label."""
+    kind = label.strip().upper()
+    kind = {"B2": "I2(4)", "G2": "I2(6)"}.get(kind, kind)
+    if kind.startswith("A") and kind[1:].isdigit():
+        if int(kind[1:]) < 1:
+            raise ValueError("need A1 or higher")
+        return "A", int(kind[1:])
+    if kind.startswith("I2(") and kind.endswith(")") and kind[3:-1].isdigit():
+        if int(kind[3:-1]) < 3:
+            raise ValueError("need I2(3) or higher")
+        return "I2", int(kind[3:-1])
+    return None
+
+
+def coxeter_generators(label: str) -> tuple[str, int, list[perms.Perm]]:
+    """The reflection group a Coxeter label names: (name, degree, simple reflections).
+
+    A<n> is the symmetric group S_{n+1} with the adjacent transpositions;
+    I2(m) is the dihedral group of the m-gon with two adjacent reflections.
+    A label with more than TABLE_LIMIT reflections, n(n+1)/2 for A<n> and m
+    for I2(m), is refused before any permutation is built.
+    """
+    parsed = _coxeter_label(label)
+    if parsed is None:
+        raise ValueError(f"unknown Coxeter label {label.strip().upper()!r}")
+    series, rank = parsed
+    reflections = rank * (rank + 1) // 2 if series == "A" else rank
+    _within_limit(label.strip(), "a reflection quandle", (reflections,))
+    if series == "A":
+        degree = rank + 1
+        gens = []
+        for i in range(rank):
+            img = list(range(degree))
+            img[i], img[i + 1] = img[i + 1], img[i]
+            gens.append(tuple(img))
+        return f"sym{degree}", degree, gens
+    rot = tuple((i + 1) % rank for i in range(rank))
+    ref = tuple((-i) % rank for i in range(rank))
+    return f"dihedral{rank}", rank, [ref, perms.compose(ref, rot)]
 
 
 def parse_group_name(name: str) -> tuple[int, Callable[[], GroupTable]]:
-    """The order of a named group, read from its name before any table is
-    built, and a function that builds the table.  Names: cyclic:n,
-    dihedral:m, s3, s4, q8, klein4."""
-    name = name.strip().lower()
-    if name in _NAMED:
-        return _NAMED[name]
-    if ":" in name:
-        kind, _, arg = name.partition(":")
+    """The order of a named group, read from its name before anything is
+    built, and a function that builds its table.
+
+    Names, in any case: cyclic:n (n >= 1), dihedral:m (order 2m, m >= 3),
+    s3, s4, q8, klein4, and the Coxeter labels A<n> (the symmetric group
+    S_{n+1}), I2(m) (the dihedral group of order 2m), B2 = I2(4) and
+    G2 = I2(6).  s3, s4 and dihedral:m are A2, A3 and I2(m), built from
+    the permutations of `coxeter_generators`.  A name whose order passes
+    TABLE_LIMIT is refused here.
+    """
+    name = name.strip()
+    key = name.lower()
+    if key in _NAMED:
+        return _NAMED[key]
+    kind, colon, arg = key.partition(":")
+    if kind == "cyclic" and colon:
         n = int(arg)
-        if kind == "cyclic":
-            if n < 1:
-                raise InvalidGroupTable("a group needs at least its identity 0")
-            return n, lambda: cyclic(n)
-        if kind == "dihedral":
-            if n < 3:
-                raise InvalidGroupTable("dihedral:m needs m >= 3")
-            return 2 * n, lambda: dihedral_group(n)
-    raise ValueError(f"unknown group name {name!r}")
+        if n < 1:
+            raise InvalidGroupTable("a group needs at least its identity 0")
+        _within_limit(name, "a group", (n,))
+        return n, lambda: cyclic(n)
+    if kind == "dihedral" and colon:
+        if int(arg) < 3:
+            raise InvalidGroupTable("dihedral:m needs m >= 3")
+        label = f"I2({int(arg)})"
+    else:
+        label = {"s3": "A2", "s4": "A3"}.get(key, key)
+    parsed = _coxeter_label(label)
+    if parsed is None:
+        raise ValueError(f"unknown group name {key!r}")
+    series, rank = parsed
+    order = _within_limit(name, "a group", range(2, rank + 2) if series == "A" else (2, rank))
+
+    def build() -> GroupTable:
+        group_name, degree, gens = coxeter_generators(label)
+        return from_permutations(degree, gens, name=group_name)
+
+    return order, build
 
 
 def named_group(name: str) -> GroupTable:
-    """Look up a group by name: cyclic:n, dihedral:m, s3, s4, q8, klein4."""
+    """Look up a group by name; see parse_group_name."""
     return parse_group_name(name)[1]()

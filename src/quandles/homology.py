@@ -123,9 +123,6 @@ class RackComplexSlice:
             return [()]
         return list(zip(*(d.tolist() for d in _digits(codes, self.quandle.order, degree))))
 
-    def basis_size(self, degree: int) -> int:
-        return len(self._basis_codes(degree))
-
     def boundary(self, degree: int) -> SparseIntMatrix:
         """The matrix of d: C_degree -> C_{degree-1} in the chosen mode."""
         if degree < 1 or degree > 4:

@@ -61,10 +61,6 @@ class AbelianGroupInvariants:
             return None
         return prod(self.torsion) if self.torsion else 1
 
-    def annihilated_by(self, n: int) -> bool:
-        """True when n * G = 0."""
-        return self.free_rank == 0 and all(n % d == 0 for d in self.torsion)
-
     def torsion_annihilated_by(self, n: int) -> bool:
         return all(n % d == 0 for d in self.torsion)
 
@@ -77,15 +73,6 @@ class AbelianGroupInvariants:
                     break
                 while d % g == 0:
                     d //= g
-            if d != 1:
-                return False
-        return True
-
-    def torsion_prime_power(self, p: int) -> bool:
-        """True when every torsion invariant is a power of the prime p."""
-        for d in self.torsion:
-            while d % p == 0:
-                d //= p
             if d != 1:
                 return False
         return True

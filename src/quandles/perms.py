@@ -7,8 +7,7 @@ order is an exact orbit-times-stabilizer certificate.  Each level of the
 chain takes the smallest point moved by its generators, builds the orbit
 transversal {b: u_b} with u_b[point] = b by breadth-first search, and
 passes to the next level every distinct non-identity Schreier generator
-u_a g u_{a^g}^-1, sorted.  PermGroup.stabilizer takes the same step at
-the point it is given.
+u_a g u_{a^g}^-1, sorted.
 
 The Schreier step runs on numpy arrays.  The transversal is stacked as
 an |orbit| x n int32 array U whose row inverses Uinv are computed once;
@@ -16,6 +15,12 @@ with pos mapping each orbit point to its row, one gather
 Uinv[pos[g[a]], g[U]] forms all |orbit| Schreier generators of one
 generator g.  Rows are deduplicated by their bytes, and only the
 distinct ones become image tuples.
+
+An element of a group is fixed by its images of a base, the points of
+the chain (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 4.4).  So `tabulate` keys each element by those images, and finds
+every product by gathering its images of the base alone and one
+searchsorted among the sorted keys.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ def is_permutation(p, n: int) -> bool:
 
 def format_perm(p: Perm) -> str:
     """Image-list serialization: '0 2 1'."""
-    return " ".join(str(i) for i in p)
+    return " ".join(map(str, p))
 
 
 class _ChainLevel:
@@ -173,34 +178,6 @@ class PermGroup:
             p = compose(p, inverse(u))
         return is_identity(p)
 
-    def orbit(self, point: int) -> list[int]:
-        orbit = {point}
-        queue = [point]
-        while queue:
-            a = queue.pop(0)
-            for g in self.generators:
-                b = g[a]
-                if b not in orbit:
-                    orbit.add(b)
-                    queue.append(b)
-        return sorted(orbit)
-
-    def orbits(self) -> list[tuple[int, ...]]:
-        seen = set()
-        parts = []
-        for i in range(self.degree):
-            if i not in seen:
-                orb = self.orbit(i)
-                seen.update(orb)
-                parts.append(tuple(orb))
-        return parts
-
-    def stabilizer(self, point: int) -> "PermGroup":
-        """Point stabilizer, generated by the Schreier generators at `point`."""
-        gens = sorted(self.generators)
-        transversal = _orbit_transversal(self.degree, point, gens)
-        return PermGroup(self.degree, _schreier_generators(self.degree, transversal, gens))
-
     def elements(self, limit: int = 1_000_000) -> list[Perm]:
         """All elements by closure, sorted; guarded by `limit`."""
         if self.order > limit:
@@ -221,6 +198,59 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"
+
+
+def base_points(group: PermGroup) -> list[int]:
+    """A base of the group: the points of its stabilizer chain, or any one
+    point when the chain is empty."""
+    return [level.point for level in group.chain()] or [0]
+
+
+def base_keys(images: np.ndarray) -> np.ndarray:
+    """One key per row of base images along the last axis: the row's bytes."""
+    images = np.ascontiguousarray(images, dtype=np.int32)
+    return images.view(np.dtype((np.void, 4 * images.shape[-1])))[..., 0]
+
+
+# product images of the base gathered per block of rows in `tabulate`
+_TABULATE_BLOCK_CELLS = 1 << 20
+
+
+def tabulate(elements: np.ndarray, base, conjugate: bool = False):
+    """The rows of `elements`, image arrays of permutations, sorted
+    lexicographically, and the table of a product on them: entry [a, b] is
+    the index of a b (apply a, then b), or of b^-1 a b when `conjugate`.
+
+    `base` is a base of a group holding the elements, and every product
+    must be an element.  A product is keyed by its images of the base alone,
+    gathered in blocks of rows, and found by one searchsorted among the
+    sorted keys of the elements; a key that is not there is an internal
+    error, never a wrong index.
+    """
+    elements = elements[np.lexsort(elements.T[::-1])]
+    n, degree = elements.shape
+    base = np.asarray(base)
+    keys = base_keys(elements[:, base])
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    flat = elements.ravel()
+    starts = np.arange(n) * degree  # element r's image of x is flat[starts[r] + x]
+    # the product's image of x is b[a[y]], with y = x, or y = b^-1[x] when conjugating
+    y = base[None, :]
+    if conjugate:
+        inverses = np.empty_like(elements)
+        inverses[np.arange(n)[:, None], elements] = np.arange(degree, dtype=np.int32)
+        y = inverses[:, base]
+    table = np.empty((n, n), dtype=np.int64)
+    step = max(1, _TABULATE_BLOCK_CELLS // max(1, n * len(base)))
+    for a0 in range(0, n, step):
+        a = starts[a0 : a0 + step, None, None]
+        found = base_keys(flat[starts[:, None] + flat[a + y]])  # [a, b]: the product's key
+        pos = np.minimum(np.searchsorted(sorted_keys, found), n - 1)
+        if not np.array_equal(sorted_keys[pos], found):
+            raise RuntimeError("internal error: a product is not among the tabulated elements")
+        table[a0 : a0 + step] = by_key[pos]
+    return elements, table
 
 
 def closure_order(degree: int, gens, limit: int = 2_000_000) -> int:

@@ -19,12 +19,14 @@ from quandles.adjoint import (
 from quandles.cli import main
 from quandles.core import is_covering, validate
 from quandles.fields import FiniteField
-from quandles.grid import connected_alexander_specs, homotopy_suite_specs, standard_grid
+from quandles.grid import standard_grid
 from quandles.groups import named_group
 from quandles.homology import adjoint_abelianization, quandle_h2
 from quandles.intlin import AbelianGroupInvariants
 from quandles.perms import closure_order
 from quandles.coverings import universal_covering_alexander
+
+from alexander_specs import connected_alexander_specs, homotopy_suite_specs
 
 
 class Timer:

@@ -12,7 +12,7 @@ from quandles.adjoint import ClauwensGroup
 from quandles.cli import CLIError, main, parse_input
 from quandles.core import FiniteQuandle, dump_table
 from quandles.coverings import universal_covering_alexander
-from quandles.groups import TABLE_LIMIT, dihedral_group, symmetric_group
+from quandles.groups import TABLE_LIMIT
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -306,23 +306,6 @@ class TestCommands:
         assert ids == ["[relations]", "[kernel-structure]", "[central-power]", "[h2]"]
         assert out.endswith("status: reported\ndata.group: 0\n")
 
-    @pytest.mark.parametrize(
-        "label, group",
-        [
-            ("A1", symmetric_group(2)),
-            ("A2", symmetric_group(3)),
-            ("A4", symmetric_group(5)),
-            ("B2", dihedral_group(4)),
-            ("G2", dihedral_group(6)),
-            ("i2(5)", dihedral_group(5)),
-        ],
-    )
-    def test_coxeter_label_names_the_same_group_table(self, label, group):
-        order, build = cli._coxeter_group(label)
-        built = build()
-        assert order == group.order
-        assert (built.name, built.table) == (group.name, group.table)
-
     def test_coxeter_group_over_the_cap_is_skipped_before_its_table(self):
         # the whole 720 x 720 table of A5 was built (38 s) only to be skipped
         out = _run_cli("verify", "--suite", "coxeter", "A5")
@@ -351,14 +334,36 @@ class TestCommands:
         out = _run_cli("verify", "--suite", "coxeter", "dihedral:5000")
         assert out.returncode == 2
         assert out.stdout == ""
-        assert f"over the table limit {TABLE_LIMIT}" in out.stderr
+        assert f"dihedral:5000 names a group of more than {TABLE_LIMIT} elements" in out.stderr
 
     def test_core_group_over_the_table_limit_is_two(self):
         # refused by the order read from its name, well inside the timeout;
         # building the group's 10000 permutations first took seconds
         out = _run_cli("check", "core group=dihedral:5000", timeout=3)
         assert out.returncode == 2
-        assert f"exceeds limit {TABLE_LIMIT}" in out.stderr
+        assert f"dihedral:5000 names a group of more than {TABLE_LIMIT} elements" in out.stderr
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [(name, ["check", f"core group={name}"]) for name in ("dihedral:5000", "cyclic:5000", "A6")]
+        + [(name, ["verify", "--suite", "coxeter", name]) for name in ("dihedral:5000", "A6", "A100000")]
+        + [("A6", ["verify", "--suite", "coxeter", "coxeter type=A6"])],
+    )
+    def test_one_limit_message_for_every_path(self, capsys, name, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"{name} names a group of more than {TABLE_LIMIT} elements\n"), err
+
+    def test_core_accepts_a_coxeter_label(self, capsys):
+        code, out, _ = run(capsys, "check", "core group=A3")
+        assert code == 0
+        assert "data.order: 24" in out
+
+    def test_coxeter_family_over_the_reflection_limit_is_two(self):
+        # A100 has 5050 reflections; refused when the spec is parsed
+        out = _run_cli("check", "coxeter type=A100", timeout=5)
+        assert out.returncode == 2
+        assert f"A100 names a reflection quandle of more than {TABLE_LIMIT} elements" in out.stderr
 
     def test_core_of_cyclic400_within_the_timeout(self):
         # the group's associativity check is blocked on arrays; the per-cell

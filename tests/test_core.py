@@ -139,6 +139,26 @@ class TestArrayLayout:
         assert all(q == qs[0] and hash(q) == hash(qs[0]) for q in qs)
         assert all(type(v) is int for row in qs[2].table for v in row)
 
+    def test_the_tuple_view_is_built_on_first_read(self):
+        from quandles.coverings import universal_covering_alexander
+        from quandles.groups import named_group
+
+        group = named_group("dihedral:5")
+        inst = universal_covering_alexander(families.AlexanderModuleSpec.scalar((3, 3), -1))
+        built = [
+            ("validate", validate(R3_TABLE)),
+            ("load_table", load_table(dump_table(validate(R3_TABLE)))),
+            ("covering total", inst.total),
+            ("covering base", inst.base),
+            ("core", families.core(group)),
+            ("group", group),
+        ]
+        for what, q in built:
+            assert "table" not in vars(q), what
+            assert q.order == len(q.array)
+            view = q.table
+            assert view == tuple(map(tuple, q.array.tolist())) and vars(q)["table"] is view, what
+
 
 # The per-cell loops that orbits, is_homomorphism and is_covering ran before
 # they read the table array; the array versions must agree with them.

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from quandles import families
+from quandles import families, perms
 from quandles.families import (
     AlexanderModuleSpec,
     EvenCharacteristic,
@@ -22,6 +22,7 @@ from quandles.families import (
 from quandles.fields import FiniteField
 from quandles.core import dump_table
 from quandles.grid import CATALOGUE, parse_family, standard_grid
+from quandles.groups import coxeter_generators
 
 
 def _spec(orders, t):
@@ -406,7 +407,39 @@ class TestCore:
         assert is_isomorphic(families.core(cyclic(5)), families.dihedral(5))
 
 
+def reference_conjugation_reflections(w, seeds):
+    """conjugation_reflections as it was built on image tuples: the closure
+    by a queue, and every table cell composed and looked up in a dict."""
+    closure, queue = set(seeds), list(seeds)
+    while queue:
+        s = queue.pop(0)
+        for g in w.generators:
+            c = perms.compose(perms.compose(perms.inverse(g), s), g)
+            if c not in closure:
+                closure.add(c)
+                queue.append(c)
+    elems = sorted(closure)
+    index = {p: i for i, p in enumerate(elems)}
+    table = [
+        [index[perms.compose(perms.compose(perms.inverse(b), a), b)] for b in elems]
+        for a in elems
+    ]
+    return table, [perms.format_perm(p) for p in elems]
+
+
+REFLECTION_LABELS = [f"A{n}" for n in range(2, 9)] + [f"I2({m})" for m in range(3, 41)]
+
+
 class TestConjugationAndCoxeter:
+    @pytest.mark.parametrize("label", REFLECTION_LABELS)
+    def test_reflections_match_the_tuple_reference(self, label):
+        _name, degree, gens = coxeter_generators(label)
+        table, labels = reference_conjugation_reflections(perms.PermGroup(degree, gens), gens)
+        q = families.coxeter_reflection_quandle(label)
+        assert (q.array.tolist(), q.labels) == (table, tuple(labels))
+        n = int(label[1:]) if label[0] == "A" else int(label[3:-1])
+        assert q.order == (n * (n + 1) // 2 if label[0] == "A" else n)  # the count the cap reads
+
     def test_coxeter_orders(self):
         for kind, order in [
             ("A2", 3),

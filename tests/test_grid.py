@@ -7,14 +7,10 @@ from quandles.cli import parse_input
 from quandles.core import validate
 from quandles.families import AlexanderModuleSpec
 from quandles.fields import FiniteFieldSpec
-from quandles.grid import (
-    CATALOGUE,
-    connected_alexander_specs,
-    grid_by_key,
-    homotopy_suite_specs,
-    standard_grid,
-)
+from quandles.grid import CATALOGUE, grid_by_key, standard_grid
 from quandles.groups import GroupTable
+
+from alexander_specs import connected_alexander_specs, homotopy_suite_specs
 
 
 def test_size_and_keys():
@@ -129,9 +125,20 @@ def test_core_spec_reads_the_group_order_without_building(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(groups, "from_permutations", counting)
-    with pytest.raises(ValueError, match=f"group order 10000 exceeds limit {groups.TABLE_LIMIT}"):
+    with pytest.raises(ValueError, match=f"dihedral:5000 names a group of more than {groups.TABLE_LIMIT}"):
         grid.parse_family(["core", "group=dihedral:5000"])
     recipe = grid.parse_family(["core", "group=s3"])
     assert calls == []
     assert recipe.build().order == 6
     assert len(calls) == 1
+
+
+def test_coxeter_spec_reads_the_reflection_count_without_building(monkeypatch):
+    calls = []
+    monkeypatch.setattr(families, "conjugation_reflections", lambda *a: calls.append(a))
+    message = f"bad coxeter spec: A91 names a reflection quandle of more than {groups.TABLE_LIMIT}"
+    with pytest.raises(ValueError, match=message):
+        grid.parse_family(["coxeter", "type=A91"])
+    for label in ("A90", "I2(4096)"):  # 4095 and 4096 reflections
+        assert grid.parse_family(["coxeter", f"type={label}"]).coxeter_kind == label
+    assert calls == []

