@@ -89,7 +89,7 @@ class FiniteQuandle:
         """The inner automorphism group, generated by the right translations
         by the elements of S."""
         if self._inn is None:
-            self._inn = PermGroup(self.order, [self.column(s) for s in self._generators])
+            self._inn = PermGroup(self.order, self.array[:, self._generators].T)
         return self._inn
 
     @property

@@ -264,27 +264,26 @@ def core(group: GroupTable) -> FiniteQuandle:
 def conjugation_reflections(w: PermGroup, seeds) -> FiniteQuandle:
     """The quandle of reflections: conjugacy closure of involution seeds.
 
-    Elements are the W-conjugates of the seeds with a <| b = b^-1 a b;
-    they are sorted lexicographically as image tuples for a stable order.
-    The closure conjugates each new element by every generator at once, by
-    gathers, and knows its elements by their keys on a base of W; the
-    table is `perms.tabulate` on that base.
+    Elements are the W-conjugates of the seeds, image rows, with
+    a <| b = b^-1 a b; they are sorted lexicographically for a stable
+    order.  The closure conjugates each new element by every generator at
+    once, by gathers, and knows its elements by their keys on a base of W;
+    the table is `perms.tabulate` on that base.
     """
-    seeds = [tuple(s) for s in seeds]
+    seeds = np.asarray(seeds, dtype=np.int32).reshape(-1, w.degree)
     for s in seeds:
-        if perms.is_identity(s) or not perms.is_identity(perms.compose(s, s)):
-            raise SeedNotInvolution(f"{s} is not an involution")
+        if (s == np.arange(w.degree)).all() or (s[s] != np.arange(w.degree)).any():
+            raise SeedNotInvolution(f"{tuple(s.tolist())} is not an involution")
         if not w.contains(s):
-            raise ValueError(f"seed {s} is not an element of the group")
+            raise ValueError(f"seed {tuple(s.tolist())} is not an element of the group")
     base = perms.base_points(w)
-    gens = np.array(w.generators, dtype=np.int32)
-    inverses = np.argsort(gens, axis=1)
-    frontier = np.array(list(dict.fromkeys(seeds)), dtype=np.int32).reshape(-1, w.degree)
+    inverses = np.argsort(w.generators, axis=1)
+    frontier = seeds[np.sort(np.unique(perms.base_keys(seeds), return_index=True)[1])]
     known = set(perms.base_keys(frontier[:, base]).tolist())
     closure = [frontier]
     while len(frontier):
         # g^-1 s g for every s in the frontier and every generator g
-        images = np.concatenate([g[frontier[:, inv]] for g, inv in zip(gens, inverses)])
+        images = np.concatenate([g[frontier[:, inv]] for g, inv in zip(w.generators, inverses)])
         fresh = []
         for i, key in enumerate(perms.base_keys(images[:, base]).tolist()):
             if key not in known:

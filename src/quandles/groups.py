@@ -34,12 +34,16 @@ class InvalidGroupTable(ValueError):
     """The table is not a group multiplication table."""
 
 
-# cells of (ab)c compared per block in the associativity check
+# cells per block of rows in the permutation checks, Light's test and the
+# scan of all (ab)c
 _ASSOCIATIVITY_BLOCK_CELLS = 1 << 18
 
 
 class GroupTable:
-    """A finite group as a multiplication table with identity 0."""
+    """A finite group as a multiplication table with identity 0.
+
+    An int64 array is kept as given, without a copy; the checks run in
+    blocks of rows, so they hold no second n x n array."""
 
     def __init__(self, table, labels=None, name=None):
         n = len(table)
@@ -52,16 +56,16 @@ class GroupTable:
         # each failure is reported at the first row, column, element or
         # (a, b, c) in lexicographic order
         full = next((i for i, row in enumerate(table) if len(row) != n), n)
-        m = np.array(table[:full], dtype=np.int64).reshape(full, n)
-        identity = np.arange(n)
-        bad = (np.sort(m, axis=1) != identity).any(axis=1)
-        if bad.any():
-            raise InvalidGroupTable(f"row {int(np.argmax(bad))} is not a permutation")
+        m = np.asarray(table[:full], dtype=np.int64).reshape(full, n)
+        row = _first_non_permutation(m)
+        if row is not None:
+            raise InvalidGroupTable(f"row {row} is not a permutation")
         if full < n:
             raise InvalidGroupTable(f"row {full} has length {len(table[full])}")
-        bad = (np.sort(m, axis=0) != identity[:, None]).any(axis=0)
-        if bad.any():
-            raise InvalidGroupTable(f"column {int(np.argmax(bad))} is not a permutation")
+        column = _first_non_permutation(m.T)
+        if column is not None:
+            raise InvalidGroupTable(f"column {column} is not a permutation")
+        identity = np.arange(n)
         if (m[0] != identity).any() or (m[:, 0] != identity).any():
             raise InvalidGroupTable("element 0 is not an identity")
         inv = m.argmin(axis=1)  # every row is a permutation, so its 0 sits at the inverse
@@ -98,19 +102,34 @@ class GroupTable:
         return f"GroupTable({self.name or self.order})"
 
 
+def _row_blocks(m: np.ndarray, width: int):
+    """(first row, rows) over blocks of about _ASSOCIATIVITY_BLOCK_CELLS cells."""
+    step = max(1, _ASSOCIATIVITY_BLOCK_CELLS // width)
+    return ((r0, m[r0 : r0 + step]) for r0 in range(0, len(m), step))
+
+
+def _first_non_permutation(m: np.ndarray) -> int | None:
+    """The first row of m that is not a permutation of 0..n-1, if any."""
+    identity = np.arange(m.shape[1])
+    for r0, rows in _row_blocks(m, len(identity)):
+        bad = (np.sort(rows, axis=1) != identity).any(axis=1)
+        if bad.any():
+            return r0 + int(np.argmax(bad))
+    return None
+
+
 def _associates_through(m: np.ndarray, s: int) -> bool:
     """(x s) z == x (s z) for all x, z."""
-    return bool(np.array_equal(m[m[:, s]], m[:, m[s]]))
+    xs, sz = m[:, s], m[s]
+    return all(np.array_equal(m[xs[x0 : x0 + len(rows)]], rows[:, sz])
+               for x0, rows in _row_blocks(m, len(m)))
 
 
 def _scan_associativity(m: np.ndarray) -> None:
     """Raise on the lexicographically first (a, b, c) with (ab)c != a(bc)."""
     # a block of a rows at a time, in order of a, so the first mismatch
     # found is the lexicographically first (a, b, c)
-    n = len(m)
-    step = max(1, _ASSOCIATIVITY_BLOCK_CELLS // (n * n))
-    for a0 in range(0, n, step):
-        rows = m[a0 : a0 + step]
+    for a0, rows in _row_blocks(m, len(m) ** 2):
         bad = m[rows] != rows[:, m]
         if bad.any():
             a, b, c = (int(v) for v in np.argwhere(bad)[0])
@@ -186,10 +205,7 @@ def from_permutations(degree: int, gens, name=None, limit=TABLE_LIMIT) -> GroupT
     index 0 as required.
     """
     group = perms.PermGroup(degree, gens)
-    elements = group.elements(limit=limit)
-    elements, table = perms.tabulate(
-        np.array(elements, dtype=np.int32).reshape(len(elements), degree), perms.base_points(group)
-    )
+    elements, table = perms.tabulate(group.elements(limit=limit), perms.base_points(group))
     labels = [perms.format_perm(p) for p in elements.tolist()]
     return GroupTable(table, labels=labels, name=name)
 
@@ -210,13 +226,15 @@ def _coxeter_label(label: str) -> tuple[str, int] | None:
     return None
 
 
-def coxeter_generators(label: str) -> tuple[str, int, list[perms.Perm]]:
-    """The reflection group a Coxeter label names: (name, degree, simple reflections).
+def coxeter_generators(label: str) -> tuple[str, int, np.ndarray]:
+    """The reflection group a Coxeter label names: (name, degree, simple
+    reflections as the int32 rows of their images).
 
     A<n> is the symmetric group S_{n+1} with the adjacent transpositions;
-    I2(m) is the dihedral group of the m-gon with two adjacent reflections.
-    A label with more than TABLE_LIMIT reflections, n(n+1)/2 for A<n> and m
-    for I2(m), is refused before any permutation is built.
+    I2(m) is the dihedral group of the m-gon with two adjacent reflections,
+    i -> -i and i -> 1 - i mod m.  A label with more than TABLE_LIMIT
+    reflections, n(n+1)/2 for A<n> and m for I2(m), is refused before any
+    permutation is built.
     """
     parsed = _coxeter_label(label)
     if parsed is None:
@@ -224,17 +242,12 @@ def coxeter_generators(label: str) -> tuple[str, int, list[perms.Perm]]:
     series, rank = parsed
     reflections = rank * (rank + 1) // 2 if series == "A" else rank
     _within_limit(label.strip(), "a reflection quandle", (reflections,))
+    i = np.arange(rank, dtype=np.int32)
     if series == "A":
-        degree = rank + 1
-        gens = []
-        for i in range(rank):
-            img = list(range(degree))
-            img[i], img[i + 1] = img[i + 1], img[i]
-            gens.append(tuple(img))
-        return f"sym{degree}", degree, gens
-    rot = tuple((i + 1) % rank for i in range(rank))
-    ref = tuple((-i) % rank for i in range(rank))
-    return f"dihedral{rank}", rank, [ref, perms.compose(ref, rot)]
+        gens = np.tile(np.arange(rank + 1, dtype=np.int32), (rank, 1))
+        gens[i, i], gens[i, i + 1] = i + 1, i
+        return f"sym{rank + 1}", rank + 1, gens
+    return f"dihedral{rank}", rank, np.array([-i % rank, (1 - i) % rank])
 
 
 def parse_group_name(name: str) -> tuple[int, Callable[[], GroupTable]]:

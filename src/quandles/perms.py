@@ -1,25 +1,27 @@
 """Permutation groups on {0..n-1} with deterministic stabilizer chains.
 
-Permutations are image tuples: p[i] is the image of i, and compose(p, q)
-applies p first.  Group order and membership come from a stabilizer chain
-built with Schreier's lemma, with no randomization anywhere, so every
-order is an exact orbit-times-stabilizer certificate.  Each level of the
-chain takes the smallest point moved by its generators, builds the orbit
-transversal {b: u_b} with u_b[point] = b by breadth-first search, and
-passes to the next level every distinct non-identity Schreier generator
-u_a g u_{a^g}^-1, sorted.
+A permutation is an image row: p[i] is the image of i.  compose(p, q)
+applies p first; on int32 rows the same product is the gather q[p].  A
+group keeps its generators as one read-only (k, n) int32 array.  Group
+order and membership come from a stabilizer chain built with Schreier's
+lemma, with no randomization anywhere, so every order is an exact
+orbit-times-stabilizer certificate.  Each level of the chain keeps its
+generators as a sorted array, takes the smallest point they move, and
+builds the orbit transversal: the |orbit| x n array of rows u_b with
+u_b[point] = b, one breadth-first layer at a time by gathers.  The orbit
+is column `point` of it.  The next level gets every distinct non-identity
+Schreier generator u_a g u_{a^g}^-1, sorted: with pos mapping each orbit
+point to its row and Uinv the row inverses of the transversal U, the
+gather Uinv[pos[g[a]], g[U]] forms all |orbit| of them for a generator g.
+Rows are deduplicated by their big-endian bytes, which sort as the rows
+do.
 
-The Schreier step runs on numpy arrays.  The transversal is stacked as
-an |orbit| x n int32 array U whose row inverses Uinv are computed once;
-with pos mapping each orbit point to its row, one gather
-Uinv[pos[g[a]], g[U]] forms all |orbit| Schreier generators of one
-generator g.  Rows are deduplicated by their bytes, and only the
-distinct ones become image tuples.
-
-An element of a group is fixed by its images of a base, the points of
-the chain (Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 4.4).  So `tabulate` keys each element by those images, and finds
-every product by gathering its images of the base alone and one
+The chain writes every element once as a product of one transversal row
+per level, so the elements are those products, and membership sifts a
+row down the levels.  An element is fixed by its images of a base, the
+points of the chain (Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, 4.4).  So `tabulate` keys each element by those images, and
+finds every product by gathering its images of the base alone and one
 searchsorted among the sorted keys.
 """
 
@@ -32,24 +34,9 @@ import numpy as np
 Perm = tuple[int, ...]
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(n))
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p first, then q."""
     return tuple(q[i] for i in p)
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
-def is_identity(p: Perm) -> bool:
-    return all(i == j for i, j in enumerate(p))
 
 
 def perm_order(p: Perm) -> int:
@@ -74,10 +61,6 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def is_permutation(p, n: int) -> bool:
-    return len(p) == n and sorted(p) == list(range(n))
-
-
 def format_perm(p: Perm) -> str:
     """Image-list serialization: '0 2 1'."""
     return " ".join(map(str, p))
@@ -88,52 +71,63 @@ class _ChainLevel:
 
     def __init__(self, point, transversal, gens):
         self.point = point
-        self.transversal = transversal  # {beta: u} with u[point] = beta
+        self.transversal = transversal  # rows u_b with u_b[point] = b
         self.gens = gens
 
 
-def _orbit_transversal(degree: int, point: int, gens: list[Perm]):
-    transversal = {point: identity(degree)}
-    queue = [point]
-    while queue:
-        a = queue.pop(0)
-        ua = transversal[a]
-        for g in gens:
-            b = g[a]
-            if b not in transversal:
-                transversal[b] = compose(ua, g)
-                queue.append(b)
-    return transversal
+def _sorted_rows(keys, degree: int) -> np.ndarray:
+    """The distinct rows with these `base_keys`, sorted lexicographically."""
+    rows = np.frombuffer(b"".join(sorted(set(keys))), dtype=">i4")
+    return rows.reshape(-1, degree).astype(np.int32)
 
 
-def _schreier_generators(degree: int, transversal, gens: list[Perm]) -> list[Perm]:
+def _orbit_transversal(point: int, gens: np.ndarray) -> np.ndarray:
+    """The transversal rows in the order of a first-in first-out search
+    from `point`: by a, then by g, each image b = g[a] kept at its first
+    (a, g) with u_b = g[u_a]."""
+    k, degree = gens.shape
+    seen = np.zeros(degree, dtype=bool)
+    seen[point] = True
+    layers = [np.arange(degree, dtype=np.int32)[None, :]]
+    while len(layers[-1]):
+        layer = layers[-1]
+        images = gens[:, layer[:, point]].T.ravel()  # images[a * k + g] = g[a]
+        fresh = np.flatnonzero(~seen[images])
+        fresh = fresh[np.sort(np.unique(images[fresh], return_index=True)[1])]
+        seen[images[fresh]] = True
+        a, g = np.divmod(fresh, k)
+        layers.append(gens[g[:, None], layer[a]])
+    return np.concatenate(layers)
+
+
+def _schreier_generators(point: int, transversal: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """Sorted distinct non-identity Schreier generators u_a g u_{a^g}^-1."""
-    points = np.fromiter(transversal, dtype=np.intp, count=len(transversal))
-    u = np.array(list(transversal.values()), dtype=np.int32)
-    rows = np.arange(len(points))
-    u_inv = np.empty_like(u)
-    u_inv[rows[:, None], u] = np.arange(degree, dtype=np.int32)
+    m, degree = transversal.shape
+    points = transversal[:, point]
+    identity = np.arange(degree, dtype=np.int32)
+    u_inv = np.empty_like(transversal)
+    u_inv[np.arange(m)[:, None], transversal] = identity
     pos = np.empty(degree, dtype=np.intp)
-    pos[points] = rows
+    pos[points] = np.arange(m)
     flat_inv = u_inv.ravel()
-    seen = set()
-    for g in np.array(gens, dtype=np.int32):
+    found = set()
+    for g in gens:
         # row r is u_a g u_{a^g}^-1 for a = points[r]: u_inv[pos[g[a]], g[u[r]]]
-        s = flat_inv.take(g.take(u) + (pos[g[points]] * degree)[:, None])
-        seen.update(map(bytes, s))
-    seen.discard(np.arange(degree, dtype=np.int32).tobytes())
-    return sorted(tuple(np.frombuffer(s, dtype=np.int32).tolist()) for s in seen)
+        s = flat_inv.take(g.take(transversal) + (pos[g[points]] * degree)[:, None])
+        found.update(base_keys(s).tolist())
+    found.discard(base_keys(identity).tolist())
+    return _sorted_rows(found, degree)
 
 
-def _build_chain(degree: int, gens: list[Perm]):
+def _build_chain(gens: np.ndarray):
     """Stabilizer chain: list of levels, deterministic throughout."""
     levels: list[_ChainLevel] = []
-    current = sorted({g for g in gens if not is_identity(g)})
-    while current:
-        point = min(i for g in current for i in range(degree) if g[i] != i)
-        transversal = _orbit_transversal(degree, point, current)
+    current = _sorted_rows(base_keys(gens).tolist(), gens.shape[1])
+    while len(current):
+        point = int(np.argmax((current != np.arange(current.shape[1])).any(axis=0)))
+        transversal = _orbit_transversal(point, current)
         levels.append(_ChainLevel(point, transversal, current))
-        current = _schreier_generators(degree, transversal, current)
+        current = _schreier_generators(point, transversal, current)
     return levels
 
 
@@ -142,21 +136,22 @@ class PermGroup:
 
     def __init__(self, degree: int, generators):
         self.degree = degree
-        seen = set()
-        gens = []
-        for g in generators:
-            g = tuple(g)
-            if not is_permutation(g, degree):
-                raise ValueError(f"generator is not a degree-{degree} permutation: {g}")
-            if g not in seen and not is_identity(g):
-                seen.add(g)
-                gens.append(g)
-        self.generators: tuple[Perm, ...] = tuple(gens)
+        identity = np.arange(degree)
+        rows = [np.asarray(g) for g in generators]
+        for g in rows:
+            if g.shape != identity.shape or (np.sort(g) != identity).any():
+                raise ValueError(
+                    f"generator is not a degree-{degree} permutation: {tuple(g.tolist())}"
+                )
+        gens = np.array(rows, dtype=np.int32).reshape(len(rows), degree)
+        gens = gens[np.sort(np.unique(base_keys(gens), return_index=True)[1])]
+        self.generators = gens[(gens != identity).any(axis=1)]
+        self.generators.setflags(write=False)
         self._chain = None
 
     def chain(self):
         if self._chain is None:
-            self._chain = _build_chain(self.degree, list(self.generators))
+            self._chain = _build_chain(self.generators)
         return self._chain
 
     @property
@@ -167,34 +162,32 @@ class PermGroup:
         return result
 
     def contains(self, p) -> bool:
-        p = tuple(p)
-        if not is_permutation(p, self.degree):
+        """Sift p down the chain: at each level divide by the transversal
+        row that agrees with it on the level's point."""
+        p = np.asarray(p)
+        identity = np.arange(self.degree)
+        if p.shape != identity.shape or (np.sort(p) != identity).any():
             return False
         for level in self.chain():
-            b = p[level.point]
-            u = level.transversal.get(b)
-            if u is None:
+            row = np.flatnonzero(level.transversal[:, level.point] == p[level.point])
+            if not len(row):
                 return False
-            p = compose(p, inverse(u))
-        return is_identity(p)
+            u_inv = np.empty_like(identity)
+            u_inv[level.transversal[row[0]]] = identity
+            p = u_inv[p]
+        return bool((p == identity).all())
 
-    def elements(self, limit: int = 1_000_000) -> list[Perm]:
-        """All elements by closure, sorted; guarded by `limit`."""
+    def elements(self, limit: int = 1_000_000) -> np.ndarray:
+        """Every element once, as the rows of an int32 array: the products
+        of one transversal row per level, the deepest applied first;
+        guarded by `limit`."""
         if self.order > limit:
             raise ValueError(f"group order {self.order} exceeds limit {limit}")
-        elems = {identity(self.degree)}
-        frontier = list(self.generators)
-        elems.update(frontier)
-        while frontier:
-            new = []
-            for p in frontier:
-                for g in self.generators:
-                    q = compose(p, g)
-                    if q not in elems:
-                        elems.add(q)
-                        new.append(q)
-            frontier = new
-        return sorted(elems)
+        products = np.arange(self.degree, dtype=np.int32)[None, :]
+        for level in reversed(self.chain()):
+            # [u, v] applies v first, then u
+            products = level.transversal[:, products].reshape(-1, self.degree)
+        return products
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"
@@ -207,8 +200,9 @@ def base_points(group: PermGroup) -> list[int]:
 
 
 def base_keys(images: np.ndarray) -> np.ndarray:
-    """One key per row of base images along the last axis: the row's bytes."""
-    images = np.ascontiguousarray(images, dtype=np.int32)
+    """One key per row of images along the last axis: the row's big-endian
+    bytes, which sort as the rows of non-negative images do, lexicographically."""
+    images = np.ascontiguousarray(images, dtype=">i4")
     return images.view(np.dtype((np.void, 4 * images.shape[-1])))[..., 0]
 
 
@@ -256,7 +250,7 @@ def tabulate(elements: np.ndarray, base, conjugate: bool = False):
 def closure_order(degree: int, gens, limit: int = 2_000_000) -> int:
     """Group order by plain multiplication closure (independent of the chain)."""
     gens = [tuple(g) for g in gens]
-    elems = {identity(degree)}
+    elems = {tuple(range(degree))}
     frontier = [g for g in gens if g not in elems]
     elems.update(frontier)
     while frontier:

@@ -8,10 +8,11 @@ import time
 import pytest
 
 from quandles import cli, families
-from quandles.adjoint import ClauwensGroup
+from quandles.adjoint import ClauwensGroup, HomotopyVerifier
 from quandles.cli import CLIError, main, parse_input
 from quandles.core import FiniteQuandle, dump_table
 from quandles.coverings import universal_covering_alexander
+from quandles.families import AlexanderModuleSpec
 from quandles.groups import TABLE_LIMIT
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -129,6 +130,35 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: axiom (iii) fails: ")
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_a_failing_homotopy_identity_is_one(self, capsys, monkeypatch, degree):
+        # flip the first term of every h_k chain: the degree-k identity must fail
+        h = getattr(HomotopyVerifier, f"h{degree}")
+
+        def flipped(self, *args):
+            chain = h(self, *args)
+            return {**chain, next(iter(chain)): -next(iter(chain.values()))} if chain else chain
+
+        monkeypatch.setattr(HomotopyVerifier, f"h{degree}", flipped)
+        code, out, _ = run(capsys, "verify", "--suite", "homotopy", "alexander orders=3 t=-1")
+        assert code == 1
+        block = next(b for b in out.split("\n\n") if b.startswith(f"[degree-{degree}]"))
+        fields = dict(line.split(": ", 1) for line in block.splitlines()[1:])
+        assert fields["status"] == "fail"
+        # the first failing tuple in the order the verifier walks them
+        v, n = HomotopyVerifier(AlexanderModuleSpec.scalar((3,), -1)), 3
+        if degree == 2:
+            at = next((x, y) for x in range(n) for y in range(n) if v.residual_2(x, y))
+            lemma = "degree-2 homotopy identity"
+        else:
+            at = next(
+                (x, y, z) for y in range(n) for z in range(n) for x in range(n)
+                if v.residual_3(x, y, z) != v.residual_3_template(y, z)
+            )
+            lemma = "degree-3 residual differs from its closed form"
+        assert fields["data.at"] == str(at)
+        assert fields["data.detail"].startswith(f"{lemma} fails at {at}: nonzero difference ")
 
     @pytest.mark.parametrize(
         "argv",

@@ -427,7 +427,7 @@ class TestGeneratingSet:
             columns = list(dict.fromkeys(q.column(y) for y in range(q.order)))
             assert q.inn().order == closure_order(q.order, columns), key
             assert q.type == lcm(*map(perm_order, columns)), key
-            assert set(q.inn().generators) <= set(columns), key
+            assert set(map(tuple, q.inn().generators.tolist())) <= set(columns), key
 
     def test_reduced_check_agrees_with_the_full_scan(self, monkeypatch):
         # a False from the reduced check sends validate to the scan

@@ -410,20 +410,23 @@ class TestCore:
 def reference_conjugation_reflections(w, seeds):
     """conjugation_reflections as it was built on image tuples: the closure
     by a queue, and every table cell composed and looked up in a dict."""
+
+    def conjugate(a, b):  # b^-1 a b
+        return perms.compose(perms.compose(tuple(sorted(range(len(b)), key=b.__getitem__)), a), b)
+
+    gens = [tuple(map(int, g)) for g in w.generators]
+    seeds = [tuple(map(int, s)) for s in seeds]
     closure, queue = set(seeds), list(seeds)
     while queue:
         s = queue.pop(0)
-        for g in w.generators:
-            c = perms.compose(perms.compose(perms.inverse(g), s), g)
+        for g in gens:
+            c = conjugate(s, g)
             if c not in closure:
                 closure.add(c)
                 queue.append(c)
     elems = sorted(closure)
     index = {p: i for i, p in enumerate(elems)}
-    table = [
-        [index[perms.compose(perms.compose(perms.inverse(b), a), b)] for b in elems]
-        for a in elems
-    ]
+    table = [[index[conjugate(a, b)] for b in elems] for a in elems]
     return table, [perms.format_perm(p) for p in elems]
 
 

@@ -5,8 +5,11 @@ centers, commutators, element orders).
 """
 
 import collections
+import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +162,42 @@ def test_associativity_blocks_keep_the_first_failure(monkeypatch):
             with pytest.raises(InvalidGroupTable, match=rf"^{re.escape(expected)}$"):
                 GroupTable(table)
     assert failures
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: cyclic(6), lambda: named_group("s3")], ids=["cyclic6", "sym3"]
+)
+def test_one_row_blocks_keep_every_first_failure(monkeypatch, build):
+    # one row per block in the permutation checks and in Light's test
+    monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_CELLS", 6)
+    for table in corruptions(build()):
+        assert group_error(table) == reference_group_error(table)
+
+
+def test_an_int64_array_is_kept_without_a_copy():
+    m = (np.arange(5)[:, None] + np.arange(5)) % 5
+    g = GroupTable(m)
+    assert np.shares_memory(g.array, m)
+    assert not g.array.flags.writeable and m.flags.writeable
+
+
+def test_a_table_of_half_the_limit_peaks_under_130_mb():
+    # the child reads the peak of its own memory map, VmHWM: its getrusage
+    # peak starts from the resident size of this test process, which exec
+    # carries over, and RUSAGE_CHILDREN would report the largest child this
+    # process ever waited for
+    code = (
+        "from quandles.groups import named_group\n"
+        "assert named_group('cyclic:2048').order == 2048\n"
+        "status = open('/proc/self/status').read().split()\n"
+        "print(status[status.index('VmHWM:') + 1])\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert int(out.stdout) < 130 * 1024  # kB
 
 
 @pytest.mark.parametrize(
@@ -407,7 +446,7 @@ class TestStructure:
 
 def reference_from_permutations(degree, gens, name=None):
     group = perms.PermGroup(degree, gens)
-    elems = group.elements(limit=TABLE_LIMIT)
+    elems = sorted(map(tuple, group.elements(limit=TABLE_LIMIT).tolist()))
     images = np.array(elems, dtype=np.int32).reshape(len(elems), degree)
     index = {row.tobytes(): i for i, row in enumerate(images)}
     table = [[index[row.tobytes()] for row in images[:, p]] for p in images]

@@ -2,12 +2,15 @@
 
 Oracle: brute-force closure by breadth-first multiplication, known orders
 of standard groups, and a reference stabilizer chain built on image tuples
-with compose/inverse, which the array-based chain must match level for
+with compose and inverse, which the array-based chain must match level for
 level.
 """
 
 import random
+import re
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,11 +22,27 @@ from quandles.perms import (
     closure_order,
     compose,
     cycle_type,
-    identity,
-    inverse,
-    is_identity,
     perm_order,
 )
+
+
+def identity(n):
+    return tuple(range(n))
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def is_identity(p):
+    return p == identity(len(p))
+
+
+def as_tuples(rows):
+    return [tuple(row) for row in rows.tolist()]
 
 
 def brute_closure(degree, gens):
@@ -41,15 +60,19 @@ def brute_closure(degree, gens):
     return elems
 
 
+def sorted_generators(group):
+    return group.generators[np.lexsort(group.generators.T[::-1])]
+
+
 def orbit(group, point):
-    return sorted(_orbit_transversal(group.degree, point, list(group.generators)))
+    return sorted(_orbit_transversal(point, sorted_generators(group))[:, point].tolist())
 
 
 def stabilizer(group, point):
     """The point stabilizer, generated by the Schreier generators at `point`."""
-    gens = sorted(group.generators)
-    transversal = _orbit_transversal(group.degree, point, gens)
-    return PermGroup(group.degree, _schreier_generators(group.degree, transversal, gens))
+    gens = sorted_generators(group)
+    transversal = _orbit_transversal(point, gens)
+    return PermGroup(group.degree, _schreier_generators(point, transversal, gens))
 
 
 def reference_level(degree, point, gens):
@@ -84,11 +107,14 @@ def reference_chain(degree, gens):
 
 
 def assert_matches_reference(group):
-    chain = [(lv.point, list(lv.transversal.items()), lv.gens) for lv in group.chain()]
-    assert chain == reference_chain(group.degree, group.generators)
+    chain = [
+        (lv.point, [(u[lv.point], u) for u in as_tuples(lv.transversal)], as_tuples(lv.gens))
+        for lv in group.chain()
+    ]
+    assert chain == reference_chain(group.degree, as_tuples(group.generators))
     for point in sorted({0, group.degree // 2, group.degree - 1}):
-        _, expected = reference_level(group.degree, point, sorted(group.generators))
-        assert stabilizer(group, point).generators == tuple(expected)
+        _, expected = reference_level(group.degree, point, sorted(as_tuples(group.generators)))
+        assert as_tuples(stabilizer(group, point).generators) == expected
     return len(chain)
 
 
@@ -96,6 +122,14 @@ def _random_perm(rng, n):
     p = list(range(n))
     rng.shuffle(p)
     return tuple(p)
+
+
+def random_groups():
+    """60 seeded random groups: degree 1-7 and 0-3 generators."""
+    rng = random.Random(53)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        yield n, [_random_perm(rng, n) for _ in range(rng.randint(0, 3))]
 
 
 class TestPlumbing:
@@ -108,11 +142,13 @@ class TestPlumbing:
             assert r[i] == q[p[i]]
 
     def test_inverse(self):
+        # the group a permutation generates holds its inverse
         rng = random.Random(3)
         for _ in range(20):
             p = _random_perm(rng, rng.randint(1, 8))
             assert is_identity(compose(p, inverse(p)))
             assert is_identity(compose(inverse(p), p))
+            assert PermGroup(len(p), [p]).contains(inverse(p))
 
     def test_perm_order_lcm_of_cycles(self):
         p = (1, 0, 3, 4, 2)  # a 2-cycle and a 3-cycle
@@ -151,8 +187,52 @@ class TestPermGroup:
 
     def test_elements_enumeration(self):
         g = PermGroup(3, [(1, 2, 0)])
-        elems = set(g.elements())
+        elems = set(as_tuples(g.elements()))
         assert elems == brute_closure(3, [(1, 2, 0)])
+
+    @pytest.mark.parametrize("bad", [(0, 0, 1), (1, 0), (0, 1, 2, 3)])
+    def test_a_bad_generator_is_refused(self, bad):
+        message = rf"^generator is not a degree-3 permutation: {re.escape(str(bad))}$"
+        for given_as in (bad, list(bad), np.array(bad, dtype=np.int32)):
+            with pytest.raises(ValueError, match=message):
+                PermGroup(3, [(1, 2, 0), given_as])
+
+    def test_generators_are_deduplicated_in_first_occurrence_order(self):
+        gens = [(1, 2, 0), (0, 1, 2), (1, 0, 2), (1, 2, 0), np.array((1, 0, 2))]
+        group = PermGroup(3, gens)
+        assert as_tuples(group.generators) == [(1, 2, 0), (1, 0, 2)]
+        assert group.generators.dtype == np.int32
+        assert not group.generators.flags.writeable
+
+
+class TestElementsAndMembership:
+    def test_elements_are_the_closure_each_once(self):
+        orders = set()
+        for n, gens in random_groups():
+            rows = as_tuples(PermGroup(n, gens).elements())
+            assert len(set(rows)) == len(rows)
+            assert set(rows) == brute_closure(n, gens)
+            orders.add(len(rows))
+        assert len(orders) >= 8, orders
+
+    def test_contains_agrees_with_the_closure(self):
+        rng = random.Random(59)
+        outside = 0
+        for n, gens in random_groups():
+            group, closure = PermGroup(n, gens), brute_closure(n, gens)
+            assert all(group.contains(p) for p in closure)
+            for _ in range(10):
+                p = _random_perm(rng, n)
+                assert group.contains(p) == (p in closure)
+                assert group.contains(np.array(p)) == (p in closure)
+                outside += p not in closure
+        assert outside >= 100, outside
+
+    def test_contains_refuses_what_is_no_permutation(self):
+        group = PermGroup(3, [(1, 2, 0), (1, 0, 2)])
+        assert not group.contains((0, 0, 1))
+        assert not group.contains((0, 1))
+        assert not group.contains((0, 1, 2, 3))
 
 
 class TestChainAgainstReference:
