@@ -21,8 +21,9 @@ classes [e_i (x) e_j].  mul_array, inv_array and act_array compute on
 arrays of elements; they are the model's one product, inverse and
 action, and mul, inv and act_index are scalar wrappers over them.  The
 checks of the model (verify, kernel, central_power, stabilizer_h2) read
-the arrays, and the homotopy verifier multiplies each distinct pair it
-meets once, through a memo of its own.  A caller builds one model and
+the arrays, verify in the row blocks of `perms.row_blocks`, and the
+homotopy verifier multiplies each distinct pair it meets once, through a
+memo of its own.  A caller builds one model and
 runs all its checks on it; the quandle table they read is built once per
 model too.
 
@@ -57,6 +58,7 @@ from .intlin import (
     homology_at,
     smith_normal_form,
 )
+from .perms import row_blocks
 
 
 class NotConnected(ValueError):
@@ -107,8 +109,6 @@ def _equal(g, h) -> np.ndarray:
     return (g[0] == h[0]) & (g[1] == h[1]) & (g[2] == h[2])
 
 
-# cells per block of the n x n gathers in verify and in the covering table
-BLOCK_CELLS = 1 << 18
 # verify checks inverses and associativity on e_0 .. e_5 and e_0^-1
 _SAMPLE = 6
 
@@ -227,9 +227,8 @@ class ClauwensGroup:
         ys = np.arange(n)
         e_y = (1, ys, 0)
         inv_e_y = self.inv_array(e_y)
-        step = max(1, BLOCK_CELLS // n)
-        for x0 in range(0, n, step):
-            xs, expected = ys[x0 : x0 + step, None], quandle[x0 : x0 + step]
+        for x0, expected in row_blocks(quandle, n):
+            xs = ys[x0 : x0 + len(expected), None]
             # both sides have exponent 1 by construction
             _, x_part, alpha = self.mul_array(self.mul_array(inv_e_y, (1, xs, 0)), e_y)
             relation = (x_part != expected) | (alpha != 0)

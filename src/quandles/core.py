@@ -9,7 +9,8 @@ Elements are 0..n-1.  A table is one int64 array, array[x, y] = x <| y,
 checked and kept read-only; `table` is its tuple view, built on first
 read, for scalar lookups, equality, hashing and serialization, and
 whole-table questions (orbits, morphism checks, complex assembly) read
-the array.
+the array.  `table_array` reads quandle and group tables, an int64 array
+without a copy, and the checks walk it in blocks of `perms.row_blocks`.
 
 Axioms (i) and (ii) are checked on every cell.  Axiom (iii) is checked on a
 generating set S: given (i) and (ii), the elements z whose right translation
@@ -17,9 +18,11 @@ R_z is an automorphism form a subquandle, since R_{x<|y} = R_y R_x R_y^-1
 (apply R_y^-1 first).  So (iii) holds as soon as R_s is an endomorphism for
 every s in S, which costs 2|S| n^2 gathers instead of n^3 cells.  The same
 identity gives Inn(X) = <R_s : s in S>, and makes every R_z conjugate to
-some R_s, so the type is the lcm of the orders of the R_s.  A table that
+some R_s, so the type is the lcm of the orders of the R_s, and the orbits
+are the components of the graph with the edges x -- x <| s.  A table that
 fails the reduced check, or whose S is too large for it to pay, gets the
-scan over all n^3 cells, which finds the lexicographically first witness.
+scan over all n^3 cells, which finds the lexicographically first witness;
+`check_on_generators` holds that policy for groups too.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ class FiniteQuandle:
         if self.labels is not None and len(self.labels) != len(table):
             raise ValueError("label count does not match order")
         self.array, self._generators = _check_axioms(table)
-        self.array.setflags(write=False)
         self._type = None
         self._orbits = None
         self._inn = None
@@ -108,10 +110,10 @@ class FiniteQuandle:
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbits of the inner group, i.e. connected components."""
         if self._orbits is None:
-            # hook the labels of the ends of each edge x -- x <| y to each other
-            # and jump pointers; labels fall inside an orbit to its least element
-            n = self.order
-            tail, head = np.repeat(np.arange(n), n), self.array.ravel()
+            # hook the labels of the ends of each edge x -- x <| s (s in S) to
+            # each other and jump pointers; labels fall to an orbit's least element
+            n, gens = self.order, self._generators
+            tail, head = np.repeat(np.arange(n), len(gens)), self.array[:, gens].ravel()
             least = np.arange(n)
             while True:
                 hooked = least.copy()
@@ -185,13 +187,20 @@ def table_generators(array: np.ndarray, closed=()) -> tuple[int, ...]:
     first unreached element.  `closed` lists elements known to form a
     closed subset, such as a group's identity.
     """
-    ids: dict[bytes, int] = {}
-    column_id = np.array([ids.setdefault(c.tobytes(), len(ids)) for c in array.T])
-    reached = (array == np.arange(len(array))[:, None]).all(axis=1)
+    # a column's id is the first column equal to it, found by open addressing
+    # on the hash of its bytes, so no n^2 bytes are kept
+    column_id, first = np.empty(len(array), dtype=np.intp), {}
+    for y, key in enumerate(map(np.ndarray.tobytes, array.T)):
+        h = hash(key)
+        while h in first and array[:, first[h]].tobytes() != key:
+            h += 1
+        column_id[y] = first.setdefault(h, y)
+    elements = np.arange(len(array))
+    reached = (array.min(axis=1) == elements) & (array.max(axis=1) == elements)
     reached[list(closed)] = False
     generators = np.flatnonzero(reached).tolist()
     reached[list(closed)] = True
-    seen = np.zeros(len(ids), dtype=bool)  # columns of the reached elements
+    seen = np.zeros(len(array), dtype=bool)  # columns of the reached elements
     seen[column_id[reached]] = True
     while not reached.all():
         fresh = ~reached & ~seen[column_id]
@@ -213,10 +222,8 @@ def _extend_closure(array: np.ndarray, reached: np.ndarray, s: int) -> np.ndarra
     added = [frontier]
     while len(frontier):
         old = np.flatnonzero(reached)
-        step = max(1, _AXIOM_BLOCK_CELLS // len(old))
         new = np.zeros(len(array), dtype=bool)
-        for i in range(0, len(frontier), step):
-            block = frontier[i : i + step]
+        for _, block in perms.row_blocks(frontier, len(old)):
             new[array[np.ix_(block, old)]] = True
             new[array[np.ix_(old, block)]] = True
         frontier = np.flatnonzero(new & ~reached)
@@ -225,9 +232,29 @@ def _extend_closure(array: np.ndarray, reached: np.ndarray, s: int) -> np.ndarra
     return np.concatenate(added)
 
 
-# cells of (x <| y) <| z compared per block in the self-distributivity scan,
-# and products formed per block in a closure
-_AXIOM_BLOCK_CELLS = 1 << 18
+def table_array(table) -> tuple[np.ndarray, int]:
+    """The rows of `table` before the first of a wrong length, as a read-only
+    int64 array (a view of a C-contiguous int64 one), and that row's index."""
+    n = len(table)
+    full = next((i for i, row in enumerate(table) if len(row) != n), n)
+    try:
+        arr = np.ascontiguousarray(table[:full], dtype=np.int64).reshape(full, n)
+    except OverflowError:  # an entry beyond int64 is out of range all the same
+        arr = np.array(table[:full], dtype=object).reshape(full, n)
+    arr.setflags(write=False)
+    return arr, full
+
+
+def check_on_generators(arr: np.ndarray, generators, passes, scan, failed: str) -> None:
+    """Check a law on `arr` through its generating set S, as the elements s
+    with `passes(arr, s)` are closed; `scan(arr)` raises at the first failing
+    cell, and runs when an s fails, or alone when 2|S| >= n."""
+    if 2 * len(generators) >= len(arr):
+        scan(arr)
+    elif not all(passes(arr, s) for s in generators):
+        scan(arr)
+        raise RuntimeError(f"internal error: {failed}, "
+                           "but the scan of all cells found no failure")
 
 
 def _check_axioms(table) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -235,15 +262,11 @@ def _check_axioms(table) -> tuple[np.ndarray, tuple[int, ...]]:
     with its generating set; the first malformed row or entry in row-major
     order is the witness."""
     n = len(table)
-    full = next((i for i, row in enumerate(table) if len(row) != n), n)
-    try:
-        arr = np.array(table[:full], dtype=np.int64).reshape(full, n)
-    except OverflowError:  # an entry beyond int64 is out of range all the same
-        arr = np.array(table[:full], dtype=object).reshape(full, n)
-    bad = np.argwhere((arr < 0) | (arr >= n))
-    if len(bad):
-        v = arr[tuple(bad[0])]
-        raise AxiomViolation("ii", (int(bad[0][0]), int(v)), f"entry {v} outside 0..{n - 1}")
+    arr, full = table_array(table)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        bad = np.argwhere((arr < 0) | (arr >= n))[0]
+        v = arr[tuple(bad)]
+        raise AxiomViolation("ii", (int(bad[0]), int(v)), f"entry {v} outside 0..{n - 1}")
     if full < n:
         raise AxiomViolation("ii", full, f"row {full} has length {len(table[full])}, want {n}")
     if n == 0:
@@ -253,32 +276,24 @@ def _check_axioms(table) -> tuple[np.ndarray, tuple[int, ...]]:
         x = int(np.argwhere(diag != np.arange(n))[0][0])
         raise AxiomViolation("i", x, f"{x} <| {x} == {arr[x, x]} != {x}")
     # entries are in range, so column y is a bijection iff it sorts to 0..n-1
-    bad_cols = (np.sort(arr, axis=0) != np.arange(n)[:, None]).any(axis=0)
-    if bad_cols.any():
-        y = int(np.argmax(bad_cols))
-        seen = {}
-        for x, v in enumerate(arr[:, y].tolist()):
-            if v in seen:
-                raise AxiomViolation(
-                    "ii",
-                    (seen[v], x, y),
-                    f"right translation by {y} maps both {seen[v]} and {x} to {v}",
-                )
-            seen[v] = x
+    y = perms.first_non_permutation(arr.T)
+    if y is not None:
+        col, first = arr[:, y].tolist(), {}
+        x = next(x for x, v in enumerate(col) if first.setdefault(v, x) != x)
+        w, v = first[col[x]], col[x]
+        raise AxiomViolation("ii", (w, x, y),
+                             f"right translation by {y} maps both {w} and {x} to {v}")
     generators = table_generators(arr)
-    if 2 * len(generators) >= n:  # the reduced check would cost as much as the scan
-        _scan_distributivity(arr)
-    elif not all(_is_endomorphism(arr, s) for s in generators):
-        _scan_distributivity(arr)
-        raise RuntimeError("internal error: a right translation is no endomorphism, "
-                           "but the scan of all cells found no failure")
+    check_on_generators(arr, generators, _is_endomorphism, _scan_distributivity,
+                        "a right translation is no endomorphism")
     return arr, generators
 
 
 def _is_endomorphism(arr: np.ndarray, s: int) -> bool:
     """(x <| y) <| s == (x <| s) <| (y <| s) for all x, y."""
     col = arr[:, s]
-    return bool(np.array_equal(col[arr], arr[np.ix_(col, col)]))
+    return all(np.array_equal(col[rows], arr[np.ix_(col[x0 : x0 + len(rows)], col)])
+               for x0, rows in perms.row_blocks(arr, len(arr)))
 
 
 def _scan_distributivity(arr: np.ndarray) -> None:
@@ -288,9 +303,7 @@ def _scan_distributivity(arr: np.ndarray) -> None:
     # found is the lexicographically first (x, y, z)
     n = len(arr)
     flat = arr.ravel()
-    step = max(1, _AXIOM_BLOCK_CELLS // (n * n))
-    for x0 in range(0, n, step):
-        xs = arr[x0 : x0 + step]
+    for x0, xs in perms.row_blocks(arr, n * n):
         left = arr[xs]  # left[i, y, z] = table[table[x0 + i][y]][z]
         right = flat.take(xs[:, None, :] * n + arr)
         bad = left != right

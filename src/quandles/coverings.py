@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import BLOCK_CELLS, ClauwensGroup
+from .adjoint import ClauwensGroup
 from .core import FiniteQuandle, NotSurjective, dump_table, is_covering, validate
 from .families import AlexanderModuleSpec
 from .homology import SizeCap, effective_cap, quandle_h2
+from .perms import row_blocks
 from .report import ReportDocument
 
 
@@ -68,11 +69,10 @@ def universal_covering_alexander(
     # g <| h = e_a^-1 (g (h^-1 e_a h)), with h^-1 e_a h computed once per h
     conj = model.mul_array(model.inv_array(elements), model.mul_array(e_a, elements))
     table = np.empty((size, size), dtype=np.int64)
-    step = max(1, BLOCK_CELLS // size)
-    for g0 in range(0, size, step):
-        g = tuple(v[g0 : g0 + step, None] for v in elements[1:])
-        _, x, alpha = model.mul_array(model.inv_array(e_a), model.mul_array((0, *g), conj))
-        table[g0 : g0 + step] = x * fiber + alpha
+    for g0, ids in row_blocks(np.arange(size), size):
+        g = (0, *np.divmod(ids[:, None], fiber))
+        _, x, alpha = model.mul_array(model.inv_array(e_a), model.mul_array(g, conj))
+        table[g0 : g0 + len(ids)] = x * fiber + alpha
     x_labels = [",".join(map(str, row)) for row in spec.coord_rows.tolist()]
     alpha_labels = [",".join(map(str, row)) for row in model.alpha_rows.tolist()]
     labels = [f"({x};{a})" for x in x_labels for a in alpha_labels]

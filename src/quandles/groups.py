@@ -1,10 +1,11 @@
 """Small finite groups given by multiplication tables.
 
 Elements are 0..n-1 with 0 the identity.  A table is one int64 array,
-validated on construction (rows and columns are permutations, identity,
-inverses, associativity) and kept read-only as `array`; `table` is its
-tuple-of-tuples view, built on first read, which `mul` reads.  Downstream
-code can trust any GroupTable it receives.
+read by `core.table_array` (an int64 array without a copy), validated on
+construction (rows and columns are permutations, identity, inverses,
+associativity) in blocks of rows and kept read-only as `array`; `table` is
+its tuple-of-tuples view, built on first read, which `mul` reads.
+Downstream code can trust any GroupTable it receives.
 
 Associativity is checked by Light's test (Clifford and Preston, The
 Algebraic Theory of Semigroups, vol. 1) on a generating set S: the
@@ -12,7 +13,7 @@ elements s with (x s) z == x (s z) for all x and z are closed under
 products, so it is enough that each s in S passes, at 2|S| n^2 gathers
 instead of n^3 cells.  A table that fails, or whose S is too large for the
 test to pay, gets the scan over all cells in blocks of rows, which finds
-the lexicographically first failing (a, b, c).
+the lexicographically first failing (a, b, c): `core.check_on_generators`.
 
 `parse_group_name` is the one resolver of group names and Coxeter labels;
 its docstring gives the grammar.  It reads the order from the name, checks
@@ -27,23 +28,15 @@ from typing import Callable
 import numpy as np
 
 from . import perms
-from .core import table_generators
+from .core import check_on_generators, table_array, table_generators
 
 
 class InvalidGroupTable(ValueError):
     """The table is not a group multiplication table."""
 
 
-# cells per block of rows in the permutation checks, Light's test and the
-# scan of all (ab)c
-_ASSOCIATIVITY_BLOCK_CELLS = 1 << 18
-
-
 class GroupTable:
-    """A finite group as a multiplication table with identity 0.
-
-    An int64 array is kept as given, without a copy; the checks run in
-    blocks of rows, so they hold no second n x n array."""
+    """A finite group as a multiplication table with identity 0."""
 
     def __init__(self, table, labels=None, name=None):
         n = len(table)
@@ -55,14 +48,13 @@ class GroupTable:
             raise InvalidGroupTable("label count does not match order")
         # each failure is reported at the first row, column, element or
         # (a, b, c) in lexicographic order
-        full = next((i for i, row in enumerate(table) if len(row) != n), n)
-        m = np.asarray(table[:full], dtype=np.int64).reshape(full, n)
-        row = _first_non_permutation(m)
+        m, full = table_array(table)
+        row = perms.first_non_permutation(m)
         if row is not None:
             raise InvalidGroupTable(f"row {row} is not a permutation")
         if full < n:
             raise InvalidGroupTable(f"row {full} has length {len(table[full])}")
-        column = _first_non_permutation(m.T)
+        column = perms.first_non_permutation(m.T)
         if column is not None:
             raise InvalidGroupTable(f"column {column} is not a permutation")
         identity = np.arange(n)
@@ -72,14 +64,8 @@ class GroupTable:
         bad = m[inv, identity] != 0
         if bad.any():
             raise InvalidGroupTable(f"element {int(np.argmax(bad))} has no two-sided inverse")
-        generators = table_generators(m, closed=(0,))
-        if 2 * len(generators) >= n:  # Light's test would cost as much as the scan
-            _scan_associativity(m)
-        elif not all(_associates_through(m, s) for s in generators):
-            _scan_associativity(m)
-            raise RuntimeError("internal error: Light's test failed, "
-                               "but the scan of all cells found no failure")
-        m.setflags(write=False)
+        check_on_generators(m, table_generators(m, closed=(0,)), _associates_through,
+                            _scan_associativity, "Light's test failed")
         self.array = m
         self._inv = inv.tolist()
 
@@ -102,34 +88,18 @@ class GroupTable:
         return f"GroupTable({self.name or self.order})"
 
 
-def _row_blocks(m: np.ndarray, width: int):
-    """(first row, rows) over blocks of about _ASSOCIATIVITY_BLOCK_CELLS cells."""
-    step = max(1, _ASSOCIATIVITY_BLOCK_CELLS // width)
-    return ((r0, m[r0 : r0 + step]) for r0 in range(0, len(m), step))
-
-
-def _first_non_permutation(m: np.ndarray) -> int | None:
-    """The first row of m that is not a permutation of 0..n-1, if any."""
-    identity = np.arange(m.shape[1])
-    for r0, rows in _row_blocks(m, len(identity)):
-        bad = (np.sort(rows, axis=1) != identity).any(axis=1)
-        if bad.any():
-            return r0 + int(np.argmax(bad))
-    return None
-
-
 def _associates_through(m: np.ndarray, s: int) -> bool:
     """(x s) z == x (s z) for all x, z."""
     xs, sz = m[:, s], m[s]
     return all(np.array_equal(m[xs[x0 : x0 + len(rows)]], rows[:, sz])
-               for x0, rows in _row_blocks(m, len(m)))
+               for x0, rows in perms.row_blocks(m, len(m)))
 
 
 def _scan_associativity(m: np.ndarray) -> None:
     """Raise on the lexicographically first (a, b, c) with (ab)c != a(bc)."""
     # a block of a rows at a time, in order of a, so the first mismatch
     # found is the lexicographically first (a, b, c)
-    for a0, rows in _row_blocks(m, len(m) ** 2):
+    for a0, rows in perms.row_blocks(m, len(m) ** 2):
         bad = m[rows] != rows[:, m]
         if bad.any():
             a, b, c = (int(v) for v in np.argwhere(bad)[0])

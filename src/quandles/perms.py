@@ -23,6 +23,9 @@ points of the chain (Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 4.4).  So `tabulate` keys each element by those images, and
 finds every product by gathering its images of the base alone and one
 searchsorted among the sorted keys.
+
+Every walk of a table in the package takes its rows in the blocks of
+`row_blocks`, and `first_non_permutation` is its one permutation check.
 """
 
 from __future__ import annotations
@@ -64,6 +67,27 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 def format_perm(p: Perm) -> str:
     """Image-list serialization: '0 2 1'."""
     return " ".join(map(str, p))
+
+
+# cells per block of rows: a walk holds the table and one block, whatever the order
+BLOCK_CELLS = 1 << 18
+
+
+def row_blocks(rows, width: int):
+    """(first row, rows) over blocks of `rows` of about BLOCK_CELLS cells,
+    a row standing for `width` cells; one row when it is wider."""
+    step = max(1, BLOCK_CELLS // width)
+    return ((r0, rows[r0 : r0 + step]) for r0 in range(0, len(rows), step))
+
+
+def first_non_permutation(rows: np.ndarray) -> int | None:
+    """The first of `rows` that is not a permutation of 0..width-1, if any."""
+    identity = np.arange(rows.shape[1])
+    for r0, block in row_blocks(rows, len(identity)):
+        bad = (np.sort(block, axis=1) != identity).any(axis=1)
+        if bad.any():
+            return r0 + int(np.argmax(bad))
+    return None
 
 
 class _ChainLevel:
@@ -136,16 +160,15 @@ class PermGroup:
 
     def __init__(self, degree: int, generators):
         self.degree = degree
-        identity = np.arange(degree)
         rows = [np.asarray(g) for g in generators]
         for g in rows:
-            if g.shape != identity.shape or (np.sort(g) != identity).any():
+            if g.shape != (degree,) or first_non_permutation(g[None]) is not None:
                 raise ValueError(
                     f"generator is not a degree-{degree} permutation: {tuple(g.tolist())}"
                 )
         gens = np.array(rows, dtype=np.int32).reshape(len(rows), degree)
         gens = gens[np.sort(np.unique(base_keys(gens), return_index=True)[1])]
-        self.generators = gens[(gens != identity).any(axis=1)]
+        self.generators = gens[(gens != np.arange(degree)).any(axis=1)]
         self.generators.setflags(write=False)
         self._chain = None
 
@@ -166,7 +189,7 @@ class PermGroup:
         row that agrees with it on the level's point."""
         p = np.asarray(p)
         identity = np.arange(self.degree)
-        if p.shape != identity.shape or (np.sort(p) != identity).any():
+        if p.shape != identity.shape or first_non_permutation(p[None]) is not None:
             return False
         for level in self.chain():
             row = np.flatnonzero(level.transversal[:, level.point] == p[level.point])
@@ -206,10 +229,6 @@ def base_keys(images: np.ndarray) -> np.ndarray:
     return images.view(np.dtype((np.void, 4 * images.shape[-1])))[..., 0]
 
 
-# product images of the base gathered per block of rows in `tabulate`
-_TABULATE_BLOCK_CELLS = 1 << 20
-
-
 def tabulate(elements: np.ndarray, base, conjugate: bool = False):
     """The rows of `elements`, image arrays of permutations, sorted
     lexicographically, and the table of a product on them: entry [a, b] is
@@ -236,14 +255,12 @@ def tabulate(elements: np.ndarray, base, conjugate: bool = False):
         inverses[np.arange(n)[:, None], elements] = np.arange(degree, dtype=np.int32)
         y = inverses[:, base]
     table = np.empty((n, n), dtype=np.int64)
-    step = max(1, _TABULATE_BLOCK_CELLS // max(1, n * len(base)))
-    for a0 in range(0, n, step):
-        a = starts[a0 : a0 + step, None, None]
+    for a0, a in row_blocks(starts[:, None, None], n * len(base)):
         found = base_keys(flat[starts[:, None] + flat[a + y]])  # [a, b]: the product's key
         pos = np.minimum(np.searchsorted(sorted_keys, found), n - 1)
         if not np.array_equal(sorted_keys[pos], found):
             raise RuntimeError("internal error: a product is not among the tabulated elements")
-        table[a0 : a0 + step] = by_key[pos]
+        table[a0 : a0 + len(a)] = by_key[pos]
     return elements, table
 
 

@@ -17,17 +17,14 @@ Oracles:
 
 import functools
 import math
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandles import adjoint, families
+from quandles import families, perms
 from quandles.adjoint import (
     BAR_GROUP_CAP,
     ClauwensElement,
@@ -50,6 +47,7 @@ from quandles.homology import quandle_h2
 from quandles.intlin import AbelianGroupInvariants, SparseIntMatrix, smith_normal_form
 
 from alexander_specs import connected_alexander_specs, homotopy_suite_specs
+from child_memory import child_peaks_kb
 
 
 def Z(rank=0, *torsion):
@@ -109,8 +107,7 @@ class TestModelArithmetic:
 
     def test_model_memory_is_quadratic(self):
         # the addition table was formed from an |M| x |M| x k temporary: 311 MB here
-        code = (
-            "import resource\n"
+        (peak,) = child_peaks_kb(
             "from quandles.adjoint import ClauwensGroup\n"
             "from quandles.families import AlexanderModuleSpec\n"
             "low = [1, 0, 0, 1, 0, 0, 0, 0, 0, 0]  # x^10 + x^3 + 1\n"
@@ -118,15 +115,9 @@ class TestModelArithmetic:
             "model = ClauwensGroup(AlexanderModuleSpec((2,) * 10, t))\n"
             "assert model.type == 1023\n"
             "assert model.kernel()[0] == 1023 and model.central_power()\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(peak_kb())\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=300, check=True,
-        )
-        assert int(out.stdout) < 200 * 1024  # ru_maxrss is in KiB on Linux
+        assert peak < 200 * 1024
 
     def test_homotopy_checks_multiply_each_distinct_pair_once(self, monkeypatch):
         # the verifier called mul 66,794 times here on its 182 distinct pairs
@@ -576,7 +567,7 @@ class TestArrayChecksAgainstReferences:
     )
     def test_corrupted_cell_gives_the_same_message(self, spec, monkeypatch):
         # blocks of two rows, so that the first failure is found across blocks
-        monkeypatch.setattr(adjoint, "BLOCK_CELLS", 2 * spec.size)
+        monkeypatch.setattr(perms, "BLOCK_CELLS", 2 * spec.size)
         outcomes = set()
         for name in TABLES:
             size = getattr(ClauwensGroup(spec), name).size

@@ -1,19 +1,15 @@
 """Quandle axioms, profiles, serialization, morphisms, isomorphism search."""
 
 import importlib
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandles import families
+from quandles import families, perms
 from quandles.core import (
-    _AXIOM_BLOCK_CELLS,
     AxiomViolation,
     FiniteQuandle,
     NotSurjective,
@@ -25,6 +21,8 @@ from quandles.core import (
     load_table,
     validate,
 )
+
+from child_memory import child_peaks_kb
 
 # the module, which the package's `core` family builder shadows
 core = importlib.import_module("quandles.core")
@@ -70,7 +68,7 @@ class TestValidate:
         table = [[x] * n for x in range(n)]
         for y, (a, b) in ((0, (40, 100)), (1, (40, 41))):
             table[a][y], table[b][y] = b, a
-        step = max(1, _AXIOM_BLOCK_CELLS // (n * n))
+        step = max(1, perms.BLOCK_CELLS // (n * n))
         assert 40 // step != 100 // step  # the failures span two x blocks
         with pytest.raises(AxiomViolation) as exc:
             validate(table)
@@ -80,19 +78,29 @@ class TestValidate:
 
     def test_validation_memory_is_quadratic(self):
         # the whole-cube check held two n^3 int64 arrays: 2 GiB at n = 512
-        code = (
-            "import resource\n"
+        (peak,) = child_peaks_kb(
             "from quandles import families\n"
             "assert families.dihedral(512).order == 512\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(peak_kb())\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=300, check=True,
+        assert peak < 200 * 1024
+
+    def test_validation_holds_no_second_table(self):
+        # validation copied the table and sorted the copy's columns: the peak
+        # rose by about three tables, 104 MiB here
+        n = 2048
+        before, after = child_peaks_kb(
+            "import numpy as np\n"
+            "from quandles.core import validate\n"
+            f"n = {n}\n"
+            "table = np.empty((n, n), dtype=np.int64)\n"
+            "for x in range(n):\n"
+            "    table[x] = (2 * np.arange(n) - x) % n\n"
+            "print(peak_kb())\n"
+            "assert validate(table).order == n\n"
+            "print(peak_kb())\n"
         )
-        assert int(out.stdout) < 200 * 1024  # ru_maxrss is in KiB on Linux
+        assert after - before < n * n * 8 // 4 // 1024  # a quarter of the table
 
     def test_rejects_malformed(self):
         with pytest.raises(AxiomViolation) as exc:
@@ -253,11 +261,9 @@ TABLE_INPUTS = {
 
 class TestArrayChecksAgainstReferences:
     def test_orbits_of_every_catalogue_entry(self):
-        from quandles.grid import standard_grid
-
-        for entry in standard_grid():
-            q = entry.build()
-            assert q.orbits() == reference_orbits(q), entry.key
+        # orbits reads the columns of S alone; the reference reads them all
+        for key, q in catalogue() + [("trivial:5", families.trivial(5))]:
+            assert q.orbits() == reference_orbits(q), key
 
     @pytest.mark.parametrize("n", [1, 2, 7, 300])
     def test_orbits_along_one_long_cycle(self, n):
@@ -408,6 +414,16 @@ class TestGeneratingSet:
             assert closure(q, s) == set(range(q.order)), key
             assert validate(q.array.tolist()).generating_set() == s, key
 
+    @pytest.mark.parametrize(
+        "bucket", [lambda key: 0, lambda key: key[0] % 3], ids=["one", "three"]
+    )
+    def test_columns_with_one_hash_are_told_apart(self, monkeypatch, bucket):
+        # columns are looked up by the hash of their bytes; with every hash in
+        # one or three buckets the lookup probes past the columns that differ
+        monkeypatch.setattr(core, "hash", bucket, raising=False)
+        for key, q in catalogue() + [("dihedral3+2", dihedral3_and_two_points())]:
+            assert core.table_generators(q.array) == reference_generating_set(q), key
+
     def test_fibers_of_a_covering_are_skipped(self):
         # the 27 elements of a fiber share a column; taking each unreached
         # element in turn would pick a whole fiber
@@ -429,8 +445,10 @@ class TestGeneratingSet:
             assert q.type == lcm(*map(perm_order, columns)), key
             assert set(map(tuple, q.inn().generators.tolist())) <= set(columns), key
 
-    def test_reduced_check_agrees_with_the_full_scan(self, monkeypatch):
-        # a False from the reduced check sends validate to the scan
+    @pytest.mark.parametrize("one_row_blocks", [False, True], ids=["default", "one-row"])
+    def test_reduced_check_agrees_with_the_full_scan(self, monkeypatch, one_row_blocks):
+        # a False from the reduced check sends validate to the scan; with
+        # one-row blocks every witness is found across blocks
         caught = 0
         is_endomorphism = core._is_endomorphism
 
@@ -446,6 +464,8 @@ class TestGeneratingSet:
         for key, q in catalogue():
             if q.order < 3:
                 continue
+            if one_row_blocks:
+                monkeypatch.setattr(perms, "BLOCK_CELLS", q.order)
             for table in column_swaps(q, rng, 30):
                 expected = reference_axiom_error(table)
                 assert axiom_outcome(table) == expected, key

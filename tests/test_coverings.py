@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from quandles import coverings, families
+from quandles import families, perms
 from quandles.adjoint import ClauwensElement, ClauwensGroup
 from quandles.core import is_covering, is_homomorphism, is_isomorphic, load_table
 from quandles.coverings import (
@@ -198,7 +198,7 @@ class TestArrayTableAgainstReference:
 
     def test_blocks_of_rows(self, monkeypatch):
         # three rows per block: the last block is short
-        monkeypatch.setattr(coverings, "BLOCK_CELLS", 3 * 27)
+        monkeypatch.setattr(perms, "BLOCK_CELLS", 3 * 27)
         assert_matches_reference(NEG33, 4)
 
     def test_order_729_total(self):

@@ -5,11 +5,8 @@ centers, commutators, element orders).
 """
 
 import collections
-import os
 import random
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -28,6 +25,8 @@ from quandles.groups import (
     parse_group_name,
     quaternion8,
 )
+
+from child_memory import child_peaks_kb
 
 
 def assert_group_axioms(g: GroupTable):
@@ -153,7 +152,7 @@ def test_array_check_matches_the_per_cell_reference(build, reached):
 
 def test_associativity_blocks_keep_the_first_failure(monkeypatch):
     # two a-rows per block, so the six rows of cyclic(6) span three blocks
-    monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_CELLS", 2 * 6 * 6)
+    monkeypatch.setattr(perms, "BLOCK_CELLS", 2 * 6 * 6)
     failures = 0
     for table in corruptions(cyclic(6)):
         expected = reference_group_error(table)
@@ -169,7 +168,7 @@ def test_associativity_blocks_keep_the_first_failure(monkeypatch):
 )
 def test_one_row_blocks_keep_every_first_failure(monkeypatch, build):
     # one row per block in the permutation checks and in Light's test
-    monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_CELLS", 6)
+    monkeypatch.setattr(perms, "BLOCK_CELLS", 6)
     for table in corruptions(build()):
         assert group_error(table) == reference_group_error(table)
 
@@ -182,22 +181,12 @@ def test_an_int64_array_is_kept_without_a_copy():
 
 
 def test_a_table_of_half_the_limit_peaks_under_130_mb():
-    # the child reads the peak of its own memory map, VmHWM: its getrusage
-    # peak starts from the resident size of this test process, which exec
-    # carries over, and RUSAGE_CHILDREN would report the largest child this
-    # process ever waited for
-    code = (
+    (peak,) = child_peaks_kb(
         "from quandles.groups import named_group\n"
         "assert named_group('cyclic:2048').order == 2048\n"
-        "status = open('/proc/self/status').read().split()\n"
-        "print(status[status.index('VmHWM:') + 1])\n"
+        "print(peak_kb())\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=300, check=True,
-    )
-    assert int(out.stdout) < 130 * 1024  # kB
+    assert peak < 130 * 1024
 
 
 @pytest.mark.parametrize(
@@ -206,6 +195,7 @@ def test_a_table_of_half_the_limit_peaks_under_130_mb():
         ([[0, 1], [1]], "row 1 has length 1"),
         ([[0, 5], [1]], "row 0 is not a permutation"),  # before the short row
         ([[0, 1], [1, 0, 1]], "row 1 has length 3"),
+        ([[0, 10**30], [1, 0]], "row 0 is not a permutation"),  # beyond int64
     ],
 )
 def test_malformed_rows(table, message):
