@@ -137,7 +137,7 @@ class ClauwensGroup:
                         rel.add(a * k + i, col, -tval)
         for g in range(kk):
             rel.set(g, kk + g, tensor_orders[g])
-        diag, U, _V = smith_normal_form(rel, transforms=True)
+        diag, U = smith_normal_form(rel)
         if len(diag) != kk:
             raise AssertionError("tensor square of a finite module must be finite")
         positions = [i for i, d in enumerate(diag) if d > 1]
@@ -401,7 +401,9 @@ class HomotopyVerifier:
                      for xs, alphas in zip(x.T.tolist(), alpha.T.tolist())]
         # the products the bar boundaries meet, each computed once
         self._mul = cache(self.model.mul)
-        # h2 chains of the rack-boundary faces in residual_3, one per pair
+        # h2 chains of the rack-boundary faces in residual_3, one per pair; a
+        # cache of the bound self.h2 would keep the verifier in a reference
+        # cycle, alive with its chains until a full garbage collection
         self._h2_of_pair: dict = {}
 
     # chain maps ------------------------------------------------------------
@@ -589,7 +591,6 @@ class HomotopyReport:
     type: int
     tuples_checked: int
     status: str
-    detail: str = ""
 
 
 def verify_homotopy_2(spec: AlexanderModuleSpec) -> HomotopyReport:
@@ -609,7 +610,7 @@ def verify_homotopy_3(spec: AlexanderModuleSpec) -> HomotopyReport:
 BAR_GROUP_CAP = 30
 
 
-def group_h2_bar(group: GroupTable, cap: int | None = None) -> AbelianGroupInvariants:
+def group_h2_bar(group: GroupTable, cap: int = BAR_GROUP_CAP) -> AbelianGroupInvariants:
     """H_2 of a finite group from the normalized bar complex.
 
     Bases in degree k are k-tuples of non-identity elements, of size
@@ -617,9 +618,8 @@ def group_h2_bar(group: GroupTable, cap: int | None = None) -> AbelianGroupInvar
     Guarded by a |G| <= 30 cap by default; pass cap to override.
     """
     n = group.order
-    limit = BAR_GROUP_CAP if cap is None else cap
-    if n > limit:
-        raise ValueError(f"group order {n} exceeds bar-complex cap {limit}")
+    if n > cap:
+        raise ValueError(f"group order {n} exceeds bar-complex cap {cap}")
     nontriv = list(range(1, n))
 
     def basis(k):

@@ -290,17 +290,16 @@ def _verify_covering(
     return inst
 
 
-def _verify_coxeter(doc: ReportDocument, order: int, build: Callable[[], GroupTable], cap):
+def _verify_coxeter(doc: ReportDocument, order: int, build: Callable[[], GroupTable], cap: int):
     """The group's table is built only when its order is within the cap."""
-    limit = BAR_GROUP_CAP if cap is None else cap
     with doc.check(
         "schur-2-power", "bar-complex H2 of the reflection group has only 2-power torsion"
     ) as e:
-        if order > limit:
-            e.status, e.data = "skipped", {"order": order, "cap": limit}
+        if order > cap:
+            e.status, e.data = "skipped", {"order": order, "cap": cap}
             return
         group = build()
-        h2 = group_h2_bar(group, cap=limit)
+        h2 = group_h2_bar(group, cap=cap)
         ok = h2.free_rank == 0 and all(d & (d - 1) == 0 for d in h2.torsion)
         e.status = "pass" if ok else "fail"
         e.data = {"group": group.name, "h2": str(h2), "order": group.order}
@@ -488,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input(p)
     p.add_argument("--cap-cells", type=int, default=None, help="cell-count cap")
-    p.add_argument("--cap-group", type=int, default=None, help="bar-complex group cap")
+    p.add_argument("--cap-group", type=int, default=BAR_GROUP_CAP, help="bar-complex group cap")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -257,8 +257,11 @@ def core(group: GroupTable) -> FiniteQuandle:
     """The core quandle of a group: g <| h = h g^-1 h."""
     n, m = group.order, group.array
     inv = [group.inv(g) for g in range(n)]
-    # m[:, inv].T[g, h] = h g^-1, and the gather multiplies it by h on the right
-    return validate(m[m[:, inv].T, np.arange(n)], labels=group.labels)
+    table = np.empty((n, n), dtype=np.int64)
+    # m[:, invs].T[g, h] = h g^-1, and the gather multiplies it by h on the right
+    for g0, invs in perms.row_blocks(inv, n):
+        table[g0 : g0 + len(invs)] = m[m[:, invs].T, np.arange(n)]
+    return validate(table, labels=group.labels)
 
 
 def conjugation_reflections(w: PermGroup, seeds) -> FiniteQuandle:

@@ -6,14 +6,15 @@ integers; nothing is ever done in floating point or modular shortcut.
 A sparse matrix is stored once, by rows ({row: {col: value}}); the Smith
 form and the check that two boundaries compose to zero read those rows.
 
-The Smith diagonal is computed sparsely in two phases.  The peel takes
+The Smith form is computed sparsely in two phases.  The peel takes
 every unit pivot: the sparsest row holding an entry +-1 pivots there, row
 operations clear that column, and the row and column leave with a 1 for
 the diagonal.  The residual, which has no entry +-1, is diagonalized by
 Euclidean elimination (least absolute value first, fewest nonzeros on
 ties), and gcd/lcm steps put its diagonal in divisibility order.  A rank
-is the length of that diagonal.  Smith forms with transform matrices come
-from a classical dense elimination.  Runs are deterministic.
+is the length of that diagonal.  The same pass can record its row
+operations as a unimodular transform U; rank, cokernel and homology do
+not ask for it.  Runs are deterministic.
 """
 
 from __future__ import annotations
@@ -185,135 +186,7 @@ class SparseIntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# dense Smith normal form
-
-
-def _dense_snf(a: list[list[int]], want_transforms: bool):
-    """In-place Smith normal form of a dense matrix.
-
-    Returns (diag, U, V) with U*A*V diagonal; diag lists the nonzero
-    diagonal entries in divisibility order.  U and V are None unless
-    requested.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
-    V = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        ai, aj = a[i], a[j]
-        for k in range(n):
-            if aj[k]:
-                ai[k] -= q * aj[k]
-        if U is not None:
-            ui, uj = U[i], U[j]
-            for k in range(m):
-                if uj[k]:
-                    ui[k] -= q * uj[k]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in a:
-            if row[j]:
-                row[i] -= q * row[j]
-        if V is not None:
-            for row in V:
-                if row[j]:
-                    row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            if U is not None:
-                U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            if V is not None:
-                for row in V:
-                    row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        a[i] = [-v for v in a[i]]
-        if U is not None:
-            U[i] = [-v for v in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        # pivot: minimal |value|, then fewest nonzeros in its row+column,
-        # then smallest (row, col)
-        best = None
-        for i in range(t, m):
-            ai = a[i]
-            for j in range(t, n):
-                v = ai[j]
-                if v:
-                    key0 = abs(v)
-                    if best is not None and key0 > best[0]:
-                        continue
-                    nz = sum(1 for k in range(t, n) if ai[k]) + sum(
-                        1 for k in range(t, m) if a[k][j]
-                    )
-                    key = (key0, nz, i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        _, _, pi, pj = best
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, m):
-                v = a[i][t]
-                if v:
-                    q = v // a[t][t]
-                    if q:
-                        row_op(i, t, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(t + 1, n):
-                v = a[t][j]
-                if v:
-                    q = v // a[t][t]
-                    if q:
-                        col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide every remaining entry
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                ai = a[i]
-                for j in range(t + 1, n):
-                    if ai[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(t, offender, -1)  # add offending row into pivot row
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    diag = [a[i][i] for i in range(t)]
-    return diag, U, V
-
-
-# ---------------------------------------------------------------------------
-# sparse reduction helpers
+# sparse Smith form
 
 
 def _combine(dst: dict, src: dict, mult: int):
@@ -328,14 +201,15 @@ def _combine(dst: dict, src: dict, mult: int):
             del dst[k]
 
 
-def _subtract_row(rows, colrows, r2: int, q: int, prow: dict[int, int]):
-    """rows[r2] -= q * prow, keeping the column index colrows in step.
+def _subtract_row(rows, colrows, r2: int, q: int, pr: int, trans):
+    """rows[r2] -= q * rows[pr], keeping the column index colrows in step,
+    and the same on the transform rows trans unless it is None.
 
-    Every column of prow still lists prow's own row, so no column set
-    empties here; an emptied row r2 is deleted.
+    Every column of rows[pr] still lists pr, so no column set empties here;
+    an emptied row r2 is deleted.
     """
     row2 = rows[r2]
-    for c, v in prow.items():
+    for c, v in rows[pr].items():
         old = row2.get(c)
         if old is None:
             row2[c] = -q * v
@@ -349,6 +223,8 @@ def _subtract_row(rows, colrows, r2: int, q: int, prow: dict[int, int]):
                 colrows[c].discard(r2)
     if not row2:
         del rows[r2]
+    if trans is not None:
+        _combine(trans[r2], trans[pr], -q)
 
 
 def _delete_row(rows, colrows, r: int):
@@ -359,31 +235,66 @@ def _delete_row(rows, colrows, r: int):
             del colrows[c]
 
 
-def _invariant_factors(diag: list[int]) -> list[int]:
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _invariant_factors(diag: list[int], u: list[dict] | None = None) -> list[int]:
     """The Smith diagonal equivalent to diag(d_1, ..., d_k): replace pairs by
-    their gcd and lcm until the entries form a divisibility chain."""
-    d = sorted(abs(v) for v in diag)
+    their gcd and lcm until the entries form a divisibility chain.
+
+    Given the transform rows u of the k diagonal rows, it reorders them
+    with the entries and applies the same unimodular row operations: a
+    negative entry flips its row, and the step from (a, b) to (g, ab/g) is
+    [[s, t], [-b/g, a/g]] with s*a + t*b = g.
+    """
+    order = sorted(range(len(diag)), key=lambda i: abs(diag[i]))
+    d = [abs(diag[i]) for i in order]
+    if u is not None:
+        u[:] = [u[i] if diag[i] > 0 else {c: -v for c, v in u[i].items()} for i in order]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
+            a, b = d[i], d[j]
+            if b % a == 0:
+                continue
+            g, s, t = _bezout(a, b)
+            d[i], d[j] = g, a // g * b
+            if u is not None:
+                ui, uj = u[i], u[j]
+                u[i], u[j] = {}, {}
+                _combine(u[i], ui, s)
+                _combine(u[i], uj, t)
+                _combine(u[j], ui, -b // g)
+                _combine(u[j], uj, a // g)
     return d
 
 
-def _snf_diagonal_sparse(m: SparseIntMatrix) -> list[int]:
-    """Nonzero Smith diagonal of m, computed without transform matrices.
+def _snf_diagonal_sparse(m: SparseIntMatrix, u: list | None = None) -> list[int]:
+    """Nonzero Smith diagonal of m, and its row transform when asked.
 
     Every unit pivot is peeled first: each removes one row and one column
     and contributes a 1 to the diagonal.  The residual, which has no entry
     +-1, is then diagonalized by Euclidean elimination: the entry of least
     absolute value is the pivot, and division with remainder clears its
     column and row or leaves a smaller entry to pivot on next.
+
+    Given a list u, it appends the rows of a unimodular U as {col: value}
+    dicts, with U*m*V = D for some unimodular V: each matrix row carries a
+    transform row through every row operation, and the rows leave as the
+    unit pivots, then the rest of the diagonal, then the rows that emptied.
     """
     rows = {r: dict(row) for r, row in m._by_row.items()}
     colrows: dict[int, set[int]] = {}
     for r, row in rows.items():
         for c in row:
             colrows.setdefault(c, set()).add(r)
+    trans = None if u is None else {r: {r: 1} for r in range(m.rows)}
 
     ones = 0
     # Heap of (row nnz at push time, row index).  Every row operation pushes
@@ -404,15 +315,17 @@ def _snf_diagonal_sparse(m: SparseIntMatrix) -> list[int]:
         pval = prow[pc]
         for r2 in sorted(colrows[pc]):
             if r2 != pr:
-                _subtract_row(rows, colrows, r2, rows[r2][pc] * pval, prow)
+                _subtract_row(rows, colrows, r2, rows[r2][pc] * pval, pr, trans)
                 if r2 in rows:
                     heapq.heappush(heap, (len(rows[r2]), r2))
         # column pc is now the pivot alone, so column operations clear the
         # pivot row without touching any other entry
         _delete_row(rows, colrows, pr)
         ones += 1
+        if u is not None:
+            u.append(trans.pop(pr))
 
-    diag = []
+    diag, diag_rows = [], []
     while rows:
         # least |value|, then fewest nonzeros in its row and column
         _, _, pr, pc = min(
@@ -426,7 +339,7 @@ def _snf_diagonal_sparse(m: SparseIntMatrix) -> list[int]:
             for r2 in sorted(colrows[pc]):
                 q = rows[r2][pc] // p
                 if q and r2 != pr:
-                    _subtract_row(rows, colrows, r2, q, prow)
+                    _subtract_row(rows, colrows, r2, q, pr, trans)
             rest = [(abs(rows[r2][pc]), r2) for r2 in colrows[pc] if r2 != pr]
             if rest:  # remainders, each smaller than |p|
                 pr = min(rest)[1]
@@ -448,21 +361,27 @@ def _snf_diagonal_sparse(m: SparseIntMatrix) -> list[int]:
                 continue
             diag.append(p)
             _delete_row(rows, colrows, pr)
+            if u is not None:
+                diag_rows.append(trans.pop(pr))
             break
-    return [1] * ones + _invariant_factors(diag)
+    diag = _invariant_factors(diag, None if u is None else diag_rows)
+    if u is not None:
+        u += diag_rows
+        u += (trans[r] for r in sorted(trans))
+    return [1] * ones + diag
 
 
-def smith_normal_form(m: SparseIntMatrix, transforms: bool = False):
-    """Smith normal form of m.
+def smith_normal_form(m: SparseIntMatrix):
+    """Smith normal form of m as (diag, U).
 
-    Without transforms, returns the list of nonzero diagonal entries
-    d1 | d2 | ... With transforms=True, returns (diag, U, V) where U and V
-    are unimodular dense matrices with U * m * V diagonal.
+    diag lists the nonzero diagonal entries d1 | d2 | ...; U is a
+    unimodular m.rows x m.rows matrix, as dense rows, with U * m * V = D
+    for some unimodular V.  So row i of U * m is divisible by diag[i], and
+    the rows past the diagonal are zero: they span the left kernel.
     """
-    if transforms:
-        diag, U, V = _dense_snf(m.to_dense(), want_transforms=True)
-        return diag, U, V
-    return _snf_diagonal_sparse(m)
+    u: list[dict] = []
+    diag = _snf_diagonal_sparse(m, u)
+    return diag, [[row.get(c, 0) for c in range(m.rows)] for row in u]
 
 
 def rank(m: SparseIntMatrix) -> int:

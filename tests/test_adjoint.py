@@ -44,10 +44,11 @@ from quandles.adjoint import (
 from quandles.families import AlexanderModuleSpec
 from quandles.groups import from_permutations, named_group
 from quandles.homology import quandle_h2
-from quandles.intlin import AbelianGroupInvariants, SparseIntMatrix, smith_normal_form
+from quandles.intlin import AbelianGroupInvariants
 
 from alexander_specs import connected_alexander_specs, homotopy_suite_specs
 from child_memory import child_peaks_kb
+from smith_check import checked_smith_form
 
 
 def Z(rank=0, *torsion):
@@ -326,7 +327,7 @@ class ReferenceModel:
             for j in range(k)
         ]
         dense = [list(row) for row in zip(*columns)]
-        diag, U, _ = smith_normal_form(SparseIntMatrix.from_dense(dense), transforms=True)
+        diag, U = checked_smith_form(dense)
         self.rows = [(U[p], d) for p, d in enumerate(diag) if d > 1]
         self.invariants = tuple(d for _, d in self.rows)
         self.identity = (0, spec.zero(), (0,) * len(self.rows))

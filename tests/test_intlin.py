@@ -2,7 +2,9 @@
 
 Oracles: sympy's Smith normal form on dense matrices, determinant-divisor
 identities, matrices built from a chosen diagonal by unimodular operations,
-and hand-checked small cases.
+and hand-checked small cases.  Every matrix given to smith_normal_form has
+its transform U checked too (smith_check): unimodular, and row i of U * A
+divisible by diagonal entry i, zero past the diagonal.
 """
 
 import random
@@ -15,19 +17,19 @@ from hypothesis import strategies as st
 
 from quandles.intlin import (
     AbelianGroupInvariants,
-    _dense_snf,
     NotAComplex,
     SparseIntMatrix,
     cokernel,
     compose_is_zero,
     homology_at,
     rank,
-    smith_normal_form,
 )
 
 sympy = pytest.importorskip("sympy")
-from sympy.matrices.normalforms import invariant_factors  # noqa: E402
-from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
+from smith_check import checked_smith_form, sympy_diagonal  # noqa: E402
+from sympy import ZZ  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+from sympy.polys.matrices.normalforms import invariant_factors  # noqa: E402
 
 
 def _det(dense) -> int:
@@ -42,27 +44,22 @@ def _random_matrix(rng, rows, cols, lo=-6, hi=6, density=0.7):
     ]
 
 
-def _sympy_diag(dense):
-    m = sympy.Matrix(dense)
-    if m.rows == 0 or m.cols == 0 or m.rank() == 0:
-        return []
-    s = sympy_snf(m)
-    out = [abs(int(s[i, i])) for i in range(min(s.rows, s.cols)) if s[i, i] != 0]
-    return sorted(out, key=out.index)  # keep sympy's order
+def _snf(dense) -> list[int]:
+    """The Smith diagonal of dense, its U and sympy's diagonal checked."""
+    return checked_smith_form(dense)[0]
 
 
 class TestSmithNormalForm:
     def test_known_diagonal(self):
         # classic textbook example with invariant factors 2 | 6 | 12
         dense = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-        diag = smith_normal_form(SparseIntMatrix.from_dense(dense))
-        assert diag == [2, 6, 12]
+        assert _snf(dense) == [2, 6, 12]
 
     def test_divisibility_chain(self):
         rng = random.Random(11)
         for _ in range(40):
             dense = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            diag = smith_normal_form(SparseIntMatrix.from_dense(dense))
+            diag = _snf(dense)
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0
             assert all(d > 0 for d in diag)
@@ -71,36 +68,12 @@ class TestSmithNormalForm:
         rng = random.Random(23)
         for _ in range(30):
             dense = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            ours = sorted(smith_normal_form(SparseIntMatrix.from_dense(dense)))
-            theirs = sorted(_sympy_diag(dense))
-            assert ours == theirs, f"disagree on {dense}"
+            assert _snf(dense) == sympy_diagonal(dense), f"disagree on {dense}"
 
     def test_transforms_are_unimodular_and_diagonalize(self):
         rng = random.Random(37)
         for _ in range(20):
-            r, c = rng.randint(1, 5), rng.randint(1, 5)
-            dense = _random_matrix(rng, r, c)
-            diag, U, V = smith_normal_form(
-                SparseIntMatrix.from_dense(dense), transforms=True
-            )
-            assert abs(_det(U)) == 1
-            assert abs(_det(V)) == 1
-            # U * A * V must be diag padded with zeros
-            prod = [
-                [
-                    sum(U[i][k] * dense[k][m] for k in range(r))
-                    for m in range(c)
-                ]
-                for i in range(r)
-            ]
-            prod = [
-                [sum(prod[i][k] * V[k][j] for k in range(c)) for j in range(c)]
-                for i in range(r)
-            ]
-            for i in range(r):
-                for j in range(c):
-                    expect = diag[i] if i == j and i < len(diag) else 0
-                    assert prod[i][j] == expect
+            checked_smith_form(_random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)))
 
     def test_product_of_invariants_is_determinant(self):
         rng = random.Random(5)
@@ -108,7 +81,7 @@ class TestSmithNormalForm:
             n = rng.randint(1, 5)
             dense = _random_matrix(rng, n, n, density=1.0)
             d = _det(dense)
-            diag = smith_normal_form(SparseIntMatrix.from_dense(dense))
+            diag = _snf(dense)
             prod = 1
             for v in diag:
                 prod *= v
@@ -124,7 +97,7 @@ class TestSmithNormalForm:
         for _ in range(25):
             dense = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             entries = [v for row in dense for v in row if v]
-            diag = smith_normal_form(SparseIntMatrix.from_dense(dense))
+            diag = _snf(dense)
             if entries:
                 assert diag[0] == math.gcd(*entries) if len(entries) > 1 else abs(entries[0])
             else:
@@ -182,18 +155,14 @@ class TestSparseSmithForm:
         ):
             dense = _sparse_matrix(rng, rows, cols, per_col, values)
             dense = _with_duplicate_and_zero_columns(rng, dense, 10)
-            ours = smith_normal_form(SparseIntMatrix.from_dense(dense))
-            theirs = invariant_factors(sympy.Matrix(dense), domain=sympy.ZZ)
-            assert ours == [abs(int(d)) for d in theirs if d]
+            assert _snf(dense) == sympy_diagonal(dense)
 
     def test_no_unit_entry_matches_sympy(self):
         rng = random.Random(103)
         for rows, cols, values in ((70, 100, (2, -2, 3, -3, 4, 6)), (80, 70, (2, -3, 4, 9))):
             dense = _sparse_matrix(rng, rows, cols, 2, values)
             assert all(abs(v) != 1 for row in dense for v in row)
-            ours = smith_normal_form(SparseIntMatrix.from_dense(dense))
-            theirs = invariant_factors(sympy.Matrix(dense), domain=sympy.ZZ)
-            assert ours == [abs(int(d)) for d in theirs if d]
+            assert _snf(dense) == sympy_diagonal(dense)
 
     def test_euclidean_residual_matches_sympy(self):
         # mostly without units, so nearly all the work is division with
@@ -206,9 +175,7 @@ class TestSparseSmithForm:
                 [rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(cols)]
                 for _ in range(rows)
             ]
-            ours = smith_normal_form(SparseIntMatrix.from_dense(dense))
-            theirs = invariant_factors(sympy.Matrix(dense), domain=sympy.ZZ)
-            assert ours == [abs(int(d)) for d in theirs if d], dense
+            assert _snf(dense) == sympy_diagonal(dense), dense
 
     @pytest.mark.parametrize("rows,cols", [(70, 120), (120, 90), (150, 150)])
     def test_known_diagonal(self, rows, cols):
@@ -217,11 +184,10 @@ class TestSparseSmithForm:
         diag = [1] * (rank - 6) + [2, 2, 6, 12, 12, 60]
         dense = _from_diagonal(rng, rows, cols, diag)
         dense = _with_duplicate_and_zero_columns(rng, dense, 15)
-        assert smith_normal_form(SparseIntMatrix.from_dense(dense)) == diag
+        assert _snf(dense) == diag
         # the same lattice scaled by 3 has no unit entry left
         tripled = [[3 * v for v in row] for row in dense]
-        diag3 = smith_normal_form(SparseIntMatrix.from_dense(tripled))
-        assert diag3 == [3 * d for d in diag]
+        assert _snf(tripled) == [3 * d for d in diag]
 
     def test_square_product_is_determinant(self):
         rng = random.Random(107)
@@ -231,7 +197,7 @@ class TestSparseSmithForm:
             (75, 3, (2, 3, -4)),
         ):
             dense = _sparse_matrix(rng, n, n, per_col, values)
-            diag = smith_normal_form(SparseIntMatrix.from_dense(dense))
+            diag = _snf(dense)
             d = _det(dense)
             if d:
                 assert len(diag) == n and prod(diag) == abs(d)
@@ -243,15 +209,26 @@ class TestSparseSmithForm:
         diag = [1] * 94 + [2, 4, 4, 12, 36, 72]
         dense = _from_diagonal(rng, 100, 100, diag)
         assert abs(_det(dense)) == prod(diag)
-        assert smith_normal_form(SparseIntMatrix.from_dense(dense)) == diag
+        assert _snf(dense) == diag
 
     def test_matches_dense_elimination(self):
         rng = random.Random(113)
         dense = _sparse_matrix(rng, 72, 80, 2, (1, -1, 2, 3, -4))
         dense = _with_duplicate_and_zero_columns(rng, dense, 8)
-        ours = smith_normal_form(SparseIntMatrix.from_dense(dense))
-        theirs, _, _ = _dense_snf([row[:] for row in dense], want_transforms=False)
-        assert ours == theirs
+        theirs = invariant_factors(DomainMatrix(dense, (72, 96), ZZ))
+        assert _snf(dense) == [int(d) for d in theirs if d]
+
+
+@pytest.mark.parametrize("rows,cols", [(27, 36), (30, 40), (70, 100)])
+def test_transform_on_seeded_sparse_matrix(rows, cols):
+    # density 0.2 with entries in {+-1, +-2, 3, 4, 6}: the transform's
+    # entries grow to hundreds of bits here, past sympy's direct Smith form
+    rng = random.Random(1)
+    dense = [
+        [rng.choice((1, -1, 2, -2, 3, 4, 6)) if rng.random() < 0.2 else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    checked_smith_form(dense)
 
 
 class TestRankAndKernel:
@@ -266,7 +243,7 @@ class TestRankAndKernel:
     def test_zero_matrix(self):
         m = SparseIntMatrix(3, 4)
         assert rank(m) == 0
-        assert smith_normal_form(m) == []
+        assert _snf(m.to_dense()) == []
 
 
 class TestCokernel:
@@ -289,6 +266,15 @@ class TestCokernel:
         m = SparseIntMatrix.from_dense([[2, 1], [0, 6]])
         inv = cokernel(m)
         assert inv.order() == 12
+
+    def test_matches_sympy(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            dense = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), density=0.5)
+            diag = sympy_diagonal(dense)
+            inv = cokernel(SparseIntMatrix.from_dense(dense))
+            assert inv.free_rank == len(dense) - len(diag)
+            assert inv.torsion == tuple(d for d in diag if d > 1)
 
 
 class TestInvariants:
@@ -452,9 +438,7 @@ class TestFromArrays:
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_snf_agrees_with_sympy_property(rows):
-    ours = sorted(smith_normal_form(SparseIntMatrix.from_dense(rows)))
-    theirs = sorted(_sympy_diag(rows))
-    assert ours == theirs
+    assert _snf(rows) == sympy_diagonal(rows)
 
 
 @settings(max_examples=40, deadline=None)
