@@ -14,7 +14,6 @@ from .core import (
     find_isomorphism,
     is_covering,
     is_homomorphism,
-    is_isomorphic,
     load_table,
     validate,
 )
@@ -38,10 +37,8 @@ from .homology import (
     RackComplexSlice,
     SizeCap,
     adjoint_abelianization,
-    build_complex,
     homology,
     quandle_h2,
-    rack_h2,
 )
 from .intlin import AbelianGroupInvariants, SparseIntMatrix, smith_normal_form
 from .perms import PermGroup, closure_order
@@ -83,7 +80,6 @@ __all__ = [
     "action_kernel",
     "adjoint_abelianization",
     "alexander",
-    "build_complex",
     "clauwens_group",
     "closure_order",
     "conjugation_reflections",
@@ -97,11 +93,9 @@ __all__ = [
     "homology",
     "is_covering",
     "is_homomorphism",
-    "is_isomorphic",
     "load_table",
     "named_group",
     "quandle_h2",
-    "rack_h2",
     "smith_normal_form",
     "spherical",
     "standard_grid",

@@ -538,7 +538,7 @@ class HomotopyVerifier:
                 if r:
                     raise IdentityFailed("degree-2 homotopy identity", (x, y), r)
                 checked += 1
-        return self._report("h1 dR - dgr h2 = t c2", checked)
+        return HomotopyReport(type=self.t, tuples_checked=checked, status="pass")
 
     def degree_3(self) -> HomotopyReport:
         """Certify the degree-3 residual t c3 - h2 d^R - d^gr h3:
@@ -566,28 +566,13 @@ class HomotopyVerifier:
                 c = self.c3(x, x, z)
                 if c:
                     raise IdentityFailed("c3 on repeated arguments", (x, x, z), c)
-        return self._report(
-            "t c3 - h2 dR - dgr h3 is independent of x; c3(x,x,z) = 0", checked
-        )
-
-    def _report(self, identity: str, checked: int) -> HomotopyReport:
-        return HomotopyReport(
-            identity=identity,
-            spec_label=self.spec.label(),
-            quandle_order=self.spec.size,
-            type=self.t,
-            tuples_checked=checked,
-            status="pass",
-        )
+        return HomotopyReport(type=self.t, tuples_checked=checked, status="pass")
 
 
 @dataclass
 class HomotopyReport:
     """Outcome of a chain-identity verification."""
 
-    identity: str
-    spec_label: str
-    quandle_order: int
     type: int
     tuples_checked: int
     status: str

@@ -9,7 +9,7 @@ quandle table file, e.g.::
     quandles homology --mode rack --degree 2 dihedral n=3
     quandles verify --suite homotopy alexander orders=5 t=2
     quandles covering --export-dir outdir alexander orders=3,3 t=-1
-    quandles census --jobs 4
+    quandles census --dir tables/
 
 Family specs and `grid:<key>` catalogue entries resolve through one table,
 `grid.FAMILIES`; its module docstring gives the family grammar.  Group
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Callable, Optional
 
@@ -40,27 +39,22 @@ from .adjoint import (
     clauwens_group,
     group_h2_bar,
 )
-from .core import AxiomViolation, FiniteQuandle, load_table
-from .coverings import (
-    CoveringInstance,
-    covering_properties,
-    export_covering,
-    universal_covering_alexander,
-)
+from .core import AxiomViolation, FiniteQuandle, NotSurjective, is_covering, load_table
+from .coverings import CoveringInstance, export_covering, universal_covering_alexander
 from .families import AlexanderModuleSpec
-from .grid import FAMILIES, Recipe, grid_by_key, parse_family, standard_grid
+from .grid import FAMILIES, GridEntry, Recipe, grid_by_key, parse_family, standard_grid
 from .groups import GroupTable, parse_group_name
 from .homology import (
+    DEFAULT_CELL_CAP,
     QUANDLE,
     RACK,
     SizeCap,
     adjoint_abelianization,
-    effective_cap,
     homology,
     quandle_h2,
 )
 from .intlin import AbelianGroupInvariants
-from .report import CheckEntry, ReportDocument
+from .report import ReportDocument
 
 
 class CLIError(ValueError):
@@ -233,11 +227,10 @@ def _verify_clauwens(doc: ReportDocument, spec: AlexanderModuleSpec) -> Optional
     return model
 
 
-def _verify_homotopy(doc: ReportDocument, spec: AlexanderModuleSpec, cap):
+def _verify_homotopy(doc: ReportDocument, spec: AlexanderModuleSpec, cap: int):
     """The degree-k entry is skipped, before any chain or power table is
     built, when it needs more than the cap in cells: |X|^k tuples, each
     carrying chains of length about the type."""
-    limit = effective_cap(cap)
     verifier = None
     for degree, claim, key in (
         (2, "h1 after the rack boundary minus the group boundary after h2 "
@@ -247,14 +240,14 @@ def _verify_homotopy(doc: ReportDocument, spec: AlexanderModuleSpec, cap):
     ):
         with doc.check(f"degree-{degree}", claim) as e:
             needed = spec.size**degree * spec.t_order()
-            if needed > limit:
-                raise SizeCap(needed, limit)
+            if needed > cap:
+                raise SizeCap(needed, cap)
             verifier = verifier or HomotopyVerifier(spec)
             r = verifier.degree_2() if degree == 2 else verifier.degree_3()
             e.status, e.data = "pass", {key: r.tuples_checked, "type": r.type}
 
 
-def _verify_eisermann(doc: ReportDocument, spec: AlexanderModuleSpec, cap):
+def _verify_eisermann(doc: ReportDocument, spec: AlexanderModuleSpec, cap: int):
     with doc.check(
         "triple-oracle", "chain-level H2, stabilizer H2 and the presentation cokernel agree"
     ) as e:
@@ -267,27 +260,68 @@ def _verify_eisermann(doc: ReportDocument, spec: AlexanderModuleSpec, cap):
 
 
 def _verify_covering(
-    doc: ReportDocument, spec: AlexanderModuleSpec, cap
+    doc: ReportDocument, spec: AlexanderModuleSpec, cap: int
 ) -> Optional[CoveringInstance]:
     """Construct the universal covering and check it; None if it was not built."""
     inst = None
     with doc.check(
         "construction", "universal covering assembles and projects as a covering map"
     ) as e:
-        try:
-            inst = universal_covering_alexander(spec, cap=cap)
-        except ValueError as exc:
-            e.status, e.data = "fail", {"detail": str(exc)}
-        else:
-            e.status = "pass"
-            e.data = {
-                "total_order": inst.total.order,
-                "fiber": inst.fiber_size,
-                "base_order": inst.base.order,
-            }
+        inst = universal_covering_alexander(spec, cap=cap)
+        e.status = "pass"
+        e.data = {
+            "total_order": inst.total.order,
+            "fiber": inst.fiber_size,
+            "base_order": inst.base.order,
+        }
     if inst is not None:
         covering_properties(inst, doc, cap=cap)
     return inst
+
+
+def covering_properties(
+    inst: CoveringInstance, doc: ReportDocument, cap: int = DEFAULT_CELL_CAP
+) -> None:
+    """Verify the covering-theoretic properties of a constructed instance.
+
+    Each property becomes one entry of doc: (a) the total space is
+    connected, (b) its type equals the base type, (c) the torsion of its
+    second quandle homology divides a power of the base type, (d) the
+    sharper fact that this torsion is annihilated by the base type, and
+    (e) the projection is a covering whose fibers all have fiber_size
+    elements.  A cell cap on (c) skips it and leaves (d) out.
+    """
+    base_t = inst.base.type
+    total_q = inst.total
+
+    with doc.check("total_connected", "total space of the universal covering is connected") as e:
+        e.status = "pass" if total_q.is_connected() else "fail"
+        e.data = {"orbits": len(total_q.orbits())}
+
+    with doc.check("type_preserved", "total space has the same type as the base") as e:
+        e.status = "pass" if total_q.type == base_t else "fail"
+        e.data = {"base_type": base_t, "total_type": total_q.type}
+
+    h2 = None
+    with doc.check("h2_torsion", "H2 torsion of the total space divides a power of the type") as e:
+        h2 = quandle_h2(total_q, cap=cap)
+        e.status = "pass" if h2.torsion_divides_power_of(base_t) else "fail"
+        e.data = {"h2": str(h2)}
+    if h2 is not None:
+        with doc.check(
+            "h2_annihilated", "H2 torsion of the total space is annihilated by the type"
+        ) as e:
+            e.status = "pass" if h2.torsion_annihilated_by(base_t) else "fail"
+            e.data = {"h2": str(h2), "type": base_t}
+
+    with doc.check("projection_covering", "projection is a quandle covering") as e:
+        try:
+            covers = is_covering(inst.projection, inst.total, inst.base)
+        except NotSurjective:
+            covers = False
+        sizes = {len(members) for members in inst.fibers().values()}
+        e.status = "pass" if covers and sizes == {inst.fiber_size} else "fail"
+        e.data = {"fiber_size": inst.fiber_size}
 
 
 def _verify_coxeter(doc: ReportDocument, order: int, build: Callable[[], GroupTable], cap: int):
@@ -361,12 +395,10 @@ def cmd_covering(args) -> ReportDocument:
 # census
 
 
-def _census_row(key: str, cap: Optional[int]) -> list[CheckEntry]:
-    """Worker: rebuild one grid entry from its key and measure it."""
-    entry = grid_by_key()[key]
-    doc = ReportDocument(f"census: {key}", __version__)
+def _census_row(doc: ReportDocument, entry: GridEntry, cap: int) -> None:
+    """Build one grid entry and measure it into doc."""
     with doc.check(
-        key, "entry builds, passes the axioms, and matches its invariant contracts"
+        entry.key, "entry builds, passes the axioms, and matches its invariant contracts"
     ) as e:
         e.status, e.data = "pass", {"kind": entry.kind}
         try:
@@ -396,7 +428,6 @@ def _census_row(key: str, cap: Optional[int]) -> list[CheckEntry]:
         except ValueError as exc:
             e.status = "fail"
             e.data["detail"] = str(exc)
-    return doc.entries
 
 
 def cmd_census(args) -> ReportDocument:
@@ -417,17 +448,10 @@ def cmd_census(args) -> ReportDocument:
                 e.status, e.data = "pass", _profile_data(q)
         return doc
 
-    keys = [e.key for e in standard_grid()]
-    doc = ReportDocument(f"census: built-in grid ({len(keys)} entries)", __version__)
-    caps = [args.cap_cells] * len(keys)
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_census_row, keys, caps))
-    else:
-        rows = map(_census_row, keys, caps)
-    for entries in rows:
-        for e in entries:
-            doc.add(e.check_id, e.claim, e.status, e.data, seconds=e.seconds)
+    entries = standard_grid()
+    doc = ReportDocument(f"census: built-in grid ({len(entries)} entries)", __version__)
+    for entry in entries:
+        _census_row(doc, entry, args.cap_cells)
     return doc
 
 
@@ -470,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     p.add_argument("--mode", choices=["rack", "quandle"], default="quandle")
     p.add_argument("--degree", type=int, choices=[2, 3], default=2)
-    p.add_argument("--cap-cells", type=int, default=None, help="cell-count cap")
+    p.add_argument("--cap-cells", type=int, default=DEFAULT_CELL_CAP, help="cell-count cap")
     _add_common(p)
     p.set_defaults(func=cmd_homology)
 
@@ -486,14 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["clauwens", "homotopy", "eisermann", "covering", "coxeter"],
     )
     _add_input(p)
-    p.add_argument("--cap-cells", type=int, default=None, help="cell-count cap")
+    p.add_argument("--cap-cells", type=int, default=DEFAULT_CELL_CAP, help="cell-count cap")
     p.add_argument("--cap-group", type=int, default=BAR_GROUP_CAP, help="bar-complex group cap")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("covering", help="universal covering of a linear quandle")
     _add_input(p)
-    p.add_argument("--cap-cells", type=int, default=None, help="cell-count cap")
+    p.add_argument("--cap-cells", type=int, default=DEFAULT_CELL_CAP, help="cell-count cap")
     p.add_argument(
         "--export-dir", help="write base/total tables and the projection map here"
     )
@@ -502,8 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="survey the built-in grid or a directory")
     p.add_argument("--dir", help="directory of .quandle files (default: built-in grid)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--cap-cells", type=int, default=None, help="cell-count cap")
+    p.add_argument("--cap-cells", type=int, default=DEFAULT_CELL_CAP, help="cell-count cap")
     _add_common(p)
     p.set_defaults(func=cmd_census)
 

@@ -391,16 +391,16 @@ def _element_signature(q: FiniteQuandle, x: int):
     return (perms.cycle_type(q.column(x)), len(q.orbit_of(x)))
 
 
-def find_isomorphism(a: FiniteQuandle, b: FiniteQuandle, max_order: int = 12):
+def find_isomorphism(a: FiniteQuandle, b: FiniteQuandle):
     """Search for an isomorphism a -> b; returns the image tuple or None.
 
     Backtracking with per-element signature pruning and constraint
-    propagation; intended for small orders (brute force up to ~12).
+    propagation; orders past 12 are refused.
     """
     if a.order != b.order:
         return None
-    if a.order > max_order:
-        raise ValueError(f"order {a.order} exceeds isomorphism search bound {max_order}")
+    if a.order > 12:
+        raise ValueError(f"order {a.order} exceeds isomorphism search bound 12")
     if a.type != b.type:
         return None
     if sorted(len(o) for o in a.orbits()) != sorted(len(o) for o in b.orbits()):
@@ -451,6 +451,3 @@ def find_isomorphism(a: FiniteQuandle, b: FiniteQuandle, max_order: int = 12):
         return tuple(mapping)
     return None
 
-
-def is_isomorphic(a: FiniteQuandle, b: FiniteQuandle, max_order: int = 12) -> bool:
-    return find_isomorphism(a, b, max_order=max_order) is not None

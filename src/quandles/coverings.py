@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import ClauwensGroup
-from .core import FiniteQuandle, NotSurjective, dump_table, is_covering, validate
+from .core import FiniteQuandle, dump_table, validate
 from .families import AlexanderModuleSpec
-from .homology import SizeCap, effective_cap, quandle_h2
+from .homology import DEFAULT_CELL_CAP, SizeCap
 from .perms import row_blocks
-from .report import ReportDocument
 
 
 @dataclass
@@ -47,7 +46,7 @@ class CoveringInstance:
 
 
 def universal_covering_alexander(
-    spec: AlexanderModuleSpec, base_point: int = 0, cap: int | None = None
+    spec: AlexanderModuleSpec, base_point: int = 0, cap: int = DEFAULT_CELL_CAP
 ) -> CoveringInstance:
     """Tabulate the universal covering of a connected Alexander quandle.
 
@@ -56,14 +55,13 @@ def universal_covering_alexander(
     alpha), tabulated in blocks of rows by the model's array product; the
     projection sends g to the image of the base point under g.  That it is
     a covering with fibers of cokernel size is checked once, by
-    `covering_properties`.
+    `cli.covering_properties`.
     """
     model = ClauwensGroup(spec)
     fiber = model.coker_order
     size = spec.size * fiber
-    limit = effective_cap(cap)
-    if size * size > limit:
-        raise SizeCap(size * size, limit)
+    if size * size > cap:
+        raise SizeCap(size * size, cap)
     elements = (0, *np.divmod(np.arange(size), fiber))
     e_a = (1, base_point, 0)
     # g <| h = e_a^-1 (g (h^-1 e_a h)), with h^-1 e_a h computed once per h
@@ -85,56 +83,6 @@ def universal_covering_alexander(
         spec=spec,
         fiber_size=fiber,
     )
-
-
-def covering_properties(
-    inst: CoveringInstance, doc: ReportDocument, cap: int | None = None
-) -> None:
-    """Verify the covering-theoretic properties of a constructed instance.
-
-    Each property becomes one entry of doc, never an exception: (a) the
-    total space is connected, (b) its type equals the base type, (c) the
-    torsion of its second quandle homology divides a power of the base
-    type, (d) the sharper fact that this torsion is annihilated by the base
-    type, and (e) the projection is a covering whose fibers all have
-    fiber_size elements.  A cell cap on (c) skips it, with the cap's
-    message as data.reason, and leaves (d) out.
-    """
-    base_t = inst.base.type
-    total_q = inst.total
-
-    with doc.check("total_connected", "total space of the universal covering is connected") as e:
-        e.status = "pass" if total_q.is_connected() else "fail"
-        e.data = {"orbits": len(total_q.orbits())}
-
-    with doc.check("type_preserved", "total space has the same type as the base") as e:
-        e.status = "pass" if total_q.type == base_t else "fail"
-        e.data = {"base_type": base_t, "total_type": total_q.type}
-
-    h2 = None
-    with doc.check("h2_torsion", "H2 torsion of the total space divides a power of the type") as e:
-        try:
-            h2 = quandle_h2(total_q, cap=cap)
-        except SizeCap as exc:
-            e.status, e.data = "skipped", {"reason": str(exc)}
-        else:
-            e.status = "pass" if h2.torsion_divides_power_of(base_t) else "fail"
-            e.data = {"h2": str(h2)}
-    if h2 is not None:
-        with doc.check(
-            "h2_annihilated", "H2 torsion of the total space is annihilated by the type"
-        ) as e:
-            e.status = "pass" if h2.torsion_annihilated_by(base_t) else "fail"
-            e.data = {"h2": str(h2), "type": base_t}
-
-    with doc.check("projection_covering", "projection is a quandle covering") as e:
-        try:
-            covers = is_covering(inst.projection, inst.total, inst.base)
-        except NotSurjective:
-            covers = False
-        sizes = {len(members) for members in inst.fibers().values()}
-        e.status = "pass" if covers and sizes == {inst.fiber_size} else "fail"
-        e.data = {"fiber_size": inst.fiber_size}
 
 
 def export_covering(inst: CoveringInstance, directory: str) -> list[str]:

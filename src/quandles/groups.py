@@ -167,7 +167,7 @@ def _within_limit(name: str, what: str, factors) -> int:
     return size
 
 
-def from_permutations(degree: int, gens, name=None, limit=TABLE_LIMIT) -> GroupTable:
+def from_permutations(degree: int, gens, name=None) -> GroupTable:
     """Group table of the closure of `gens`, elements sorted lexicographically
     as image tuples, tabulated by `perms.tabulate` on a base of the group.
 
@@ -175,7 +175,7 @@ def from_permutations(degree: int, gens, name=None, limit=TABLE_LIMIT) -> GroupT
     index 0 as required.
     """
     group = perms.PermGroup(degree, gens)
-    elements, table = perms.tabulate(group.elements(limit=limit), perms.base_points(group))
+    elements, table = perms.tabulate(group.elements(limit=TABLE_LIMIT), perms.base_points(group))
     labels = [perms.format_perm(p) for p in elements.tolist()]
     return GroupTable(table, labels=labels, name=name)
 

@@ -49,10 +49,6 @@ class SizeCap(RuntimeError):
         super().__init__(f"complex needs {needed} basis cells, cap is {cap}")
 
 
-def effective_cap(cap: int | None = None) -> int:
-    return DEFAULT_CELL_CAP if cap is None else cap
-
-
 def boundary_chain(q: FiniteQuandle, tup) -> dict[tuple, int]:
     """The rack boundary of a basis tuple as a {tuple: coefficient} chain."""
     out: dict[tuple, int] = {}
@@ -83,12 +79,11 @@ def _digits(codes: np.ndarray, n: int, k: int) -> list[np.ndarray]:
 class RackComplexSlice:
     """Degrees 1..4 of the (rack or quandle) complex of a finite quandle."""
 
-    def __init__(self, quandle: FiniteQuandle, mode: str = QUANDLE, cap: int | None = None):
+    def __init__(self, quandle: FiniteQuandle, mode: str = QUANDLE, cap: int = DEFAULT_CELL_CAP):
         if mode not in (RACK, QUANDLE):
             raise ValueError(f"mode must be {RACK!r} or {QUANDLE!r}")
         self.quandle = quandle
         self.mode = mode
-        cap = effective_cap(cap)
         n = quandle.order
         if n**4 > cap:
             raise SizeCap(n**4, cap)
@@ -177,26 +172,15 @@ class RackComplexSlice:
         return homology_at(self.boundary(degree + 1), self.boundary(degree))
 
 
-def build_complex(
-    q: FiniteQuandle, mode: str = QUANDLE, cap: int | None = None
-) -> RackComplexSlice:
-    return RackComplexSlice(q, mode=mode, cap=cap)
-
-
-def quandle_h2(q: FiniteQuandle, cap: int | None = None) -> AbelianGroupInvariants:
+def quandle_h2(q: FiniteQuandle, cap: int = DEFAULT_CELL_CAP) -> AbelianGroupInvariants:
     """Second quandle homology from the degenerate-free complex."""
-    return build_complex(q, QUANDLE, cap).homology(2)
-
-
-def rack_h2(q: FiniteQuandle, cap: int | None = None) -> AbelianGroupInvariants:
-    """Second rack homology (full complex)."""
-    return build_complex(q, RACK, cap).homology(2)
+    return RackComplexSlice(q, QUANDLE, cap).homology(2)
 
 
 def homology(
-    q: FiniteQuandle, degree: int, mode: str = QUANDLE, cap: int | None = None
+    q: FiniteQuandle, degree: int, mode: str = QUANDLE, cap: int = DEFAULT_CELL_CAP
 ) -> AbelianGroupInvariants:
-    return build_complex(q, mode, cap).homology(degree)
+    return RackComplexSlice(q, mode, cap).homology(degree)
 
 
 def adjoint_abelianization(q: FiniteQuandle) -> AbelianGroupInvariants:

@@ -10,7 +10,7 @@ import pytest
 from quandles import cli, families
 from quandles.adjoint import ClauwensGroup, HomotopyVerifier
 from quandles.cli import CLIError, main, parse_input
-from quandles.core import FiniteQuandle, dump_table
+from quandles.core import AxiomViolation, FiniteQuandle, dump_table
 from quandles.coverings import universal_covering_alexander
 from quandles.families import AlexanderModuleSpec
 from quandles.groups import TABLE_LIMIT
@@ -272,6 +272,21 @@ class TestCommands:
         assert (tmp_path / "projection.map").exists()
         assert len(calls) == 1
 
+    def test_covering_axiom_failure_is_a_fail_entry(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AxiomViolation("iii", (0, 1, 2), "0 <| 1 <| 2 differs")
+
+        monkeypatch.setattr(cli, "universal_covering_alexander", broken)
+        code, out, _ = run(capsys, "verify", "--suite", "covering", "alexander orders=3,3 t=-1")
+        assert code == 1
+        blocks = out.rstrip("\n").split("\n\n")[1:]
+        assert len(blocks) == 1
+        assert blocks[0].split("\n")[2:] == [
+            "status: fail",
+            "data.axiom: iii",
+            "data.witness: [0, 1, 2]",
+        ]
+
     def test_covering_timings_per_property(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "covering", "alexander orders=3,3 t=-1", "--timings"
@@ -424,12 +439,6 @@ class TestCensus:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "checks: " in out1
-
-    def test_parallel_matches_serial(self, capsys):
-        code1, serial, _ = run(capsys, "census")
-        code2, parallel, _ = run(capsys, "census", "--jobs", "2")
-        assert code1 == code2 == 0
-        assert serial == parallel
 
     def test_directory_census(self, capsys, tmp_path):
         (tmp_path / "a.quandle").write_text(dump_table(families.dihedral(3)))

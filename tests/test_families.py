@@ -401,10 +401,10 @@ class TestCore:
                     assert q.apply(q.apply(x, y), y) == x
 
     def test_core_of_cyclic_is_dihedral(self):
-        from quandles.core import is_isomorphic
+        from quandles.core import find_isomorphism
         from quandles.groups import cyclic
 
-        assert is_isomorphic(families.core(cyclic(5)), families.dihedral(5))
+        assert find_isomorphism(families.core(cyclic(5)), families.dihedral(5)) is not None
 
 
 def reference_conjugation_reflections(w, seeds):
@@ -456,11 +456,11 @@ class TestConjugationAndCoxeter:
             assert families.coxeter_reflection_quandle(kind).order == order
 
     def test_a2_is_dihedral3(self):
-        from quandles.core import is_isomorphic
+        from quandles.core import find_isomorphism
 
-        assert is_isomorphic(
+        assert find_isomorphism(
             families.coxeter_reflection_quandle("A2"), families.dihedral(3)
-        )
+        ) is not None
 
     def test_odd_dihedral_reflections_connected(self):
         assert families.coxeter_reflection_quandle("I2(5)").is_connected()

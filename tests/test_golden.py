@@ -54,9 +54,9 @@ REPORTS.update(
 
 # homology and built-in census reports, and every `skipped` path: a cell
 # cap on homology, on the homotopy identities, on the triple oracle, on the
-# covering's construction and on its H2 alone (whose data.reason payload
-# differs from the other skips), and the group cap of the coxeter suite
-# next to the same suite run in full
+# covering's construction and on its H2 alone (each with data.needed_cells
+# and data.cap), and the group cap of the coxeter suite (with data.order
+# and data.cap) next to the same suite run in full
 REPORTS.update(
     {
         "census": ["census"],

@@ -20,17 +20,14 @@ from quandles.core import validate
 from quandles.families import AlexanderModuleSpec
 from quandles.grid import grid_by_key, standard_grid
 from quandles.homology import (
-    DEFAULT_CELL_CAP,
     QUANDLE,
     RACK,
+    RackComplexSlice,
     SizeCap,
     adjoint_abelianization,
     boundary_chain,
-    build_complex,
-    effective_cap,
     homology,
     quandle_h2,
-    rack_h2,
 )
 from quandles.intlin import AbelianGroupInvariants, SparseIntMatrix, cokernel
 
@@ -43,7 +40,7 @@ class TestFrozenValues:
     def test_dihedral3(self):
         r3 = families.dihedral(3)
         assert quandle_h2(r3) == Z()
-        assert rack_h2(r3) == Z(1)
+        assert homology(r3, 2, RACK) == Z(1)
 
     def test_dihedral3_degree3(self):
         # the classical value: third quandle homology of the three-element
@@ -54,12 +51,12 @@ class TestFrozenValues:
 
     def test_singleton(self):
         single = families.trivial(1)
-        assert rack_h2(single) == Z(1)
+        assert homology(single, 2, RACK) == Z(1)
         assert quandle_h2(single) == Z()
 
     def test_trivial2(self):
         t2 = families.trivial(2)
-        assert rack_h2(t2) == Z(4)
+        assert homology(t2, 2, RACK) == Z(4)
         assert quandle_h2(t2) == Z(2)
 
     def test_dihedral4(self):
@@ -92,8 +89,8 @@ class TestBoundary:
                     assert all(v == 0 for v in outer.values()), (x, y, z)
 
     def test_complex_certified_on_build(self):
-        # build_complex runs the composite-zero check internally
-        slice3 = build_complex(families.dihedral(3), QUANDLE)
+        # the slice runs the composite-zero check internally
+        slice3 = RackComplexSlice(families.dihedral(3), QUANDLE)
         assert slice3.homology(2) == Z()
 
 
@@ -129,7 +126,7 @@ def _boundary_by_tuples(q, mode, degree):
 
 def _check_assembly(q):
     for mode in (RACK, QUANDLE):
-        c = build_complex(q, mode)
+        c = RackComplexSlice(q, mode)
         for degree in (1, 2, 3, 4):
             assert c.basis(degree) == _basis_by_tuples(q.order, degree, mode)
             assert c.boundary(degree) == _boundary_by_tuples(q, mode, degree), (mode, degree)
@@ -148,7 +145,7 @@ class TestAssembly:
         _check_assembly(_relabeled(grid_by_key()[key].build(), seed))
 
     def test_basis_is_lexicographic(self):
-        c = build_complex(families.dihedral(3), QUANDLE)
+        c = RackComplexSlice(families.dihedral(3), QUANDLE)
         assert c.basis(2) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
         assert c.basis(0) == [()]
         assert len(c.basis(3)) == 3 * 2 * 2
@@ -180,7 +177,7 @@ class TestSplitting:
     )
     def test_rack_h2_splits_off_orbit_lattice(self, make):
         q = make()
-        rack = rack_h2(q)
+        rack = homology(q, 2, RACK)
         quandle = quandle_h2(q)
         orbits = len(q.orbits())
         assert rack.free_rank == quandle.free_rank + orbits
@@ -224,10 +221,6 @@ class TestCaps:
         assert exc.value.needed > 10
         assert exc.value.cap == 10
 
-    def test_explicit_cap(self):
-        assert effective_cap(7) == 7
-        assert effective_cap(None) == DEFAULT_CELL_CAP
-
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             homology(families.dihedral(3), 4)
@@ -236,11 +229,11 @@ class TestCaps:
 class TestModes:
     def test_quandle_complex_drops_degenerate_cells(self):
         q = families.dihedral(3)
-        rack_slice = build_complex(q, RACK)
-        quandle_slice = build_complex(q, QUANDLE)
+        rack_slice = RackComplexSlice(q, RACK)
+        quandle_slice = RackComplexSlice(q, QUANDLE)
         assert len(quandle_slice.basis(2)) == 6  # 9 pairs minus 3 diagonal
         assert len(rack_slice.basis(2)) == 9
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            build_complex(families.dihedral(3), "simplicial")
+            RackComplexSlice(families.dihedral(3), "simplicial")

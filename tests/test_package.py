@@ -1,6 +1,12 @@
 """The package's export list: every name resolves, none twice, no removed name."""
 
+import os
+import subprocess
+import sys
+
 import quandles
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_every_exported_name_resolves():
@@ -13,6 +19,13 @@ def test_no_name_is_exported_twice():
 
 
 def test_removed_names_are_gone():
-    for name in ("core_inner_model", "verify_core_inner"):
+    removed = ("core_inner_model", "verify_core_inner", "build_complex", "rack_h2", "is_isomorphic")
+    for name in removed:
         assert name not in quandles.__all__
         assert not hasattr(quandles, name)
+
+
+def test_the_library_does_not_load_the_report_module():
+    # reports are the command line's; only `cli` builds them
+    code = "import sys, quandles; assert 'quandles.report' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC), check=True)
