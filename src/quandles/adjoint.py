@@ -408,9 +408,6 @@ class HomotopyVerifier:
 
     # chain maps ------------------------------------------------------------
 
-    def c1(self, x: int) -> dict:
-        return {(self._e[x],): 1}
-
     def c2(self, x: int, y: int) -> dict:
         e = self._e
         xy = self.quandle.apply(x, y)

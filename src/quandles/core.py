@@ -23,6 +23,14 @@ are the components of the graph with the edges x -- x <| s.  A table that
 fails the reduced check, or whose S is too large for it to pay, gets the
 scan over all n^3 cells, which finds the lexicographically first witness;
 `check_on_generators` holds that policy for groups too.
+
+S also fixes morphisms.  For a map f into a quandle, the elements s with
+f R_s == R_{f(s)} f form a subquandle, as R_{y<|z} = R_z R_y R_z^-1 in
+both quandles, so f is a homomorphism as soon as that holds on S:
+`is_homomorphism` checks n |S| cells instead of n^2.  Every element
+outside S is u <| s with s in S and u reached from S before it, so a
+homomorphism is fixed by its images of S, and `find_isomorphism`
+searches those images alone.
 """
 
 from __future__ import annotations
@@ -132,12 +140,6 @@ class FiniteQuandle:
 
     def is_connected(self) -> bool:
         return len(self.orbits()) == 1
-
-    def orbit_of(self, x: int) -> tuple[int, ...]:
-        for orb in self.orbits():
-            if x in orb:
-                return orb
-        raise IndexError(x)
 
     def profile(self) -> "QuandleProfile":
         return QuandleProfile(
@@ -366,8 +368,16 @@ def is_homomorphism(f, src: FiniteQuandle, dst: FiniteQuandle) -> bool:
     f = tuple(f)
     if len(f) != src.order or any(not 0 <= v < dst.order for v in f):
         return False
-    f = np.array(f, dtype=np.int64)
-    return bool(np.array_equal(f[src.array], dst.array[f[:, None], f[None, :]]))
+    return bool(_respects(np.array([f], dtype=np.int64), src, dst)[0])
+
+
+def _respects(maps: np.ndarray, src: FiniteQuandle, dst: FiniteQuandle) -> np.ndarray:
+    """For each row f of `maps`, whether f(x <| s) == f(x) <| f(s) for every
+    x and every s in S of src, hence, by the lemma in the module docstring,
+    for every s."""
+    gens = list(src.generating_set())
+    left = maps[:, src.array[:, gens]]
+    return (left == dst.array[maps[:, :, None], maps[:, None, gens]]).all(axis=(1, 2))
 
 
 def is_covering(f, src: FiniteQuandle, dst: FiniteQuandle) -> bool:
@@ -387,67 +397,50 @@ def is_covering(f, src: FiniteQuandle, dst: FiniteQuandle) -> bool:
     return bool(np.array_equal(src.array[:, first[f]], src.array))
 
 
-def _element_signature(q: FiniteQuandle, x: int):
-    return (perms.cycle_type(q.column(x)), len(q.orbit_of(x)))
+# bounds candidates x n x |S|, the cells `find_isomorphism` may gather
+ISOMORPHISM_CELLS = 1 << 26
 
 
 def find_isomorphism(a: FiniteQuandle, b: FiniteQuandle):
-    """Search for an isomorphism a -> b; returns the image tuple or None.
+    """An isomorphism a -> b of connected quandles as an image tuple, or None.
 
-    Backtracking with per-element signature pruning and constraint
-    propagation; orders past 12 are refused.
+    None when the orders, types or connectedness differ; ValueError when
+    both are disconnected, or when the n^(|S|-1) candidates times the
+    n |S| cells each would check pass ISOMORPHISM_CELLS, S being a's
+    generating set.  A breadth-first walk from S writes every other element
+    as u <| s, u reached earlier, so f(u <| s) = f(u) <| f(s) extends a
+    candidate by one gather per layer.  Inn(b) is transitive, so the first
+    generator goes to 0 and the others run over all n^(|S|-1) images, a
+    block of candidates at a time; the first bijection that respects <|
+    is returned.
     """
-    if a.order != b.order:
+    if (a.order, a.type, a.is_connected()) != (b.order, b.type, b.is_connected()):
         return None
-    if a.order > 12:
-        raise ValueError(f"order {a.order} exceeds isomorphism search bound 12")
-    if a.type != b.type:
-        return None
-    if sorted(len(o) for o in a.orbits()) != sorted(len(o) for o in b.orbits()):
-        return None
-    n = a.order
-    sig_a = [_element_signature(a, x) for x in range(n)]
-    sig_b = [_element_signature(b, x) for x in range(n)]
-    candidates = [
-        [y for y in range(n) if sig_b[y] == sig_a[x]] for x in range(n)
-    ]
-    if any(not c for c in candidates):
-        return None
-    mapping = [-1] * n
-    used = [False] * n
-
-    def consistent(x, y):
-        # check every pair involving x against already-mapped elements
-        for t in range(n):
-            if mapping[t] == -1 and t != x:
-                continue
-            mt = y if t == x else mapping[t]
-            u = a.apply(x, t)
-            if mapping[u] != -1 or u == x:
-                mu = y if u == x else mapping[u]
-                if b.apply(y, mt) != mu:
-                    return False
-            u = a.apply(t, x)
-            if mapping[u] != -1 or u == x:
-                mu = y if u == x else mapping[u]
-                if b.apply(mt, y) != mu:
-                    return False
-        return True
-
-    def backtrack(x):
-        if x == n:
-            return True
-        for y in candidates[x]:
-            if not used[y] and consistent(x, y):
-                mapping[x] = y
-                used[y] = True
-                if backtrack(x + 1):
-                    return True
-                mapping[x] = -1
-                used[y] = False
-        return False
-
-    if backtrack(0):
-        return tuple(mapping)
+    if not a.is_connected():
+        raise ValueError("isomorphism search needs connected quandles")
+    n, gens = a.order, np.array(a.generating_set())
+    k = len(gens)
+    cells = n ** (k - 1) * n * k
+    if cells > ISOMORPHISM_CELLS:
+        raise ValueError(f"isomorphism search needs {cells} cells, cap is {ISOMORPHISM_CELLS}")
+    # layers (x, u, s) of the walk, x = u <| s with u in an earlier layer
+    steps, layer = [], gens
+    reached = np.zeros(n, dtype=bool)
+    reached[gens] = True
+    while len(layer):
+        x = a.array[np.ix_(layer, gens)].ravel()  # x[i * k + j] = layer[i] <| gens[j]
+        fresh = np.flatnonzero(~reached[x])
+        fresh = fresh[np.unique(x[fresh], return_index=True)[1]]
+        reached[x[fresh]] = True
+        steps.append((x[fresh], layer[fresh // k], gens[fresh % k]))
+        layer = x[fresh]
+    digits = n ** np.arange(k - 1, -1, -1)  # the first generator's digit is 0
+    for _, block in perms.row_blocks(range(n ** (k - 1)), n * k):
+        maps = np.empty((len(block), n), dtype=np.int64)
+        maps[:, gens] = np.arange(block.start, block.stop)[:, None] // digits % n
+        for x, u, s in steps:
+            maps[:, x] = b.array[maps[:, u], maps[:, s]]
+        for f in maps[_respects(maps, a, b)]:
+            if perms.first_non_permutation(f[None]) is None:
+                return tuple(f.tolist())
     return None
-

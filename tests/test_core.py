@@ -1,6 +1,7 @@
 """Quandle axioms, profiles, serialization, morphisms, isomorphism search."""
 
 import importlib
+import itertools
 import random
 
 import numpy as np
@@ -596,6 +597,11 @@ class TestMorphisms:
         assert is_covering(f, r6, r3)
 
 
+# the connected catalogue entries whose generating sets (|S| = 8 and 6)
+# put the isomorphism search past its cell cap
+CAPPED = ("symplectic:g1:q8", "spherical:n2:q7")
+
+
 class TestIsomorphism:
     def test_dihedral3_is_linear(self):
         spec = families.AlexanderModuleSpec.scalar((3,), -1)
@@ -619,10 +625,60 @@ class TestIsomorphism:
         assert is_homomorphism(f, a, b)
         assert sorted(f) == list(range(5))
 
-    def test_respects_order_cap(self):
-        big = families.trivial(13)
-        with pytest.raises(ValueError):
-            find_isomorphism(big, big)
+    def test_disconnected_inputs_are_refused(self):
+        with pytest.raises(ValueError, match="connected"):
+            find_isomorphism(families.trivial(3), families.trivial(3))
+
+    def test_connected_against_disconnected_is_none(self):
+        # R_2 swaps 0 and 1, R_0 and R_1 are the identity: type 2, orbits {0, 1}, {2}
+        swap = validate([[0, 0, 1], [1, 1, 0], [2, 2, 2]])
+        r3 = validate(R3_TABLE)
+        assert (swap.order, swap.type, r3.type) == (3, 2, 2)
+        assert find_isomorphism(r3, swap) is None
+        assert find_isomorphism(swap, r3) is None
+
+    def test_agrees_with_brute_force(self):
+        # every ordered same-order pair of connected quandles of order <= 7
+        # against all n! bijections, each checked on all n^2 cells
+        scalar = {(n, t): families.alexander(families.AlexanderModuleSpec.scalar((n,), t))
+                  for n in (5, 7) for t in range(2, n)}
+        assert find_isomorphism(scalar[5, 2], scalar[5, 3]) is None
+        qs = [q for _, q in catalogue() if q.order <= 7 and q.is_connected()]
+        qs += scalar.values()
+        pairs = [(a, b) for a in qs for b in qs if a.order == b.order]
+        found = 0
+        for a, b in pairs:
+            bijections = np.array(list(itertools.permutations(range(a.order))))
+            images = b.array[bijections[:, :, None], bijections[:, None, :]]
+            respects = bijections[:, a.array] == images
+            exists = bool(respects.all(axis=(1, 2)).any())
+            assert (find_isomorphism(a, b) is not None) == exists
+            found += exists
+        assert (len(pairs), found) == (161, 75)
+
+    def test_finds_seeded_relabelings(self):
+        rng = random.Random(0)
+        for key, q in catalogue():
+            if not q.is_connected() or key in CAPPED:
+                continue
+            r, _ = relabeled(q, rng)
+            f = find_isomorphism(q, r)
+            assert f is not None and sorted(f) == list(range(q.order)), key
+            assert is_homomorphism(f, q, r), key
+
+    @pytest.mark.parametrize("key", CAPPED)
+    def test_cap_refuses_before_any_gather(self, key, monkeypatch):
+        from quandles.grid import grid_by_key
+
+        q = grid_by_key()[key].build()
+        r, _ = relabeled(q, random.Random(0))
+
+        def no_blocks(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(core.perms, "row_blocks", no_blocks)
+        with pytest.raises(ValueError, match=f"cap is {core.ISOMORPHISM_CELLS}"):
+            find_isomorphism(q, r)
 
 
 @settings(max_examples=25, deadline=None)

@@ -20,6 +20,8 @@ from quandles.grid import grid_by_key, parse_family, standard_grid
 from quandles.homology import quandle_h2
 from quandles.report import ReportDocument
 
+from alexander_specs import connected_alexander_specs
+
 
 FIB = AlexanderModuleSpec((2, 2), [[0, 1], [1, 1]])  # order 4, type 3
 NEG33 = AlexanderModuleSpec.scalar((3, 3), -1)  # order 9, type 2
@@ -128,12 +130,20 @@ class TestProperties:
 
 
 class TestBasePoint:
-    def test_independent_of_base_point(self):
-        for spec in (FIB, AlexanderModuleSpec.scalar((3,), -1)):
-            first = universal_covering_alexander(spec, base_point=0).total
-            for b in range(1, spec.size):
-                other = universal_covering_alexander(spec, base_point=b).total
-                assert find_isomorphism(first, other) is not None, (spec, b)
+    @pytest.mark.parametrize("spec", connected_alexander_specs(25), ids=str)
+    def test_independent_of_base_point(self, spec):
+        first = universal_covering_alexander(spec, base_point=0).total
+        for b in (1, spec.size - 1):
+            other = universal_covering_alexander(spec, base_point=b).total
+            assert find_isomorphism(first, other) is not None, b
+
+    def test_order_729_total_is_past_the_search_cap(self):
+        spec = AlexanderModuleSpec.scalar((3, 3, 3), -1)
+        first = universal_covering_alexander(spec).total
+        other = universal_covering_alexander(spec, base_point=1).total
+        assert (first.order, len(first.generating_set())) == (729, 4)
+        with pytest.raises(ValueError, match="cap is"):
+            find_isomorphism(first, other)
 
 
 class TestExport:

@@ -23,6 +23,7 @@ def test_removed_names_are_gone():
     for name in removed:
         assert name not in quandles.__all__
         assert not hasattr(quandles, name)
+    assert not hasattr(quandles.FiniteQuandle, "orbit_of")
 
 
 def test_the_library_does_not_load_the_report_module():
