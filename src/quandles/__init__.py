@@ -24,7 +24,6 @@ from .families import (
     SeedNotInvolution,
     alexander,
     conjugation_reflections,
-    core,
     coxeter_reflection_quandle,
     dihedral,
     spherical,
@@ -83,7 +82,6 @@ __all__ = [
     "clauwens_group",
     "closure_order",
     "conjugation_reflections",
-    "core",
     "coxeter_reflection_quandle",
     "dihedral",
     "dump_table",

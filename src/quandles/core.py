@@ -16,13 +16,15 @@ Axioms (i) and (ii) are checked on every cell.  Axiom (iii) is checked on a
 generating set S: given (i) and (ii), the elements z whose right translation
 R_z is an automorphism form a subquandle, since R_{x<|y} = R_y R_x R_y^-1
 (apply R_y^-1 first).  So (iii) holds as soon as R_s is an endomorphism for
-every s in S, which costs 2|S| n^2 gathers instead of n^3 cells.  The same
-identity gives Inn(X) = <R_s : s in S>, and makes every R_z conjugate to
-some R_s, so the type is the lcm of the orders of the R_s, and the orbits
-are the components of the graph with the edges x -- x <| s.  A table that
-fails the reduced check, or whose S is too large for it to pay, gets the
-scan over all n^3 cells, which finds the lexicographically first witness;
-`check_on_generators` holds that policy for groups too.
+every s in S; that reads column s alone, so it costs 2k n^2 gathers for the
+k distinct translations of S instead of n^3 cells.  The scan of all n^3
+cells runs only after a failure, to name the lexicographically first
+witness; `check_on_generators` holds that policy for groups too.  The same
+identity gives Inn(X) = <R_s : s in S> and makes every R_z conjugate to
+some R_s, so the type is the lcm of the orders of the R_s.  As each R_s^-1
+is a power of R_s, the subquandle generated by S is S <R_s : s in S>, one
+walk (`_walk`) from S along the columns of S, and an orbit is strongly
+connected under x -> x <| s.
 
 S also fixes morphisms.  For a map f into a quandle, the elements s with
 f R_s == R_{f(s)} f form a subquandle, as R_{y<|z} = R_z R_y R_z^-1 in
@@ -35,6 +37,7 @@ searches those images alone.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property
 from math import lcm
 
@@ -68,7 +71,7 @@ class FiniteQuandle:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != len(table):
             raise ValueError("label count does not match order")
-        self.array, self._generators = _check_axioms(table)
+        self.array, self._generators, self._translations = _check_axioms(table)
         self._type = None
         self._orbits = None
         self._inn = None
@@ -96,10 +99,10 @@ class FiniteQuandle:
         return self._generators
 
     def inn(self) -> PermGroup:
-        """The inner automorphism group, generated by the right translations
-        by the elements of S."""
+        """The inner automorphism group, generated by the distinct right
+        translations by the elements of S."""
         if self._inn is None:
-            self._inn = PermGroup(self.order, self.array[:, self._generators].T)
+            self._inn = PermGroup(self.order, self.array[:, self._translations].T)
         return self._inn
 
     @property
@@ -108,30 +111,26 @@ class FiniteQuandle:
 
         Equals the lcm over y of the order of the right translation by y,
         hence always a finite positive integer for a finite table.  Every
-        R_y is conjugate to some R_s with s in S, so the lcm runs over S.
+        R_y is conjugate to some R_s with s in S, so the lcm runs over the
+        distinct translations of S.
         """
         if self._type is None:
-            columns = dict.fromkeys(self.column(s) for s in self._generators)
-            self._type = lcm(*map(perms.perm_order, columns))
+            self._type = lcm(*(perms.perm_order(self.column(s)) for s in self._translations))
         return self._type
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbits of the inner group, i.e. connected components."""
         if self._orbits is None:
-            # hook the labels of the ends of each edge x -- x <| s (s in S) to
-            # each other and jump pointers; labels fall to an orbit's least element
-            n, gens = self.order, self._generators
-            tail, head = np.repeat(np.arange(n), len(gens)), self.array[:, gens].ravel()
-            least = np.arange(n)
+            # an orbit is strongly connected under x -> x <| s (s in S), so
+            # pulling the least label back along the edges and jumping
+            # pointers lowers every label to its orbit's least element
+            images, least = self.array[:, self._translations], np.arange(self.order)
             while True:
-                hooked = least.copy()
-                np.minimum.at(hooked, least[tail], least[head])
-                np.minimum.at(hooked, least[head], least[tail])
-                while not np.array_equal(hooked[hooked], hooked):
-                    hooked = hooked[hooked]
-                if np.array_equal(hooked, least):
+                lowered = np.minimum(least, least[images].min(axis=1))
+                lowered = lowered[lowered]
+                if np.array_equal(lowered, least):
                     break
-                least = hooked
+                least = lowered
             groups: dict[int, list[int]] = {}
             for x, root in enumerate(least.tolist()):
                 groups.setdefault(root, []).append(x)
@@ -187,16 +186,10 @@ def table_generators(array: np.ndarray, closed=()) -> tuple[int, ...]:
     keeps S small where many elements share a column, as in the fibers of a
     covering.  In a group table every column is fresh, so the choice is the
     first unreached element.  `closed` lists elements known to form a
-    closed subset, such as a group's identity.
+    closed subset whose columns are the identity, such as a group's
+    identity.
     """
-    # a column's id is the first column equal to it, found by open addressing
-    # on the hash of its bytes, so no n^2 bytes are kept
-    column_id, first = np.empty(len(array), dtype=np.intp), {}
-    for y, key in enumerate(map(np.ndarray.tobytes, array.T)):
-        h = hash(key)
-        while h in first and array[:, first[h]].tobytes() != key:
-            h += 1
-        column_id[y] = first.setdefault(h, y)
+    column_id = np.array(_column_ids(array, range(len(array))))
     elements = np.arange(len(array))
     reached = (array.min(axis=1) == elements) & (array.max(axis=1) == elements)
     reached[list(closed)] = False
@@ -208,30 +201,42 @@ def table_generators(array: np.ndarray, closed=()) -> tuple[int, ...]:
         fresh = ~reached & ~seen[column_id]
         s = int(np.argmax(fresh if fresh.any() else ~reached))
         generators.append(s)
-        seen[column_id[_extend_closure(array, reached, s)]] = True
+        rows = np.append(np.flatnonzero(reached), s)  # reached elements and s along column s
+        for x, _, _ in _walk(array, reached, np.array(generators), rows, np.array([s])):
+            seen[column_id[x]] = True
     return tuple(generators)
 
 
-def _extend_closure(array: np.ndarray, reached: np.ndarray, s: int) -> np.ndarray:
-    """Mark in `reached`, a closed subset as a boolean mask, its closure with s
-    under the operation of `array`, and return the newly marked elements.
+def _column_ids(array: np.ndarray, ys) -> list[int]:
+    """For each y in ys, the first of ys with y's column, found by open
+    addressing on the hash of the column's bytes, so no n^2 bytes are kept."""
+    ids, first = [], {}
+    for y in ys:
+        key = array[:, y].tobytes()
+        h = hash(key)
+        while h in first and array[:, first[h]].tobytes() != key:
+            h += 1
+        ids.append(first.setdefault(h, y))
+    return ids
 
-    Each element is in the frontier once, and is then multiplied on both
-    sides by every element reached so far, so every pair is covered; the
-    frontier is taken in blocks of rows so memory stays O(n^2)."""
-    frontier = np.array([s])
-    reached[s] = True
-    added = [frontier]
-    while len(frontier):
-        old = np.flatnonzero(reached)
-        new = np.zeros(len(array), dtype=bool)
-        for _, block in perms.row_blocks(frontier, len(old)):
-            new[array[np.ix_(block, old)]] = True
-            new[array[np.ix_(old, block)]] = True
-        frontier = np.flatnonzero(new & ~reached)
-        reached[frontier] = True
-        added.append(frontier)
-    return np.concatenate(added)
+
+def _walk(array: np.ndarray, reached: np.ndarray, generators, rows, columns) -> list:
+    """Mark in `reached`, a boolean mask, the products of `rows` by `columns`
+    that it lacks, then what they reach along the columns of `generators`, a
+    block of `perms.row_blocks` at a time.  Return the layers (x, u, s) of
+    the marked x = u <| s; each u past the first layer was marked before."""
+    layers, frontier = [], deque()
+    while True:
+        x = array[rows[:, None], columns].ravel()  # x[i * k + j] = rows[i] <| columns[j]
+        fresh = (~reached[x]).nonzero()[0]
+        new, first = np.unique(x[fresh], return_index=True)
+        reached[new] = True
+        i, j = np.divmod(fresh[first], len(columns))
+        layers.append((new, rows[i], columns[j]))
+        frontier.extend(block for _, block in perms.row_blocks(new, len(generators)))
+        if not frontier:
+            return layers
+        rows, columns = frontier.popleft(), generators
 
 
 def table_array(table) -> tuple[np.ndarray, int]:
@@ -249,20 +254,19 @@ def table_array(table) -> tuple[np.ndarray, int]:
 
 def check_on_generators(arr: np.ndarray, generators, passes, scan, failed: str) -> None:
     """Check a law on `arr` through its generating set S, as the elements s
-    with `passes(arr, s)` are closed; `scan(arr)` raises at the first failing
-    cell, and runs when an s fails, or alone when 2|S| >= n."""
-    if 2 * len(generators) >= len(arr):
-        scan(arr)
-    elif not all(passes(arr, s) for s in generators):
+    with `passes(arr, s)` are closed; after an s fails, `scan(arr)` raises
+    at the first failing cell."""
+    if not all(passes(arr, s) for s in generators):
         scan(arr)
         raise RuntimeError(f"internal error: {failed}, "
                            "but the scan of all cells found no failure")
 
 
-def _check_axioms(table) -> tuple[np.ndarray, tuple[int, ...]]:
+def _check_axioms(table) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
     """Check the three axioms on the table as an int64 array and return it
-    with its generating set; the first malformed row or entry in row-major
-    order is the witness."""
+    with its generating set S and the first element of S of each distinct
+    column; the first malformed row or entry in row-major order is the
+    witness."""
     n = len(table)
     arr, full = table_array(table)
     if arr.size and (arr.min() < 0 or arr.max() >= n):
@@ -286,9 +290,11 @@ def _check_axioms(table) -> tuple[np.ndarray, tuple[int, ...]]:
         raise AxiomViolation("ii", (w, x, y),
                              f"right translation by {y} maps both {w} and {x} to {v}")
     generators = table_generators(arr)
-    check_on_generators(arr, generators, _is_endomorphism, _scan_distributivity,
+    # the law at s reads column s alone
+    translations = tuple(dict.fromkeys(_column_ids(arr, generators)))
+    check_on_generators(arr, translations, _is_endomorphism, _scan_distributivity,
                         "a right translation is no endomorphism")
-    return arr, generators
+    return arr, generators, translations
 
 
 def _is_endomorphism(arr: np.ndarray, s: int) -> bool:
@@ -423,17 +429,9 @@ def find_isomorphism(a: FiniteQuandle, b: FiniteQuandle):
     cells = n ** (k - 1) * n * k
     if cells > ISOMORPHISM_CELLS:
         raise ValueError(f"isomorphism search needs {cells} cells, cap is {ISOMORPHISM_CELLS}")
-    # layers (x, u, s) of the walk, x = u <| s with u in an earlier layer
-    steps, layer = [], gens
     reached = np.zeros(n, dtype=bool)
     reached[gens] = True
-    while len(layer):
-        x = a.array[np.ix_(layer, gens)].ravel()  # x[i * k + j] = layer[i] <| gens[j]
-        fresh = np.flatnonzero(~reached[x])
-        fresh = fresh[np.unique(x[fresh], return_index=True)[1]]
-        reached[x[fresh]] = True
-        steps.append((x[fresh], layer[fresh // k], gens[fresh % k]))
-        layer = x[fresh]
+    steps = _walk(a.array, reached, gens, gens, gens)
     digits = n ** np.arange(k - 1, -1, -1)  # the first generator's digit is 0
     for _, block in perms.row_blocks(range(n ** (k - 1)), n * k):
         maps = np.empty((len(block), n), dtype=np.int64)

@@ -11,9 +11,11 @@ Associativity is checked by Light's test (Clifford and Preston, The
 Algebraic Theory of Semigroups, vol. 1) on a generating set S: the
 elements s with (x s) z == x (s z) for all x and z are closed under
 products, so it is enough that each s in S passes, at 2|S| n^2 gathers
-instead of n^3 cells.  A table that fails, or whose S is too large for the
-test to pay, gets the scan over all cells in blocks of rows, which finds
-the lexicographically first failing (a, b, c): `core.check_on_generators`.
+instead of n^3 cells.  A table that fails gets the scan over all cells in
+blocks of rows, which finds the lexicographically first failing (a, b, c):
+`core.check_on_generators`.  S is picked by `core.table_generators`, whose
+walk from the identity by right multiplication by S reaches the subgroup
+<S>, as each s^-1 is a power of s.
 
 `parse_group_name` is the one resolver of group names and Coxeter labels;
 its docstring gives the grammar.  It reads the order from the name, checks

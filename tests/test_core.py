@@ -1,6 +1,5 @@
 """Quandle axioms, profiles, serialization, morphisms, isomorphism search."""
 
-import importlib
 import itertools
 import random
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandles import families, perms
+from quandles import core, families, perms
 from quandles.core import (
     AxiomViolation,
     FiniteQuandle,
@@ -22,10 +21,8 @@ from quandles.core import (
     validate,
 )
 
+from alexander_specs import connected_alexander_specs
 from child_memory import child_peaks_kb
-
-# the module, which the package's `core` family builder shadows
-core = importlib.import_module("quandles.core")
 
 R3_TABLE = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 
@@ -272,6 +269,16 @@ class TestArrayChecksAgainstReferences:
         q = validate([[x] * n + [(x + 1) % n] for x in range(n)] + [[n] * (n + 1)])
         assert q.orbits() == reference_orbits(q) == [tuple(range(n)), (n,)]
 
+    def test_orbits_of_a_trivial_quandle_and_relabeled_components(self):
+        # the pull-back follows only x -> x <| s; each orbit here is one point,
+        # or a dihedral orbit whose least element moves under relabeling
+        rng = random.Random(1995)
+        tables = [families.trivial(300)] + [
+            relabeled(dihedral3_and_two_points(), rng)[0] for _ in range(20)
+        ]
+        for q in tables:
+            assert q.orbits() == reference_orbits(q)
+
     @pytest.mark.parametrize("name", TABLE_INPUTS)
     def test_relabeled_tables(self, name):
         q = TABLE_INPUTS[name]()
@@ -408,7 +415,15 @@ def dihedral3_and_two_points():
 
 class TestGeneratingSet:
     def test_every_catalogue_entry(self):
-        for key, q in catalogue() + [("dihedral3+2", dihedral3_and_two_points())]:
+        from quandles.coverings import universal_covering_alexander
+
+        rng = random.Random(2014)
+        tables = catalogue() + [("dihedral3+2", dihedral3_and_two_points())]
+        tables += [(f"relabeled {key}", relabeled(q, rng)[0]) for key, q in tables]
+        totals = [universal_covering_alexander(spec).total for spec in connected_alexander_specs(25)]
+        assert len(totals) == 17
+        tables += [(f"total {q.order}", q) for q in totals]
+        for key, q in tables:
             s = q.generating_set()
             assert s == reference_generating_set(q), key
             assert closure(q, s) == set(range(q.order)), key
@@ -482,7 +497,7 @@ class TestGeneratingSet:
         assert expected[0] == "iii"
         assert axiom_outcome(table) == expected
 
-    def test_trivial_quandle_takes_the_scan(self, monkeypatch):
+    def test_the_law_is_checked_once_per_distinct_translation(self, monkeypatch):
         calls = {"reduced": 0, "scan": 0}
         is_endomorphism, scan = core._is_endomorphism, core._scan_distributivity
 
@@ -498,9 +513,11 @@ class TestGeneratingSet:
         monkeypatch.setattr(core, "_scan_distributivity", full)
         q = families.trivial(256)
         assert q.generating_set() == tuple(range(256))  # each is its own subquandle
-        assert calls == {"reduced": 0, "scan": 1}
+        assert calls == {"reduced": 1, "scan": 0}  # all 256 act as the identity
+        calls["reduced"] = 0
         q = families.dihedral(256)
-        assert calls == {"reduced": len(q.generating_set()), "scan": 1}
+        translations = {q.column(s) for s in q.generating_set()}
+        assert calls == {"reduced": len(translations), "scan": 0}
 
     def test_a_reduced_failure_the_scan_misses_is_an_error(self, monkeypatch):
         monkeypatch.setattr(core, "_is_endomorphism", lambda arr, s: False)

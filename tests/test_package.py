@@ -26,6 +26,15 @@ def test_removed_names_are_gone():
     assert not hasattr(quandles.FiniteQuandle, "orbit_of")
 
 
+def test_the_core_module_is_not_shadowed():
+    # the `core` family builder lives in `families` and is not re-exported
+    import quandles.core as core_module
+    from quandles import core
+
+    assert core is core_module and core_module.__name__ == "quandles.core"
+    assert "core" not in quandles.__all__
+
+
 def test_the_library_does_not_load_the_report_module():
     # reports are the command line's; only `cli` builds them
     code = "import sys, quandles; assert 'quandles.report' not in sys.modules"
