@@ -17,9 +17,10 @@ are assembled on integer arrays of these codes: each face of every basis
 tuple is one gather from the quandle table, and the 2k signed faces of a
 column are coalesced by sorting.  `boundary_chain` computes the same
 boundary one tuple at a time; the chain-homotopy verifier uses it, and the
-tests check the assembled matrices against it.  Homology groups come from
-`intlin.homology_at`, whose Smith form peels every unit pivot and then
-diagonalizes the residual by Euclidean elimination.
+tests check the assembled matrices against it.  The matrix keeps the
+assembled entry arrays, and homology groups come from `intlin.homology_at`,
+whose Smith form peels unit pivots on those arrays in rounds and hands
+the residual to a dict elimination.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ class RackComplexSlice:
 
         A face's codes come from one gather in the quandle table and map to
         row indices, -1 marking a degenerate face in quandle mode.  Each
-        column's 2k entries are then sorted and equal rows summed.
+        column's 2k entries are then sorted and equal rows summed, which
+        leaves the entries in the column-then-row order the matrix keeps.
         """
         n, dtype = self.quandle.order, self._dtype
         row_codes = self._basis_codes(k - 1)

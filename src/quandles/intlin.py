@@ -1,20 +1,31 @@
 """Exact linear algebra over the integers.
 
 Sparse integer matrices, Smith normal form, cokernels and homology of
-two-step chain complexes.  All arithmetic uses Python's arbitrary-precision
-integers; nothing is ever done in floating point or modular shortcut.
-A sparse matrix is stored once, by rows ({row: {col: value}}); the Smith
-form and the check that two boundaries compose to zero read those rows.
+two-step chain complexes.  Results are exact: values are Python ints, or
+int64 only where a bound checked beforehand rules out overflow; nothing
+is done in floating point or by a modular shortcut.  A sparse matrix holds
+its nonzero entries as rows ({row: {col: value}}), as three parallel
+arrays sorted by column, or both, each layout built from the other when
+first read.  Complex assembly hands over arrays, and the Smith form of
+rank, cokernel and homology_at and the check that two boundaries compose
+to zero read them.
 
-The Smith form is computed sparsely in two phases.  The peel takes
-every unit pivot: the sparsest row holding an entry +-1 pivots there, row
-operations clear that column, and the row and column leave with a 1 for
-the diagonal.  The residual, which has no entry +-1, is diagonalized by
-Euclidean elimination (least absolute value first, fewest nonzeros on
-ties), and gcd/lcm steps put its diagonal in divisibility order.  A rank
-is the length of that diagonal.  The same pass can record its row
-operations as a unimodular transform U; rank, cokernel and homology do
-not ask for it.  Runs are deterministic.
+Those Smith forms peel unit pivots on the arrays in rounds.  Each round
+drops every column equal up to sign to an earlier one (a hash proposes
+pairs, an entry-by-entry compare decides), picks unit pivots whose block
+is diagonal by Markowitz cost, and eliminates them all with one
+Schur-complement update, coalesced by sorting.  A round whose update could
+leave int64 is not run.  What is left, with no unit or past that bound,
+goes to the dict elimination with Python ints: it peels every unit pivot
+(the sparsest row holding an entry +-1 pivots there, row operations clear
+that column, and the row and column leave with a 1 for the diagonal), then
+diagonalizes the rest by Euclidean elimination (least absolute value
+first, fewest nonzeros on ties), and gcd/lcm steps put its diagonal in
+divisibility order.  A rank is the length of the diagonal.
+
+smith_normal_form runs the dict elimination alone, because it records its
+row operations as a unimodular transform U, and the adjoint model's
+coordinates are read off that U.  Runs are deterministic.
 """
 
 from __future__ import annotations
@@ -22,6 +33,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import gcd, prod
+
+import numpy as np
 
 
 class NotAComplex(ValueError):
@@ -89,20 +102,30 @@ class AbelianGroupInvariants:
 
 
 class SparseIntMatrix:
-    """An integer matrix stored by rows: {row: {col: value}}.
+    """An integer matrix, held as its nonzero entries in one or both of two
+    layouts: rows ({row: {col: value}}), or three parallel arrays (rows,
+    cols, values) sorted by column and then row.
+
+    A matrix made by `from_arrays` keeps its arrays, which the Smith form of
+    `rank`, `cokernel` and `homology_at` and the `d∘d = 0` check read; the
+    row dicts are built only when something reads them (`get`, `set`,
+    `entries`, the dict elimination).  A matrix made by entries gets its
+    arrays the same way.  Changing an entry drops the arrays.  Array values
+    are int64, or Python ints in an object array when an entry does not fit.
 
     No row holds a zero value and no stored row is empty, so two equal
     matrices have equal row dicts.
     """
 
-    __slots__ = ("rows", "cols", "_by_row")
+    __slots__ = ("rows", "cols", "_by_row", "_coo")
 
     def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
         self.rows = rows
         self.cols = cols
-        self._by_row: dict[int, dict[int, int]] = {}
+        self._by_row: dict[int, dict[int, int]] | None = {}
+        self._coo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_dense(cls, dense) -> "SparseIntMatrix":
@@ -120,48 +143,87 @@ class SparseIntMatrix:
     @classmethod
     def from_arrays(cls, rows: int, cols: int, row_ids, col_ids, values) -> "SparseIntMatrix":
         """A matrix from three parallel numpy integer arrays of nonzero
-        entries at distinct positions; the values become Python ints."""
-        rs, cs, vs = row_ids.tolist(), col_ids.tolist(), values.tolist()
+        entries at distinct positions, in any order; it keeps them as int64
+        arrays."""
+        rs, cs, vs = (
+            np.asarray(a).astype(np.int64, casting="safe") for a in (row_ids, col_ids, values)
+        )
         if not len(rs) == len(cs) == len(vs):
             raise ValueError("entry arrays differ in length")
-        if rs and not (0 <= min(rs) and max(rs) < rows and 0 <= min(cs) and max(cs) < cols):
+        if len(rs) and not (0 <= rs.min() <= rs.max() < rows and 0 <= cs.min() <= cs.max() < cols):
             raise IndexError("entry outside the matrix")
-        if 0 in vs:
+        if not vs.all():
             raise ValueError("explicit zero entry")
+        key = cs * rows + rs
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            key, rs, cs, vs = key[order], rs[order], cs[order], vs[order]
+            if (key[1:] == key[:-1]).any():
+                raise ValueError("repeated entry position")
+        return cls._of_arrays(rows, cols, rs, cs, vs)
+
+    @classmethod
+    def _of_arrays(cls, rows, cols, rs, cs, vs) -> "SparseIntMatrix":
+        """A matrix on arrays already sorted by column, then row, with
+        nonzero values at distinct positions."""
         m = cls(rows, cols)
-        by_row = m._by_row
-        for r, c, v in zip(rs, cs, vs):
-            by_row.setdefault(r, {})[c] = v
-        if m.nnz != len(vs):
-            raise ValueError("repeated entry position")
+        m._by_row, m._coo = None, (rs, cs, vs)
         return m
+
+    def _rows(self) -> dict[int, dict[int, int]]:
+        """The row dicts, built from the arrays on first read."""
+        if self._by_row is None:
+            by_row: dict[int, dict[int, int]] = {}
+            for r, c, v in zip(*(a.tolist() for a in self._coo)):
+                by_row.setdefault(r, {})[c] = v
+            self._by_row = by_row
+        return self._by_row
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) sorted by column, then row, built from the
+        row dicts on first read."""
+        if self._coo is None:
+            entries = sorted(
+                (c, r, v) for r, row in self._by_row.items() for c, v in row.items()
+            )
+            cs, rs, vs = zip(*entries) if entries else ((), (), ())
+            try:
+                values = np.array(vs, dtype=np.int64)
+            except OverflowError:
+                values = np.array(vs, dtype=object)
+            self._coo = (np.array(rs, dtype=np.int64), np.array(cs, dtype=np.int64), values)
+        return self._coo
 
     def set(self, r: int, c: int, v: int):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError((r, c))
-        row = self._by_row.setdefault(r, {})
+        by_row = self._rows()
+        self._coo = None
+        row = by_row.setdefault(r, {})
         if v:
             row[c] = int(v)
         else:
             row.pop(c, None)
             if not row:
-                del self._by_row[r]
+                del by_row[r]
 
     def add(self, r: int, c: int, v: int):
         """Accumulate v into entry (r, c)."""
         self.set(r, c, self.get(r, c) + v)
 
     def get(self, r: int, c: int) -> int:
-        row = self._by_row.get(r)
+        row = self._rows().get(r)
         return row.get(c, 0) if row else 0
 
     @property
     def nnz(self) -> int:
+        if self._coo is not None:
+            return len(self._coo[2])
         return sum(map(len, self._by_row.values()))
 
     def entries(self) -> list[tuple[int, int, int]]:
         """Nonzero entries as sorted (row, col, value) triples."""
-        rows = self._by_row
+        rows = self._rows()
         return [(r, c, v) for r in sorted(rows) for c, v in sorted(rows[r].items())]
 
     def to_dense(self) -> list[list[int]]:
@@ -171,14 +233,14 @@ class SparseIntMatrix:
         return dense
 
     def is_zero(self) -> bool:
-        return not self._by_row
+        return not self.nnz
 
     def __eq__(self, other):
         return (
             isinstance(other, SparseIntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._by_row == other._by_row
+            and self._rows() == other._rows()
         )
 
     def __repr__(self):
@@ -289,7 +351,7 @@ def _snf_diagonal_sparse(m: SparseIntMatrix, u: list | None = None) -> list[int]
     transform row through every row operation, and the rows leave as the
     unit pivots, then the rest of the diagonal, then the rows that emptied.
     """
-    rows = {r: dict(row) for r, row in m._by_row.items()}
+    rows = {r: dict(row) for r, row in m._rows().items()}
     colrows: dict[int, set[int]] = {}
     for r, row in rows.items():
         for c in row:
@@ -371,6 +433,190 @@ def _snf_diagonal_sparse(m: SparseIntMatrix, u: list | None = None) -> list[int]
     return [1] * ones + diag
 
 
+# ---------------------------------------------------------------------------
+# unit peel on arrays
+
+_INT64_LIMIT = 2**63
+
+
+def _max_abs(values: np.ndarray) -> int:
+    return max(int(values.max()), -int(values.min())) if len(values) else 0
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Offsets where each run of equal values of a sorted array begins."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))) if len(keys) else keys
+
+
+def _column_runs(cols: np.ndarray):
+    """(offset, length) of each column's run of column-sorted entries."""
+    starts = _run_starts(cols)
+    return starts, np.diff(np.append(starts, len(cols)))
+
+
+def _index_of(size: int, ids: np.ndarray) -> np.ndarray:
+    """k at ids[k], -1 elsewhere."""
+    index = np.full(size, -1)
+    index[ids] = np.arange(len(ids))
+    return index
+
+
+def _column_hashes(rows: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """A hash of each column run (rows and values); equal columns hash equal."""
+    with np.errstate(over="ignore"):
+        h = rows.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        h ^= values.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+        h ^= h >> np.uint64(31)
+        return np.add.reduceat(h, starts)
+
+
+def _repeat_pairs(counts: np.ndarray, starts: np.ndarray):
+    """Index pairs (i, starts[i] + j) for 0 <= j < counts[i], in order of i."""
+    left = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return left, np.arange(len(left)) - first[left] + starts[left]
+
+
+def _coalesce(nrows: int, rs, cs, vs):
+    """Sum entries at equal positions, drop zeros, sort by column then row."""
+    key = cs * nrows + rs
+    order = np.argsort(key, kind="stable")
+    key, vs = key[order], vs[order]
+    starts = _run_starts(key)
+    sums = np.add.reduceat(vs, starts) if len(starts) else vs
+    key = key[starts]
+    keep = sums != 0
+    key, sums = key[keep], sums[keep]
+    return key % nrows, key // nrows, sums
+
+
+def _drop_duplicate_columns(rs, cs, vs):
+    """Drop every column equal, up to sign, to a column of lower index.
+
+    Subtracting the earlier column empties the later one, so the column
+    lattice and the Smith diagonal do not change.  Columns are grouped by
+    their nonzero count and a hash of the column scaled to a positive first
+    entry; each one is compared entry by entry with the first column of its
+    group and dropped only when every entry agrees.
+    """
+    starts, counts = _column_runs(cs)
+    signed = vs * np.repeat(np.sign(vs[starts]), counts)
+    hashes = _column_hashes(rs, signed, starts)
+    order = np.lexsort((cs[starts], hashes, counts))
+    counts_seen, hashes_seen = counts[order], hashes[order]
+    same = np.zeros(len(order), dtype=bool)
+    same[1:] = (counts_seen[1:] == counts_seen[:-1]) & (hashes_seen[1:] == hashes_seen[:-1])
+    group_first = np.maximum.accumulate(np.where(same, 0, np.arange(len(order))))
+    members = order[same]
+    if not len(members):
+        return rs, cs, vs
+    firsts = order[group_first[same]]
+    n = counts[members]
+    left, mine = _repeat_pairs(n, starts[members])
+    theirs = mine - starts[members][left] + starts[firsts][left]
+    agree = (rs[mine] == rs[theirs]) & (signed[mine] == signed[theirs])
+    equal = np.logical_and.reduceat(agree, np.cumsum(n) - n)
+    dropped = np.zeros(len(starts), dtype=bool)
+    dropped[members[equal]] = True
+    keep = ~np.repeat(dropped, counts)
+    return rs[keep], cs[keep], vs[keep]
+
+
+def _independent_pivots(nrows: int, ncols: int, rs, cs, vs):
+    """Unit pivots (rows, cols, values) whose block of the matrix is diagonal.
+
+    Each row and then each column keeps its one best unit by Markowitz
+    cost (row nnz - 1)(col nnz - 1), then row, then column.  Among these
+    candidates, one that meets a better one in its row or column
+    (m[r_k, c_l] != 0) waits for a later round; the rest, taken in passes
+    of local best until every candidate is taken or blocked, are the pivots.
+    """
+    unit = np.flatnonzero((vs == 1) | (vs == -1))
+    if not len(unit):
+        return unit, unit, unit
+    starts, counts = _column_runs(cs)
+    col_nnz = np.repeat(counts, counts)[unit]
+    row_nnz = np.bincount(rs, minlength=nrows)[rs[unit]]
+    cost = (row_nnz - 1) * (col_nnz - 1)
+    least = np.full(nrows, np.iinfo(np.int64).max)
+    np.minimum.at(least, rs[unit], cost)
+    unit = unit[cost == least[rs[unit]]]
+    first = np.full(nrows, ncols)
+    np.minimum.at(first, rs[unit], cs[unit])
+    unit = unit[cs[unit] == first[rs[unit]]]
+    ranked = unit[np.lexsort((cs[unit], rs[unit], least[rs[unit]]))]
+    cand = ranked[np.sort(np.unique(cs[ranked], return_index=True)[1])]
+    # conflicts between candidates k < l, by their rank in cand
+    ek, el = _index_of(nrows, rs[cand])[rs], _index_of(ncols, cs[cand])[cs]
+    hit = (ek >= 0) & (el >= 0) & (ek != el)
+    lo = np.minimum(ek[hit], el[hit])
+    hi = np.maximum(ek[hit], el[hit])
+    state = np.zeros(len(cand), dtype=np.int8)  # 0 open, 1 taken, -1 blocked
+    while True:
+        live = (state[lo] == 0) & (state[hi] == 0)
+        lo, hi = lo[live], hi[live]
+        waits = np.zeros(len(cand), dtype=bool)
+        waits[hi] = True
+        take = (state == 0) & ~waits
+        state[take] = 1
+        if not len(lo):
+            break
+        state[hi[state[lo] == 1]] = -1
+    cand = cand[state == 1]
+    return rs[cand], cs[cand], vs[cand]
+
+
+def _peel_units(m: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
+    """Unit pivots peeled on arrays: (number peeled, residual matrix).
+
+    Rounds run until no entry +-1 is left.  Each drops duplicate columns,
+    picks independent unit pivots, and applies one Schur-complement update
+    for all of them: m[i, j] -= m[i, c_k] * p_k * m[r_k, j] summed over the
+    pivots (r_k, c_k, p_k), whose rows and columns then leave.  The block
+    of the pivots is diagonal with entries +-1, so this is the same as
+    eliminating them one at a time, each with a 1 for the diagonal.  A round
+    that could leave int64, with (P+1)·max|v|² >= 2^63 for P pivots, is not
+    run; nor is any when an entry does not fit in int64.  The residual's
+    Smith diagonal completes m's after the 1s.
+    """
+    nrows, ncols = m.rows, m.cols
+    rs, cs, vs = m._arrays()
+    if vs.dtype != np.int64:
+        return 0, m
+    ones = 0
+    while len(vs):
+        rs, cs, vs = _drop_duplicate_columns(rs, cs, vs)
+        pr, pc, pv = _independent_pivots(nrows, ncols, rs, cs, vs)
+        big = _max_abs(vs)
+        if not len(pr) or (len(pr) + 1) * big * big >= _INT64_LIMIT:
+            break
+        kr, kc = _index_of(nrows, pr)[rs], _index_of(ncols, pc)[cs]
+        in_row, in_col = kr >= 0, kc >= 0
+        pivot_row = np.flatnonzero(in_row & ~in_col)
+        pivot_row = pivot_row[np.argsort(kr[pivot_row], kind="stable")]
+        row_counts = np.bincount(kr[pivot_row], minlength=len(pr))
+        pivot_col = np.flatnonzero(in_col & ~in_row)
+        k = kc[pivot_col]
+        left, right = _repeat_pairs(row_counts[k], (np.cumsum(row_counts) - row_counts)[k])
+        scaled = vs[pivot_col] * pv[k]
+        rest = ~in_row & ~in_col
+        rs, cs, vs = _coalesce(
+            nrows,
+            np.concatenate((rs[rest], rs[pivot_col][left])),
+            np.concatenate((cs[rest], cs[pivot_row][right])),
+            np.concatenate((vs[rest], -scaled[left] * vs[pivot_row][right])),
+        )
+        ones += len(pr)
+    return ones, SparseIntMatrix._of_arrays(nrows, ncols, rs, cs, vs)
+
+
+def _diagonal(m: SparseIntMatrix) -> list[int]:
+    """Nonzero Smith diagonal of m: units peeled on arrays, the residual
+    by the dict pass."""
+    ones, residual = _peel_units(m)
+    return [1] * ones + _snf_diagonal_sparse(residual)
+
+
 def smith_normal_form(m: SparseIntMatrix):
     """Smith normal form of m as (diag, U).
 
@@ -386,33 +632,36 @@ def smith_normal_form(m: SparseIntMatrix):
 
 def rank(m: SparseIntMatrix) -> int:
     """Rank over Z (equivalently over Q): the length of the Smith diagonal."""
-    return len(_snf_diagonal_sparse(m))
+    return len(_diagonal(m))
 
 
 def cokernel(m: SparseIntMatrix) -> AbelianGroupInvariants:
     """Invariants of Z^rows / (column span of m)."""
-    diag = _snf_diagonal_sparse(m)
+    diag = _diagonal(m)
     torsion = tuple(d for d in diag if d > 1)
     return AbelianGroupInvariants(m.rows - len(diag), torsion)
 
 
 def compose_is_zero(outer: SparseIntMatrix, inner: SparseIntMatrix):
-    """Check outer * inner == 0 row by row, (outer * inner)[r] = sum_k
-    outer[r][k] * inner[k].  Returns None, or the least column with a
-    nonzero image and that image as {outer row: value} by ascending row."""
+    """Check outer * inner == 0 as one product on the entry arrays: each
+    entry inner[k, c] meets every entry outer[r, k] of column k, and the
+    terms are summed by position.  Returns None, or the least column with
+    a nonzero image and that image as {outer row: value} by ascending row."""
     if inner.rows != outer.cols:
         raise ValueError("dimension mismatch in composite")
-    bad: dict[int, dict[int, int]] = {}
-    for r, row in outer._by_row.items():
-        acc: dict[int, int] = {}
-        for k, v in row.items():
-            _combine(acc, inner._by_row.get(k, {}), v)
-        if acc:
-            bad[r] = acc
-    if not bad:
+    ors, ocs, ovs = outer._arrays()
+    irs, ics, ivs = inner._arrays()
+    counts = np.bincount(ocs, minlength=outer.cols)
+    left, right = _repeat_pairs(counts[irs], (np.cumsum(counts) - counts)[irs])
+    ovs, ivs = ovs[right], ivs[left]
+    # a sum has at most outer.cols terms, each at most max|outer| * max|inner|
+    if outer.cols * _max_abs(ovs) * _max_abs(ivs) >= _INT64_LIMIT:
+        ovs, ivs = ovs.astype(object), ivs.astype(object)
+    rs, cs, vs = _coalesce(outer.rows, ors[right], ics[left], ovs * ivs)
+    if not len(vs):
         return None
-    column = min(min(acc) for acc in bad.values())
-    return column, {r: bad[r][column] for r in sorted(bad) if column in bad[r]}
+    first = cs == cs[0]
+    return int(cs[0]), dict(zip(rs[first].tolist(), vs[first].tolist()))
 
 
 def homology_at(
@@ -436,7 +685,7 @@ def homology_at(
     bad = compose_is_zero(boundary_out, boundary_in)
     if bad is not None:
         raise NotAComplex(bad[0], bad[1])
-    diag_in = _snf_diagonal_sparse(boundary_in)
+    diag_in = _diagonal(boundary_in)
     rank_out = rank(boundary_out)
     free = boundary_in.rows - rank_out - len(diag_in)
     torsion = tuple(d for d in diag_in if d > 1)

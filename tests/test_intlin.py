@@ -4,7 +4,9 @@ Oracles: sympy's Smith normal form on dense matrices, determinant-divisor
 identities, matrices built from a chosen diagonal by unimodular operations,
 and hand-checked small cases.  Every matrix given to smith_normal_form has
 its transform U checked too (smith_check): unimodular, and row i of U * A
-divisible by diagonal entry i, zero past the diagonal.
+divisible by diagonal entry i, zero past the diagonal.  The unit peel on
+entry arrays, which rank, cokernel and homology_at run first, is checked
+against sympy and against smith_normal_form's dict elimination.
 """
 
 import random
@@ -15,6 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandles import intlin
+from quandles.core import validate
+from quandles.grid import grid_by_key, standard_grid
+from quandles.homology import RackComplexSlice
 from quandles.intlin import (
     AbelianGroupInvariants,
     NotAComplex,
@@ -23,6 +29,7 @@ from quandles.intlin import (
     compose_is_zero,
     homology_at,
     rank,
+    smith_normal_form,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -229,6 +236,156 @@ def test_transform_on_seeded_sparse_matrix(rows, cols):
         for _ in range(rows)
     ]
     checked_smith_form(dense)
+
+
+def _peel_test_matrix(rng, rows, cols):
+    """A sparse matrix with repeated and negated columns, zero columns and
+    rows that hold no unit, its columns shuffled."""
+    dense = _sparse_matrix(rng, rows, cols, 3, (1, -1, 1, 2, -3, 4))
+    for r in rng.sample(range(rows), rows // 5):
+        dense[r] = [2 * v if abs(v) == 1 else v for v in dense[r]]
+    picks = [(rng.randrange(cols), rng.choice((1, -1))) for _ in range(cols // 3)]
+    dense = [row + [s * row[c] for c, s in picks] + [0] * 4 for row in dense]
+    order = list(range(len(dense[0])))
+    rng.shuffle(order)
+    return [[row[c] for c in order] for row in dense]
+
+
+def _invariants(rows, diag):
+    return AbelianGroupInvariants(rows - len(diag), tuple(d for d in diag if d > 1))
+
+
+def _complex(rng, inner, outer):
+    """(d_in, d_out) with d_out * d_in = 0: inner over zero rows, outer on
+    those rows, and one random change of basis E of the carrier applied to
+    both, so d_in = E [inner; 0] and d_out = [0 outer] E^-1 have the Smith
+    diagonals of inner and outer."""
+    k, m = len(inner), len(inner[0])
+    n = k + len(outer[0])
+    d_in = [list(row) for row in inner] + [[0] * m for _ in outer[0]]
+    d_out = [[0] * k + list(row) for row in outer]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1, 2))
+        d_in[i] = [a + c * b for a, b in zip(d_in[i], d_in[j])]  # row i += c row j
+        for row in d_out:  # col j -= c col i
+            row[j] -= c * row[i]
+    return d_in, d_out
+
+
+def _relabeled(q, seed):
+    sigma = np.random.default_rng(seed).permutation(q.order)
+    table = np.empty_like(q.array)
+    table[np.ix_(sigma, sigma)] = sigma[q.array]
+    return validate(table)
+
+
+class TestArrayPeel:
+    """The unit peel on entry arrays: rounds of independent unit pivots,
+    duplicate columns dropped, and the residual left to the dict pass."""
+
+    @pytest.mark.parametrize("rows,cols", [(40, 60), (80, 70), (70, 100)])
+    def test_rank_and_cokernel_match_sympy(self, rows, cols):
+        rng = random.Random(rows * cols + 1)
+        dense = _peel_test_matrix(rng, rows, cols)
+        diag = sympy_diagonal(dense)
+        m = SparseIntMatrix.from_dense(dense)
+        assert rank(m) == len(diag)
+        assert cokernel(m) == _invariants(rows, diag)
+        ones, residual = intlin._peel_units(m)
+        assert ones and not any(abs(v) == 1 for _, _, v in residual.entries())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_homology_at_matches_sympy(self, seed):
+        rng = random.Random(seed)
+        inner = _peel_test_matrix(rng, 50, 60)
+        outer = _sparse_matrix(rng, 10, 12, 3, (1, -1, 2, 3))
+        d_in, d_out = _complex(rng, inner, outer)
+        d_in, d_out = SparseIntMatrix.from_dense(d_in), SparseIntMatrix.from_dense(d_out)
+        assert compose_is_zero(d_out, d_in) is None
+        rank_out = len(sympy_diagonal(outer))
+        assert rank(d_out) == rank_out > 0
+        assert homology_at(d_in, d_out) == _invariants(62 - rank_out, sympy_diagonal(inner))
+
+    def test_int64_guard_hands_the_rest_to_the_dict_pass(self):
+        # entries near 2^29: one round's pivots fit, (P+1)·max|v|² for the
+        # next round's does not, so units are left for the dict pass
+        for seed in range(4):
+            rng = random.Random(seed)
+            dense = [
+                [rng.choice((1, -1, 2, 3, 2**29 + rng.randrange(100))) if rng.random() < 0.3 else 0
+                 for _ in range(16)]
+                for _ in range(12)
+            ]
+            m = SparseIntMatrix.from_dense(dense)
+            ones, residual = intlin._peel_units(m)
+            assert ones and any(abs(v) == 1 for _, _, v in residual.entries())
+            diag = sympy_diagonal(dense)
+            assert [1] * ones + intlin._snf_diagonal_sparse(residual) == diag
+            assert cokernel(m) == _invariants(12, diag)
+
+    def test_entries_beyond_int64_stay_exact(self):
+        m = SparseIntMatrix.from_dense([[2**70, 1, 0], [0, 3, 2**64]])
+        assert intlin._peel_units(m) == (0, m)
+        assert cokernel(m) == _invariants(2, sympy_diagonal(m.to_dense()))
+        # 2^32 * 2^32 is 0 in int64: the product must be taken in Python ints
+        square = SparseIntMatrix.from_dense([[2**32]])
+        assert compose_is_zero(square, square) == (0, {0: 2**64})
+        cancel = compose_is_zero(
+            SparseIntMatrix.from_dense([[2**70, 1]]), SparseIntMatrix.from_dense([[1], [-(2**70)]])
+        )
+        assert cancel is None
+
+    def test_a_constant_hash_leaves_exactness_to_the_compare(self, monkeypatch):
+        monkeypatch.setattr(
+            intlin, "_column_hashes", lambda rows, values, starts: np.zeros(len(starts), np.uint64)
+        )
+        rng = random.Random(17)
+        dense = _peel_test_matrix(rng, 40, 60)
+        m = SparseIntMatrix.from_dense(dense)
+        rs, cs, vs = intlin._drop_duplicate_columns(*m._arrays())
+        columns = list(zip(*dense))
+        kept = set(cs.tolist())
+        dropped = [c for c, col in enumerate(columns) if c not in kept and any(col)]
+        assert dropped and len(kept) > len({len(columns[c]) - columns[c].count(0) for c in kept})
+        for c in dropped:
+            earlier = {columns[b] for b in kept if b < c}
+            assert columns[c] in earlier or tuple(-v for v in columns[c]) in earlier, c
+        assert cokernel(m) == _invariants(40, sympy_diagonal(dense))
+
+    def test_duplicate_columns_up_to_sign_leave(self):
+        rng = random.Random(19)
+        dense = _peel_test_matrix(rng, 40, 60)
+        m = SparseIntMatrix.from_dense(dense)
+        _, cs, _ = intlin._drop_duplicate_columns(*m._arrays())
+        columns = list(zip(*dense))
+        expected = [
+            c for c, col in enumerate(columns)
+            if any(col) and all(columns[b] not in (col, tuple(-v for v in col)) for b in range(c))
+        ]
+        assert sorted(set(cs.tolist())) == expected
+
+    def test_the_same_peel_whatever_the_entry_order(self):
+        rng = random.Random(23)
+        dense = _peel_test_matrix(rng, 50, 70)
+        entries = SparseIntMatrix.from_dense(dense).entries()
+        peels = set()
+        for seed in range(4):
+            random.Random(seed).shuffle(entries)
+            rs, cs, vs = (np.array(a) for a in zip(*entries))
+            m = SparseIntMatrix.from_arrays(50, len(dense[0]), rs, cs, vs)
+            ones, residual = intlin._peel_units(m)
+            peels.add((ones, tuple(residual.entries())))
+            assert cokernel(m) == _invariants(50, sympy_diagonal(dense))
+        assert len(peels) == 1
+
+
+@pytest.mark.parametrize("key", [e.key for e in standard_grid() if e.order <= 30])
+def test_catalogue_d3_diagonal_matches_smith_normal_form(key):
+    q = grid_by_key()[key].build()
+    for table in (q, _relabeled(q, len(key))):
+        d3 = RackComplexSlice(table).boundary(3)
+        assert intlin._diagonal(d3) == smith_normal_form(d3)[0], key
 
 
 class TestRankAndKernel:
