@@ -21,26 +21,29 @@ classes [e_i (x) e_j].  mul_array, inv_array and act_array compute on
 arrays of elements; they are the model's one product, inverse and
 action, and mul, inv and act_index are scalar wrappers over them.  The
 checks of the model (verify, kernel, central_power, stabilizer_h2) read
-the arrays, verify in the row blocks of `perms.row_blocks`, and the
-homotopy verifier multiplies each distinct pair it meets once, through a
-memo of its own.  A caller builds one model and
-runs all its checks on it; the quandle table they read is built once per
-model too.
+the arrays, verify in the row blocks of `perms.row_blocks`.  A caller
+builds one model and runs all its checks on it; the quandle table they
+read is built once per model too.
 
 This module also provides the (non-homogeneous) bar complex of a group,
 the chain maps c_k from the rack complex into it, the explicit homotopies
 h_k, and verification routines for the degree-2 and degree-3 homotopy
 identities, plus bar-complex H_2 for small groups.  A chain is a plain
 dict {tuple: coeff} without zero terms, as homology.boundary_chain returns
-for the rack complex; its degree is the length of its tuples.  The
-degree-3 check compares each residual with its closed form in y and z
-only: a residual equal to that form cannot depend on x.
+for the rack complex; its degree is the length of its tuples.  The c_k,
+the h_k and the closed form of the degree-3 residual are written once,
+as term tables (ChainTable).  The verifier checks the identities on
+blocks of tuples with arrays, each tuple's terms sorted and equal bar
+tuples summed, and evaluates the same tables at one tuple for the dict
+chains the tests and the failure reports read.  The degree-3 check
+compares each residual with its closed form in y and z only: a residual
+equal to that form cannot depend on x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product
 from math import gcd, prod
 from typing import NamedTuple
@@ -378,12 +381,113 @@ def bar_boundary(chain: dict, mul) -> dict:
     return _sum((), [(1, chain)], mul)
 
 
+class ChainTable(NamedTuple):
+    """A chain of elements of the adjoint group, written once as terms.
+
+    The chain of arity k reads the points `names` derived from its k
+    arguments (see _points).  Each term is a coefficient and a tuple of
+    entries: `u` stands for e_u, `u^t` for e_u^t (t the type), and `u^j`
+    for e_u^j, the term then being summed over j = 1 .. t-1.
+    """
+
+    names: tuple[str, ...]
+    terms: tuple[tuple[int, tuple[str, ...]], ...]
+
+
+def _table(names: str, terms: str) -> ChainTable:
+    """A ChainTable from point names and comma-separated signed terms."""
+    return ChainTable(
+        tuple(names.split()),
+        tuple((1 if t.strip()[0] == "+" else -1, tuple(t.strip()[1:].split()))
+              for t in terms.split(",")),
+    )
+
+
+# the chain maps c_k into the bar complex, the homotopies h_k, and the
+# closed form of the degree-3 residual in y, z (w = y <| z; B = y^t is
+# the central value of e_u^t)
+C2 = _table("x y xy", "+ x y, - y xy")
+C3 = _table("x y z xy xz yz A", "+ x y z, - x z yz, + y z A, - y xy z, + z xz yz, - z yz A")
+H1 = _table("x", "+ x x^j")
+H2 = _table("x y xy", "+ x y xy^j, - x x^j y, - y xy xy^j, + y y^j y")
+H3 = _table(
+    "x y z xy xz yz A",
+    "+ x y z A^j, - x z yz A^j, - x y xy^j z, - y xy z A^j, + x z xz^j yz, + z xz yz A^j,"
+    "+ x x^j y z, - x x^j z yz, + y z A A^j, - z yz A A^j, - z xz xz^j yz, + y xy xy^j z",
+)
+TEMPLATE = _table(
+    "y z w",
+    "+ y z y^t, + y^t y z, - y^t z w, - y y^t z, + z y^t w, - z w y^t, - y y^j y, + w w^j w",
+)
+
+# terms per block of tuples: 2^15 raised the peak of the bench's adjoint
+# workload by 1 MB over the dict verifier's, and 2^13 made its pass a
+# fifth slower than 2^14
+BLOCK_TERMS = 2**14
+
+
+class _Part(NamedTuple):
+    """The terms of a ChainTable with u^j entries, or those without, as
+    arrays: the point of each entry (T, k), its exponent (T, J, k), J being
+    t - 1 for the part with u^j entries and 1 for the other, and the
+    coefficient of each term (T, 1)."""
+
+    points: np.ndarray
+    powers: np.ndarray
+    coeffs: np.ndarray
+
+
+def _rack_faces(quandle: np.ndarray, args):
+    """The rack boundary of blocks of tuples, as boundary_chain writes it,
+    without the first face, whose two halves cancel: the arguments of the F
+    faces, arrays (m, F), and their F signs."""
+    faces, signs = [], []
+    for i in range(1, len(args)):
+        sign = 1 if i % 2 else -1
+        faces.append(args[:i] + args[i + 1 :])
+        faces.append(tuple(quandle[a, args[i]] for a in args[:i]) + args[i + 1 :])
+        signs += (sign, -sign)
+    return tuple(np.stack(column, axis=1) for column in zip(*faces)), np.array(signs)
+
+
+def _key_digits(radix: int) -> int:
+    """How many base-radix digits an int64 key holds without wrapping."""
+    digits = 1
+    while radix ** (digits + 1) < 2**63:
+        digits += 1
+    return digits
+
+
+def _first_unbalanced_row(keys, coeffs: np.ndarray):
+    """The first row whose coefficients do not cancel on every key, or None.
+
+    keys are int64 arrays shaped like coeffs, most significant first; each
+    row is sorted and its equal keys summed, as homology's assembly does
+    per column.
+    """
+    order = np.argsort(keys[0], axis=1) if len(keys) == 1 else np.lexsort(keys[::-1], axis=1)
+    new = np.zeros(coeffs.shape, dtype=bool)
+    new[:, 0] = True
+    for key in keys:
+        key = np.take_along_axis(key, order, axis=1)
+        new[:, 1:] |= key[:, 1:] != key[:, :-1]
+    starts = np.flatnonzero(new)
+    sums = np.add.reduceat(np.take_along_axis(coeffs, order, axis=1).ravel(), starts)
+    bad = starts[sums != 0]
+    return int(bad[0]) // coeffs.shape[1] if bad.size else None
+
+
 class HomotopyVerifier:
     """Chain maps c_k, homotopies h_k and the exact identities they satisfy.
 
     Works inside the adjoint model of a connected Alexander quandle; t is
     the quandle type.  All identities are verified term-for-term on formal
-    chains, never just in homology.
+    chains, never just in homology.  The chains are the term tables above.
+    The identities are checked on blocks of tuples with arrays: an element
+    (n, x, alpha) of exponent 0 <= n <= 2t is coded as one integer, a bar
+    tuple as its codes, and the terms of each tuple are sorted and equal
+    tuples summed.  The dict methods (c2 .. h3, the residuals) evaluate the
+    same tables at one tuple; a failure is reported from them.
     """
 
     def __init__(self, spec: AlexanderModuleSpec):
@@ -391,90 +495,88 @@ class HomotopyVerifier:
         self.model = ClauwensGroup(spec)
         self.quandle = self.model.quandle
         self.t = self.model.type
-        self._e = [self.model.e(x) for x in range(spec.size)]
-        # _pow[x][j] = e_x^j for 0 <= j <= t, raised for all x at once
-        x, alpha = np.zeros((2, self.t + 1, spec.size), dtype=np.int64)
-        e_x = (1, np.arange(spec.size), 0)
+        # e_u^j = (j, pow_x[j, u], pow_alpha[j, u]) for 0 <= j <= t
+        self._pow_x, self._pow_alpha = np.zeros((2, self.t + 1, spec.size), dtype=np.int64)
+        e_u = (1, np.arange(spec.size), 0)
         for j in range(1, self.t + 1):
-            _, x[j], alpha[j] = self.model.mul_array((j - 1, x[j - 1], alpha[j - 1]), e_x)
-        self._pow = [[ClauwensElement(j, *xa) for j, xa in enumerate(zip(xs, alphas))]
-                     for xs, alphas in zip(x.T.tolist(), alpha.T.tolist())]
-        # the products the bar boundaries meet, each computed once
-        self._mul = cache(self.model.mul)
-        # h2 chains of the rack-boundary faces in residual_3, one per pair; a
-        # cache of the bound self.h2 would keep the verifier in a reference
-        # cycle, alive with its chains until a full garbage collection
-        self._h2_of_pair: dict = {}
+            _, self._pow_x[j], self._pow_alpha[j] = self.model.mul_array(
+                (j - 1, self._pow_x[j - 1], self._pow_alpha[j - 1]), e_u)
+        self._c2, self._c3, self._h1, self._h2, self._h3, self._template = (
+            self._parts(table) for table in (C2, C3, H1, H2, H3, TEMPLATE))
+        # an entry has exponent 1, j or t, a product of two entries at most 2t;
+        # a bar tuple is keyed by its elements' codes as base-radix digits,
+        # digits_per_key of them to an int64 key, so that no key wraps
+        self._radix = (2 * self.t + 1) * spec.size * self.model.coker_order
+        self._digits_per_key = _key_digits(self._radix)
 
-    # chain maps ------------------------------------------------------------
+    def _parts(self, table: ChainTable) -> list[_Part]:
+        """The terms of the table without u^j entries, then those with."""
+        parts = []
+        for stacked in (False, True):
+            terms = [(c, e) for c, e in table.terms if any(s.endswith("^j") for s in e) == stacked]
+            if not terms:
+                continue
+            entries = [[s.partition("^") for s in e] for _, e in terms]
+            points = np.array([[table.names.index(u) for u, _, _ in e] for e in entries])
+            # the exponent of each entry, 0 standing for j
+            powers = np.array([[{"j": 0, "t": self.t}.get(p, 1) for _, _, p in e] for e in entries])
+            js = np.arange(1, self.t) if stacked else np.ones(1, dtype=np.int64)
+            powers = np.where(powers[:, None, :] == 0, js[:, None], powers[:, None, :])
+            parts.append(_Part(points, powers, np.array([[c] for c, _ in terms])))
+        return parts
+
+    def _points(self, args) -> np.ndarray:
+        """The points a chain reads at arrays of arguments, stacked on a last
+        axis: a; a, b, a <| b; or a, b, c, a <| b, a <| c, b <| c, (a <| b) <| c."""
+        q = self.quandle.array
+        if len(args) == 2:
+            a, b = args
+            args = (a, b, q[a, b])
+        elif len(args) == 3:
+            a, b, c = args
+            ab = q[a, b]
+            args = (a, b, c, ab, q[a, c], q[b, c], q[ab, c])
+        return np.stack(args, axis=-1)
+
+    def _entries(self, part: _Part, points: np.ndarray):
+        """The elements (n, x, alpha) of the part's entries at stacked points
+        of shape S + (P,), as arrays of shape S + (T, J, k)."""
+        p = points[..., part.points][..., None, :]
+        x = self._pow_x[part.powers, p]
+        return np.broadcast_to(part.powers, x.shape), x, self._pow_alpha[part.powers, p]
+
+    def _code(self, n, x, alpha):
+        return (n * self.spec.size + x) * self.model.coker_order + alpha
+
+    # the chains at one tuple, as dicts -------------------------------------
+
+    def _chain_at(self, parts: list[_Part], *args) -> dict:
+        """The chain at one tuple, its terms in table order and over j
+        outermost; the same terms the block check sums."""
+        points = self._points(tuple(np.array([a]) for a in args))
+        pairs = []
+        for part in parts:
+            n, x, alpha = (v[0].tolist() for v in self._entries(part, points))
+            for j in range(part.powers.shape[1]):
+                for term, (c,) in enumerate(part.coeffs.tolist()):
+                    entries = map(ClauwensElement, n[term][j], x[term][j], alpha[term][j])
+                    pairs.append((tuple(entries), c))
+        return _chain(pairs)
 
     def c2(self, x: int, y: int) -> dict:
-        e = self._e
-        xy = self.quandle.apply(x, y)
-        return _chain([((e[x], e[y]), 1), ((e[y], e[xy]), -1)])
+        return self._chain_at(self._c2, x, y)
 
     def c3(self, x: int, y: int, z: int) -> dict:
-        q = self.quandle
-        xy, xz, yz = q.apply(x, y), q.apply(x, z), q.apply(y, z)
-        ex, ey, ez, exy, exz, eyz, eA = (self._e[v] for v in (x, y, z, xy, xz, yz, q.apply(xy, z)))
-        return _chain([
-            ((ex, ey, ez), 1),
-            ((ex, ez, eyz), -1),
-            ((ey, ez, eA), 1),
-            ((ey, exy, ez), -1),
-            ((ez, exz, eyz), 1),
-            ((ez, eyz, eA), -1),
-        ])
-
-    # homotopies ------------------------------------------------------------
+        return self._chain_at(self._c3, x, y, z)
 
     def h1(self, x: int) -> dict:
-        ex = self._e[x]
-        return _chain([((ex, p), 1) for p in self._pow[x][1 : self.t]])
+        return self._chain_at(self._h1, x)
 
     def h2(self, x: int, y: int) -> dict:
-        xy = self.quandle.apply(x, y)
-        ex, ey, exy = self._e[x], self._e[y], self._e[xy]
-        pairs = []
-        for pxy, px, py in zip(*(self._pow[v][1 : self.t] for v in (xy, x, y))):
-            pairs += (
-                ((ex, ey, pxy), 1),
-                ((ex, px, ey), -1),
-                ((ey, exy, pxy), -1),
-                ((ey, py, ey), 1),
-            )
-        return _chain(pairs)
+        return self._chain_at(self._h2, x, y)
 
     def h3(self, x: int, y: int, z: int) -> dict:
-        q = self.quandle
-        xy, xz, yz = q.apply(x, y), q.apply(x, z), q.apply(y, z)
-        A = q.apply(xy, z)
-        ex, ey, ez, exy, exz, eyz, eA = (self._e[v] for v in (x, y, z, xy, xz, yz, A))
-        pairs = []
-        for pA, pxy, pxz, px in zip(*(self._pow[v][1 : self.t] for v in (A, xy, xz, x))):
-            pairs += (
-                ((ex, ey, ez, pA), 1),
-                ((ex, ez, eyz, pA), -1),
-                ((ex, ey, pxy, ez), -1),
-                ((ey, exy, ez, pA), -1),
-                ((ex, ez, pxz, eyz), 1),
-                ((ez, exz, eyz, pA), 1),
-                ((ex, px, ey, ez), 1),
-                ((ex, px, ez, eyz), -1),
-                ((ey, ez, eA, pA), 1),
-                ((ez, eyz, eA, pA), -1),
-                ((ez, exz, pxz, eyz), -1),
-                ((ey, exy, pxy, ez), 1),
-            )
-        return _chain(pairs)
-
-    # rack boundaries mapped through the h's ---------------------------------
-
-    def _memo_h2(self, x: int, y: int) -> dict:
-        h2 = self._h2_of_pair.get((x, y))
-        if h2 is None:
-            h2 = self._h2_of_pair[x, y] = self.h2(x, y)
-        return h2
+        return self._chain_at(self._h3, x, y, z)
 
     def _h_of_boundary(self, tup, h):
         """The (coeff, h(face)) pairs of h applied to the rack boundary of tup."""
@@ -484,7 +586,7 @@ class HomotopyVerifier:
         """h1 d^R - d^gr h2 - t c2 on the pair (x, y); zero when the
         degree-2 homotopy identity holds."""
         chains = [*self._h_of_boundary((x, y), self.h1), (-self.t, self.c2(x, y))]
-        return _sum(chains, [(-1, self.h2(x, y))], self._mul)
+        return _sum(chains, [(-1, self.h2(x, y))], self.model.mul)
 
     def residual_3(self, x: int, y: int, z: int) -> dict:
         """t c3 - h2 d3^R - d^gr h3 on the triple (x, y, z).
@@ -496,8 +598,8 @@ class HomotopyVerifier:
         residual is independent of x (the degree-2 identity pins the
         opposite one for d2).
         """
-        chains = [(self.t, self.c3(x, y, z)), *self._h_of_boundary((x, y, z), self._memo_h2)]
-        return _sum(chains, [(-1, self.h3(x, y, z))], self._mul)
+        chains = [(self.t, self.c3(x, y, z)), *self._h_of_boundary((x, y, z), self.h2)]
+        return _sum(chains, [(-1, self.h3(x, y, z))], self.model.mul)
 
     def residual_3_template(self, y: int, z: int) -> dict:
         """The closed form of the degree-3 residual; depends on y, z only.
@@ -508,34 +610,110 @@ class HomotopyVerifier:
           + (e_z, B, e_w) - (e_z, e_w, B)
           - sum_{j=1..t-1} [ (e_y, e_y^j, e_y) - (e_w, e_w^j, e_w) ].
         """
-        w = self.quandle.apply(y, z)
-        ey, ez, ew = self._e[y], self._e[z], self._e[w]
-        B = self._pow[y][self.t]
-        pairs = [
-            ((ey, ez, B), 1),
-            ((B, ey, ez), 1),
-            ((B, ez, ew), -1),
-            ((ey, B, ez), -1),
-            ((ez, B, ew), 1),
-            ((ez, ew, B), -1),
-        ]
-        for py, pw in zip(self._pow[y][1 : self.t], self._pow[w][1 : self.t]):
-            pairs += (((ey, py, ey), -1), ((ew, pw, ew), 1))
-        return _chain(pairs)
+        return self._chain_at(self._template, y, z)
+
+    # the chains on blocks of tuples ----------------------------------------
+
+    def _terms(self, parts: list[_Part], args, scale=1, boundary=False):
+        """The terms of scale * chain, or of scale * d^gr(chain), at blocks
+        of arguments, arrays (m, F): pairs of the element codes of each bar
+        tuple, one array per position, and the coefficients, all of shape
+        (m, F, T, J).  scale broadcasts against (F, T, 1)."""
+        points = self._points(args)
+        for part in parts:
+            n, x, alpha = self._entries(part, points)
+            coeff = np.broadcast_to(scale * part.coeffs, x.shape[:-1])
+            codes = self._code(n, x, alpha)
+            k = codes.shape[-1]
+            digits = [codes[..., i] for i in range(k)]
+            if not boundary:
+                yield digits, coeff
+                continue
+            # d(g_1..g_k) = (g_2..g_k) + sum (-1)^i (..g_i g_i+1..) + (-1)^k (g_1..g_k-1);
+            # a face without the u^j entry still has its j axis
+            yield digits[1:], coeff
+            for i in range(1, k):
+                g = (n[..., i - 1], x[..., i - 1], alpha[..., i - 1])
+                product = self._code(*self.model.mul_array(g, (n[..., i], x[..., i], alpha[..., i])))
+                yield digits[: i - 1] + [product] + digits[i + 1 :], -coeff if i % 2 else coeff
+            yield digits[:-1], -coeff if k % 2 else coeff
+
+    def _residual_2_terms(self, walk: np.ndarray):
+        """h1 d^R - t c2 - d^gr h2 on the pairs (x, y), walked x first."""
+        x, y = np.divmod(walk, self.spec.size)
+        faces, signs = _rack_faces(self.quandle.array, (x, y))
+        yield from self._terms(self._h1, faces, signs[:, None, None])
+        pair = (x[:, None], y[:, None])
+        yield from self._terms(self._c2, pair, -self.t)
+        yield from self._terms(self._h2, pair, -1, boundary=True)
+
+    def _residual_3_terms(self, walk: np.ndarray):
+        """t c3 + h2 d^R - d^gr h3 - template(y, z) on the triples (x, y, z),
+        walked y first, then z, then x."""
+        n = self.spec.size
+        yz, x = np.divmod(walk, n)
+        y, z = np.divmod(yz, n)
+        faces, signs = _rack_faces(self.quandle.array, (x, y, z))
+        triple = (x[:, None], y[:, None], z[:, None])
+        yield from self._terms(self._c3, triple, self.t)
+        yield from self._terms(self._h2, faces, signs[:, None, None])
+        yield from self._terms(self._h3, triple, -1, boundary=True)
+        yield from self._terms(self._template, triple[1:], -1)
+
+    def _repeated_c3_terms(self, walk: np.ndarray):
+        """c3 on the triples (x, x, z), walked x first."""
+        x, z = np.divmod(walk, self.spec.size)
+        yield from self._terms(self._c3, (x[:, None], x[:, None], z[:, None]))
+
+    def _first_failure(self, terms_of, walk: range):
+        """The first position in walk whose terms do not cancel, or None.
+
+        The positions are taken in blocks of about BLOCK_TERMS terms; each
+        term is written to preallocated key and coefficient arrays, one row
+        per position, as soon as it is computed.
+        """
+        probe = list(terms_of(np.zeros(1, dtype=np.int64)))
+        width, degree = sum(coeff.size for _, coeff in probe), len(probe[0][0])
+        rows = max(1, min(len(walk), BLOCK_TERMS // width))
+        per_key, radix = self._digits_per_key, self._radix
+        keys = np.empty((-(-degree // per_key), rows, width), dtype=np.int64)
+        coeffs = np.empty((rows, width), dtype=np.int64)
+        for start in range(walk.start, walk.stop, rows):
+            block = np.arange(start, min(start + rows, walk.stop))
+            m, col = len(block), 0
+            for digits, coeff in terms_of(block):
+                w = coeff[0].size
+                for out, first in zip(keys, range(0, degree, per_key)):
+                    key = digits[first]
+                    for d in digits[first + 1 : first + per_key]:
+                        key = key * radix + d
+                    out[:m, col : col + w] = key.reshape(m, w)
+                coeffs[:m, col : col + w] = coeff.reshape(m, w)
+                col += w
+            bad = _first_unbalanced_row(keys[:, :m], coeffs[:m])
+            if bad is not None:
+                return start + bad
+        return None
 
     # the identities, certified on every tuple ------------------------------
+
+    def _certify(self, lemma: str, terms_of, count: int, tuple_of, difference):
+        """Raise IdentityFailed at the first of count tuples whose terms do not
+        cancel, with the difference the dict methods give there."""
+        i = self._first_failure(terms_of, range(count))
+        if i is not None:
+            tup = tuple_of(i)
+            diff = difference(*tup)
+            if not diff:
+                raise AssertionError(f"block check and chains disagree at {tup}")
+            raise IdentityFailed(lemma, tup, diff)
 
     def degree_2(self) -> HomotopyReport:
         """Certify h1 d^R - d^gr h2 = t c2 on every pair, term for term."""
         n = self.spec.size
-        checked = 0
-        for x in range(n):
-            for y in range(n):
-                r = self.residual_2(x, y)
-                if r:
-                    raise IdentityFailed("degree-2 homotopy identity", (x, y), r)
-                checked += 1
-        return HomotopyReport(type=self.t, tuples_checked=checked, status="pass")
+        self._certify("degree-2 homotopy identity", self._residual_2_terms, n * n,
+                      lambda i: divmod(i, n), self.residual_2)
+        return HomotopyReport(type=self.t, tuples_checked=n * n, status="pass")
 
     def degree_3(self) -> HomotopyReport:
         """Certify the degree-3 residual t c3 - h2 d^R - d^gr h3:
@@ -545,25 +723,18 @@ class HomotopyVerifier:
         (b) c3(x, x, z) vanishes identically as a chain.
         """
         n = self.spec.size
-        checked = 0
-        for y in range(n):
-            for z in range(n):
-                expected = self.residual_3_template(y, z)
-                for x in range(n):
-                    r = self.residual_3(x, y, z)
-                    if r != expected:
-                        raise IdentityFailed(
-                            "degree-3 residual differs from its closed form",
-                            (x, y, z),
-                            _sum([(1, r), (-1, expected)]),
-                        )
-                    checked += 1
-        for x in range(n):
-            for z in range(n):
-                c = self.c3(x, x, z)
-                if c:
-                    raise IdentityFailed("c3 on repeated arguments", (x, x, z), c)
-        return HomotopyReport(type=self.t, tuples_checked=checked, status="pass")
+
+        def triple(i):
+            yz, x = divmod(i, n)
+            return (x, *divmod(yz, n))
+
+        self._certify(
+            "degree-3 residual differs from its closed form", self._residual_3_terms, n**3,
+            triple, lambda x, y, z: _sum([(1, self.residual_3(x, y, z)),
+                                          (-1, self.residual_3_template(y, z))]))
+        self._certify("c3 on repeated arguments", self._repeated_c3_terms, n * n,
+                      lambda i: (i // n, i // n, i % n), self.c3)
+        return HomotopyReport(type=self.t, tuples_checked=n**3, status="pass")
 
 
 @dataclass

@@ -68,13 +68,22 @@ class FiniteQuandle:
     """A validated finite quandle.  Use `validate` to construct from a table."""
 
     def __init__(self, table, labels=None):
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != len(table):
-            raise ValueError("label count does not match order")
+        if labels is not None and not callable(labels):
+            labels = tuple(labels)
+            if len(labels) != len(table):
+                raise ValueError("label count does not match order")
+        self._labels = labels
         self.array, self._generators, self._translations = _check_axioms(table)
         self._type = None
         self._orbits = None
         self._inn = None
+
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        """The element labels; labels given as a function are made on first read."""
+        if callable(self._labels):
+            self._labels = tuple(self._labels())
+        return self._labels
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
@@ -327,7 +336,9 @@ def _scan_distributivity(arr: np.ndarray) -> None:
 
 
 def validate(table, labels=None) -> FiniteQuandle:
-    """Check all three axioms and wrap the table."""
+    """Check all three axioms and wrap the table.  `labels` is a sequence of
+    one label per element, or a function returning one, called on first
+    read of `.labels`."""
     return FiniteQuandle(table, labels=labels)
 
 

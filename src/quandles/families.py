@@ -261,7 +261,8 @@ def core(group: GroupTable) -> FiniteQuandle:
     # m[:, invs].T[g, h] = h g^-1, and the gather multiplies it by h on the right
     for g0, invs in perms.row_blocks(inv, n):
         table[g0 : g0 + len(invs)] = m[m[:, invs].T, np.arange(n)]
-    return validate(table, labels=group.labels)
+    # the group's labels as given, so that unread labels stay unmade
+    return validate(table, labels=group._labels)
 
 
 def conjugation_reflections(w: PermGroup, seeds) -> FiniteQuandle:
@@ -295,8 +296,7 @@ def conjugation_reflections(w: PermGroup, seeds) -> FiniteQuandle:
         frontier = images[fresh]
         closure.append(frontier)
     elements, table = perms.tabulate(np.concatenate(closure), base, conjugate=True)
-    labels = [perms.format_perm(p) for p in elements.tolist()]
-    return validate(table, labels=labels)
+    return validate(table, labels=perms.perm_labels(elements))
 
 
 def coxeter_reflection_quandle(kind: str) -> FiniteQuandle:

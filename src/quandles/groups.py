@@ -42,11 +42,13 @@ class GroupTable:
 
     def __init__(self, table, labels=None, name=None):
         n = len(table)
-        self.labels = tuple(labels) if labels else None
+        if not callable(labels):
+            labels = tuple(labels) if labels else None
+        self._labels = labels
         self.name = name
         if n == 0:
             raise InvalidGroupTable("a group needs at least its identity 0")
-        if self.labels and len(self.labels) != n:
+        if labels and not callable(labels) and len(labels) != n:
             raise InvalidGroupTable("label count does not match order")
         # each failure is reported at the first row, column, element or
         # (a, b, c) in lexicographic order
@@ -70,6 +72,13 @@ class GroupTable:
                             _scan_associativity, "Light's test failed")
         self.array = m
         self._inv = inv.tolist()
+
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        """The element labels; labels given as a function are made on first read."""
+        if callable(self._labels):
+            self._labels = tuple(self._labels())
+        return self._labels
 
     @property
     def order(self) -> int:
@@ -178,8 +187,7 @@ def from_permutations(degree: int, gens, name=None) -> GroupTable:
     """
     group = perms.PermGroup(degree, gens)
     elements, table = perms.tabulate(group.elements(limit=TABLE_LIMIT), perms.base_points(group))
-    labels = [perms.format_perm(p) for p in elements.tolist()]
-    return GroupTable(table, labels=labels, name=name)
+    return GroupTable(table, labels=perms.perm_labels(elements), name=name)
 
 
 def _coxeter_label(label: str) -> tuple[str, int] | None:

@@ -18,13 +18,14 @@ Oracles:
 import functools
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandles import families, perms
+from quandles import adjoint, families, perms
 from quandles.adjoint import (
     BAR_GROUP_CAP,
     ClauwensElement,
@@ -42,6 +43,7 @@ from quandles.adjoint import (
     verify_homotopy_3,
 )
 from quandles.families import AlexanderModuleSpec
+from quandles.grid import grid_by_key
 from quandles.groups import from_permutations, named_group
 from quandles.homology import quandle_h2
 from quandles.intlin import AbelianGroupInvariants
@@ -120,8 +122,9 @@ class TestModelArithmetic:
         )
         assert peak < 200 * 1024
 
-    def test_homotopy_checks_multiply_each_distinct_pair_once(self, monkeypatch):
-        # the verifier called mul 66,794 times here on its 182 distinct pairs
+    def test_homotopy_checks_call_no_scalar_mul(self, monkeypatch):
+        # the verifier called mul 66,794 times here, then once on each of its
+        # 182 distinct pairs; the block checks multiply with mul_array only
         calls = []
         mul = ClauwensGroup.mul
 
@@ -133,7 +136,7 @@ class TestModelArithmetic:
         verifier = HomotopyVerifier(AlexanderModuleSpec.scalar((13,), -1))
         verifier.degree_2()
         verifier.degree_3()
-        assert len(calls) == len(set(calls)) <= 182
+        assert calls == []
 
     def test_checks_share_one_model_and_table(self):
         spec = AlexanderModuleSpec.scalar((3, 3), -1)
@@ -215,14 +218,96 @@ class TestBarChain:
         assert bar_boundary({(2,): 5}, g.mul) == {}
 
 
+# the bench's homotopy inputs beside the suite's
+HOMOTOPY_SPECS = homotopy_suite_specs() + [
+    grid_by_key()[f"alexander:{key}"].alexander_spec
+    for key in ("2,2,2:frob", "13:t-1", "3,3:rot", "7:t3")
+]
+
+
+def chain_difference(a: dict, b: dict) -> dict:
+    """a - b as a chain, a's terms first, without zero terms."""
+    out = dict(a)
+    for tup, c in b.items():
+        out[tup] = out.get(tup, 0) - c
+    return {tup: c for tup, c in out.items() if c}
+
+
+def degree_3_triple(i, n):
+    """Position i of the degree-3 walk: y, then z, then x."""
+    yz, x = divmod(i, n)
+    return (x, *divmod(yz, n))
+
+
+def dict_loop_failure(v, degree, walk=None):
+    """The IdentityFailed a plain loop over the dict view raises, or None.
+
+    Degree 2 walks the pairs x first; degree 3 walks the triples y, z, x,
+    then c3 on (x, x, z).  Given `walk`, only those positions of the first
+    walk are looked at.
+    """
+    n = v.spec.size
+    for i in walk if walk is not None else range(n**degree):
+        if degree == 2:
+            (x, y) = tup = divmod(i, n)
+            r = v.residual_2(x, y)
+            if r:
+                return IdentityFailed("degree-2 homotopy identity", tup, r)
+            continue
+        x, y, z = degree_3_triple(i, n)
+        r, expected = v.residual_3(x, y, z), v.residual_3_template(y, z)
+        if r != expected:
+            return IdentityFailed(
+                "degree-3 residual differs from its closed form", (x, y, z),
+                chain_difference(r, expected),
+            )
+    if walk is not None or degree == 2:
+        return None
+    for x, z in product(range(n), repeat=2):
+        c = v.c3(x, x, z)
+        if c:
+            return IdentityFailed("c3 on repeated arguments", (x, x, z), c)
+    return None
+
+
+def block_chain(v, parts, args, boundary=False) -> dict:
+    """The terms the block check sums for one tuple, decoded to a chain."""
+    size, coker = v.spec.size, v.model.coker_order
+
+    def element(code):
+        nx, alpha = divmod(code, coker)
+        return ClauwensElement(*divmod(nx, size), alpha)
+
+    chain = {}
+    block = tuple(np.array([[a]]) for a in args)
+    for digits, coeff in v._terms(parts, block, boundary=boundary):
+        for tup, c in zip(zip(*(d.ravel().tolist() for d in digits)), coeff.ravel().tolist()):
+            key = tuple(map(element, tup))
+            chain[key] = chain.get(key, 0) + c
+    return {tup: c for tup, c in chain.items() if c}
+
+
+def flip_term(monkeypatch, name, index=0):
+    """Replace the table adjoint.<name> by one with its index-th term negated."""
+    table = getattr(adjoint, name)
+    terms = list(table.terms)
+    coeff, entries = terms[index]
+    terms[index] = (-coeff, entries)
+    monkeypatch.setattr(adjoint, name, table._replace(terms=tuple(terms)))
+
+
+FIB22 = AlexanderModuleSpec((2, 2), [[0, 1], [1, 1]])  # type 3
+Z5T2 = AlexanderModuleSpec.scalar((5,), 2)  # type 4
+
+
 class TestHomotopyIdentities:
-    @pytest.mark.parametrize("spec", homotopy_suite_specs(), ids=lambda s: s.label())
+    @pytest.mark.parametrize("spec", HOMOTOPY_SPECS, ids=lambda s: s.label())
     def test_degree_2_exact(self, spec):
         report = verify_homotopy_2(spec)
         assert report.status == "pass"
         assert report.tuples_checked == spec.size**2
 
-    @pytest.mark.parametrize("spec", homotopy_suite_specs(), ids=lambda s: s.label())
+    @pytest.mark.parametrize("spec", HOMOTOPY_SPECS, ids=lambda s: s.label())
     def test_degree_3_residual(self, spec):
         report = verify_homotopy_3(spec)
         assert report.status == "pass"
@@ -235,26 +320,119 @@ class TestHomotopyIdentities:
         for x in range(1, 5):
             assert v.residual_3(x, 1, 2) == base
 
-    def test_corrupted_homotopy_detected(self):
-        """Mutation check: flipping one term of h3 must break the identity."""
-        spec = AlexanderModuleSpec.scalar((3,), -1)
+    def test_corrupted_homotopy_detected(self, monkeypatch):
+        """Mutation check: flipping the first term of the h3 table must break
+        the identity, at the first failing triple of the walk."""
+        flip_term(monkeypatch, "H3")
+        v = HomotopyVerifier(AlexanderModuleSpec.scalar((3,), -1))
+        expected = dict_loop_failure(v, 3)
+        assert expected is not None
+        with pytest.raises(IdentityFailed) as exc:
+            v.degree_3()
+        assert exc.value.tuple == expected.tuple
+        assert str(exc.value) == str(expected)
 
-        class Corrupted(HomotopyVerifier):
-            def h3(self, x, y, z):
-                good = HomotopyVerifier.h3(self, x, y, z)
-                if not good:
-                    return good
-                tup, coeff = next(iter(good.items()))
-                return {**good, tup: -coeff}
+    @pytest.mark.parametrize("spec", [FIB22, Z5T2], ids=lambda s: s.label())
+    @pytest.mark.parametrize(
+        "degree,name",
+        [(2, "C2"), (2, "H1"), (2, "H2"), (3, "C3"), (3, "H2"), (3, "H3"), (3, "TEMPLATE")],
+    )
+    def test_flipped_term_fails_where_the_dict_loop_does(self, monkeypatch, spec, degree, name):
+        rng = random.Random(f"{name}:{spec.label()}")
+        flip_term(monkeypatch, name, rng.randrange(len(getattr(adjoint, name).terms)))
+        v = HomotopyVerifier(spec)
+        expected = dict_loop_failure(v, degree)
+        assert expected is not None
+        with pytest.raises(IdentityFailed) as exc:
+            v.degree_2() if degree == 2 else v.degree_3()
+        assert exc.value.tuple == expected.tuple
+        assert str(exc.value) == str(expected)
+        # and from a seeded position of the walk on, across block boundaries
+        n = spec.size
+        terms_of = v._residual_2_terms if degree == 2 else v._residual_3_terms
+        for start in sorted(rng.sample(range(1, n**degree), 3)):
+            walk = range(start, n**degree)
+            at = v._first_failure(terms_of, walk)
+            expected = dict_loop_failure(v, degree, walk)
+            if expected is None:
+                assert at is None
+            else:
+                assert (divmod(at, n) if degree == 2 else degree_3_triple(at, n)) == expected.tuple
 
-        v = Corrupted(spec)
-        broken = any(
-            v.residual_3(x, y, z) != v.residual_3_template(y, z)
-            for x in range(3)
-            for y in range(3)
-            for z in range(3)
-        )
-        assert broken
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_corrupted_power_fails_where_the_dict_loop_does(self, degree):
+        # one wrong e_u^j, read by both views, breaks the identity past the walk's start
+        v = HomotopyVerifier(Z5T2)
+        rng = random.Random(degree)
+        j, u = rng.randrange(1, v.t), rng.randrange(1, v.spec.size)
+        v._pow_x[j, u] = (v._pow_x[j, u] + 1) % v.spec.size
+        expected = dict_loop_failure(v, degree)
+        assert expected is not None and any(expected.tuple)
+        with pytest.raises(IdentityFailed) as exc:
+            v.degree_2() if degree == 2 else v.degree_3()
+        assert exc.value.tuple == expected.tuple
+        assert str(exc.value) == str(expected)
+
+    @pytest.mark.parametrize("name", ["C2", "C3", "H1", "H2", "H3", "TEMPLATE"])
+    def test_block_terms_are_the_dict_chains(self, name):
+        v = HomotopyVerifier(Z5T2)
+        table = getattr(adjoint, name)
+        parts = v._parts(table)
+        rng = random.Random(name)
+        for _ in range(5):
+            args = tuple(rng.randrange(5) for _ in range({1: 1, 3: 2}.get(len(table.names), 3)))
+            chain = v._chain_at(parts, *args)
+            assert block_chain(v, parts, args) == chain
+            assert block_chain(v, parts, args, boundary=True) == bar_boundary(chain, v.model.mul)
+
+    def test_a_face_without_the_power_is_counted_per_power(self):
+        # the last face of (e_x, e_y, e_z, e_A^j) drops e_A^j: it is met once per j
+        v = HomotopyVerifier(Z5T2)
+        parts = v._parts(adjoint.ChainTable(adjoint.H3.names, ((1, ("x", "y", "z", "A^j")),)))
+        e = v.model.e
+        chain = block_chain(v, parts, (1, 2, 4), boundary=True)
+        assert chain[e(1), e(2), e(4)] == v.t - 1 == 3
+        assert chain == bar_boundary(v._chain_at(parts, 1, 2, 4), v.model.mul)
+
+    def test_wide_keys_never_wrap(self):
+        # admitted by the default cap: n = 81, type 2, |coker mu| = 729, so an
+        # element code is below 5 * 81 * 729 and a triple of them needs 54.5 bits
+        spec = AlexanderModuleSpec.scalar((3, 3, 3, 3), -1)
+        v = HomotopyVerifier(spec)
+        assert (v.t, v.model.coker_order, v._radix) == (2, 729, 5 * 81 * 729)
+        # the guard packs a triple in one key; a block's row index beside it
+        # would pass 2^62, so each row is sorted on its own
+        assert v._digits_per_key == 3
+        rows = adjoint.BLOCK_TERMS // 90
+        assert v._radix**3 * rows > 2**62
+        # two blocks of the walk, whole and with one wrong e_u, against the
+        # dict view, on one packed key and on the column sort of three
+        walk = range(rows * 1000, rows * 1002)
+        broken = HomotopyVerifier(spec)
+        u = random.Random(81).randrange(81)
+        broken._pow_x[1, u] = (broken._pow_x[1, u] + 1) % 81
+        expected = dict_loop_failure(broken, 3, walk)
+        assert expected is not None and expected.tuple != degree_3_triple(walk.start, 81)
+        for per_key in (3, 1):
+            broken._digits_per_key = v._digits_per_key = per_key
+            assert v._first_failure(v._residual_3_terms, walk) is None
+            at = broken._first_failure(broken._residual_3_terms, walk)
+            assert degree_3_triple(at, 81) == expected.tuple
+
+    def test_key_digits(self):
+        assert adjoint._key_digits(2) == 62
+        assert adjoint._key_digits(5 * 81 * 729) == 3
+        # a connected module of order 2048 and type 2047, (Z/2)^11 with T of
+        # order 2047, codes its elements below 4095 * 2048 * |coker mu|
+        assert adjoint._key_digits(4095 * 2048) == 2
+        assert adjoint._key_digits(2**62) == 1
+
+    def test_column_sort_certifies_the_suite(self):
+        for spec in homotopy_suite_specs():
+            v = HomotopyVerifier(spec)
+            v._digits_per_key = 1
+            assert v.degree_2().tuples_checked == spec.size**2
+            assert v.degree_3().tuples_checked == spec.size**3
 
     def test_c3_vanishes_on_repeated_arguments(self):
         spec = AlexanderModuleSpec((2, 2), [[0, 1], [1, 1]])

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from quandles import cli, families
+from quandles import adjoint, cli, families
 from quandles.adjoint import ClauwensGroup, HomotopyVerifier
 from quandles.cli import CLIError, main, parse_input
 from quandles.core import AxiomViolation, FiniteQuandle, dump_table
@@ -133,14 +133,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("degree", [2, 3])
     def test_a_failing_homotopy_identity_is_one(self, capsys, monkeypatch, degree):
-        # flip the first term of every h_k chain: the degree-k identity must fail
-        h = getattr(HomotopyVerifier, f"h{degree}")
-
-        def flipped(self, *args):
-            chain = h(self, *args)
-            return {**chain, next(iter(chain)): -next(iter(chain.values()))} if chain else chain
-
-        monkeypatch.setattr(HomotopyVerifier, f"h{degree}", flipped)
+        # flip the first term of the h_k table: the degree-k identity must fail
+        table = getattr(adjoint, f"H{degree}")
+        (coeff, entries), *rest = table.terms
+        monkeypatch.setattr(adjoint, f"H{degree}", table._replace(terms=((-coeff, entries), *rest)))
         code, out, _ = run(capsys, "verify", "--suite", "homotopy", "alexander orders=3 t=-1")
         assert code == 1
         block = next(b for b in out.split("\n\n") if b.startswith(f"[degree-{degree}]"))

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from quandles import groups, perms
+from quandles import families, groups, perms
 from quandles.groups import (
     TABLE_LIMIT,
     GroupTable,
@@ -225,6 +225,32 @@ def test_from_permutations_matches_the_pairwise_table(build):
     assert elems == sorted(elems)
     index = {p: i for i, p in enumerate(elems)}
     assert g.table == tuple(tuple(index[perms.compose(p, q)] for q in elems) for p in elems)
+
+
+def test_labels_are_made_on_first_read(monkeypatch):
+    # check "core group=dihedral:1000" formatted 2,000 labels of 1,000 numbers it never printed
+    calls = 0
+    format_perm = perms.format_perm
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return format_perm(p)
+
+    monkeypatch.setattr(perms, "format_perm", counted)
+    g = named_group("dihedral:6")
+    quandle = families.core(g)
+    reflections = families.coxeter_reflection_quandle("A3")
+    assert calls == 0
+    elements = [tuple(map(int, label.split())) for label in g.labels]
+    assert calls == 12 and elements == sorted(elements)
+    assert quandle.labels == g.labels and calls == 24
+    transpositions = sorted(
+        tuple(j if v == i else i if v == j else v for v in range(4))
+        for i in range(4) for j in range(i + 1, 4)
+    )
+    assert reflections.labels == tuple(" ".join(map(str, p)) for p in transpositions)
+    assert calls == 30
 
 
 def test_from_permutations_composes_no_pairs(monkeypatch):
