@@ -426,6 +426,21 @@ TEMPLATE = _table(
 BLOCK_TERMS = 2**14
 
 
+def homotopy_terms(degree: int, n: int, t: int) -> int:
+    """The terms HomotopyVerifier's degree-2 or degree-3 check writes on an
+    order-n quandle of type t, counted from the term tables alone: a term
+    with a u^j entry stands for t - 1 terms, d^gr turns each term of H2 into
+    4 and each of H3 into 5, and h is read on the 2(k - 1) rack faces of a
+    k-tuple."""
+
+    def count(table: ChainTable) -> int:
+        return sum(t - 1 if any(s.endswith("^j") for s in e) else 1 for _, e in table.terms)
+
+    if degree == 2:
+        return n * n * (2 * count(H1) + count(C2) + 4 * count(H2))
+    return n**3 * (count(C3) + 4 * count(H2) + 5 * count(H3) + count(TEMPLATE)) + n * n * count(C3)
+
+
 class _Part(NamedTuple):
     """The terms of a ChainTable with u^j entries, or those without, as
     arrays: the point of each entry (T, k), its exponent (T, J, k), J being

@@ -12,15 +12,21 @@ tuples with two equal consecutive entries is divided out: bases exclude
 degenerate tuples and boundaries project by dropping degenerate images.
 
 Basis tuples are ordered lexicographically in the element order, which is
-the order of their mixed-radix codes sum x_i n^(k-i).  Boundary matrices
-are assembled on integer arrays of these codes: each face of every basis
-tuple is one gather from the quandle table, and the 2k signed faces of a
-column are coalesced by sorting.  `boundary_chain` computes the same
-boundary one tuple at a time; the chain-homotopy verifier uses it, and the
-tests check the assembled matrices against it.  The matrix keeps the
-assembled entry arrays, and homology groups come from `intlin.homology_at`,
-whose Smith form peels unit pivots on those arrays in rounds and hands
-the residual to a dict elimination.
+the order of their mixed-radix codes sum x_i n^(k-i): the codes of C_k
+are those of C_(k-1), each extended by every last entry that leaves the
+tuple nondegenerate.  Boundary matrices are assembled on integer arrays
+of these codes: each face of every column tuple is one gather from the
+quandle table, and the 2k signed faces of a column are coalesced by
+sorting.  `boundary_chain` computes the same boundary one tuple at a
+time; the chain-homotopy verifier uses it, and the tests check the
+assembled matrices against it.
+
+H_k is read off d_(k+1) restricted to the tuples whose last entry lies
+in the generating set S, together with the full d_k (see
+`RackComplexSlice.homology` for why that is the same group).  The matrices
+keep their assembled entry arrays, and homology groups come from
+`intlin.homology_at`, whose Smith form peels unit pivots on those arrays
+in rounds and hands the residual to a dict elimination.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ import numpy as np
 
 from .core import FiniteQuandle
 from .intlin import (
+    DEFAULT_CELL_CAP,
     AbelianGroupInvariants,
+    SizeCap,
     SparseIntMatrix,
     cokernel,
     homology_at,
@@ -37,17 +45,6 @@ from .intlin import (
 
 RACK = "rack"
 QUANDLE = "quandle"
-
-DEFAULT_CELL_CAP = 10_000_000
-
-
-class SizeCap(RuntimeError):
-    """A complex would exceed the configured basis-cell cap."""
-
-    def __init__(self, needed: int, cap: int):
-        self.needed = needed
-        self.cap = cap
-        super().__init__(f"complex needs {needed} basis cells, cap is {cap}")
 
 
 def boundary_chain(q: FiniteQuandle, tup) -> dict[tuple, int]:
@@ -78,74 +75,98 @@ def _digits(codes: np.ndarray, n: int, k: int) -> list[np.ndarray]:
 
 
 class RackComplexSlice:
-    """Degrees 1..4 of the (rack or quandle) complex of a finite quandle."""
+    """Low degrees of the (rack or quandle) complex of a finite quandle:
+    d_1 .. d_3 in full, and d_3, d_4 restricted to the basis tuples whose
+    last entry lies in S = quandle.generating_set().
+
+    The cap bounds the face entries that assembly materializes, 2k for
+    each column of each d_k built, and the unit peel of the Smith forms.
+    """
 
     def __init__(self, quandle: FiniteQuandle, mode: str = QUANDLE, cap: int = DEFAULT_CELL_CAP):
         if mode not in (RACK, QUANDLE):
             raise ValueError(f"mode must be {RACK!r} or {QUANDLE!r}")
         self.quandle = quandle
         self.mode = mode
-        n = quandle.order
-        if n**4 > cap:
-            raise SizeCap(n**4, cap)
-        # int32 codes whenever n**4 fits, which the default cap guarantees
-        self._dtype = np.int32 if n**4 < 2**31 else np.int64
-        self._codes: dict[int, np.ndarray] = {}
-        self._boundaries: dict[int, SparseIntMatrix] = {}
+        self.cap = cap
+        # the last entries of all basis tuples, and of the restricted ones
+        self._last = {False: np.arange(quandle.order), True: np.sort(quandle.generating_set())}
+        self._codes = {(0, False): np.zeros(1, dtype=np.int64)}
+        self._boundaries: dict[tuple[int, bool], SparseIntMatrix] = {}
 
-    def _basis_codes(self, degree: int) -> np.ndarray:
-        """Basis tuples of C_degree as ascending mixed-radix codes.
+    def _basis_codes(self, degree: int, restricted: bool = False) -> np.ndarray:
+        """Basis tuples of C_degree as ascending mixed-radix codes; only those
+        whose last entry lies in S when restricted.
 
         The code of (x_1, ..., x_k) is sum x_i n^(k-i), so ascending codes
-        are lexicographic tuple order.
+        are lexicographic tuple order.  Each basis tuple of C_(k-1) is
+        extended by every last entry, in quandle mode by those unequal to
+        its own last entry.
         """
-        if degree < 0 or degree > 4:
-            raise ValueError("degrees 0..4 are materialized")
-        if degree not in self._codes:
-            n = self.quandle.order
-            codes = np.arange(n**degree, dtype=self._dtype)
-            if self.mode == QUANDLE:
-                digits = _digits(codes, n, degree)
-                keep = np.ones(len(codes), dtype=bool)
-                for a, b in zip(digits, digits[1:]):
-                    keep &= a != b
-                codes = codes[keep]
-            self._codes[degree] = codes
-        return self._codes[degree]
+        if (degree, restricted) not in self._codes:
+            n, last = self.quandle.order, self._last[restricted]
+            below = self._basis_codes(degree - 1)
+            codes = below[:, None] * n + last
+            if self.mode == QUANDLE and degree > 1:
+                codes = codes[below[:, None] % n != last]
+            self._codes[degree, restricted] = codes.ravel()
+        return self._codes[degree, restricted]
 
     def basis(self, degree: int) -> list[tuple]:
+        if degree < 0 or degree > 3:
+            raise ValueError("degrees 0..3 are materialized")
         codes = self._basis_codes(degree)
         if not degree:
             return [()]
         return list(zip(*(d.tolist() for d in _digits(codes, self.quandle.order, degree))))
 
-    def boundary(self, degree: int) -> SparseIntMatrix:
-        """The matrix of d: C_degree -> C_{degree-1} in the chosen mode."""
-        if degree < 1 or degree > 4:
-            raise ValueError("boundaries materialized for degrees 1..4")
-        if degree not in self._boundaries:
-            self._boundaries[degree] = self._assemble(degree)
-        return self._boundaries[degree]
+    def _admit(self, *boundaries: tuple[int, bool]):
+        """Raise SizeCap unless the face entries of assembling the d_k, given
+        as (k, restricted), fit the cap: 2k for each column, the basis
+        k-tuples that end in S (restricted) or anywhere."""
+        n = self.quandle.order
+        base = n if self.mode == RACK else n - 1
+        needed = sum(2 * k * len(self._last[r]) * base ** (k - 1) for k, r in boundaries)
+        if needed > self.cap:
+            raise SizeCap(needed, self.cap)
 
-    def _assemble(self, k: int) -> SparseIntMatrix:
-        """d_k on arrays, one face of every basis tuple at a time.
+    def boundary(self, degree: int) -> SparseIntMatrix:
+        """The matrix of d: C_degree -> C_{degree-1} in the chosen mode,
+        degrees 1..3."""
+        return self._boundary(degree, False)
+
+    def restricted_boundary(self, degree: int) -> SparseIntMatrix:
+        """d_degree, degree 3 or 4, on the basis tuples whose last entry lies
+        in S: all of C_{degree-1} as rows, those tuples in ascending code
+        order as columns."""
+        return self._boundary(degree, True)
+
+    def _boundary(self, k: int, restricted: bool) -> SparseIntMatrix:
+        if k not in ((3, 4) if restricted else (1, 2, 3)):
+            raise ValueError("boundaries materialized in degrees 1..3, restricted ones in 3 and 4")
+        if (k, restricted) not in self._boundaries:
+            self._admit((k, restricted))
+            self._boundaries[k, restricted] = self._assemble(k, self._basis_codes(k, restricted))
+        return self._boundaries[k, restricted]
+
+    def _assemble(self, k: int, cols: np.ndarray) -> SparseIntMatrix:
+        """d_k on the basis k-tuples of the ascending codes cols, on arrays,
+        one face of every column at a time.
 
         A face's codes come from one gather in the quandle table and map to
         row indices, -1 marking a degenerate face in quandle mode.  Each
         column's 2k entries are then sorted and equal rows summed, which
         leaves the entries in the column-then-row order the matrix keeps.
         """
-        n, dtype = self.quandle.order, self._dtype
+        n = self.quandle.order
         row_codes = self._basis_codes(k - 1)
-        row_of = np.full(n ** (k - 1), -1, dtype=dtype)
-        row_of[row_codes] = np.arange(len(row_codes), dtype=dtype)
-        cols = self._basis_codes(k)
+        row_of = np.full(n ** (k - 1), -1, dtype=np.int64)
+        row_of[row_codes] = np.arange(len(row_codes))
         digits = _digits(cols, n, k)
-        table = self.quandle.array.astype(dtype)
-        faces = np.empty((len(cols), 2 * k), dtype=dtype)
+        table = self.quandle.array
+        faces = np.empty((len(cols), 2 * k), dtype=np.int64)
         for i in range(k):
-            plain = np.zeros(len(cols), dtype=dtype)
-            acted = np.zeros(len(cols), dtype=dtype)
+            plain = acted = np.zeros(len(cols), dtype=np.int64)
             for j in range(k):
                 if j != i:
                     plain = plain * n + digits[j]
@@ -169,9 +190,31 @@ class RackComplexSlice:
         )
 
     def homology(self, degree: int) -> AbelianGroupInvariants:
+        """H_degree as homology_at(d_{k+1}|S, d_k), k = degree: d_{k+1}
+        restricted to the basis tuples that end in S, and d_k in full.
+
+        im d_{k+1} is spanned by the d(c, s) with s in S.  Write d(c, z) =
+        (dc, z) + (-1)^(k+1) (c - c <| z), with (dc, z) appending z to
+        each tuple of dc and c <| z acting on each entry.  Let M be the
+        span of the d(c, s), s in S, and T = {y : d(c, y) in M for all c}.
+        For y in T and s in S, 0 = dd(c, y, s) = d(d(c, y), s) +- (d(c, y)
+        - d(c <| s, y <| s)); the first term ends in s and d(c, y) is in M,
+        so d(c <| s, y <| s) is in M for every c, and y <| s is in T.  So T
+        contains S and is closed under every R_s, whose inverse is a power
+        of it; hence T is S.<R_s> = X.  In quandle mode the projection onto
+        the degenerate-free quotient is a surjective chain map, so the
+        images of the nondegenerate (c, s) span im d_{k+1} there.  In
+        degree 2 this is the rack space of Fenn, Rourke and Sanderson cut
+        down to the relators of As(X) on S.
+
+        The free rank is |C_k| - rank d_k - rank d_{k+1}|S, and the torsion
+        that of coker d_{k+1}|S.  Both boundaries are counted against the
+        cap before either is built.
+        """
         if degree not in (2, 3):
             raise ValueError("homology materialized for degrees 2 and 3")
-        return homology_at(self.boundary(degree + 1), self.boundary(degree))
+        self._admit((degree, False), (degree + 1, True))
+        return homology_at(self.restricted_boundary(degree + 1), self.boundary(degree), self.cap)
 
 
 def quandle_h2(q: FiniteQuandle, cap: int = DEFAULT_CELL_CAP) -> AbelianGroupInvariants:

@@ -21,7 +21,9 @@ goes to the dict elimination with Python ints: it peels every unit pivot
 that column, and the row and column leave with a 1 for the diagonal), then
 diagonalizes the rest by Euclidean elimination (least absolute value
 first, fewest nonzeros on ties), and gcd/lcm steps put its diagonal in
-divisibility order.  A rank is the length of the diagonal.
+divisibility order.  A rank is the length of the diagonal.  A cap bounds
+the entries a round builds: the round whose surviving entries plus its
+update would pass it raises SizeCap instead.
 
 smith_normal_form runs the dict elimination alone, because it records its
 row operations as a unimodular transform U, and the adjoint model's
@@ -32,9 +34,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 import numpy as np
+
+DEFAULT_CELL_CAP = 10_000_000
+
+
+class SizeCap(RuntimeError):
+    """A computation would materialize more cells than the configured cap."""
+
+    def __init__(self, needed: int, cap: int):
+        self.needed = needed
+        self.cap = cap
+        super().__init__(f"needs {needed} cells, cap is {cap}")
 
 
 class NotAComplex(ValueError):
@@ -74,22 +87,6 @@ class AbelianGroupInvariants:
         if self.free_rank:
             return None
         return prod(self.torsion) if self.torsion else 1
-
-    def torsion_annihilated_by(self, n: int) -> bool:
-        return all(n % d == 0 for d in self.torsion)
-
-    def torsion_divides_power_of(self, t: int) -> bool:
-        """True when every torsion invariant divides some power of t."""
-        for d in self.torsion:
-            while True:
-                g = gcd(d, t)
-                if g == 1:
-                    break
-                while d % g == 0:
-                    d //= g
-            if d != 1:
-                return False
-        return True
 
     def __str__(self) -> str:
         parts = []
@@ -566,7 +563,7 @@ def _independent_pivots(nrows: int, ncols: int, rs, cs, vs):
     return rs[cand], cs[cand], vs[cand]
 
 
-def _peel_units(m: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
+def _peel_units(m: SparseIntMatrix, cap: int) -> tuple[int, SparseIntMatrix]:
     """Unit pivots peeled on arrays: (number peeled, residual matrix).
 
     Rounds run until no entry +-1 is left.  Each drops duplicate columns,
@@ -576,8 +573,10 @@ def _peel_units(m: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
     of the pivots is diagonal with entries +-1, so this is the same as
     eliminating them one at a time, each with a 1 for the diagonal.  A round
     that could leave int64, with (P+1)·max|v|² >= 2^63 for P pivots, is not
-    run; nor is any when an entry does not fit in int64.  The residual's
-    Smith diagonal completes m's after the 1s.
+    run; nor is any when an entry does not fit in int64.  A round whose
+    surviving entries plus its update number more than cap raises SizeCap
+    before it builds them.  The residual's Smith diagonal completes m's
+    after the 1s.
     """
     nrows, ncols = m.rows, m.cols
     rs, cs, vs = m._arrays()
@@ -597,9 +596,12 @@ def _peel_units(m: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
         row_counts = np.bincount(kr[pivot_row], minlength=len(pr))
         pivot_col = np.flatnonzero(in_col & ~in_row)
         k = kc[pivot_col]
+        rest = ~in_row & ~in_col
+        needed = int(np.count_nonzero(rest)) + int(row_counts[k].sum())
+        if needed > cap:
+            raise SizeCap(needed, cap)
         left, right = _repeat_pairs(row_counts[k], (np.cumsum(row_counts) - row_counts)[k])
         scaled = vs[pivot_col] * pv[k]
-        rest = ~in_row & ~in_col
         rs, cs, vs = _coalesce(
             nrows,
             np.concatenate((rs[rest], rs[pivot_col][left])),
@@ -610,10 +612,10 @@ def _peel_units(m: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
     return ones, SparseIntMatrix._of_arrays(nrows, ncols, rs, cs, vs)
 
 
-def _diagonal(m: SparseIntMatrix) -> list[int]:
-    """Nonzero Smith diagonal of m: units peeled on arrays, the residual
-    by the dict pass."""
-    ones, residual = _peel_units(m)
+def _diagonal(m: SparseIntMatrix, cap: int) -> list[int]:
+    """Nonzero Smith diagonal of m: units peeled on arrays under the cap,
+    the residual by the dict pass."""
+    ones, residual = _peel_units(m, cap)
     return [1] * ones + _snf_diagonal_sparse(residual)
 
 
@@ -630,14 +632,14 @@ def smith_normal_form(m: SparseIntMatrix):
     return diag, [[row.get(c, 0) for c in range(m.rows)] for row in u]
 
 
-def rank(m: SparseIntMatrix) -> int:
+def rank(m: SparseIntMatrix, cap: int = DEFAULT_CELL_CAP) -> int:
     """Rank over Z (equivalently over Q): the length of the Smith diagonal."""
-    return len(_diagonal(m))
+    return len(_diagonal(m, cap))
 
 
-def cokernel(m: SparseIntMatrix) -> AbelianGroupInvariants:
+def cokernel(m: SparseIntMatrix, cap: int = DEFAULT_CELL_CAP) -> AbelianGroupInvariants:
     """Invariants of Z^rows / (column span of m)."""
-    diag = _diagonal(m)
+    diag = _diagonal(m, cap)
     torsion = tuple(d for d in diag if d > 1)
     return AbelianGroupInvariants(m.rows - len(diag), torsion)
 
@@ -665,7 +667,7 @@ def compose_is_zero(outer: SparseIntMatrix, inner: SparseIntMatrix):
 
 
 def homology_at(
-    boundary_in: SparseIntMatrix, boundary_out: SparseIntMatrix
+    boundary_in: SparseIntMatrix, boundary_out: SparseIntMatrix, cap: int = DEFAULT_CELL_CAP
 ) -> AbelianGroupInvariants:
     """Invariants of ker(boundary_out) / im(boundary_in).
 
@@ -676,6 +678,7 @@ def homology_at(
     Since ker(boundary_out) is a pure submodule of the carrier containing
     im(boundary_in), the torsion of the quotient equals the torsion of
     coker(boundary_in) and the free rank is dim C_k - rank(out) - rank(in).
+    The cap bounds both Smith forms' unit peels.
     """
     if boundary_in.rows != boundary_out.cols:
         raise ValueError(
@@ -685,8 +688,8 @@ def homology_at(
     bad = compose_is_zero(boundary_out, boundary_in)
     if bad is not None:
         raise NotAComplex(bad[0], bad[1])
-    diag_in = _diagonal(boundary_in)
-    rank_out = rank(boundary_out)
+    diag_in = _diagonal(boundary_in, cap)
+    rank_out = rank(boundary_out, cap)
     free = boundary_in.rows - rank_out - len(diag_in)
     torsion = tuple(d for d in diag_in if d > 1)
     return AbelianGroupInvariants(free, torsion)

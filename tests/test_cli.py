@@ -8,12 +8,14 @@ import time
 import pytest
 
 from quandles import adjoint, cli, families
-from quandles.adjoint import ClauwensGroup, HomotopyVerifier
+from quandles.adjoint import ClauwensGroup, HomotopyVerifier, homotopy_terms
 from quandles.cli import CLIError, main, parse_input
 from quandles.core import AxiomViolation, FiniteQuandle, dump_table
 from quandles.coverings import universal_covering_alexander
 from quandles.families import AlexanderModuleSpec
 from quandles.groups import TABLE_LIMIT
+from quandles.homology import DEFAULT_CELL_CAP
+from quandles.intlin import AbelianGroupInvariants
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -289,7 +291,7 @@ class TestCommands:
         )
         assert code == 0
         blocks = out.rstrip("\n").split("\n\n")[1:]
-        assert len(blocks) == 6
+        assert len(blocks) == 5  # construction and four properties
         for block in blocks:
             assert sum(line.startswith("seconds: ") for line in block.split("\n")) == 1, block
 
@@ -363,12 +365,13 @@ class TestCommands:
 
     def test_homotopy_over_the_cap_is_skipped_before_its_tables(self):
         # degree 3 ran for hours here while its h2 memo grew without bound;
-        # |X|^k * type cells decide the skip of the degree-k entry
+        # the terms the check writes decide the skip of the degree-k entry
         out = _run_cli("verify", "--suite", "homotopy", MODULE_2E8, timeout=20)
         assert out.returncode == 0
         assert out.stdout.count("status: skipped") == 2
-        assert "data.needed_cells: 16711680" in out.stdout  # 256^2 * 255
-        assert "data.needed_cells: 4278190080" in out.stdout  # 256^3 * 255
+        assert "data.needed_cells: 299761664" in out.stdout  # 256^2 * (2 + 18 * 254)
+        # 256^3 * (12 + 78 * 254) + 256^2 * 6
+        assert "data.needed_cells: 332591923200" in out.stdout
 
     def test_named_group_over_the_table_limit_is_two(self):
         # refused by the order read from its name, before any permutation is built
@@ -436,6 +439,22 @@ class TestCensus:
         assert out1 == out2
         assert "checks: " in out1
 
+    def test_every_entry_reports_the_chain_h2(self, capsys):
+        code, out, _ = run(capsys, "census")
+        assert code == 0
+        assert out.count("data.h2: ") == out.count("\nstatus: pass\n") == 57
+        # n = 63: its full d3 has 63^4 cells, past the default cap
+        row = out.split("[symplectic:g1:q8]\n")[1].split("\n\n")[0]
+        assert "data.h2: Z/2 + Z/2 + Z/2" in row
+
+    def test_an_oracle_disagreement_fails_the_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(ClauwensGroup, "stabilizer_h2", lambda self: AbelianGroupInvariants(1, ()))
+        code, out, _ = run(capsys, "census")
+        assert code == 1
+        row = out.split("[alexander:5,5:t-1]\n")[1].split("\n\n")[0]
+        assert "status: fail" in row
+        assert "data.detail: H2 oracles disagree: chain Z/5, stabilizer Z, cokernel Z/5" in row
+
     def test_directory_census(self, capsys, tmp_path):
         (tmp_path / "a.quandle").write_text(dump_table(families.dihedral(3)))
         (tmp_path / "b.quandle").write_text(dump_table(families.trivial(2)))
@@ -500,15 +519,28 @@ class TestOneModelPerCommand:
         assert builds == {"models": 0, "tables": 0}
 
     def test_homotopy_cap_is_read_per_degree(self, capsys, builds):
-        # order 4, type 3: degree 2 needs 48 cells, degree 3 needs 192
+        # order 4, type 3: degree 2 writes 16 * 38 terms, degree 3 writes
+        # 64 * 168 + 16 * 6
         code, out, _ = run(
-            capsys, "verify", "--suite", "homotopy", "--cap-cells", "100",
+            capsys, "verify", "--suite", "homotopy", "--cap-cells", "1000",
             "alexander orders=2,2 t=0,1;1,1",
         )
         assert code == 0
         assert "status: pass\ndata.pairs: 16" in out
-        assert "status: skipped\ndata.cap: 100\ndata.needed_cells: 192" in out
+        assert "status: skipped\ndata.cap: 1000\ndata.needed_cells: 10848" in out
         assert builds["models"] == 1
+
+    def test_homotopy_cap_counts_terms(self, capsys, builds):
+        # 117,649 triples of type 42 write 377M terms (30-43 s); 25:t7 writes
+        # 3.85M and stays admitted
+        code, out, _ = run(
+            capsys, "verify", "--suite", "homotopy", "alexander orders=49 t=3",
+        )
+        assert code == 0
+        assert "status: pass\ndata.pairs: 2401" in out
+        assert "status: skipped\ndata.cap: 10000000\ndata.needed_cells: 377667696" in out
+        assert builds["models"] == 1
+        assert homotopy_terms(3, 25, 4) == 3847500 < DEFAULT_CELL_CAP
 
     def test_census_builds_one_model_per_connected_alexander_entry(self, capsys, builds):
         code, _, _ = run(capsys, "census")

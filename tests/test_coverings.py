@@ -18,9 +18,11 @@ from quandles.coverings import export_covering, universal_covering_alexander
 from quandles.families import AlexanderModuleSpec
 from quandles.grid import grid_by_key, parse_family, standard_grid
 from quandles.homology import quandle_h2
+from quandles.intlin import AbelianGroupInvariants
 from quandles.report import ReportDocument
 
 from alexander_specs import connected_alexander_specs
+from child_memory import child_peaks_kb
 
 
 FIB = AlexanderModuleSpec((2, 2), [[0, 1], [1, 1]])  # order 4, type 3
@@ -75,16 +77,35 @@ class TestProperties:
         assert {e.check_id for e in entries} == {
             "total_connected",
             "type_preserved",
-            "h2_torsion",
-            "h2_annihilated",
+            "h2_zero",
             "projection_covering",
         }
         assert all(e.status == "pass" for e in entries)
 
-    def test_total_h2_killed_by_type(self):
-        inst = universal_covering_alexander(NEG33)
-        h2 = quandle_h2(inst.total)
-        assert h2.torsion_annihilated_by(inst.base.type)
+    @pytest.mark.parametrize("spec", connected_alexander_specs(25), ids=str)
+    def test_total_h2_is_zero(self, spec):
+        # the universal covering is simply connected: totals of order 3 to 125
+        inst = universal_covering_alexander(spec)
+        assert quandle_h2(inst.total) == AbelianGroupInvariants(0, ())
+
+    def test_order_729_total_is_skipped_before_its_complex(self):
+        # d2 and d3|S of the total need 4 * 729 * 728 + 6 * 4 * 728^2 face
+        # entries, past the default cap; building d3|S alone took 1.1 GB
+        code = (
+            "from quandles.cli import covering_properties\n"
+            "from quandles.coverings import universal_covering_alexander\n"
+            "from quandles.families import AlexanderModuleSpec\n"
+            "from quandles.report import ReportDocument\n"
+            "doc = ReportDocument('covering', '0')\n"
+            "inst = universal_covering_alexander(AlexanderModuleSpec.scalar((3, 3, 3), -1))\n"
+            "covering_properties(inst, doc)\n"
+            "(e,) = [e for e in doc.entries if e.check_id == 'h2_zero']\n"
+            "assert e.status == 'skipped', e.status\n"
+            "print(e.data['needed_cells'], peak_kb())\n"
+        )
+        needed, peak = child_peaks_kb(code)
+        assert needed == 4 * 729 * 728 + 6 * 4 * 728**2
+        assert peak < 150 * 1024, peak
 
     def test_base_h2_versus_total_h2(self):
         # the base has H2 = Z/3; the simply-connected total drops it
@@ -124,9 +145,9 @@ class TestProperties:
         doc = ReportDocument("covering", "0")
         covering_properties(inst, doc, cap=10)
         skipped = [e for e in doc.entries if e.status == "skipped"]
-        assert [e.check_id for e in skipped] == ["h2_torsion"]
-        assert skipped[0].data == {"needed_cells": 8**4, "cap": 10}
-        assert "h2_annihilated" not in {e.check_id for e in doc.entries}
+        # d2 of the order-8 total has 8 * 7 columns, d3|S has |S| * 7^2, |S| = 2
+        assert [e.check_id for e in skipped] == ["h2_zero"]
+        assert skipped[0].data == {"needed_cells": 4 * 56 + 6 * 2 * 49, "cap": 10}
 
 
 class TestBasePoint:

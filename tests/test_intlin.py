@@ -22,8 +22,10 @@ from quandles.core import validate
 from quandles.grid import grid_by_key, standard_grid
 from quandles.homology import RackComplexSlice
 from quandles.intlin import (
+    DEFAULT_CELL_CAP,
     AbelianGroupInvariants,
     NotAComplex,
+    SizeCap,
     SparseIntMatrix,
     cokernel,
     compose_is_zero,
@@ -292,7 +294,7 @@ class TestArrayPeel:
         m = SparseIntMatrix.from_dense(dense)
         assert rank(m) == len(diag)
         assert cokernel(m) == _invariants(rows, diag)
-        ones, residual = intlin._peel_units(m)
+        ones, residual = intlin._peel_units(m, DEFAULT_CELL_CAP)
         assert ones and not any(abs(v) == 1 for _, _, v in residual.entries())
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -318,7 +320,7 @@ class TestArrayPeel:
                 for _ in range(12)
             ]
             m = SparseIntMatrix.from_dense(dense)
-            ones, residual = intlin._peel_units(m)
+            ones, residual = intlin._peel_units(m, DEFAULT_CELL_CAP)
             assert ones and any(abs(v) == 1 for _, _, v in residual.entries())
             diag = sympy_diagonal(dense)
             assert [1] * ones + intlin._snf_diagonal_sparse(residual) == diag
@@ -326,7 +328,7 @@ class TestArrayPeel:
 
     def test_entries_beyond_int64_stay_exact(self):
         m = SparseIntMatrix.from_dense([[2**70, 1, 0], [0, 3, 2**64]])
-        assert intlin._peel_units(m) == (0, m)
+        assert intlin._peel_units(m, DEFAULT_CELL_CAP) == (0, m)
         assert cokernel(m) == _invariants(2, sympy_diagonal(m.to_dense()))
         # 2^32 * 2^32 is 0 in int64: the product must be taken in Python ints
         square = SparseIntMatrix.from_dense([[2**32]])
@@ -374,10 +376,31 @@ class TestArrayPeel:
             random.Random(seed).shuffle(entries)
             rs, cs, vs = (np.array(a) for a in zip(*entries))
             m = SparseIntMatrix.from_arrays(50, len(dense[0]), rs, cs, vs)
-            ones, residual = intlin._peel_units(m)
+            ones, residual = intlin._peel_units(m, DEFAULT_CELL_CAP)
             peels.add((ones, tuple(residual.entries())))
             assert cokernel(m) == _invariants(50, sympy_diagonal(dense))
         assert len(peels) == 1
+
+    def test_a_round_past_the_cap_raises_before_it_is_built(self):
+        # needed is the surviving entries plus the round's update; raising the
+        # cap to each needed in turn reaches the peel's peak, which admits it
+        rng = random.Random(29)
+        dense = _peel_test_matrix(rng, 40, 60)
+        m = SparseIntMatrix.from_dense(dense)
+        cap, seen = 10, []
+        while True:
+            try:
+                ones, residual = intlin._peel_units(m, cap)
+                break
+            except SizeCap as exc:
+                assert exc.cap == cap and exc.needed > cap
+                seen.append(cap := exc.needed)
+        assert seen and cap == max(seen)
+        assert [1] * ones + intlin._snf_diagonal_sparse(residual) == sympy_diagonal(dense)
+        for run in (rank, cokernel, lambda a, cap: homology_at(a, SparseIntMatrix(0, 40), cap)):
+            with pytest.raises(SizeCap):
+                run(m, cap=cap - 1)
+            run(m, cap=cap)
 
 
 @pytest.mark.parametrize("key", [e.key for e in standard_grid() if e.order <= 30])
@@ -385,7 +408,7 @@ def test_catalogue_d3_diagonal_matches_smith_normal_form(key):
     q = grid_by_key()[key].build()
     for table in (q, _relabeled(q, len(key))):
         d3 = RackComplexSlice(table).boundary(3)
-        assert intlin._diagonal(d3) == smith_normal_form(d3)[0], key
+        assert intlin._diagonal(d3, DEFAULT_CELL_CAP) == smith_normal_form(d3)[0], key
 
 
 class TestRankAndKernel:
@@ -448,14 +471,6 @@ class TestInvariants:
         assert str(AbelianGroupInvariants(1, ())) == "Z"
         assert str(AbelianGroupInvariants(2, (3,))) == "Z^2 + Z/3"
 
-    def test_annihilation_predicates(self):
-        g = AbelianGroupInvariants(0, (2, 4))
-        assert g.torsion_annihilated_by(4)
-        assert not g.torsion_annihilated_by(2)
-        assert g.torsion_divides_power_of(2)
-        assert not g.torsion_divides_power_of(3)
-        free = AbelianGroupInvariants(1, ())
-        assert free.torsion_annihilated_by(1)
 
 
 class TestHomologyAt:
