@@ -127,20 +127,13 @@ class ClauwensGroup:
         k = len(orders)
         # M (x) M is generated by e_i (x) e_j with order gcd(d_i, d_j);
         # mu sends e_i (x) e_j to e_i (x) e_j - sum_a T[a][j] e_a (x) e_i.
-        tensor_orders = [gcd(orders[i], orders[j]) for i in range(k) for j in range(k)]
         kk = k * k
-        rel = SparseIntMatrix(kk, 2 * kk)
-        for i in range(k):
-            for j in range(k):
-                col = i * k + j
-                rel.add(i * k + j, col, 1)
-                for a in range(k):
-                    tval = spec.t_matrix[a][j]
-                    if tval:
-                        rel.add(a * k + i, col, -tval)
-        for g in range(kk):
-            rel.set(g, kk + g, tensor_orders[g])
-        diag, U = smith_normal_form(rel)
+        pairs = [(i, j) for i in range(k) for j in range(k)]
+        terms = [(i * k + j, i * k + j, 1) for i, j in pairs]
+        terms += [(a * k + i, i * k + j, -spec.t_matrix[a][j]) for i, j in pairs for a in range(k)]
+        terms += [(g, kk + g, gcd(orders[i], orders[j])) for g, (i, j) in enumerate(pairs)]
+        terms = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+        diag, U = smith_normal_form(SparseIntMatrix.from_arrays(kk, 2 * kk, *terms))
         if len(diag) != kk:
             raise AssertionError("tensor square of a finite module must be finite")
         positions = [i for i, d in enumerate(diag) if d > 1]
@@ -318,12 +311,9 @@ def _abelian_invariants(table: np.ndarray) -> AbelianGroupInvariants:
     table on 0 .. n-1: the group presented on all its elements with one
     relation per product, read off the Smith form."""
     n = len(table)
-    m = SparseIntMatrix(n, n * n)
-    for col, (a, b) in enumerate(product(range(n), repeat=2)):
-        m.add(a, col, 1)
-        m.add(b, col, 1)
-        m.add(int(table[a, b]), col, -1)
-    inv = cokernel(m)
+    a, b = np.divmod(np.arange(n * n), n)  # column a*n + b holds e_a + e_b - e_ab
+    rows, cols = np.concatenate((a, b, table.ravel())), np.tile(np.arange(n * n), 3)
+    inv = cokernel(SparseIntMatrix.from_arrays(n, n * n, rows, cols, np.repeat([1, 1, -1], n * n)))
     if inv.free_rank != 0:
         raise AssertionError("finite group with free abelianization")
     return inv
@@ -797,12 +787,13 @@ def group_h2_bar(group: GroupTable, cap: int = BAR_GROUP_CAP) -> AbelianGroupInv
         rows = basis(k - 1)
         cols = basis(k)
         ridx = {t: i for i, t in enumerate(rows)}
-        m = SparseIntMatrix(len(rows), len(cols))
-        for j, tup in enumerate(cols):
-            for t, c in bar_boundary({tup: 1}, group.mul).items():
-                if 0 in t:
-                    continue
-                m.add(ridx[t], j, c)
-        return m
+        terms = [
+            (ridx[t], j, c)
+            for j, tup in enumerate(cols)
+            for t, c in bar_boundary({tup: 1}, group.mul).items()
+            if 0 not in t
+        ]
+        terms = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+        return SparseIntMatrix.from_arrays(len(rows), len(cols), *terms)
 
     return homology_at(matrix(3), matrix(2))

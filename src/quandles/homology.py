@@ -16,17 +16,18 @@ the order of their mixed-radix codes sum x_i n^(k-i): the codes of C_k
 are those of C_(k-1), each extended by every last entry that leaves the
 tuple nondegenerate.  Boundary matrices are assembled on integer arrays
 of these codes: each face of every column tuple is one gather from the
-quandle table, and the 2k signed faces of a column are coalesced by
-sorting.  `boundary_chain` computes the same boundary one tuple at a
-time; the chain-homotopy verifier uses it, and the tests check the
-assembled matrices against it.
+quandle table, and the matrix is the sum of the 2k signed faces of all
+columns, which `SparseIntMatrix.from_arrays` adds up by position.
+`boundary_chain` computes the same boundary one tuple at a time; the
+chain-homotopy verifier uses it, and the tests check the assembled
+matrices against it.
 
 H_k is read off d_(k+1) restricted to the tuples whose last entry lies
 in the generating set S, together with the full d_k (see
-`RackComplexSlice.homology` for why that is the same group).  The matrices
-keep their assembled entry arrays, and homology groups come from
-`intlin.homology_at`, whose Smith form peels unit pivots on those arrays
-in rounds and hands the residual to a dict elimination.
+`RackComplexSlice.homology` for why that is the same group).  Homology
+groups come from `intlin.homology_at`, whose Smith form peels unit pivots
+on the matrices' entry arrays in rounds and hands the residual to a dict
+elimination.
 """
 
 from __future__ import annotations
@@ -154,9 +155,9 @@ class RackComplexSlice:
         one face of every column at a time.
 
         A face's codes come from one gather in the quandle table and map to
-        row indices, -1 marking a degenerate face in quandle mode.  Each
-        column's 2k entries are then sorted and equal rows summed, which
-        leaves the entries in the column-then-row order the matrix keeps.
+        row indices, -1 marking a degenerate face in quandle mode.  Every
+        other signed face is one term of the matrix, and from_arrays sums
+        the terms of a column that share a row.
         """
         n = self.quandle.order
         row_codes = self._basis_codes(k - 1)
@@ -174,19 +175,11 @@ class RackComplexSlice:
             faces[:, 2 * i] = row_of[plain]
             faces[:, 2 * i + 1] = row_of[acted]
         # face i (from 1) is (-1)^i [plain - acted]
-        signs = np.array([-1, 1, 1, -1] * k, dtype=np.int32)[: 2 * k]
-        order = np.argsort(faces, axis=1)
-        faces = np.take_along_axis(faces, order, axis=1).ravel()
-        coeffs = signs[order].ravel()
-        starts = np.ones(len(faces), dtype=bool)
-        starts[1:] = faces[1:] != faces[:-1]
-        starts[:: 2 * k] = True
-        starts = np.flatnonzero(starts)
-        sums = np.add.reduceat(coeffs, starts) if len(starts) else coeffs
-        row_ids = faces[starts]
-        keep = (sums != 0) & (row_ids >= 0)
+        signs = np.array([-1, 1, 1, -1] * k)[: 2 * k]
+        kept = np.flatnonzero(faces >= 0)
+        col_ids, face = np.divmod(kept, 2 * k)
         return SparseIntMatrix.from_arrays(
-            len(row_codes), len(cols), row_ids[keep], starts[keep] // (2 * k), sums[keep]
+            len(row_codes), len(cols), faces.ravel()[kept], col_ids, signs[face]
         )
 
     def homology(self, degree: int) -> AbelianGroupInvariants:

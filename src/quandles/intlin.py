@@ -3,12 +3,11 @@
 Sparse integer matrices, Smith normal form, cokernels and homology of
 two-step chain complexes.  Results are exact: values are Python ints, or
 int64 only where a bound checked beforehand rules out overflow; nothing
-is done in floating point or by a modular shortcut.  A sparse matrix holds
-its nonzero entries as rows ({row: {col: value}}), as three parallel
-arrays sorted by column, or both, each layout built from the other when
-first read.  Complex assembly hands over arrays, and the Smith form of
-rank, cokernel and homology_at and the check that two boundaries compose
-to zero read them.
+is done in floating point or by a modular shortcut.  A sparse matrix is
+its nonzero entries as three parallel arrays sorted by column, then row,
+built once as the sum of a list of terms.  The Smith form of rank,
+cokernel and homology_at and the check that two boundaries compose to
+zero read those arrays.
 
 Those Smith forms peel unit pivots on the arrays in rounds.  Each round
 drops every column equal up to sign to an earlier one (a hash proposes
@@ -16,14 +15,15 @@ pairs, an entry-by-entry compare decides), picks unit pivots whose block
 is diagonal by Markowitz cost, and eliminates them all with one
 Schur-complement update, coalesced by sorting.  A round whose update could
 leave int64 is not run.  What is left, with no unit or past that bound,
-goes to the dict elimination with Python ints: it peels every unit pivot
-(the sparsest row holding an entry +-1 pivots there, row operations clear
-that column, and the row and column leave with a 1 for the diagonal), then
-diagonalizes the rest by Euclidean elimination (least absolute value
-first, fewest nonzeros on ties), and gcd/lcm steps put its diagonal in
-divisibility order.  A rank is the length of the diagonal.  A cap bounds
-the entries a round builds: the round whose surviving entries plus its
-update would pass it raises SizeCap instead.
+goes to the dict elimination with Python ints, on row dicts built from
+the arrays: it peels every unit pivot (the sparsest row holding an entry
++-1 pivots there, row operations clear that column, and the row and
+column leave with a 1 for the diagonal), then diagonalizes the rest by
+Euclidean elimination (least absolute value first, fewest nonzeros on
+ties), and gcd/lcm steps put its diagonal in divisibility order.  A rank
+is the length of the diagonal.  A cap bounds the entries a round builds:
+the round whose surviving entries plus its update would pass it raises
+SizeCap instead.
 
 smith_normal_form runs the dict elimination alone, because it records its
 row operations as a unimodular transform U, and the adjoint model's
@@ -39,6 +39,7 @@ from math import prod
 import numpy as np
 
 DEFAULT_CELL_CAP = 10_000_000
+_INT64_LIMIT = 2**63
 
 
 class SizeCap(RuntimeError):
@@ -99,133 +100,79 @@ class AbelianGroupInvariants:
 
 
 class SparseIntMatrix:
-    """An integer matrix, held as its nonzero entries in one or both of two
-    layouts: rows ({row: {col: value}}), or three parallel arrays (rows,
-    cols, values) sorted by column and then row.
+    """An integer matrix, held as its nonzero entries in three parallel
+    arrays (rows, cols, values) sorted by column and then row.
 
-    A matrix made by `from_arrays` keeps its arrays, which the Smith form of
-    `rank`, `cokernel` and `homology_at` and the `d∘d = 0` check read; the
-    row dicts are built only when something reads them (`get`, `set`,
-    `entries`, the dict elimination).  A matrix made by entries gets its
-    arrays the same way.  Changing an entry drops the arrays.  Array values
-    are int64, or Python ints in an object array when an entry does not fit.
-
-    No row holds a zero value and no stored row is empty, so two equal
-    matrices have equal row dicts.
+    `SparseIntMatrix(rows, cols)` is the zero matrix, and `from_arrays`
+    builds every other one as a sum of terms; nothing changes a matrix once
+    it is built.  Values are int64, or Python ints in an object array when
+    an entry does not fit, so two equal matrices have equal arrays.
     """
 
-    __slots__ = ("rows", "cols", "_by_row", "_coo")
+    __slots__ = ("rows", "cols", "_coo")
 
     def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
         self.rows = rows
         self.cols = cols
-        self._by_row: dict[int, dict[int, int]] | None = {}
-        self._coo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        empty = np.zeros(0, dtype=np.int64)
+        self._coo = (empty, empty, empty)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseIntMatrix":
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
-        m = cls(rows, cols)
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged dense matrix")
-            entries = {c: int(v) for c, v in enumerate(row) if v}
-            if entries:
-                m._by_row[r] = entries
-        return m
+        if any(len(row) != cols for row in dense):
+            raise ValueError("ragged dense matrix")
+        terms = [(r, c, int(v)) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
+        rs, cs, vs = zip(*terms) if terms else ((), (), ())
+        return cls.from_arrays(rows, cols, rs, cs, np.array(vs, dtype=object))
 
     @classmethod
     def from_arrays(cls, rows: int, cols: int, row_ids, col_ids, values) -> "SparseIntMatrix":
-        """A matrix from three parallel numpy integer arrays of nonzero
-        entries at distinct positions, in any order; it keeps them as int64
-        arrays."""
-        rs, cs, vs = (
-            np.asarray(a).astype(np.int64, casting="safe") for a in (row_ids, col_ids, values)
-        )
+        """The sum of the terms values[i] at (row_ids[i], col_ids[i]), given
+        as three parallel integer arrays in any order: terms at one position
+        are added, and zero sums dropped.  A sum that could leave int64,
+        with len(values)·max|v| >= 2^63, is taken in Python ints.  Terms
+        already strictly sorted by column, then row, with no zero value are
+        kept as they are."""
+        m = cls(rows, cols)
+        rs, cs, vs = (_integer_array(a) for a in (row_ids, col_ids, values))
         if not len(rs) == len(cs) == len(vs):
             raise ValueError("entry arrays differ in length")
-        if len(rs) and not (0 <= rs.min() <= rs.max() < rows and 0 <= cs.min() <= cs.max() < cols):
+        if len(rs) and not (
+            rs.dtype == cs.dtype == np.int64
+            and 0 <= rs.min() <= rs.max() < rows
+            and 0 <= cs.min() <= cs.max() < cols
+        ):
             raise IndexError("entry outside the matrix")
-        if not vs.all():
-            raise ValueError("explicit zero entry")
         key = cs * rows + rs
-        if not (key[1:] > key[:-1]).all():
-            order = np.argsort(key, kind="stable")
-            key, rs, cs, vs = key[order], rs[order], cs[order], vs[order]
-            if (key[1:] == key[:-1]).any():
-                raise ValueError("repeated entry position")
-        return cls._of_arrays(rows, cols, rs, cs, vs)
-
-    @classmethod
-    def _of_arrays(cls, rows, cols, rs, cs, vs) -> "SparseIntMatrix":
-        """A matrix on arrays already sorted by column, then row, with
-        nonzero values at distinct positions."""
-        m = cls(rows, cols)
-        m._by_row, m._coo = None, (rs, cs, vs)
+        if not ((key[1:] > key[:-1]).all() and vs.all()):
+            if vs.dtype == np.int64 and len(vs) * _max_abs(vs) >= _INT64_LIMIT:
+                vs = vs.astype(object)
+            rs, cs, vs = _coalesce(rows, key, vs)
+            vs = _integer_array(vs)
+        m._coo = (rs, cs, vs)
         return m
 
-    def _rows(self) -> dict[int, dict[int, int]]:
-        """The row dicts, built from the arrays on first read."""
-        if self._by_row is None:
-            by_row: dict[int, dict[int, int]] = {}
-            for r, c, v in zip(*(a.tolist() for a in self._coo)):
-                by_row.setdefault(r, {})[c] = v
-            self._by_row = by_row
-        return self._by_row
-
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) sorted by column, then row, built from the
-        row dicts on first read."""
-        if self._coo is None:
-            entries = sorted(
-                (c, r, v) for r, row in self._by_row.items() for c, v in row.items()
-            )
-            cs, rs, vs = zip(*entries) if entries else ((), (), ())
-            try:
-                values = np.array(vs, dtype=np.int64)
-            except OverflowError:
-                values = np.array(vs, dtype=object)
-            self._coo = (np.array(rs, dtype=np.int64), np.array(cs, dtype=np.int64), values)
+        """(rows, cols, values) sorted by column, then row."""
         return self._coo
-
-    def set(self, r: int, c: int, v: int):
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError((r, c))
-        by_row = self._rows()
-        self._coo = None
-        row = by_row.setdefault(r, {})
-        if v:
-            row[c] = int(v)
-        else:
-            row.pop(c, None)
-            if not row:
-                del by_row[r]
-
-    def add(self, r: int, c: int, v: int):
-        """Accumulate v into entry (r, c)."""
-        self.set(r, c, self.get(r, c) + v)
-
-    def get(self, r: int, c: int) -> int:
-        row = self._rows().get(r)
-        return row.get(c, 0) if row else 0
 
     @property
     def nnz(self) -> int:
-        if self._coo is not None:
-            return len(self._coo[2])
-        return sum(map(len, self._by_row.values()))
+        return len(self._coo[2])
 
     def entries(self) -> list[tuple[int, int, int]]:
         """Nonzero entries as sorted (row, col, value) triples."""
-        rows = self._rows()
-        return [(r, c, v) for r in sorted(rows) for c, v in sorted(rows[r].items())]
+        rs, cs, vs = self._coo
+        order = np.lexsort((cs, rs))
+        return list(zip(rs[order].tolist(), cs[order].tolist(), vs[order].tolist()))
 
     def to_dense(self) -> list[list[int]]:
         dense = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries():
+        for r, c, v in zip(*(a.tolist() for a in self._coo)):
             dense[r][c] = v
         return dense
 
@@ -237,11 +184,20 @@ class SparseIntMatrix:
             isinstance(other, SparseIntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._rows() == other._rows()
+            and all(map(np.array_equal, self._coo, other._coo))
         )
 
     def __repr__(self):
         return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def _integer_array(a) -> np.ndarray:
+    """a as an int64 array, or as Python ints in an object array when an
+    entry does not fit in int64."""
+    a = np.asarray(a)
+    if a.dtype == object:
+        return a if _max_abs(a) >= _INT64_LIMIT else a.astype(np.int64)
+    return a.astype(np.int64, casting="safe" if a.size else "unsafe", copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +304,11 @@ def _snf_diagonal_sparse(m: SparseIntMatrix, u: list | None = None) -> list[int]
     transform row through every row operation, and the rows leave as the
     unit pivots, then the rest of the diagonal, then the rows that emptied.
     """
-    rows = {r: dict(row) for r, row in m._rows().items()}
+    rows: dict[int, dict[int, int]] = {}
     colrows: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            colrows.setdefault(c, set()).add(r)
+    for r, c, v in zip(*(a.tolist() for a in m._arrays())):
+        rows.setdefault(r, {})[c] = v
+        colrows.setdefault(c, set()).add(r)
     trans = None if u is None else {r: {r: 1} for r in range(m.rows)}
 
     ones = 0
@@ -433,8 +389,6 @@ def _snf_diagonal_sparse(m: SparseIntMatrix, u: list | None = None) -> list[int]
 # ---------------------------------------------------------------------------
 # unit peel on arrays
 
-_INT64_LIMIT = 2**63
-
 
 def _max_abs(values: np.ndarray) -> int:
     return max(int(values.max()), -int(values.min())) if len(values) else 0
@@ -474,9 +428,9 @@ def _repeat_pairs(counts: np.ndarray, starts: np.ndarray):
     return left, np.arange(len(left)) - first[left] + starts[left]
 
 
-def _coalesce(nrows: int, rs, cs, vs):
-    """Sum entries at equal positions, drop zeros, sort by column then row."""
-    key = cs * nrows + rs
+def _coalesce(nrows: int, key, vs):
+    """(rows, cols, sums) of the values at equal keys col * nrows + row,
+    zero sums dropped, sorted by column then row."""
     order = np.argsort(key, kind="stable")
     key, vs = key[order], vs[order]
     starts = _run_starts(key)
@@ -604,12 +558,12 @@ def _peel_units(m: SparseIntMatrix, cap: int) -> tuple[int, SparseIntMatrix]:
         scaled = vs[pivot_col] * pv[k]
         rs, cs, vs = _coalesce(
             nrows,
-            np.concatenate((rs[rest], rs[pivot_col][left])),
-            np.concatenate((cs[rest], cs[pivot_row][right])),
+            np.concatenate((cs[rest], cs[pivot_row][right])) * nrows
+            + np.concatenate((rs[rest], rs[pivot_col][left])),
             np.concatenate((vs[rest], -scaled[left] * vs[pivot_row][right])),
         )
         ones += len(pr)
-    return ones, SparseIntMatrix._of_arrays(nrows, ncols, rs, cs, vs)
+    return ones, SparseIntMatrix.from_arrays(nrows, ncols, rs, cs, vs)
 
 
 def _diagonal(m: SparseIntMatrix, cap: int) -> list[int]:
@@ -659,7 +613,7 @@ def compose_is_zero(outer: SparseIntMatrix, inner: SparseIntMatrix):
     # a sum has at most outer.cols terms, each at most max|outer| * max|inner|
     if outer.cols * _max_abs(ovs) * _max_abs(ivs) >= _INT64_LIMIT:
         ovs, ivs = ovs.astype(object), ivs.astype(object)
-    rs, cs, vs = _coalesce(outer.rows, ors[right], ics[left], ovs * ivs)
+    rs, cs, vs = _coalesce(outer.rows, ics[left] * outer.rows + ors[right], ovs * ivs)
     if not len(vs):
         return None
     first = cs == cs[0]

@@ -16,6 +16,7 @@ Oracles:
 """
 
 import functools
+import hashlib
 import math
 import random
 from itertools import product
@@ -46,7 +47,12 @@ from quandles.families import AlexanderModuleSpec
 from quandles.grid import grid_by_key
 from quandles.groups import from_permutations, named_group
 from quandles.homology import quandle_h2
-from quandles.intlin import AbelianGroupInvariants
+from quandles.intlin import (
+    AbelianGroupInvariants,
+    SparseIntMatrix,
+    homology_at,
+    smith_normal_form,
+)
 
 from alexander_specs import connected_alexander_specs, homotopy_suite_specs
 from child_memory import child_peaks_kb
@@ -464,6 +470,19 @@ class TestGroupH2Bar:
         assert a4.order == 12
         assert group_h2_bar(a4) == Z(0, 2)
 
+    def test_order_two_has_an_empty_d3(self, monkeypatch):
+        # every face of (1, 1, 1) cancels or holds the identity: no terms
+        seen = []
+
+        def recorded(d_in, d_out):
+            seen.append((d_in, d_out))
+            return homology_at(d_in, d_out)
+
+        monkeypatch.setattr(adjoint, "homology_at", recorded)
+        assert group_h2_bar(named_group("cyclic:2")) == Z()
+        ((d3, d2),) = seen
+        assert d3 == SparseIntMatrix(1, 1) and d2.entries() == [(0, 0, 2)]
+
     def test_cap(self):
         big = named_group("cyclic:31")
         with pytest.raises(ValueError):
@@ -566,6 +585,29 @@ REFERENCE_SPECS = connected_alexander_specs(max_order=27)
 @functools.lru_cache(maxsize=None)
 def reference_and_model(spec):
     return ReferenceModel(spec), ClauwensGroup(spec)
+
+
+# sha256 of repr([(rows, cols, entries, diag, U), ...]) over REFERENCE_SPECS
+# in order: each relation matrix of mu that smith_normal_form is given in
+# ClauwensGroup, and the diagonal and transform it returns; recorded when the
+# matrix was filled one cell at a time, so building it from terms and the
+# array layout change neither the matrix nor its Smith form
+RELATION_SMITH_FORMS_SHA256 = "e9090230e07e9847ae7977f83494b701e8431c4081071e00312e4e36e8cb3d66"
+
+
+def test_relation_smith_forms_are_unchanged(monkeypatch):
+    seen = []
+
+    def recorded(m):
+        diag, u = smith_normal_form(m)
+        seen.append((m.rows, m.cols, m.entries(), diag, u))
+        return diag, u
+
+    monkeypatch.setattr(adjoint, "smith_normal_form", recorded)
+    for spec in REFERENCE_SPECS:
+        ClauwensGroup(spec)
+    assert len(seen) == len(REFERENCE_SPECS) == 18
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == RELATION_SMITH_FORMS_SHA256
 
 
 class TestReferenceFormula:

@@ -64,6 +64,8 @@ REPORTS.update(
         "homology-rack-trivial2": ["homology", "--mode", "rack", "trivial n=2"],
         "homology-degree3-dihedral4": ["homology", "--degree", "3", "dihedral n=4"],
         "homology-cap10-dihedral8": ["homology", "--cap-cells", "10", "dihedral n=8"],
+        "homology-symplectic-g1-q9": ["homology", "symplectic g=1 q=9"],
+        "homology-spherical-n2-q9": ["homology", "spherical n=2 q=9"],
         "verify-eisermann-cap10-neg33": [
             "verify", "--suite", "eisermann", "--cap-cells", "10", SPECS["neg33"]
         ],

@@ -17,6 +17,7 @@ import random
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 from quandles import families
@@ -125,12 +126,13 @@ def _boundary_by_tuples(q, mode, degree, keep=lambda tup: True):
     rows = _basis_by_tuples(q.order, degree - 1, mode)
     cols = [tup for tup in _basis_by_tuples(q.order, degree, mode) if keep(tup)]
     index = {t: i for i, t in enumerate(rows)}
-    m = SparseIntMatrix(len(rows), len(cols))
-    for j, tup in enumerate(cols):
-        for t, c in boundary_chain(q, tup).items():
-            if t in index:  # a degenerate face is dropped in quandle mode
-                m.add(index[t], j, c)
-    return m
+    terms = [
+        (index[t], j, c)
+        for j, tup in enumerate(cols)
+        for t, c in boundary_chain(q, tup).items()
+        if t in index  # a degenerate face is dropped in quandle mode
+    ]
+    return SparseIntMatrix.from_arrays(len(rows), len(cols), *np.array(terms, dtype=np.int64).reshape(-1, 3).T)
 
 
 def _ends_in(q):
@@ -218,15 +220,17 @@ class TestAbelianization:
 
     @pytest.mark.parametrize("key", [e.key for e in standard_grid()])
     def test_matches_the_per_cell_matrix(self, key):
-        # the loop that filled the relation matrix one cell at a time
+        # the relation matrix written one cell at a time, as a term list
         q = grid_by_key()[key].build()
         n = q.order
-        m = SparseIntMatrix(n, n * n)
-        for x in range(n):
-            for y in range(n):
-                if q.apply(x, y) != x:
-                    m.add(q.apply(x, y), x * n + y, 1)
-                    m.add(x, x * n + y, -1)
+        terms = [
+            term
+            for x in range(n)
+            for y in range(n)
+            if q.apply(x, y) != x
+            for term in ((q.apply(x, y), x * n + y, 1), (x, x * n + y, -1))
+        ]
+        m = SparseIntMatrix.from_arrays(n, n * n, *np.array(terms, dtype=np.int64).reshape(-1, 3).T)
         assert adjoint_abelianization(q) == cokernel(m) == Z(len(q.orbits()))
 
 
