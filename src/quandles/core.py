@@ -7,10 +7,12 @@ A quandle is a set with a binary operation x <| y satisfying
 
 Elements are 0..n-1.  A table is one int64 array, array[x, y] = x <| y,
 checked and kept read-only; `table` is its tuple view, built on first
-read, for scalar lookups, equality, hashing and serialization, and
-whole-table questions (orbits, morphism checks, complex assembly) read
-the array.  `table_array` reads quandle and group tables, an int64 array
-without a copy, and the checks walk it in blocks of `perms.row_blocks`.
+read, for scalar lookups, equality and hashing, and whole-table
+questions (orbits, morphism checks, complex assembly, serialization)
+read the array.  `table_array` reads quandle and group tables, an int64
+array without a copy, and the checks walk it in blocks of
+`perms.row_blocks`.  `load_table` parses the rows of a table file into
+that array, the one `validate` reads.
 
 Axioms (i) and (ii) are checked on every cell.  Axiom (iii) is checked on a
 generating set S: given (i) and (ii), the elements z whose right translation
@@ -37,6 +39,7 @@ searches those images alone.
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 from functools import cached_property
 from math import lcm
@@ -198,7 +201,7 @@ def table_generators(array: np.ndarray, closed=()) -> tuple[int, ...]:
     closed subset whose columns are the identity, such as a group's
     identity.
     """
-    column_id = np.array(_column_ids(array, range(len(array))))
+    column_id = _column_ids(array, range(len(array)))
     elements = np.arange(len(array))
     reached = (array.min(axis=1) == elements) & (array.max(axis=1) == elements)
     reached[list(closed)] = False
@@ -216,17 +219,40 @@ def table_generators(array: np.ndarray, closed=()) -> tuple[int, ...]:
     return tuple(generators)
 
 
-def _column_ids(array: np.ndarray, ys) -> list[int]:
-    """For each y in ys, the first of ys with y's column, found by open
-    addressing on the hash of the column's bytes, so no n^2 bytes are kept."""
-    ids, first = [], {}
-    for y in ys:
-        key = array[:, y].tobytes()
-        h = hash(key)
-        while h in first and array[:, first[h]].tobytes() != key:
-            h += 1
-        ids.append(first.setdefault(h, y))
+def _column_ids(array: np.ndarray, ys) -> np.ndarray:
+    """For each y in ys, the first of ys with y's column.
+
+    Every column is taken to the first of ys with its hash, then compared
+    with that column in one pass of `perms.row_blocks`, so no copy holds
+    more than a block of columns.  Only where two different columns share
+    a hash are that hash's columns told apart by their bytes.
+    """
+    ys = np.asarray(ys, dtype=np.int64)
+    hashes = _column_hashes(array, ys)
+    first = {}
+    ids = np.array([first.setdefault(h, y) for h, y in zip(hashes.tolist(), ys.tolist())],
+                   dtype=np.int64)
+    repeated = np.flatnonzero(ids != ys)
+    same = np.ones(len(repeated), dtype=bool)
+    for _, rows in perms.row_blocks(array, max(1, len(repeated))):
+        same &= (rows[:, ys[repeated]] == rows[:, ids[repeated]]).all(axis=0)
+    for h in set(hashes[repeated[~same]].tolist()):
+        seen = {}
+        for i in np.flatnonzero(hashes == h).tolist():
+            ids[i] = seen.setdefault(array[:, ys[i]].tobytes(), ys[i])
     return ids
+
+
+def _column_hashes(array: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """For each y in ys, the sum of column y's entries times pseudo-random
+    row weights, wrapping in int64; equal columns hash equal."""
+    hashes = np.zeros(len(ys), dtype=np.int64)
+    for r0, rows in perms.row_blocks(array, max(1, len(ys))):
+        w = np.arange(r0 + 1, r0 + len(rows) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        w ^= w >> np.uint64(29)
+        w *= np.uint64(0xBF58476D1CE4E5B9)
+        hashes += w.view(np.int64) @ rows[:, ys]
+    return hashes
 
 
 def _walk(array: np.ndarray, reached: np.ndarray, generators, rows, columns) -> list:
@@ -300,7 +326,7 @@ def _check_axioms(table) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
                              f"right translation by {y} maps both {w} and {x} to {v}")
     generators = table_generators(arr)
     # the law at s reads column s alone
-    translations = tuple(dict.fromkeys(_column_ids(arr, generators)))
+    translations = tuple(dict.fromkeys(_column_ids(arr, generators).tolist()))
     check_on_generators(arr, translations, _is_endomorphism, _scan_distributivity,
                         "a right translation is no endomorphism")
     return arr, generators, translations
@@ -343,9 +369,11 @@ def validate(table, labels=None) -> FiniteQuandle:
 
 
 def load_table(text: str) -> FiniteQuandle:
-    """Parse the interchange format: first line n, then n rows of n entries.
+    """Parse the interchange format: first line n, then n rows of n entries,
+    each as int() reads it.
 
-    '#' starts a comment; blank lines are ignored.
+    '#' starts a comment; blank lines are ignored.  The rows become the one
+    int64 array that `validate` reads, with no copy; see `_table_rows`.
     """
     lines = []
     for raw in text.splitlines():
@@ -360,23 +388,48 @@ def load_table(text: str) -> FiniteQuandle:
         raise ValueError(f"first line must be the order, got {lines[0]!r}") from None
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} table rows, found {len(lines) - 1}")
+    return validate(_table_rows(lines[1:], n))
+
+
+def _table_rows(rows: list[str], n: int):
+    """The rows of n entries as one int64 array, parsed by numpy's C parser.
+
+    Where that parse fails or gives another width, the rows are read again
+    with int(), which names the first bad row, accepts what int() reads and
+    the C parser does not (`1_0`, non-ASCII digits) and keeps entries past
+    int64 for validate to refuse.  Non-ASCII rows go to int() alone: the C
+    parser asks the C library's isdigit() of each character, which is only
+    defined on ASCII, and can read a letter as a digit.
+    """
+    if rows and all(map(str.isascii, rows)):
+        try:
+            with warnings.catch_warnings():
+                # numpy releases that still read "3.0" as the integer 3 warn
+                warnings.simplefilter("error", DeprecationWarning)
+                arr = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, OverflowError, DeprecationWarning):
+            pass
+        else:
+            if arr.shape == (len(rows), n):
+                return arr
     table = []
-    for line in lines[1:]:
+    for line in rows:
         row = [int(t) for t in line.split()]
         if len(row) != n:
             raise ValueError(f"row {line!r} does not have {n} entries")
         table.append(row)
-    return validate(table)
+    return table
 
 
 def dump_table(q: FiniteQuandle, comment: str | None = None) -> str:
-    """Serialize a quandle in the interchange format."""
+    """Serialize a quandle in the interchange format, a row of the array at
+    a time, so that no tuple view is built."""
     lines = []
     if comment:
         for piece in comment.splitlines():
             lines.append(f"# {piece}")
     lines.append(str(q.order))
-    lines.extend(" ".join(str(v) for v in row) for row in q.table)
+    lines.extend(" ".join(map(str, row.tolist())) for row in q.array)
     return "\n".join(lines) + "\n"
 
 

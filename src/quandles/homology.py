@@ -177,10 +177,11 @@ class RackComplexSlice:
         # face i (from 1) is (-1)^i [plain - acted]
         signs = np.array([-1, 1, 1, -1] * k)[: 2 * k]
         kept = np.flatnonzero(faces >= 0)
+        row_ids = faces.ravel()[kept]
         col_ids, face = np.divmod(kept, 2 * k)
-        return SparseIntMatrix.from_arrays(
-            len(row_codes), len(cols), faces.ravel()[kept], col_ids, signs[face]
-        )
+        values = signs[face]
+        del faces, kept, face  # freed before from_arrays sorts the terms
+        return SparseIntMatrix.from_arrays(len(row_codes), len(cols), row_ids, col_ids, values)
 
     def homology(self, degree: int) -> AbelianGroupInvariants:
         """H_degree as homology_at(d_{k+1}|S, d_k), k = degree: d_{k+1}

@@ -15,6 +15,7 @@ Oracles:
 
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -162,6 +163,22 @@ class TestAssembly:
     @pytest.mark.parametrize("key,seed", [("dihedral:8", 1), ("alexander:9:t2", 2), ("core:s3", 3)])
     def test_matches_per_tuple_boundaries_relabeled(self, key, seed):
         _check_assembly(_relabeled(grid_by_key()[key].build(), seed))
+
+    def test_assembly_peak_per_face(self):
+        # the face array, its kept indices and their face numbers lived on
+        # through from_arrays' sort: 109 bytes per face at the peak here
+        c = RackComplexSlice(grid_by_key()["symplectic:g1:q5"].build(), QUANDLE)
+        cols = c._basis_codes(4, True)
+        c._basis_codes(3)
+        tracemalloc.start()
+        try:
+            c._assemble(4, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        faces = len(cols) * 2 * 4
+        assert faces == 292_008
+        assert peak < 95 * faces, peak / faces
 
     def test_basis_is_lexicographic(self):
         c = RackComplexSlice(families.dihedral(3), QUANDLE)
