@@ -18,13 +18,21 @@ one function, `groups.parse_group_name`; its docstring gives the grammar.  A
 `covering` input carries no module data, so `adjoint`, `verify` and
 `covering` refuse it.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 bad input or an
-unmet precondition.
+Every subcommand, with its help, its handler and its options, is one row
+of `COMMANDS`; the options `input`, `--cap-cells`, `--timings` and `--out`
+are each declared once and shared by the rows.  The suites of `verify`
+are one dict, `SUITES`, from suite name to the function that builds the
+report, and `--suite` takes its choices from its keys.  The argparse
+tree is built from the table once, when the module is imported.
+
+Exit codes: 0 all checks passed, 1 some check failed, 2 bad input, an
+unmet precondition or a report or export that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import replace
@@ -44,7 +52,7 @@ from .core import AxiomViolation, FiniteQuandle, NotSurjective, is_covering, loa
 from .coverings import CoveringInstance, export_covering, universal_covering_alexander
 from .families import AlexanderModuleSpec
 from .grid import FAMILIES, GridEntry, Recipe, grid_by_key, parse_family, standard_grid
-from .groups import GroupTable, parse_group_name
+from .groups import parse_group_name
 from .homology import (
     DEFAULT_CELL_CAP,
     QUANDLE,
@@ -66,10 +74,11 @@ class CLIError(ValueError):
 # input parsing
 
 
-def parse_input(tokens) -> Recipe:
-    """Turn CLI input tokens into a quandle recipe: a grid key, a family
-    spec (both resolved through `grid.FAMILIES`) or a table file."""
-    tokens = [t for piece in tokens for t in piece.split()]
+def parse_input(pieces) -> Recipe:
+    """Turn the CLI input arguments into a quandle recipe: a grid key, a
+    family spec (both resolved through `grid.FAMILIES`, on the arguments
+    split at whitespace) or a table file (one argument, as given)."""
+    tokens = [t for piece in pieces for t in piece.split()]
     if not tokens:
         raise CLIError("empty input")
     head = tokens[0].lower()
@@ -84,18 +93,31 @@ def parse_input(tokens) -> Recipe:
             return parse_family(tokens)
         except ValueError as exc:
             raise CLIError(str(exc)) from None
-    if len(tokens) == 1 and (os.path.exists(tokens[0]) or os.sep in tokens[0]):
-        path = tokens[0]
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CLIError(f"cannot read {path}: {exc}") from None
-        return Recipe(path, "table", lambda: load_table(text))
+    if len(pieces) == 1 and (os.path.exists(pieces[0]) or os.sep in pieces[0]):
+        return _table_file(pieces[0])
     raise CLIError(
         f"cannot interpret input {' '.join(tokens)!r}: not a family spec, "
         "grid key, or readable file"
     )
+
+
+def _table_file(path: str) -> Recipe:
+    """The recipe of a table file: its text is read now, parsed on build."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CLIError(f"cannot read {path}: {exc}") from None
+    return Recipe(path, "table", lambda: load_table(text))
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failed write under `path` into bad input."""
+    try:
+        yield
+    except OSError as exc:
+        raise CLIError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +148,6 @@ def _build_quandle(build: Callable[[], FiniteQuandle], where: str = "") -> Finit
         raise
     except (ValueError, OSError) as exc:
         raise CLIError(f"{where}{exc}") from None
-
-
-def _read_table(path: str) -> FiniteQuandle:
-    with open(path) as fh:
-        return load_table(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +203,20 @@ def cmd_homology(args) -> ReportDocument:
     return doc
 
 
-def _require_connected_alexander(parsed: Recipe) -> AlexanderModuleSpec:
+def _linear_input(args, title: str) -> tuple[ReportDocument, AlexanderModuleSpec]:
+    """The report, titled `title` and the input, and the module spec of a
+    connected linear-family input."""
+    parsed = parse_input(args.input)
     spec = parsed.alexander_spec
     if spec is None:
         raise CLIError("this command needs a linear-family input (alexander ...)")
     if not spec.is_connected():
         raise CLIError(f"{spec.label()} is not connected (1 - T is not onto)")
-    return spec
+    return ReportDocument(title + parsed.description, __version__), spec
 
 
 def cmd_adjoint(args) -> ReportDocument:
-    parsed = parse_input(args.input)
-    spec = _require_connected_alexander(parsed)
-    doc = ReportDocument(parsed.description, __version__)
+    doc, spec = _linear_input(args, "")
     model = _verify_clauwens(doc, spec)
     if model is not None:
         with doc.check("h2", "second homology read off the base-point stabilizer of the model") as e:
@@ -317,64 +335,68 @@ def covering_properties(
         e.data = {"fiber_size": inst.fiber_size}
 
 
-def _verify_coxeter(doc: ReportDocument, order: int, build: Callable[[], GroupTable], cap: int):
-    """The group's table is built only when its order is within the cap."""
+def _coxeter_suite(args) -> ReportDocument:
+    """The coxeter suite reads a group name, or a `coxeter` spec or grid key;
+    the group's table is built only when its order is within the cap."""
+    tokens = [t for piece in args.input for t in piece.split()]
+    if tokens and (tokens[0].lower() == "coxeter" or tokens[0].lower().startswith("grid:")):
+        parsed = parse_input(args.input)
+        if parsed.coxeter_kind is None:
+            raise CLIError(f"coxeter suite needs a Coxeter group, got {parsed.description!r}")
+        name, description = parsed.coxeter_kind, parsed.description
+    else:
+        name = " ".join(tokens)
+        description = f"group {name}"
+    try:
+        order, build = parse_group_name(name)
+    except ValueError as exc:
+        raise CLIError(f"bad group: {exc}") from None
+    doc = ReportDocument(f"verify coxeter: {description}", __version__)
+    cap = args.cap_group
     with doc.check(
         "schur-2-power", "bar-complex H2 of the reflection group has only 2-power torsion"
     ) as e:
         if order > cap:
             e.status, e.data = "skipped", {"order": order, "cap": cap}
-            return
+            return doc
         group = build()
         h2 = group_h2_bar(group, cap=cap)
         ok = h2.free_rank == 0 and all(d & (d - 1) == 0 for d in h2.torsion)
         e.status = "pass" if ok else "fail"
         e.data = {"group": group.name, "h2": str(h2), "order": group.order}
-
-
-def cmd_verify(args) -> ReportDocument:
-    suite = args.suite
-    if suite == "coxeter":
-        tokens = [t for piece in args.input for t in piece.split()]
-        if tokens and (tokens[0].lower() == "coxeter" or tokens[0].lower().startswith("grid:")):
-            parsed = parse_input(args.input)
-            if parsed.coxeter_kind is None:
-                raise CLIError(f"coxeter suite needs a Coxeter group, got {parsed.description!r}")
-            name, description = parsed.coxeter_kind, parsed.description
-        else:
-            name = " ".join(tokens)
-            description = f"group {name}"
-        try:
-            order, build = parse_group_name(name)
-        except ValueError as exc:
-            raise CLIError(f"bad group: {exc}") from None
-        doc = ReportDocument(f"verify coxeter: {description}", __version__)
-        _verify_coxeter(doc, order, build, args.cap_group)
-        return doc
-
-    parsed = parse_input(args.input)
-    spec = _require_connected_alexander(parsed)
-    doc = ReportDocument(f"verify {suite}: {parsed.description}", __version__)
-    if suite == "clauwens":
-        _verify_clauwens(doc, spec)
-    elif suite == "homotopy":
-        _verify_homotopy(doc, spec, args.cap_cells)
-    elif suite == "eisermann":
-        _verify_eisermann(doc, spec, args.cap_cells)
-    elif suite == "covering":
-        _verify_covering(doc, spec, args.cap_cells)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CLIError(f"unknown suite {suite!r}")
     return doc
 
 
+def _on_module(check: Callable[[ReportDocument, AlexanderModuleSpec, int], object]):
+    """The suite that runs `check(doc, spec, cap_cells)` on a connected linear input."""
+
+    def suite(args) -> ReportDocument:
+        doc, spec = _linear_input(args, f"verify {args.suite}: ")
+        check(doc, spec, args.cap_cells)
+        return doc
+
+    return suite
+
+
+SUITES = {
+    "clauwens": _on_module(lambda doc, spec, cap: _verify_clauwens(doc, spec)),
+    "homotopy": _on_module(_verify_homotopy),
+    "eisermann": _on_module(_verify_eisermann),
+    "covering": _on_module(_verify_covering),
+    "coxeter": _coxeter_suite,
+}
+
+
+def cmd_verify(args) -> ReportDocument:
+    return SUITES[args.suite](args)
+
+
 def cmd_covering(args) -> ReportDocument:
-    parsed = parse_input(args.input)
-    spec = _require_connected_alexander(parsed)
-    doc = ReportDocument(f"covering: {parsed.description}", __version__)
+    doc, spec = _linear_input(args, "covering: ")
     inst = _verify_covering(doc, spec, args.cap_cells)
     if args.export_dir and inst is not None and not doc.failed:
-        written = export_covering(inst, args.export_dir)
+        with _writing(args.export_dir):
+            written = export_covering(inst, args.export_dir)
         doc.add(
             "export",
             "base table, total table and projection map written to disk",
@@ -435,7 +457,7 @@ def cmd_census(args) -> ReportDocument:
         for name in names:
             path = os.path.join(args.dir, name)
             with doc.check(name, "the file holds a valid quandle table") as e:
-                q = _build_quandle(lambda: _read_table(path), f"{path}: ")
+                q = _build_quandle(_table_file(path).build, f"{path}: ")
                 e.status, e.data = "pass", _profile_data(q)
         return doc
 
@@ -447,20 +469,52 @@ def cmd_census(args) -> ReportDocument:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# the command table
 
 
-def _add_input(p):
-    p.add_argument(
-        "input",
-        nargs="+",
-        help="family spec (e.g. alexander orders=3,3 t=-1), grid:<key>, or a table file",
-    )
+def _option(*flags, **kwargs):
+    """One option, as the arguments of `add_argument`."""
+    return flags, kwargs
 
 
-def _add_common(p):
-    p.add_argument("--timings", action="store_true", help="include per-check seconds")
-    p.add_argument("--out", help="write the report to this file instead of stdout")
+INPUT = _option(
+    "input",
+    nargs="+",
+    help="family spec (e.g. alexander orders=3,3 t=-1), grid:<key>, or a table file",
+)
+CAP_CELLS = _option("--cap-cells", type=int, default=DEFAULT_CELL_CAP, help="cell-count cap")
+COMMON = (
+    _option("--timings", action="store_true", help="include per-check seconds"),
+    _option("--out", help="write the report to this file instead of stdout"),
+)
+
+# name: (help, handler, options before COMMON)
+COMMANDS = {
+    "check": ("validate the axioms and profile the input", cmd_check, [INPUT]),
+    "invariants": ("profile plus abelianization and module data", cmd_invariants, [INPUT]),
+    "homology": ("rack/quandle homology of the input", cmd_homology, [
+        INPUT,
+        _option("--mode", choices=["rack", "quandle"], default="quandle"),
+        _option("--degree", type=int, choices=[2, 3], default=2),
+        CAP_CELLS,
+    ]),
+    "adjoint": ("adjoint-group model of a linear quandle", cmd_adjoint, [INPUT]),
+    "verify": ("run a verification suite", cmd_verify, [
+        _option("--suite", required=True, choices=list(SUITES)),
+        INPUT,
+        CAP_CELLS,
+        _option("--cap-group", type=int, default=BAR_GROUP_CAP, help="bar-complex group cap"),
+    ]),
+    "covering": ("universal covering of a linear quandle", cmd_covering, [
+        INPUT,
+        CAP_CELLS,
+        _option("--export-dir", help="write base/total tables and the projection map here"),
+    ]),
+    "census": ("survey the built-in grid or a directory", cmd_census, [
+        _option("--dir", help="directory of .quandle files (default: built-in grid)"),
+        CAP_CELLS,
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,78 +524,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"quandles {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate the axioms and profile the input")
-    _add_input(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("invariants", help="profile plus abelianization and module data")
-    _add_input(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("homology", help="rack/quandle homology of the input")
-    _add_input(p)
-    p.add_argument("--mode", choices=["rack", "quandle"], default="quandle")
-    p.add_argument("--degree", type=int, choices=[2, 3], default=2)
-    p.add_argument("--cap-cells", type=int, default=DEFAULT_CELL_CAP, help="cell-count cap")
-    _add_common(p)
-    p.set_defaults(func=cmd_homology)
-
-    p = sub.add_parser("adjoint", help="adjoint-group model of a linear quandle")
-    _add_input(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_adjoint)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=["clauwens", "homotopy", "eisermann", "covering", "coxeter"],
-    )
-    _add_input(p)
-    p.add_argument("--cap-cells", type=int, default=DEFAULT_CELL_CAP, help="cell-count cap")
-    p.add_argument("--cap-group", type=int, default=BAR_GROUP_CAP, help="bar-complex group cap")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("covering", help="universal covering of a linear quandle")
-    _add_input(p)
-    p.add_argument("--cap-cells", type=int, default=DEFAULT_CELL_CAP, help="cell-count cap")
-    p.add_argument(
-        "--export-dir", help="write base/total tables and the projection map here"
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_covering)
-
-    p = sub.add_parser("census", help="survey the built-in grid or a directory")
-    p.add_argument("--dir", help="directory of .quandle files (default: built-in grid)")
-    p.add_argument("--cap-cells", type=int, default=DEFAULT_CELL_CAP, help="cell-count cap")
-    _add_common(p)
-    p.set_defaults(func=cmd_census)
-
+    for name, (summary, handler, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flags, kwargs in (*options, *COMMON):
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
-def _emit(doc: ReportDocument, args) -> None:
-    text = doc.render(timings=getattr(args, "timings", False))
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         doc = args.func(args)
+        text = doc.render(timings=args.timings)
+        if args.out:
+            with _writing(args.out), open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (CLIError, NotConnected, AxiomViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args)
     return doc.exit_code()
 
 

@@ -201,6 +201,12 @@ def table_generators(array: np.ndarray, closed=()) -> tuple[int, ...]:
     closed subset whose columns are the identity, such as a group's
     identity.
     """
+    return _generators_and_column_ids(array, closed)[0]
+
+
+def _generators_and_column_ids(array: np.ndarray, closed=()) -> tuple[tuple[int, ...], np.ndarray]:
+    """`table_generators` and, for each element, the first element with its
+    column (`_column_ids` of all elements), which the choice is made from."""
     column_id = _column_ids(array, range(len(array)))
     elements = np.arange(len(array))
     reached = (array.min(axis=1) == elements) & (array.max(axis=1) == elements)
@@ -216,7 +222,7 @@ def table_generators(array: np.ndarray, closed=()) -> tuple[int, ...]:
         rows = np.append(np.flatnonzero(reached), s)  # reached elements and s along column s
         for x, _, _ in _walk(array, reached, np.array(generators), rows, np.array([s])):
             seen[column_id[x]] = True
-    return tuple(generators)
+    return tuple(generators), column_id
 
 
 def _column_ids(array: np.ndarray, ys) -> np.ndarray:
@@ -324,9 +330,10 @@ def _check_axioms(table) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
         w, v = first[col[x]], col[x]
         raise AxiomViolation("ii", (w, x, y),
                              f"right translation by {y} maps both {w} and {x} to {v}")
-    generators = table_generators(arr)
-    # the law at s reads column s alone
-    translations = tuple(dict.fromkeys(_column_ids(arr, generators).tolist()))
+    generators, column_id = _generators_and_column_ids(arr)
+    # the law at s reads column s alone: keep the first generator of each column
+    _, first = np.unique(column_id[list(generators)], return_index=True)
+    translations = tuple(generators[i] for i in sorted(first.tolist()))
     check_on_generators(arr, translations, _is_endomorphism, _scan_distributivity,
                         "a right translation is no endomorphism")
     return arr, generators, translations

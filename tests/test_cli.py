@@ -1,5 +1,6 @@
 """The command-line frontend: parsing, exit codes, report golden checks."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -430,6 +431,34 @@ class TestCommands:
         assert code == 0
         assert "result: pass" in target.read_text()
 
+    def test_a_path_with_whitespace_is_a_file(self, capsys, tmp_path):
+        # the argument is tested as a file as given, not split at its space
+        (tmp_path / "sp ace").mkdir()
+        path = tmp_path / "sp ace" / "d3.quandle"
+        path.write_text(dump_table(families.dihedral(3)))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, err) == (0, "")
+        assert f"input: {path}\n" in out and "data.order: 3" in out
+        code, out, _ = run(capsys, "census", "--dir", str(path.parent))
+        assert code == 0 and "[d3.quandle]" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--out", "{}", "dihedral n=3"],
+            ["covering", "--export-dir", "{}", "alexander orders=3 t=-1"],
+        ],
+    )
+    def test_a_failed_write_is_two(self, capsys, tmp_path, argv):
+        # a path under a regular file cannot be written: exit 2, no report
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        target = str(blocker / "x")
+        code, out, err = run(capsys, *(a.format(target) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == "kept\n"
+
 
 class TestCensus:
     def test_grid_census_deterministic(self, capsys):
@@ -466,6 +495,20 @@ class TestCensus:
         code, _, err = run(capsys, "census", "--dir", str(tmp_path))
         assert code == 2
         assert "error:" in err
+
+    def test_an_unreadable_file_is_two(self, capsys, tmp_path):
+        # read by the recipe `parse_input` gives a table file
+        (tmp_path / "a.quandle").write_text(dump_table(families.trivial(2)))
+        (tmp_path / "b.quandle").mkdir()
+        code, out, err = run(capsys, "census", "--dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {tmp_path / 'b.quandle'}: ")
+
+    def test_a_bad_table_names_its_file(self, capsys, tmp_path):
+        (tmp_path / "a.quandle").write_text("2\n0 1\n")
+        code, out, err = run(capsys, "census", "--dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / 'a.quandle'}: expected 2 table rows, found 1\n"
 
 
 @pytest.fixture
@@ -546,3 +589,93 @@ class TestOneModelPerCommand:
         code, _, _ = run(capsys, "census")
         assert code == 0
         assert builds["models"] == 20
+
+
+class TestCommandSurface:
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        # the argparse tree is built once, when the module is imported
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(capsys, "check", "dihedral n=3")[0] == 0
+        assert run(capsys, "homology", "--degree", "3", "trivial n=2")[0] == 0
+        assert built == []
+
+    def test_suite_choices_are_the_suites(self):
+        verify = cli._PARSER._actions[-1].choices["verify"]
+        suite = next(a for a in verify._actions if a.dest == "suite")
+        assert suite.choices == list(cli.SUITES)
+
+    def test_every_action_is_unchanged(self):
+        # (option strings, dest, default, choices, nargs, required, help, type)
+        # of every action of `quandles` and its subcommands, as written out
+        # before the subcommands were declared by one table
+        help_ = (("-h", "--help"), "help", argparse.SUPPRESS, None, 0, False,
+                 "show this help message and exit", None)
+        input_ = ((), "input", None, None, "+", True,
+                  "family spec (e.g. alexander orders=3,3 t=-1), grid:<key>, or a table file",
+                  None)
+        cap_cells = (("--cap-cells",), "cap_cells", DEFAULT_CELL_CAP, None, None, False,
+                     "cell-count cap", int)
+        common = [
+            (("--timings",), "timings", False, None, 0, False, "include per-check seconds", None),
+            (("--out",), "out", None, None, None, False,
+             "write the report to this file instead of stdout", None),
+        ]
+        commands = {
+            "check": ("validate the axioms and profile the input", [input_]),
+            "invariants": ("profile plus abelianization and module data", [input_]),
+            "homology": ("rack/quandle homology of the input", [
+                input_,
+                (("--mode",), "mode", "quandle", ["rack", "quandle"], None, False, None, None),
+                (("--degree",), "degree", 2, [2, 3], None, False, None, int),
+                cap_cells,
+            ]),
+            "adjoint": ("adjoint-group model of a linear quandle", [input_]),
+            "verify": ("run a verification suite", [
+                (("--suite",), "suite", None,
+                 ["clauwens", "homotopy", "eisermann", "covering", "coxeter"],
+                 None, True, None, None),
+                input_,
+                cap_cells,
+                (("--cap-group",), "cap_group", 30, None, None, False,
+                 "bar-complex group cap", int),
+            ]),
+            "covering": ("universal covering of a linear quandle", [
+                input_,
+                cap_cells,
+                (("--export-dir",), "export_dir", None, None, None, False,
+                 "write base/total tables and the projection map here", None),
+            ]),
+            "census": ("survey the built-in grid or a directory", [
+                (("--dir",), "dir", None, None, None, False,
+                 "directory of .quandle files (default: built-in grid)", None),
+                cap_cells,
+            ]),
+        }
+
+        def fields(action):
+            choices = action.choices
+            return (tuple(action.option_strings), action.dest, action.default,
+                    list(choices) if choices is not None else None, action.nargs,
+                    action.required, action.help, action.type)
+
+        parser = cli._PARSER
+        assert [fields(a) for a in parser._actions] == [
+            help_,
+            (("--version",), "version", argparse.SUPPRESS, None, 0, False,
+             "show program's version number and exit", None),
+            ((), "command", None, list(commands), argparse.PARSER, True, None, None),
+        ]
+        sub = parser._actions[-1]
+        assert [(a.dest, a.help) for a in sub._choices_actions] == [
+            (name, help) for name, (help, _) in commands.items()
+        ]
+        for name, (_, actions) in commands.items():
+            expected = [help_, *actions, *common]
+            assert [fields(a) for a in sub.choices[name]._actions] == expected, name

@@ -476,6 +476,31 @@ class TestGeneratingSet:
             repeated += ids != ys
         assert repeated == 52
 
+    def test_translations_are_the_first_generator_of_each_column(self):
+        # the translations come from the column ids of all elements that
+        # chose S, as the first of S with each column, in the order of S
+        rng = random.Random(29)
+        tables = catalogue() + [("dihedral3+2", dihedral3_and_two_points())]
+        tables += [(f"relabeled {key}", relabeled(q, rng)[0]) for key, q in tables]
+        for key, q in tables:
+            gens = q.generating_set()
+            expected = tuple(dict.fromkeys(reference_column_ids(q.array, gens)))
+            assert q._translations == expected, key
+
+    def test_validate_hashes_the_columns_once(self, monkeypatch):
+        calls = []
+        column_ids = core._column_ids
+
+        def counted(array, ys):
+            calls.append(len(ys))
+            return column_ids(array, ys)
+
+        monkeypatch.setattr(core, "_column_ids", counted)
+        for key, q in catalogue():
+            calls.clear()
+            validate(q.array)
+            assert calls == [q.order], key
+
     def test_fibers_of_a_covering_are_skipped(self):
         # the 27 elements of a fiber share a column; taking each unreached
         # element in turn would pick a whole fiber
