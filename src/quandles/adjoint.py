@@ -32,18 +32,21 @@ identities, plus bar-complex H_2 for small groups.  A chain is a plain
 dict {tuple: coeff} without zero terms, as homology.boundary_chain returns
 for the rack complex; its degree is the length of its tuples.  The c_k,
 the h_k and the closed form of the degree-3 residual are written once,
-as term tables (ChainTable).  The verifier checks the identities on
-blocks of tuples with arrays, each tuple's terms sorted and equal bar
-tuples summed, and evaluates the same tables at one tuple for the dict
-chains the tests and the failure reports read.  The degree-3 check
-compares each residual with its closed form in y and z only: a residual
-equal to that form cannot depend on x.
+as term tables (ChainTable).  Each identity is compiled once per type
+into a column program: the tables expanded at symbolic arguments, then
+the rack faces and d^gr, literally equal columns summed and the zero sums
+dropped, which removes about half the columns.  The verifier runs the
+program on blocks of tuples with arrays, each tuple's columns sorted and
+equal bar tuples summed; the dict chains the tests and the failure
+reports read run the programs of single tables at one tuple.  The
+degree-3 check compares each residual with its closed form in y and z
+only: a residual equal to that form cannot depend on x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import gcd, prod
 from typing import NamedTuple
@@ -410,18 +413,19 @@ TEMPLATE = _table(
     "+ y z y^t, + y^t y z, - y^t z w, - y y^t z, + z y^t w, - z w y^t, - y y^j y, + w w^j w",
 )
 
-# terms per block of tuples: 2^15 raised the peak of the bench's adjoint
-# workload by 1 MB over the dict verifier's, and 2^13 made its pass a
-# fifth slower than 2^14
+# columns per block of tuples: on the compiled programs, 2^12 and 2^13 made
+# the bench's adjoint pass slower than 2^14, and 2^15 and 2^16 made it
+# slower and raised its peak by 0.5 and 2 MB
 BLOCK_TERMS = 2**14
 
 
 def homotopy_terms(degree: int, n: int, t: int) -> int:
-    """The terms HomotopyVerifier's degree-2 or degree-3 check writes on an
+    """The terms of HomotopyVerifier's degree-2 or degree-3 check on an
     order-n quandle of type t, counted from the term tables alone: a term
     with a u^j entry stands for t - 1 terms, d^gr turns each term of H2 into
     4 and each of H3 into 5, and h is read on the 2(k - 1) rack faces of a
-    k-tuple."""
+    k-tuple.  Its compiled program sums the literally equal ones, so this
+    is an upper bound on the columns the check builds."""
 
     def count(table: ChainTable) -> int:
         return sum(t - 1 if any(s.endswith("^j") for s in e) else 1 for _, e in table.terms)
@@ -431,28 +435,105 @@ def homotopy_terms(degree: int, n: int, t: int) -> int:
     return n**3 * (count(C3) + 4 * count(H2) + 5 * count(H3) + count(TEMPLATE)) + n * n * count(C3)
 
 
-class _Part(NamedTuple):
-    """The terms of a ChainTable with u^j entries, or those without, as
-    arrays: the point of each entry (T, k), its exponent (T, J, k), J being
-    t - 1 for the part with u^j entries and 1 for the other, and the
-    coefficient of each term (T, 1)."""
+# the chains compiled into column programs ----------------------------------
 
-    points: np.ndarray
-    powers: np.ndarray
+
+def _points(args) -> tuple:
+    """The points a chain reads at its arguments: a; a, b, a <| b; or
+    a, b, c, a <| b, a <| c, b <| c, (a <| b) <| c.  A point is a quandle
+    word: the argument i is i, the word a <| b the pair (a, b)."""
+    if len(args) == 3:
+        a, b, c = args
+        return a, b, c, (a, b), (a, c), (b, c), ((a, b), c)
+    # a pair (a, b) reads a, b and the word (a, b) itself
+    return args if len(args) == 1 else (*args, args)
+
+
+def _rack_faces(args):
+    """The rack boundary of a tuple of points, as boundary_chain writes it,
+    without the first face, whose two halves cancel: (sign, face) pairs."""
+    for i in range(1, len(args)):
+        sign = 1 if i % 2 else -1
+        yield sign, args[:i] + args[i + 1 :]
+        yield -sign, tuple((a, args[i]) for a in args[:i]) + args[i + 1 :]
+
+
+def _residual_parts(degree: int, t: int) -> tuple:
+    """What the degree-k check sums on the tuples (0, .., k-1), as
+    (scale, table, arguments, boundary) parts, boundary meaning d^gr of the
+    chain: h1 d^R - t c2 - d^gr h2 on (x, y), or
+    t c3 + h2 d^R - d^gr h3 - template(y, z) on (x, y, z)."""
+    if degree == 2:
+        return (*((s, H1, face, False) for s, face in _rack_faces((0, 1))),
+                (-t, C2, (0, 1), False), (-1, H2, (0, 1), True))
+    return ((t, C3, (0, 1, 2), False),
+            *((s, H2, face, False) for s, face in _rack_faces((0, 1, 2))),
+            (-1, H3, (0, 1, 2), True), (-1, TEMPLATE, (1, 2), False))
+
+
+def _literal_columns(t: int, parts):
+    """The (column, coefficient) pairs the parts write at type t, before
+    equal columns are summed.  A column is a tuple of entries: (power,
+    point) for e_point^power, or the product of two such entries, which
+    d^gr writes.  Each table's terms without u^j entries come first, then
+    the others over j = 1 .. t-1, outermost."""
+    for scale, table, args, boundary in parts:
+        point = dict(zip(table.names, _points(args)))
+        for j in range(t):
+            for c, names in table.terms:
+                if any(s.endswith("^j") for s in names) != (j > 0):
+                    continue
+                e = tuple(({"": 1, "t": t, "j": j}[p], point[u])
+                          for u, _, p in (s.partition("^") for s in names))
+                c *= scale
+                if boundary:
+                    # d(g_1..g_k) = (g_2..g_k) + sum (-1)^i (..g_i g_i+1..) + (-1)^k (g_1..g_k-1)
+                    yield e[1:], c
+                    for i in range(1, len(e)):
+                        yield e[: i - 1] + ((e[i - 1], e[i]),) + e[i + 1 :], -c if i % 2 else c
+                    yield e[:-1], -c if len(e) % 2 else c
+                else:
+                    yield e, c
+
+
+class _Program(NamedTuple):
+    """The columns of a sum of chains that do not cancel by construction:
+    words[i] = (a, b) makes point arity + i the word a <| b of earlier
+    points; plain (2, P) and factors (2, 2, Q) hold the power and point of
+    each plain entry and of the two factors of each product; columns[i, c]
+    is the entry at position i of column c, products after the plain
+    entries, and coeffs[c] its coefficient."""
+
+    words: tuple
+    plain: np.ndarray
+    factors: np.ndarray
+    columns: np.ndarray
     coeffs: np.ndarray
 
 
-def _rack_faces(quandle: np.ndarray, args):
-    """The rack boundary of blocks of tuples, as boundary_chain writes it,
-    without the first face, whose two halves cancel: the arguments of the F
-    faces, arrays (m, F), and their F signs."""
-    faces, signs = [], []
-    for i in range(1, len(args)):
-        sign = 1 if i % 2 else -1
-        faces.append(args[:i] + args[i + 1 :])
-        faces.append(tuple(quandle[a, args[i]] for a in args[:i]) + args[i + 1 :])
-        signs += (sign, -sign)
-    return tuple(np.stack(column, axis=1) for column in zip(*faces)), np.array(signs)
+@cache
+def _compile(t: int, arity: int, parts) -> _Program:
+    """The program of the parts at type t on tuples of arity points: the
+    literally equal columns summed, and those summing to zero dropped."""
+    chain = _chain(_literal_columns(t, parts))
+    index = {a: a for a in range(arity)}
+    words = []
+
+    def word(w):
+        if w not in index:
+            words.append((word(w[0]), word(w[1])))
+            index[w] = arity + len(words) - 1
+        return index[w]
+
+    entries = [e for column in chain for e in column]
+    plain = list(dict.fromkeys(e for e in entries if isinstance(e[0], int)))
+    products = list(dict.fromkeys(e for e in entries if not isinstance(e[0], int)))
+    entry = {e: i for i, e in enumerate(plain + products)}
+    columns = np.array([[entry[e] for e in column] for column in chain], dtype=np.int64)
+    plain = np.array([(p, word(w)) for p, w in plain], dtype=np.int64).reshape(-1, 2).T
+    factors = np.array([[(p, word(w)) for p, w in f] for f in products], dtype=np.int64)
+    return _Program(tuple(words), plain, factors.reshape(-1, 2, 2).transpose(1, 2, 0),
+                    np.ascontiguousarray(columns.T), np.array(list(chain.values()), dtype=np.int64))
 
 
 def _key_digits(radix: int) -> int:
@@ -466,20 +547,20 @@ def _key_digits(radix: int) -> int:
 def _first_unbalanced_row(keys, coeffs: np.ndarray):
     """The first row whose coefficients do not cancel on every key, or None.
 
-    keys are int64 arrays shaped like coeffs, most significant first; each
-    row is sorted and its equal keys summed, as homology's assembly does
-    per column.
+    keys are int64 arrays (rows, columns), most significant first, and
+    coeffs the coefficient of each column; each row is sorted and its equal
+    keys summed, as homology's assembly does per column.
     """
     order = np.argsort(keys[0], axis=1) if len(keys) == 1 else np.lexsort(keys[::-1], axis=1)
-    new = np.zeros(coeffs.shape, dtype=bool)
+    new = np.zeros(order.shape, dtype=bool)
     new[:, 0] = True
     for key in keys:
         key = np.take_along_axis(key, order, axis=1)
         new[:, 1:] |= key[:, 1:] != key[:, :-1]
     starts = np.flatnonzero(new)
-    sums = np.add.reduceat(np.take_along_axis(coeffs, order, axis=1).ravel(), starts)
+    sums = np.add.reduceat(coeffs[order].ravel(), starts)
     bad = starts[sums != 0]
-    return int(bad[0]) // coeffs.shape[1] if bad.size else None
+    return int(bad[0]) // order.shape[1] if bad.size else None
 
 
 class HomotopyVerifier:
@@ -487,12 +568,12 @@ class HomotopyVerifier:
 
     Works inside the adjoint model of a connected Alexander quandle; t is
     the quandle type.  All identities are verified term-for-term on formal
-    chains, never just in homology.  The chains are the term tables above.
-    The identities are checked on blocks of tuples with arrays: an element
-    (n, x, alpha) of exponent 0 <= n <= 2t is coded as one integer, a bar
-    tuple as its codes, and the terms of each tuple are sorted and equal
-    tuples summed.  The dict methods (c2 .. h3, the residuals) evaluate the
-    same tables at one tuple; a failure is reported from them.
+    chains, never just in homology: on blocks of tuples, by the compiled
+    programs (_compile), an element (n, x, alpha) of exponent 0 <= n <= 2t
+    coded as one integer and a bar tuple as its codes.  The dict methods
+    c2 .. h3 run their tables' programs at one tuple, and the residuals sum
+    them with the rack and group boundaries; a failure is reported from
+    them.
     """
 
     def __init__(self, spec: AlexanderModuleSpec):
@@ -506,91 +587,64 @@ class HomotopyVerifier:
         for j in range(1, self.t + 1):
             _, self._pow_x[j], self._pow_alpha[j] = self.model.mul_array(
                 (j - 1, self._pow_x[j - 1], self._pow_alpha[j - 1]), e_u)
-        self._c2, self._c3, self._h1, self._h2, self._h3, self._template = (
-            self._parts(table) for table in (C2, C3, H1, H2, H3, TEMPLATE))
         # an entry has exponent 1, j or t, a product of two entries at most 2t;
         # a bar tuple is keyed by its elements' codes as base-radix digits,
         # digits_per_key of them to an int64 key, so that no key wraps
         self._radix = (2 * self.t + 1) * spec.size * self.model.coker_order
         self._digits_per_key = _key_digits(self._radix)
 
-    def _parts(self, table: ChainTable) -> list[_Part]:
-        """The terms of the table without u^j entries, then those with."""
-        parts = []
-        for stacked in (False, True):
-            terms = [(c, e) for c, e in table.terms if any(s.endswith("^j") for s in e) == stacked]
-            if not terms:
-                continue
-            entries = [[s.partition("^") for s in e] for _, e in terms]
-            points = np.array([[table.names.index(u) for u, _, _ in e] for e in entries])
-            # the exponent of each entry, 0 standing for j
-            powers = np.array([[{"j": 0, "t": self.t}.get(p, 1) for _, _, p in e] for e in entries])
-            js = np.arange(1, self.t) if stacked else np.ones(1, dtype=np.int64)
-            powers = np.where(powers[:, None, :] == 0, js[:, None], powers[:, None, :])
-            parts.append(_Part(points, powers, np.array([[c] for c, _ in terms])))
-        return parts
-
-    def _points(self, args) -> np.ndarray:
-        """The points a chain reads at arrays of arguments, stacked on a last
-        axis: a; a, b, a <| b; or a, b, c, a <| b, a <| c, b <| c, (a <| b) <| c."""
+    def _entries(self, program: _Program, args) -> np.ndarray:
+        """The codes of the program's entries at arrays (m,) of arguments, as
+        an array (m, entries): points by gathers on the quandle table, plain
+        entries from one table of the codes of e_u^p, products by mul_array."""
         q = self.quandle.array
-        if len(args) == 2:
-            a, b = args
-            args = (a, b, q[a, b])
-        elif len(args) == 3:
-            a, b, c = args
-            ab = q[a, b]
-            args = (a, b, c, ab, q[a, c], q[b, c], q[ab, c])
-        return np.stack(args, axis=-1)
-
-    def _entries(self, part: _Part, points: np.ndarray):
-        """The elements (n, x, alpha) of the part's entries at stacked points
-        of shape S + (P,), as arrays of shape S + (T, J, k)."""
-        p = points[..., part.points][..., None, :]
-        x = self._pow_x[part.powers, p]
-        return np.broadcast_to(part.powers, x.shape), x, self._pow_alpha[part.powers, p]
-
-    def _code(self, n, x, alpha):
-        return (n * self.spec.size + x) * self.model.coker_order + alpha
+        points = list(args)
+        for a, b in program.words:
+            points.append(q[points[a], points[b]])
+        points = np.stack(points, axis=1)
+        size, coker = self.spec.size, self.model.coker_order
+        codes = (np.arange(self.t + 1)[:, None] * size + self._pow_x) * coker + self._pow_alpha
+        power, at = program.plain
+        (p, u), (r, v) = program.factors
+        n, x, alpha = self.model.mul_array(
+            (p, self._pow_x[p, points[:, u]], self._pow_alpha[p, points[:, u]]),
+            (r, self._pow_x[r, points[:, v]], self._pow_alpha[r, points[:, v]]))
+        return np.concatenate((codes[power, points[:, at]], (n * size + x) * coker + alpha), axis=1)
 
     # the chains at one tuple, as dicts -------------------------------------
 
-    def _chain_at(self, parts: list[_Part], *args) -> dict:
-        """The chain at one tuple, its terms in table order and over j
-        outermost; the same terms the block check sums."""
-        points = self._points(tuple(np.array([a]) for a in args))
-        pairs = []
-        for part in parts:
-            n, x, alpha = (v[0].tolist() for v in self._entries(part, points))
-            for j in range(part.powers.shape[1]):
-                for term, (c,) in enumerate(part.coeffs.tolist()):
-                    entries = map(ClauwensElement, n[term][j], x[term][j], alpha[term][j])
-                    pairs.append((tuple(entries), c))
-        return _chain(pairs)
+    def _chain_at(self, parts, *args) -> dict:
+        """The program of the parts at one tuple, as a chain in column order."""
+        program = _compile(self.t, len(args), parts)
+        codes = self._entries(program, [np.array([a]) for a in args])[0].tolist()
+        size, coker = self.spec.size, self.model.coker_order
+        elements = [ClauwensElement(*divmod(c // coker, size), c % coker) for c in codes]
+        return _chain((tuple(elements[i] for i in column), c)
+                      for column, c in zip(program.columns.T.tolist(), program.coeffs.tolist()))
+
+    def _table_at(self, table: ChainTable, *args) -> dict:
+        return self._chain_at(((1, table, tuple(range(len(args))), False),), *args)
 
     def c2(self, x: int, y: int) -> dict:
-        return self._chain_at(self._c2, x, y)
+        return self._table_at(C2, x, y)
 
     def c3(self, x: int, y: int, z: int) -> dict:
-        return self._chain_at(self._c3, x, y, z)
+        return self._table_at(C3, x, y, z)
 
     def h1(self, x: int) -> dict:
-        return self._chain_at(self._h1, x)
+        return self._table_at(H1, x)
 
     def h2(self, x: int, y: int) -> dict:
-        return self._chain_at(self._h2, x, y)
+        return self._table_at(H2, x, y)
 
     def h3(self, x: int, y: int, z: int) -> dict:
-        return self._chain_at(self._h3, x, y, z)
-
-    def _h_of_boundary(self, tup, h):
-        """The (coeff, h(face)) pairs of h applied to the rack boundary of tup."""
-        return [(coeff, h(*face)) for face, coeff in boundary_chain(self.quandle, tup).items()]
+        return self._table_at(H3, x, y, z)
 
     def residual_2(self, x: int, y: int) -> dict:
         """h1 d^R - d^gr h2 - t c2 on the pair (x, y); zero when the
         degree-2 homotopy identity holds."""
-        chains = [*self._h_of_boundary((x, y), self.h1), (-self.t, self.c2(x, y))]
+        faces = boundary_chain(self.quandle, (x, y)).items()
+        chains = [*((c, self.h1(*face)) for face, c in faces), (-self.t, self.c2(x, y))]
         return _sum(chains, [(-1, self.h2(x, y))], self.model.mul)
 
     def residual_3(self, x: int, y: int, z: int) -> dict:
@@ -603,7 +657,8 @@ class HomotopyVerifier:
         residual is independent of x (the degree-2 identity pins the
         opposite one for d2).
         """
-        chains = [(self.t, self.c3(x, y, z)), *self._h_of_boundary((x, y, z), self.h2)]
+        faces = boundary_chain(self.quandle, (x, y, z)).items()
+        chains = [(self.t, self.c3(x, y, z)), *((c, self.h2(*face)) for face, c in faces)]
         return _sum(chains, [(-1, self.h3(x, y, z))], self.model.mul)
 
     def residual_3_template(self, y: int, z: int) -> dict:
@@ -615,97 +670,43 @@ class HomotopyVerifier:
           + (e_z, B, e_w) - (e_z, e_w, B)
           - sum_{j=1..t-1} [ (e_y, e_y^j, e_y) - (e_w, e_w^j, e_w) ].
         """
-        return self._chain_at(self._template, y, z)
+        return self._table_at(TEMPLATE, y, z)
 
-    # the chains on blocks of tuples ----------------------------------------
+    # the programs on blocks of tuples --------------------------------------
 
-    def _terms(self, parts: list[_Part], args, scale=1, boundary=False):
-        """The terms of scale * chain, or of scale * d^gr(chain), at blocks
-        of arguments, arrays (m, F): pairs of the element codes of each bar
-        tuple, one array per position, and the coefficients, all of shape
-        (m, F, T, J).  scale broadcasts against (F, T, 1)."""
-        points = self._points(args)
-        for part in parts:
-            n, x, alpha = self._entries(part, points)
-            coeff = np.broadcast_to(scale * part.coeffs, x.shape[:-1])
-            codes = self._code(n, x, alpha)
-            k = codes.shape[-1]
-            digits = [codes[..., i] for i in range(k)]
-            if not boundary:
-                yield digits, coeff
-                continue
-            # d(g_1..g_k) = (g_2..g_k) + sum (-1)^i (..g_i g_i+1..) + (-1)^k (g_1..g_k-1);
-            # a face without the u^j entry still has its j axis
-            yield digits[1:], coeff
-            for i in range(1, k):
-                g = (n[..., i - 1], x[..., i - 1], alpha[..., i - 1])
-                product = self._code(*self.model.mul_array(g, (n[..., i], x[..., i], alpha[..., i])))
-                yield digits[: i - 1] + [product] + digits[i + 1 :], -coeff if i % 2 else coeff
-            yield digits[:-1], -coeff if k % 2 else coeff
-
-    def _residual_2_terms(self, walk: np.ndarray):
-        """h1 d^R - t c2 - d^gr h2 on the pairs (x, y), walked x first."""
-        x, y = np.divmod(walk, self.spec.size)
-        faces, signs = _rack_faces(self.quandle.array, (x, y))
-        yield from self._terms(self._h1, faces, signs[:, None, None])
-        pair = (x[:, None], y[:, None])
-        yield from self._terms(self._c2, pair, -self.t)
-        yield from self._terms(self._h2, pair, -1, boundary=True)
-
-    def _residual_3_terms(self, walk: np.ndarray):
-        """t c3 + h2 d^R - d^gr h3 - template(y, z) on the triples (x, y, z),
-        walked y first, then z, then x."""
-        n = self.spec.size
-        yz, x = np.divmod(walk, n)
-        y, z = np.divmod(yz, n)
-        faces, signs = _rack_faces(self.quandle.array, (x, y, z))
-        triple = (x[:, None], y[:, None], z[:, None])
-        yield from self._terms(self._c3, triple, self.t)
-        yield from self._terms(self._h2, faces, signs[:, None, None])
-        yield from self._terms(self._h3, triple, -1, boundary=True)
-        yield from self._terms(self._template, triple[1:], -1)
-
-    def _repeated_c3_terms(self, walk: np.ndarray):
-        """c3 on the triples (x, x, z), walked x first."""
-        x, z = np.divmod(walk, self.spec.size)
-        yield from self._terms(self._c3, (x[:, None], x[:, None], z[:, None]))
-
-    def _first_failure(self, terms_of, walk: range):
-        """The first position in walk whose terms do not cancel, or None.
-
-        The positions are taken in blocks of about BLOCK_TERMS terms; each
-        term is written to preallocated key and coefficient arrays, one row
-        per position, as soon as it is computed.
-        """
-        probe = list(terms_of(np.zeros(1, dtype=np.int64)))
-        width, degree = sum(coeff.size for _, coeff in probe), len(probe[0][0])
+    def _first_failure(self, parts, walk: range, tuple_of):
+        """The first position in walk, its tuple given by tuple_of, that the
+        program of the parts does not cancel on, or None.  The positions are
+        taken in blocks of about BLOCK_TERMS columns, each tuple's codes
+        packed into preallocated keys, one row per position."""
+        program = _compile(self.t, len(tuple_of(0)), parts)
+        if not program.coeffs.size:
+            return None
+        degree, width = program.columns.shape
         rows = max(1, min(len(walk), BLOCK_TERMS // width))
         per_key, radix = self._digits_per_key, self._radix
         keys = np.empty((-(-degree // per_key), rows, width), dtype=np.int64)
-        coeffs = np.empty((rows, width), dtype=np.int64)
         for start in range(walk.start, walk.stop, rows):
             block = np.arange(start, min(start + rows, walk.stop))
-            m, col = len(block), 0
-            for digits, coeff in terms_of(block):
-                w = coeff[0].size
-                for out, first in zip(keys, range(0, degree, per_key)):
-                    key = digits[first]
-                    for d in digits[first + 1 : first + per_key]:
-                        key = key * radix + d
-                    out[:m, col : col + w] = key.reshape(m, w)
-                coeffs[:m, col : col + w] = coeff.reshape(m, w)
-                col += w
-            bad = _first_unbalanced_row(keys[:, :m], coeffs[:m])
+            codes, m = self._entries(program, tuple_of(block)), len(block)
+            for key, first in zip(keys, range(0, degree, per_key)):
+                key = key[:m]
+                np.take(codes, program.columns[first], axis=1, out=key)
+                for column in program.columns[first + 1 : first + per_key]:
+                    key *= radix
+                    key += codes[:, column]
+            bad = _first_unbalanced_row(keys[:, :m], program.coeffs)
             if bad is not None:
                 return start + bad
         return None
 
     # the identities, certified on every tuple ------------------------------
 
-    def _certify(self, lemma: str, terms_of, count: int, tuple_of, difference):
-        """Raise IdentityFailed at the first of count tuples whose terms do not
-        cancel, with the difference the dict methods give there."""
-        i = self._first_failure(terms_of, range(count))
+    def _certify(self, lemma: str, parts, count: int, tuple_of, difference):
+        """Raise IdentityFailed at the first of count tuples the program of
+        the parts does not cancel on, with the difference the dict methods
+        give there."""
+        i = self._first_failure(parts, range(count), tuple_of)
         if i is not None:
             tup = tuple_of(i)
             diff = difference(*tup)
@@ -716,7 +717,7 @@ class HomotopyVerifier:
     def degree_2(self) -> HomotopyReport:
         """Certify h1 d^R - d^gr h2 = t c2 on every pair, term for term."""
         n = self.spec.size
-        self._certify("degree-2 homotopy identity", self._residual_2_terms, n * n,
+        self._certify("degree-2 homotopy identity", _residual_parts(2, self.t), n * n,
                       lambda i: divmod(i, n), self.residual_2)
         return HomotopyReport(type=self.t, tuples_checked=n * n, status="pass")
 
@@ -728,16 +729,12 @@ class HomotopyVerifier:
         (b) c3(x, x, z) vanishes identically as a chain.
         """
         n = self.spec.size
-
-        def triple(i):
-            yz, x = divmod(i, n)
-            return (x, *divmod(yz, n))
-
         self._certify(
-            "degree-3 residual differs from its closed form", self._residual_3_terms, n**3,
-            triple, lambda x, y, z: _sum([(1, self.residual_3(x, y, z)),
-                                          (-1, self.residual_3_template(y, z))]))
-        self._certify("c3 on repeated arguments", self._repeated_c3_terms, n * n,
+            "degree-3 residual differs from its closed form", _residual_parts(3, self.t), n**3,
+            lambda i: (i % n, *divmod(i // n, n)),
+            lambda x, y, z: _sum([(1, self.residual_3(x, y, z)),
+                                  (-1, self.residual_3_template(y, z))]))
+        self._certify("c3 on repeated arguments", ((1, C3, (0, 0, 2), False),), n * n,
                       lambda i: (i // n, i // n, i % n), self.c3)
         return HomotopyReport(type=self.t, tuples_checked=n**3, status="pass")
 

@@ -248,8 +248,9 @@ def _verify_clauwens(doc: ReportDocument, spec: AlexanderModuleSpec) -> Optional
 
 def _verify_homotopy(doc: ReportDocument, spec: AlexanderModuleSpec, cap: int):
     """The degree-k entry is skipped, before any chain or power table is
-    built, when the terms its check writes, counted from the term tables,
-    are more than the cap."""
+    built, when the terms its check would write, counted from the term
+    tables (homotopy_terms), are more than the cap.  That count is an upper
+    bound on the columns the check's compiled programs build."""
     verifier = None
     for degree, claim, key in (
         (2, "h1 after the rack boundary minus the group boundary after h2 "
@@ -544,7 +545,13 @@ def main(argv=None) -> int:
             with _writing(args.out), open(args.out, "w") as fh:
                 fh.write(text)
         else:
-            sys.stdout.write(text)
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader closed the pipe: send what is left, and the
+                # flush at exit, to devnull, as the signal module's docs advise
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (CLIError, NotConnected, AxiomViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

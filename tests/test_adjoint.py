@@ -245,6 +245,11 @@ def degree_3_triple(i, n):
     return (x, *divmod(yz, n))
 
 
+def walk_tuple(degree, n):
+    """The tuples at positions of the degree-k walk, ints or arrays."""
+    return (lambda i: divmod(i, n)) if degree == 2 else (lambda i: degree_3_triple(i, n))
+
+
 def dict_loop_failure(v, degree, walk=None):
     """The IdentityFailed a plain loop over the dict view raises, or None.
 
@@ -276,20 +281,23 @@ def dict_loop_failure(v, degree, walk=None):
     return None
 
 
-def block_chain(v, parts, args, boundary=False) -> dict:
-    """The terms the block check sums for one tuple, decoded to a chain."""
+def block_chain(v, table, args, boundary=False) -> dict:
+    """The columns the block check sums for one tuple, decoded to a chain:
+    the tuple is the middle row of a block of three, the others seeded."""
     size, coker = v.spec.size, v.model.coker_order
 
     def element(code):
         nx, alpha = divmod(code, coker)
         return ClauwensElement(*divmod(nx, size), alpha)
 
+    program = adjoint._compile(v.t, len(args), ((1, table, tuple(range(len(args))), boundary),))
+    rng = random.Random(str(args))
+    block = tuple(np.array([rng.randrange(size), a, rng.randrange(size)]) for a in args)
+    codes = v._entries(program, block)[1]
     chain = {}
-    block = tuple(np.array([[a]]) for a in args)
-    for digits, coeff in v._terms(parts, block, boundary=boundary):
-        for tup, c in zip(zip(*(d.ravel().tolist() for d in digits)), coeff.ravel().tolist()):
-            key = tuple(map(element, tup))
-            chain[key] = chain.get(key, 0) + c
+    for column, c in zip(program.columns.T.tolist(), program.coeffs.tolist()):
+        key = tuple(element(codes[e]) for e in column)
+        chain[key] = chain.get(key, 0) + c
     return {tup: c for tup, c in chain.items() if c}
 
 
@@ -355,10 +363,10 @@ class TestHomotopyIdentities:
         assert str(exc.value) == str(expected)
         # and from a seeded position of the walk on, across block boundaries
         n = spec.size
-        terms_of = v._residual_2_terms if degree == 2 else v._residual_3_terms
+        parts = adjoint._residual_parts(degree, v.t)
         for start in sorted(rng.sample(range(1, n**degree), 3)):
             walk = range(start, n**degree)
-            at = v._first_failure(terms_of, walk)
+            at = v._first_failure(parts, walk, walk_tuple(degree, n))
             expected = dict_loop_failure(v, degree, walk)
             if expected is None:
                 assert at is None
@@ -383,22 +391,21 @@ class TestHomotopyIdentities:
     def test_block_terms_are_the_dict_chains(self, name):
         v = HomotopyVerifier(Z5T2)
         table = getattr(adjoint, name)
-        parts = v._parts(table)
         rng = random.Random(name)
         for _ in range(5):
             args = tuple(rng.randrange(5) for _ in range({1: 1, 3: 2}.get(len(table.names), 3)))
-            chain = v._chain_at(parts, *args)
-            assert block_chain(v, parts, args) == chain
-            assert block_chain(v, parts, args, boundary=True) == bar_boundary(chain, v.model.mul)
+            chain = v._table_at(table, *args)
+            assert block_chain(v, table, args) == chain
+            assert block_chain(v, table, args, boundary=True) == bar_boundary(chain, v.model.mul)
 
     def test_a_face_without_the_power_is_counted_per_power(self):
         # the last face of (e_x, e_y, e_z, e_A^j) drops e_A^j: it is met once per j
         v = HomotopyVerifier(Z5T2)
-        parts = v._parts(adjoint.ChainTable(adjoint.H3.names, ((1, ("x", "y", "z", "A^j")),)))
+        table = adjoint.ChainTable(adjoint.H3.names, ((1, ("x", "y", "z", "A^j")),))
         e = v.model.e
-        chain = block_chain(v, parts, (1, 2, 4), boundary=True)
+        chain = block_chain(v, table, (1, 2, 4), boundary=True)
         assert chain[e(1), e(2), e(4)] == v.t - 1 == 3
-        assert chain == bar_boundary(v._chain_at(parts, 1, 2, 4), v.model.mul)
+        assert chain == bar_boundary(v._table_at(table, 1, 2, 4), v.model.mul)
 
     def test_wide_keys_never_wrap(self):
         # admitted by the default cap: n = 81, type 2, |coker mu| = 729, so an
@@ -409,7 +416,8 @@ class TestHomotopyIdentities:
         # the guard packs a triple in one key; a block's row index beside it
         # would pass 2^62, so each row is sorted on its own
         assert v._digits_per_key == 3
-        rows = adjoint.BLOCK_TERMS // 90
+        parts = adjoint._residual_parts(3, v.t)
+        rows = adjoint.BLOCK_TERMS // len(adjoint._compile(v.t, 3, parts).coeffs)
         assert v._radix**3 * rows > 2**62
         # two blocks of the walk, whole and with one wrong e_u, against the
         # dict view, on one packed key and on the column sort of three
@@ -421,8 +429,9 @@ class TestHomotopyIdentities:
         assert expected is not None and expected.tuple != degree_3_triple(walk.start, 81)
         for per_key in (3, 1):
             broken._digits_per_key = v._digits_per_key = per_key
-            assert v._first_failure(v._residual_3_terms, walk) is None
-            at = broken._first_failure(broken._residual_3_terms, walk)
+            triple = walk_tuple(3, 81)
+            assert v._first_failure(parts, walk, triple) is None
+            at = broken._first_failure(parts, walk, triple)
             assert degree_3_triple(at, 81) == expected.tuple
 
     def test_key_digits(self):
@@ -446,6 +455,82 @@ class TestHomotopyIdentities:
         for x in range(4):
             for z in range(4):
                 assert v.c3(x, x, z) == {}
+
+
+# the tables each degree's residual reads
+RESIDUAL_TABLES = {2: ("C2", "H1", "H2"), 3: ("C3", "H2", "H3", "TEMPLATE")}
+
+
+class TestCompiledPrograms:
+    """The residuals compiled once per type, columns that cancel by
+    construction dropped, against the dict chains and the term tables."""
+
+    @pytest.mark.parametrize("degree,widths", [(2, [8, 32, 56, 68]), (3, [46, 138, 230, 276])])
+    def test_literal_cancellation_halves_the_columns(self, degree, widths):
+        # the term tables write 2 + 18 (t - 1) and 12 + 78 (t - 1) columns
+        types = [2, 4, 6, 7]
+        parts = [adjoint._residual_parts(degree, t) for t in types]
+        literal = [sum(1 for _ in adjoint._literal_columns(t, p)) for t, p in zip(types, parts)]
+        assert literal == ([20, 56, 92, 110] if degree == 2 else [90, 246, 402, 480])
+        assert [len(adjoint._compile(t, degree, p).coeffs) for t, p in zip(types, parts)] == widths
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_dropped_columns_sum_to_zero(self, degree, t):
+        parts = adjoint._residual_parts(degree, t)
+        program = adjoint._compile(t, degree, parts)
+        # the program's columns read back as words, powers and products
+        words = list(range(degree))
+        for a, b in program.words:
+            words.append((words[a], words[b]))
+        plain = [(p, words[w]) for p, w in program.plain.T.tolist()]
+        (p, w), (r, v) = program.factors.tolist()
+        products = [((a, words[b]), (c, words[d])) for a, b, c, d in zip(p, w, r, v)]
+        entries = plain + products
+        kept = {tuple(entries[e] for e in column): c
+                for column, c in zip(program.columns.T.tolist(), program.coeffs.tolist())}
+        assert len(kept) == len(program.coeffs) and 0 not in kept.values()
+        sums = {}
+        for column, c in adjoint._literal_columns(t, parts):
+            sums[column] = sums.get(column, 0) + c
+        assert set(kept) <= set(sums)
+        # every literal column the program drops has coefficients summing to zero
+        assert all(kept.get(column, 0) == c for column, c in sums.items())
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_homotopy_terms_bound_the_columns_built(self, t):
+        repeated = len(adjoint._compile(t, 3, ((1, adjoint.C3, (0, 0, 2), False),)).coeffs)
+        for n in (3, 7, 25):
+            width = {k: len(adjoint._compile(t, k, adjoint._residual_parts(k, t)).coeffs)
+                     for k in (2, 3)}
+            assert n**2 * width[2] <= adjoint.homotopy_terms(2, n, t)
+            assert n**3 * width[3] + n**2 * repeated <= adjoint.homotopy_terms(3, n, t)
+
+    @pytest.mark.parametrize("spec", [FIB22, Z5T2], ids=lambda s: s.label())
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_program_at_one_tuple_is_the_dict_residual(self, spec, degree):
+        v = HomotopyVerifier(spec)
+        parts = adjoint._residual_parts(degree, v.t)
+        for tup in product(range(spec.size), repeat=degree):
+            assert v._chain_at(parts, *tup) == {}
+            if degree == 2:
+                assert v.residual_2(*tup) == {}
+            else:
+                assert v.residual_3(*tup) == v.residual_3_template(*tup[1:])
+
+    @pytest.mark.parametrize("spec", [FIB22, Z5T2], ids=lambda s: s.label())
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_program_at_one_tuple_on_every_flipped_term(self, monkeypatch, spec, degree):
+        n = spec.size
+        for name in RESIDUAL_TABLES[degree]:
+            for index in range(len(getattr(adjoint, name).terms)):
+                with monkeypatch.context() as patch:
+                    flip_term(patch, name, index)
+                    v = HomotopyVerifier(spec)
+                    expected = dict_loop_failure(v, degree, range(n**degree))
+                    assert expected is not None, (name, index)
+                    got = v._chain_at(adjoint._residual_parts(degree, v.t), *expected.tuple)
+                    assert got == expected.difference != {}
 
 
 class TestGroupH2Bar:

@@ -459,6 +459,24 @@ class TestCommands:
         assert err.startswith(f"error: cannot write {target}: ")
         assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["check", "dihedral n=3"], 0), (["check", os.path.join(GOLDEN, "broken-iii.quandle")], 1)],
+    )
+    def test_a_closed_stdout_keeps_the_report_exit_code(self, argv, code):
+        # the reader closed the pipe before the report was written: no
+        # BrokenPipeError traceback, and the exit code is the report's own
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "quandles.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC), text=True, timeout=20,
+            )
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (code, "")
+
 
 class TestCensus:
     def test_grid_census_deterministic(self, capsys):
