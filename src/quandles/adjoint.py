@@ -36,8 +36,13 @@ as term tables (ChainTable).  Each identity is compiled once per type
 into a column program: the tables expanded at symbolic arguments, then
 the rack faces and d^gr, literally equal columns summed and the zero sums
 dropped, which removes about half the columns.  The verifier runs the
-program on blocks of tuples with arrays, each tuple's columns sorted and
-equal bar tuples summed; the dict chains the tests and the failure
+program on blocks of tuples with arrays.  In the first block each tuple's
+columns are sorted and equal bar tuples summed.  A balanced sorted row
+gives a template: the entries each column shares with the first column
+of its run.  A later tuple whose codes agree on every such pair writes
+each run as one bar tuple, whose coefficients sum to zero, so it cancels
+exactly; only the tuples that miss the template are sorted, and a finer
+sorted row replaces it.  The dict chains the tests and the failure
 reports read run the programs of single tables at one tuple.  The
 degree-3 check compares each residual with its closed form in y and z
 only: a residual equal to that form cannot depend on x.
@@ -545,7 +550,9 @@ def _key_digits(radix: int) -> int:
 
 
 def _first_unbalanced_row(keys, coeffs: np.ndarray):
-    """The first row whose coefficients do not cancel on every key, or None.
+    """The first row whose coefficients do not cancel on every key, or None,
+    and the sort that decided it: each row's columns in key order, and
+    where a run of equal keys starts.
 
     keys are int64 arrays (rows, columns), most significant first, and
     coeffs the coefficient of each column; each row is sorted and its equal
@@ -560,7 +567,25 @@ def _first_unbalanced_row(keys, coeffs: np.ndarray):
     starts = np.flatnonzero(new)
     sums = np.add.reduceat(coeffs[order].ravel(), starts)
     bad = starts[sums != 0]
-    return int(bad[0]) // order.shape[1] if bad.size else None
+    return (int(bad[0]) // order.shape[1] if bad.size else None), order, new
+
+
+def _template(columns: np.ndarray, order: np.ndarray, new: np.ndarray):
+    """The cancellation pattern of the sorted, balanced row with the most
+    distinct keys: that count, and the entry pairs (a, b) each column
+    shares with the first column of its run, a < b, without repeats.
+
+    Each run's coefficients sum to zero.  A row whose codes agree on every
+    pair writes each run as one bar tuple, so it cancels too."""
+    distinct = new.sum(axis=1)
+    row = int(np.argmax(distinct))
+    runs = np.flatnonzero(new[row])
+    first = np.repeat(order[row, runs], np.diff(runs, append=new.shape[1]))
+    a, b = columns[:, order[row]], columns[:, first]
+    entries = int(columns.max()) + 1
+    pairs = np.sort((np.minimum(a, b) * entries + np.maximum(a, b))[a != b])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    return int(distinct[row]), *np.divmod(pairs, entries)
 
 
 class HomotopyVerifier:
@@ -677,8 +702,12 @@ class HomotopyVerifier:
     def _first_failure(self, parts, walk: range, tuple_of):
         """The first position in walk, its tuple given by tuple_of, that the
         program of the parts does not cancel on, or None.  The positions are
-        taken in blocks of about BLOCK_TERMS columns, each tuple's codes
-        packed into preallocated keys, one row per position."""
+        taken in blocks of about BLOCK_TERMS columns.  The first block's
+        rows are sorted: each tuple's codes packed into preallocated keys,
+        one row per position.  From the second block on, a row whose codes
+        agree on every pair of the template (_template) cancels, and only
+        the rows that miss it are sorted; the template is read from the
+        last sorted rows whenever they hold a finer pattern than it."""
         program = _compile(self.t, len(tuple_of(0)), parts)
         if not program.coeffs.size:
             return None
@@ -686,18 +715,32 @@ class HomotopyVerifier:
         rows = max(1, min(len(walk), BLOCK_TERMS // width))
         per_key, radix = self._digits_per_key, self._radix
         keys = np.empty((-(-degree // per_key), rows, width), dtype=np.int64)
+        template = runs = None
         for start in range(walk.start, walk.stop, rows):
+            if runs is not None:
+                found = _template(program.columns, *runs)
+                if template is None or found[0] > template[0]:
+                    template = found
             block = np.arange(start, min(start + rows, walk.stop))
-            codes, m = self._entries(program, tuple_of(block)), len(block)
+            codes = self._entries(program, tuple_of(block))
+            if template is None:
+                sort = block - start
+            else:
+                _, a, b = template
+                sort = np.flatnonzero((codes[:, a] != codes[:, b]).any(axis=1))
+                codes = codes[sort]
+            runs, m = None, len(sort)
+            if not m:
+                continue
             for key, first in zip(keys, range(0, degree, per_key)):
                 key = key[:m]
                 np.take(codes, program.columns[first], axis=1, out=key)
                 for column in program.columns[first + 1 : first + per_key]:
                     key *= radix
                     key += codes[:, column]
-            bad = _first_unbalanced_row(keys[:, :m], program.coeffs)
+            bad, *runs = _first_unbalanced_row(keys[:, :m], program.coeffs)
             if bad is not None:
-                return start + bad
+                return start + int(sort[bad])
         return None
 
     # the identities, certified on every tuple ------------------------------

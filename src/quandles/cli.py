@@ -306,10 +306,10 @@ def covering_properties(
 
     Each property becomes one entry of doc: (a) the total space is
     connected, (b) its type equals the base type, (c) its second quandle
-    homology is 0, as the universal covering is simply connected and
-    H2 = pi_1^ab for a connected quandle (Eisermann, "Quandle coverings"),
-    and (d) the projection is a covering whose fibers all have fiber_size
-    elements.  A cell cap on (c) skips it.
+    homology is 0, and (d) the projection is a covering whose fibers all
+    have fiber_size elements.  A cell cap on (c) skips it.  (c) holds for
+    the connected Alexander inputs `covering` accepts, but not for every
+    universal covering: the 12-element total of coxeter:A3 has H2 = Z/2.
     """
     total_q, base_t = inst.total, inst.base.type
 
@@ -548,10 +548,12 @@ def main(argv=None) -> int:
             try:
                 sys.stdout.write(text)
                 sys.stdout.flush()
-            except BrokenPipeError:
-                # the reader closed the pipe: send what is left, and the
+            except OSError as exc:
+                # a closed pipe or a full disk: send what is left, and the
                 # flush at exit, to devnull, as the signal module's docs advise
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                if not isinstance(exc, BrokenPipeError):
+                    raise CLIError(f"cannot write standard output: {exc}") from None
     except (CLIError, NotConnected, AxiomViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -77,7 +77,7 @@ class AlexanderModuleSpec:
         self.coord_rows = digit_rows(self.size, self.torsion_orders)
         self.t_rows = self.coord_rows @ np.array(self.t_matrix, dtype=np.int64).T % self.torsion_orders
         self.t_perm = codes(self.t_rows, self.torsion_orders)
-        if np.unique(self.t_perm).size != self.size:
+        if perms.first_non_permutation(self.t_perm[None]) is not None:
             raise NonInvertibleT(f"T = {self.t_matrix} is not invertible on the module")
 
     @classmethod
@@ -136,7 +136,7 @@ class AlexanderModuleSpec:
     def is_connected(self) -> bool:
         """Connected iff (1 - T) is onto the module, i.e. one-to-one."""
         images = codes(self.coord_rows - self.t_rows, self.torsion_orders)
-        return np.unique(images).size == self.size
+        return perms.first_non_permutation(images[None]) is None
 
     def label(self) -> str:
         orders = ",".join(str(d) for d in self.torsion_orders)

@@ -310,6 +310,42 @@ def flip_term(monkeypatch, name, index=0):
     monkeypatch.setattr(adjoint, name, table._replace(terms=tuple(terms)))
 
 
+def small_blocks(monkeypatch, v, degree, rows):
+    """Walk the degree-k residual of v in blocks of `rows` tuples; for
+    degree 3 and rows <= n the first block holds only tuples (x, 0, 0)."""
+    width = len(adjoint._compile(v.t, degree, adjoint._residual_parts(degree, v.t)).coeffs)
+    monkeypatch.setattr(adjoint, "BLOCK_TERMS", rows * width)
+
+
+def assert_fails_where_the_dict_loop_does(v, degree, rng):
+    """The check of v fails as the dict loop does, on the whole walk and
+    from three seeded positions on, across block boundaries."""
+    expected = dict_loop_failure(v, degree)
+    assert expected is not None
+    with pytest.raises(IdentityFailed) as exc:
+        v.degree_2() if degree == 2 else v.degree_3()
+    assert exc.value.tuple == expected.tuple
+    assert str(exc.value) == str(expected)
+    n = v.spec.size
+    parts = adjoint._residual_parts(degree, v.t)
+    for start in sorted(rng.sample(range(1, n**degree), 3)):
+        walk = range(start, n**degree)
+        at = v._first_failure(parts, walk, walk_tuple(degree, n))
+        expected = dict_loop_failure(v, degree, walk)
+        if expected is None:
+            assert at is None
+        else:
+            assert (divmod(at, n) if degree == 2 else degree_3_triple(at, n)) == expected.tuple
+    return exc.value
+
+
+def corrupt_power(v, rng):
+    """v with one seeded e_u^j (0 < j < t, u != 0) made wrong in x."""
+    j, u = rng.randrange(1, v.t), rng.randrange(1, v.spec.size)
+    v._pow_x[j, u] = (v._pow_x[j, u] + 1) % v.spec.size
+    return v
+
+
 FIB22 = AlexanderModuleSpec((2, 2), [[0, 1], [1, 1]])  # type 3
 Z5T2 = AlexanderModuleSpec.scalar((5,), 2)  # type 4
 
@@ -354,38 +390,13 @@ class TestHomotopyIdentities:
     def test_flipped_term_fails_where_the_dict_loop_does(self, monkeypatch, spec, degree, name):
         rng = random.Random(f"{name}:{spec.label()}")
         flip_term(monkeypatch, name, rng.randrange(len(getattr(adjoint, name).terms)))
-        v = HomotopyVerifier(spec)
-        expected = dict_loop_failure(v, degree)
-        assert expected is not None
-        with pytest.raises(IdentityFailed) as exc:
-            v.degree_2() if degree == 2 else v.degree_3()
-        assert exc.value.tuple == expected.tuple
-        assert str(exc.value) == str(expected)
-        # and from a seeded position of the walk on, across block boundaries
-        n = spec.size
-        parts = adjoint._residual_parts(degree, v.t)
-        for start in sorted(rng.sample(range(1, n**degree), 3)):
-            walk = range(start, n**degree)
-            at = v._first_failure(parts, walk, walk_tuple(degree, n))
-            expected = dict_loop_failure(v, degree, walk)
-            if expected is None:
-                assert at is None
-            else:
-                assert (divmod(at, n) if degree == 2 else degree_3_triple(at, n)) == expected.tuple
+        assert_fails_where_the_dict_loop_does(HomotopyVerifier(spec), degree, rng)
 
     @pytest.mark.parametrize("degree", [2, 3])
     def test_corrupted_power_fails_where_the_dict_loop_does(self, degree):
         # one wrong e_u^j, read by both views, breaks the identity past the walk's start
-        v = HomotopyVerifier(Z5T2)
-        rng = random.Random(degree)
-        j, u = rng.randrange(1, v.t), rng.randrange(1, v.spec.size)
-        v._pow_x[j, u] = (v._pow_x[j, u] + 1) % v.spec.size
-        expected = dict_loop_failure(v, degree)
-        assert expected is not None and any(expected.tuple)
-        with pytest.raises(IdentityFailed) as exc:
-            v.degree_2() if degree == 2 else v.degree_3()
-        assert exc.value.tuple == expected.tuple
-        assert str(exc.value) == str(expected)
+        v = corrupt_power(HomotopyVerifier(Z5T2), random.Random(degree))
+        assert any(assert_fails_where_the_dict_loop_does(v, degree, random.Random(degree)).tuple)
 
     @pytest.mark.parametrize("name", ["C2", "C3", "H1", "H2", "H3", "TEMPLATE"])
     def test_block_terms_are_the_dict_chains(self, name):
@@ -455,6 +466,94 @@ class TestHomotopyIdentities:
         for x in range(4):
             for z in range(4):
                 assert v.c3(x, x, z) == {}
+
+
+class TestTemplateBlocks:
+    """Later blocks checked against the cancellation pattern of sorted rows,
+    on walks cut into blocks of one to three tuples."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("spec", [FIB22, Z5T2], ids=lambda s: s.label())
+    @pytest.mark.parametrize(
+        "degree,name",
+        [(2, "C2"), (2, "H1"), (2, "H2"), (3, "C3"), (3, "H2"), (3, "H3"), (3, "TEMPLATE"),
+         (2, "power"), (3, "power")],
+    )
+    def test_mutants_fail_where_the_dict_loop_does(self, monkeypatch, spec, degree, name, rows):
+        rng = random.Random(f"{name}:{spec.label()}")
+        if name != "power":
+            flip_term(monkeypatch, name, rng.randrange(len(getattr(adjoint, name).terms)))
+        v = HomotopyVerifier(spec)
+        if name == "power":
+            corrupt_power(v, rng)
+        small_blocks(monkeypatch, v, degree, rows)
+        assert_fails_where_the_dict_loop_does(v, degree, rng)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("spec", [FIB22, Z5T2], ids=lambda s: s.label())
+    def test_a_passing_check_sorts_fewer_rows_than_it_walks(self, monkeypatch, spec, rows):
+        sorted_rows, distinct = [], []
+        sort, template = adjoint._first_unbalanced_row, adjoint._template
+
+        def sort_spy(keys, coeffs):
+            sorted_rows.append(keys.shape[1])
+            return sort(keys, coeffs)
+
+        def template_spy(*args):
+            found = template(*args)
+            distinct.append(found[0])
+            return found
+
+        monkeypatch.setattr(adjoint, "_first_unbalanced_row", sort_spy)
+        monkeypatch.setattr(adjoint, "_template", template_spy)
+        v = HomotopyVerifier(spec)
+        n = spec.size
+        small_blocks(monkeypatch, v, 3, rows)
+        parts = adjoint._residual_parts(3, v.t)
+        assert v._first_failure(parts, range(n**3), walk_tuple(3, n)) is None
+        # the first block, all (x, 0, 0), is sorted whole; of the later
+        # rows, only those that miss the template
+        assert sorted_rows[0] == rows and sum(sorted_rows) < n**3 // 4
+        # the degenerate first block gives a coarse template, which a later
+        # sorted row with more distinct keys replaced; kept, it made most
+        # later rows miss and be sorted, past the bound above
+        assert distinct[0] < max(distinct)
+
+    @pytest.mark.parametrize("spec", HOMOTOPY_SPECS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_every_row_the_template_admits_cancels(self, spec, degree):
+        # read a template from random tuples, then code each entry by its
+        # class under the template's pairs: the row with the fewest equal
+        # codes that passes the template.  Every other passing row merges
+        # its runs further, so it cancels if this one does.
+        v = HomotopyVerifier(spec)
+        program = adjoint._compile(v.t, degree, adjoint._residual_parts(degree, v.t))
+        rng = np.random.default_rng(degree)
+        codes = v._entries(program, list(rng.integers(spec.size, size=(degree, 16))))
+        keys = codes[:, program.columns].transpose(1, 0, 2)
+        bad, order, new = adjoint._first_unbalanced_row(keys, program.coeffs)
+        assert bad is None
+        count, a, b = adjoint._template(program.columns, order, new)
+        # the row it was read from passes it
+        assert count == new.sum(axis=1).max() and (codes[:, a] == codes[:, b]).all(axis=1).any()
+        label = list(range(codes.shape[1]))
+
+        def find(e):
+            while label[e] != e:
+                e = label[e]
+            return e
+
+        for x, y in zip(a.tolist(), b.tolist()):
+            label[find(x)] = find(y)
+        classes = np.array([find(e) for e in range(len(label))])
+        finest = classes[program.columns][:, None, :]
+        assert adjoint._first_unbalanced_row(finest, program.coeffs)[0] is None
+
+    def test_a_single_block_reads_no_template(self, monkeypatch):
+        monkeypatch.setattr(adjoint, "_template", None)
+        for spec in (FIB22, Z5T2):
+            v = HomotopyVerifier(spec)
+            assert v.degree_2().tuples_checked == spec.size**2
 
 
 # the tables each degree's residual reads

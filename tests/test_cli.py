@@ -1,6 +1,7 @@
 """The command-line frontend: parsing, exit codes, report golden checks."""
 
 import argparse
+import errno
 import os
 import subprocess
 import sys
@@ -476,6 +477,33 @@ class TestCommands:
         finally:
             os.close(write)
         assert (out.returncode, out.stderr) == (code, "")
+
+    def test_a_full_disk_on_stdout_is_two(self, capsys, monkeypatch, tmp_path):
+        # the flush of the report fails with ENOSPC: exit 2 as for --out, no
+        # traceback, and stdout points at devnull for the flush at exit
+        class FullStdout:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def fileno(self):
+                return self.fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", FullStdout(fd))
+            code = main(["check", "dihedral n=3"])
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write standard output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
 class TestCensus:

@@ -39,3 +39,17 @@ def test_the_library_does_not_load_the_report_module():
     # reports are the command line's; only `cli` builds them
     code = "import sys, quandles; assert 'quandles.report' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC), check=True)
+
+
+def test_the_homotopy_and_homology_paths_do_not_load_numpy_ma():
+    # plain np.unique imports numpy.ma (about 15 ms) to test for a mask
+    code = (
+        "import sys\n"
+        "from quandles import AlexanderModuleSpec, alexander, quandle_h2\n"
+        "from quandles.adjoint import HomotopyVerifier\n"
+        "spec = AlexanderModuleSpec.scalar((5,), 2)\n"
+        "HomotopyVerifier(spec).degree_3()\n"
+        "quandle_h2(alexander(spec))\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC), check=True)
