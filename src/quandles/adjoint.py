@@ -612,6 +612,10 @@ class HomotopyVerifier:
         for j in range(1, self.t + 1):
             _, self._pow_x[j], self._pow_alpha[j] = self.model.mul_array(
                 (j - 1, self._pow_x[j - 1], self._pow_alpha[j - 1]), e_u)
+        # the code of e_u^j at [j, u]
+        exponents = np.arange(self.t + 1)[:, None]
+        self._pow_codes = ((exponents * spec.size + self._pow_x) * self.model.coker_order
+                           + self._pow_alpha)
         # an entry has exponent 1, j or t, a product of two entries at most 2t;
         # a bar tuple is keyed by its elements' codes as base-radix digits,
         # digits_per_key of them to an int64 key, so that no key wraps
@@ -628,13 +632,13 @@ class HomotopyVerifier:
             points.append(q[points[a], points[b]])
         points = np.stack(points, axis=1)
         size, coker = self.spec.size, self.model.coker_order
-        codes = (np.arange(self.t + 1)[:, None] * size + self._pow_x) * coker + self._pow_alpha
         power, at = program.plain
         (p, u), (r, v) = program.factors
         n, x, alpha = self.model.mul_array(
             (p, self._pow_x[p, points[:, u]], self._pow_alpha[p, points[:, u]]),
             (r, self._pow_x[r, points[:, v]], self._pow_alpha[r, points[:, v]]))
-        return np.concatenate((codes[power, points[:, at]], (n * size + x) * coker + alpha), axis=1)
+        return np.concatenate(
+            (self._pow_codes[power, points[:, at]], (n * size + x) * coker + alpha), axis=1)
 
     # the chains at one tuple, as dicts -------------------------------------
 

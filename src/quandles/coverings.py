@@ -73,8 +73,8 @@ def universal_covering_alexander(
         table[g0 : g0 + len(ids)] = x * fiber + alpha
     x_labels = [",".join(map(str, row)) for row in spec.coord_rows.tolist()]
     alpha_labels = [",".join(map(str, row)) for row in model.alpha_rows.tolist()]
-    labels = [f"({x};{a})" for x in x_labels for a in alpha_labels]
-    total = validate(table, labels)
+    # the total's labels are made on first read
+    total = validate(table, lambda: (f"({x};{a})" for x in x_labels for a in alpha_labels))
     return CoveringInstance(
         base=model.quandle,
         total=total,

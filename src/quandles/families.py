@@ -163,14 +163,17 @@ def alexander(spec: AlexanderModuleSpec) -> FiniteQuandle:
     """The Alexander quandle x <| y = Tx + (1 - T)y on the module.
 
     Row x of the table is the codes of Tx + (1 - T)y over all y, read off
-    the spec's coordinate arrays, so the only n x n array is the table.
+    the spec's coordinate arrays in blocks of rows (perms.row_blocks), so
+    the only n x n array is the table.  The labels are made on first read.
     """
     one_minus_t = spec.coord_rows - spec.t_rows
     table = np.empty((spec.size, spec.size), dtype=np.int64)
-    for x, tx in enumerate(spec.t_rows):
-        table[x] = codes(tx + one_minus_t, spec.torsion_orders)
-    labels = ["(" + ",".join(str(v) for v in c) + ")" for c in spec.coord_rows.tolist()]
-    return validate(table, labels=labels)
+    # a row of the block stands for its n·k digits three times over: the
+    # digit block and the two arrays codes makes from it
+    for x0, tx in perms.row_blocks(spec.t_rows, 3 * one_minus_t.size):
+        table[x0 : x0 + len(tx)] = codes(tx[:, None] + one_minus_t, spec.torsion_orders)
+    return validate(table, labels=lambda: (
+        "(" + ",".join(str(v) for v in c) + ")" for c in spec.coord_rows.tolist()))
 
 
 def dihedral(n: int) -> FiniteQuandle:

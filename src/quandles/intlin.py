@@ -13,12 +13,16 @@ Those Smith forms peel unit pivots on the arrays in rounds.  Each round
 drops every column equal up to sign to an earlier one (a hash proposes
 pairs, an entry-by-entry compare decides), picks unit pivots whose block
 is diagonal by Markowitz cost, and eliminates them all with one
-Schur-complement update, coalesced by sorting.  A round whose update could
-leave int64 is not run.  What is left, with no unit or past that bound,
-goes to the dict elimination with Python ints, on row dicts built from
-the arrays: it peels every unit pivot (the sparsest row holding an entry
-+-1 pivots there, row operations clear that column, and the row and
-column leave with a 1 for the diagonal), then diagonalizes the rest by
+Schur-complement update, coalesced by sorting.  Every ordering the peel
+takes is a stable one read off one value sort of the key packed with each
+entry's position (_stable_order); numpy's stable argsort, a timsort for
+int64 and several times slower, runs only when the key leaves too few
+bits for the position.  A round whose update could leave int64 is not
+run.  What is left, with no unit or past that bound, goes to the dict
+elimination with Python ints, on row dicts built from the arrays: it
+peels every unit pivot (the sparsest row holding an entry +-1 pivots
+there, row operations clear that column, and the row and column leave
+with a 1 for the diagonal), then diagonalizes the rest by
 Euclidean elimination (least absolute value first, fewest nonzeros on
 ties), and gcd/lcm steps put its diagonal in divisibility order.  A rank
 is the length of the diagonal.  A cap bounds the entries a round builds:
@@ -428,10 +432,31 @@ def _repeat_pairs(counts: np.ndarray, starts: np.ndarray):
     return left, np.arange(len(left)) - first[left] + starts[left]
 
 
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """The stable sort order of a non-negative int64 key.
+
+    The key and each entry's position share one int64, key << b | position
+    with b the bit length of len(key) - 1, and a plain value sort of those
+    orders by key, then position; the low b bits are the order.  A key of
+    2^(63 - b) or more leaves no room, and numpy's stable argsort runs.
+    """
+    b = (len(key) - 1).bit_length()
+    if not len(key) or int(key.max()) >= 1 << (63 - b):
+        return np.argsort(key, kind="stable")
+    packed = key << b
+    packed |= np.arange(len(key))
+    packed.sort()
+    packed &= (1 << b) - 1
+    return packed
+
+
 def _coalesce(nrows: int, key, vs):
     """(rows, cols, sums) of the values at equal keys col * nrows + row,
-    zero sums dropped, sorted by column then row."""
-    order = np.argsort(key, kind="stable")
+    zero sums dropped, sorted by column then row.  The order is one value
+    sort of the key packed with each term's position (_stable_order), or
+    numpy's stable argsort when a key of 2^(63 - b) or more, b the bit
+    length of the term count less one, leaves no room for the position."""
+    order = _stable_order(key)
     key, vs = key[order], vs[order]
     starts = _run_starts(key)
     sums = np.add.reduceat(vs, starts) if len(starts) else vs
@@ -442,25 +467,32 @@ def _coalesce(nrows: int, key, vs):
 
 
 def _drop_duplicate_columns(rs, cs, vs):
-    """Drop every column equal, up to sign, to a column of lower index.
+    """Drop every column equal, up to sign, to a column of lower index:
+    the kept entries and each kept column's nonzero count.
 
     Subtracting the earlier column empties the later one, so the column
     lattice and the Smith diagonal do not change.  Columns are grouped by
-    their nonzero count and a hash of the column scaled to a positive first
-    entry; each one is compared entry by entry with the first column of its
-    group and dropped only when every entry agrees.
+    one key, their nonzero count and the top bits of a hash of the column
+    scaled to a positive first entry, with as many hash bits as
+    _stable_order leaves; each one is compared entry by entry with the
+    first column of its group and dropped only when every entry agrees.  So
+    a shorter hash can let a duplicate through but never drops a column
+    that differs.
     """
     starts, counts = _column_runs(cs)
     signed = vs * np.repeat(np.sign(vs[starts]), counts)
     hashes = _column_hashes(rs, signed, starts)
-    order = np.lexsort((cs[starts], hashes, counts))
-    counts_seen, hashes_seen = counts[order], hashes[order]
+    # at least one hash bit while there are fewer than 2^31 entries
+    hash_bits = 63 - (len(starts) - 1).bit_length() - int(counts.max()).bit_length()
+    key = counts << hash_bits | (hashes >> np.uint64(64 - hash_bits)).astype(np.int64)
+    order = _stable_order(key)
+    key = key[order]
     same = np.zeros(len(order), dtype=bool)
-    same[1:] = (counts_seen[1:] == counts_seen[:-1]) & (hashes_seen[1:] == hashes_seen[:-1])
+    same[1:] = key[1:] == key[:-1]
     group_first = np.maximum.accumulate(np.where(same, 0, np.arange(len(order))))
     members = order[same]
     if not len(members):
-        return rs, cs, vs
+        return rs, cs, vs, counts
     firsts = order[group_first[same]]
     n = counts[members]
     left, mine = _repeat_pairs(n, starts[members])
@@ -470,22 +502,17 @@ def _drop_duplicate_columns(rs, cs, vs):
     dropped = np.zeros(len(starts), dtype=bool)
     dropped[members[equal]] = True
     keep = ~np.repeat(dropped, counts)
-    return rs[keep], cs[keep], vs[keep]
+    return rs[keep], cs[keep], vs[keep], counts[~dropped]
 
 
-def _independent_pivots(nrows: int, ncols: int, rs, cs, vs):
-    """Unit pivots (rows, cols, values) whose block of the matrix is diagonal.
+def _ranked_candidates(nrows: int, ncols: int, rs, cs, vs, counts):
+    """The entries of the candidate unit pivots, best first.
 
     Each row and then each column keeps its one best unit by Markowitz
-    cost (row nnz - 1)(col nnz - 1), then row, then column.  Among these
-    candidates, one that meets a better one in its row or column
-    (m[r_k, c_l] != 0) waits for a later round; the rest, taken in passes
-    of local best until every candidate is taken or blocked, are the pivots.
+    cost (row nnz - 1)(col nnz - 1), then row, then column; counts are the
+    column nonzero counts in column order.
     """
     unit = np.flatnonzero((vs == 1) | (vs == -1))
-    if not len(unit):
-        return unit, unit, unit
-    starts, counts = _column_runs(cs)
     col_nnz = np.repeat(counts, counts)[unit]
     row_nnz = np.bincount(rs, minlength=nrows)[rs[unit]]
     cost = (row_nnz - 1) * (col_nnz - 1)
@@ -495,8 +522,28 @@ def _independent_pivots(nrows: int, ncols: int, rs, cs, vs):
     first = np.full(nrows, ncols)
     np.minimum.at(first, rs[unit], cs[unit])
     unit = unit[cs[unit] == first[rs[unit]]]
-    ranked = unit[np.lexsort((cs[unit], rs[unit], least[rs[unit]]))]
-    cand = ranked[np.sort(np.unique(cs[ranked], return_index=True)[1])]
+    # one unit is left per row: put in row order, a stable sort by cost
+    # ranks them by cost, then row
+    at_row = np.full(nrows, -1)
+    at_row[rs[unit]] = unit
+    unit = at_row[at_row >= 0]
+    ranked = unit[_stable_order(least[rs[unit]])]
+    # a stable sort by column puts each column's best first in its run
+    by_col = _stable_order(cs[ranked])
+    best = np.zeros(len(ranked), dtype=bool)
+    best[by_col[_run_starts(cs[ranked][by_col])]] = True
+    return ranked[best]
+
+
+def _independent_pivots(nrows: int, ncols: int, rs, cs, vs, counts):
+    """Unit pivots (rows, cols, values) whose block of the matrix is diagonal.
+
+    Among the candidates (_ranked_candidates), one that meets a better one
+    in its row or column (m[r_k, c_l] != 0) waits for a later round; the
+    rest, taken in passes of local best until every candidate is taken or
+    blocked, are the pivots.
+    """
+    cand = _ranked_candidates(nrows, ncols, rs, cs, vs, counts)
     # conflicts between candidates k < l, by their rank in cand
     ek, el = _index_of(nrows, rs[cand])[rs], _index_of(ncols, cs[cand])[cs]
     hit = (ek >= 0) & (el >= 0) & (ek != el)
@@ -538,15 +585,15 @@ def _peel_units(m: SparseIntMatrix, cap: int) -> tuple[int, SparseIntMatrix]:
         return 0, m
     ones = 0
     while len(vs):
-        rs, cs, vs = _drop_duplicate_columns(rs, cs, vs)
-        pr, pc, pv = _independent_pivots(nrows, ncols, rs, cs, vs)
+        rs, cs, vs, counts = _drop_duplicate_columns(rs, cs, vs)
+        pr, pc, pv = _independent_pivots(nrows, ncols, rs, cs, vs, counts)
         big = _max_abs(vs)
         if not len(pr) or (len(pr) + 1) * big * big >= _INT64_LIMIT:
             break
         kr, kc = _index_of(nrows, pr)[rs], _index_of(ncols, pc)[cs]
         in_row, in_col = kr >= 0, kc >= 0
         pivot_row = np.flatnonzero(in_row & ~in_col)
-        pivot_row = pivot_row[np.argsort(kr[pivot_row], kind="stable")]
+        pivot_row = pivot_row[_stable_order(kr[pivot_row])]
         row_counts = np.bincount(kr[pivot_row], minlength=len(pr))
         pivot_col = np.flatnonzero(in_col & ~in_row)
         k = kc[pivot_col]

@@ -341,8 +341,15 @@ def assert_fails_where_the_dict_loop_does(v, degree, rng):
 
 def corrupt_power(v, rng):
     """v with one seeded e_u^j (0 < j < t, u != 0) made wrong in x."""
-    j, u = rng.randrange(1, v.t), rng.randrange(1, v.spec.size)
-    v._pow_x[j, u] = (v._pow_x[j, u] + 1) % v.spec.size
+    return wrong_power(v, rng.randrange(1, v.t), rng.randrange(1, v.spec.size))
+
+
+def wrong_power(v, j, u):
+    """v with e_u^j made wrong in x, in _pow_x and in the code table that
+    __init__ builds from it."""
+    x = (v._pow_x[j, u] + 1) % v.spec.size
+    v._pow_codes[j, u] += (x - v._pow_x[j, u]) * v.model.coker_order
+    v._pow_x[j, u] = x
     return v
 
 
@@ -435,7 +442,7 @@ class TestHomotopyIdentities:
         walk = range(rows * 1000, rows * 1002)
         broken = HomotopyVerifier(spec)
         u = random.Random(81).randrange(81)
-        broken._pow_x[1, u] = (broken._pow_x[1, u] + 1) % 81
+        wrong_power(broken, 1, u)
         expected = dict_loop_failure(broken, 3, walk)
         assert expected is not None and expected.tuple != degree_3_triple(walk.start, 81)
         for per_key in (3, 1):

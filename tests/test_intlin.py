@@ -345,7 +345,8 @@ class TestArrayPeel:
         rng = random.Random(17)
         dense = _peel_test_matrix(rng, 40, 60)
         m = SparseIntMatrix.from_dense(dense)
-        rs, cs, vs = intlin._drop_duplicate_columns(*m._arrays())
+        rs, cs, vs, counts = intlin._drop_duplicate_columns(*m._arrays())
+        assert counts.tolist() == np.unique(cs, return_counts=True)[1].tolist()
         columns = list(zip(*dense))
         kept = set(cs.tolist())
         dropped = [c for c, col in enumerate(columns) if c not in kept and any(col)]
@@ -355,11 +356,22 @@ class TestArrayPeel:
             assert columns[c] in earlier or tuple(-v for v in columns[c]) in earlier, c
         assert cokernel(m) == _invariants(40, sympy_diagonal(dense))
 
+    def test_only_columns_of_one_count_are_compared(self, monkeypatch):
+        # with one hash for all, the count in the key keeps the compare of
+        # column 2 from running on past column 0 into column 1
+        monkeypatch.setattr(
+            intlin, "_column_hashes", lambda rows, values, starts: np.zeros(len(starts), np.uint64)
+        )
+        m = SparseIntMatrix.from_dense([[1, 0, 1], [0, 2, 2], [0, 5, 0]])
+        assert intlin._drop_duplicate_columns(*m._arrays())[1].tolist() == m._arrays()[1].tolist()
+        assert cokernel(m) == AbelianGroupInvariants(0, (10,))
+
     def test_duplicate_columns_up_to_sign_leave(self):
         rng = random.Random(19)
         dense = _peel_test_matrix(rng, 40, 60)
         m = SparseIntMatrix.from_dense(dense)
-        _, cs, _ = intlin._drop_duplicate_columns(*m._arrays())
+        _, cs, _, counts = intlin._drop_duplicate_columns(*m._arrays())
+        assert counts.tolist() == np.unique(cs, return_counts=True)[1].tolist()
         columns = list(zip(*dense))
         expected = [
             c for c, col in enumerate(columns)
@@ -409,6 +421,74 @@ def test_catalogue_d3_diagonal_matches_smith_normal_form(key):
     for table in (q, _relabeled(q, len(key))):
         d3 = RackComplexSlice(table).boundary(3)
         assert intlin._diagonal(d3, DEFAULT_CELL_CAP) == smith_normal_form(d3)[0], key
+
+
+def _argsort(key):
+    return np.argsort(key, kind="stable")
+
+
+class TestStableOrder:
+    """_stable_order, the one sort of the unit peel: a value sort of the key
+    packed with each position, or numpy's stable argsort past the budget."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_stable_argsort_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        key = rng.integers(0, [3, 50, 2**40][seed % 3], rng.integers(2, 3000))
+        assert np.array_equal(intlin._stable_order(key), _argsort(key))
+
+    @pytest.mark.parametrize("key", [[], [7], [0]])
+    def test_empty_and_length_one(self, key):
+        key = np.array(key, dtype=np.int64)
+        assert intlin._stable_order(key).tolist() == _argsort(key).tolist()
+
+    def test_the_bit_budget_and_the_fallback(self, monkeypatch):
+        # five positions take b = 3 bits, so keys up to 2^60 - 1 are packed
+        calls, argsort = [], np.argsort
+        monkeypatch.setattr(intlin.np, "argsort", lambda *a, **k: calls.append(a) or argsort(*a, **k))
+        at_budget = np.array([2**60 - 1, 0, 2**60 - 1, 5, 0])
+        assert intlin._stable_order(at_budget).tolist() == [1, 4, 3, 0, 2] and not calls
+        over = np.array([2**60, 0, 2**60, 5, 0])
+        assert intlin._stable_order(over).tolist() == [1, 4, 3, 0, 2] and len(calls) == 1
+        past = np.array([2**60, 0, 2**60, 2**62, 0])
+        assert intlin._stable_order(past).tolist() == [1, 4, 0, 2, 3] and len(calls) == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_candidates_rank_as_the_lexsort_did(self, seed):
+        rng = random.Random(seed)
+        m = SparseIntMatrix.from_dense(_peel_test_matrix(rng, 60, 80))
+        rs, cs, vs, counts = intlin._drop_duplicate_columns(*m._arrays())
+        expected = _lexsort_candidates(m.rows, m.cols, rs, cs, vs)
+        assert len(expected) > 10
+        assert intlin._ranked_candidates(m.rows, m.cols, rs, cs, vs, counts).tolist() == expected
+
+
+def _lexsort_candidates(nrows, ncols, rs, cs, vs):
+    """Each row's and then each column's best unit by (cost, row, column),
+    ranked by np.lexsort and np.unique."""
+    unit = np.flatnonzero((vs == 1) | (vs == -1))
+    _, counts = intlin._column_runs(cs)
+    cost = (np.bincount(rs, minlength=nrows)[rs[unit]] - 1) * (np.repeat(counts, counts)[unit] - 1)
+    least = np.full(nrows, np.iinfo(np.int64).max)
+    np.minimum.at(least, rs[unit], cost)
+    unit = unit[cost == least[rs[unit]]]
+    first = np.full(nrows, ncols)
+    np.minimum.at(first, rs[unit], cs[unit])
+    unit = unit[cs[unit] == first[rs[unit]]]
+    ranked = unit[np.lexsort((cs[unit], rs[unit], least[rs[unit]]))]
+    return ranked[np.sort(np.unique(cs[ranked], return_index=True)[1])].tolist()
+
+
+@pytest.mark.parametrize("key", [e.key for e in standard_grid() if e.order <= 30])
+def test_catalogue_peel_is_the_stable_argsort_peel(key, monkeypatch):
+    # d3|S, the input of H2, and d4|S, of H3, up to order 10
+    q = grid_by_key()[key].build()
+    complex_ = RackComplexSlice(q)
+    boundaries = [complex_.restricted_boundary(k) for k in (3, 4) if k == 3 or q.order <= 10]
+    peels = [intlin._peel_units(m, DEFAULT_CELL_CAP) for m in boundaries]
+    monkeypatch.setattr(intlin, "_stable_order", _argsort)
+    for m, (ones, residual) in zip(boundaries, peels):
+        assert (ones, residual) == intlin._peel_units(m, DEFAULT_CELL_CAP), key
 
 
 class TestRankAndKernel:
