@@ -22,12 +22,13 @@ columns, which `SparseIntMatrix.from_arrays` adds up by position.
 chain-homotopy verifier uses it, and the tests check the assembled
 matrices against it.
 
-H_k is read off d_(k+1) restricted to the tuples whose last entry lies
-in the generating set S, together with the full d_k (see
-`RackComplexSlice.homology` for why that is the same group).  Homology
-groups come from `intlin.homology_at`, whose Smith form peels unit pivots
-on the matrices' entry arrays in rounds and hands the residual to a dict
-elimination.
+H_k is read off d_(k+1) and d_k, each restricted to the tuples whose
+last entry lies in the generating set S (see `RackComplexSlice.homology`
+for why that is the same group); the full d_k is kept for the check that
+d_k d_(k+1) = 0.  Homology groups come from `intlin.homology_at`, whose
+one Smith-form pass peels unit pivots on the entry arrays of both
+restricted boundaries at once, as one block-diagonal matrix, in rounds,
+and hands the residual to a dict elimination.
 """
 
 from __future__ import annotations
@@ -184,8 +185,9 @@ class RackComplexSlice:
         return SparseIntMatrix.from_arrays(len(row_codes), len(cols), row_ids, col_ids, values)
 
     def homology(self, degree: int) -> AbelianGroupInvariants:
-        """H_degree as homology_at(d_{k+1}|S, d_k), k = degree: d_{k+1}
-        restricted to the basis tuples that end in S, and d_k in full.
+        """H_degree as homology_at(d_{k+1}|S, d_k), k = degree, with the
+        rank of d_k read off d_k|S: each boundary restricted to the basis
+        tuples that end in S.
 
         im d_{k+1} is spanned by the d(c, s) with s in S.  Write d(c, z) =
         (dc, z) + (-1)^(k+1) (c - c <| z), with (dc, z) appending z to
@@ -201,14 +203,21 @@ class RackComplexSlice:
         degree 2 this is the rack space of Fenn, Rourke and Sanderson cut
         down to the relators of As(X) on S.
 
-        The free rank is |C_k| - rank d_k - rank d_{k+1}|S, and the torsion
-        that of coker d_{k+1}|S.  Both boundaries are counted against the
-        cap before either is built.
+        The same argument one degree lower, with c of length k - 1, gives
+        im d_k = span of the d(c, s), s in S, so rank d_k = rank d_k|S.  The
+        free rank is |C_k| - rank d_k|S - rank d_{k+1}|S, and the torsion
+        that of coker d_{k+1}|S; one unit peel of the two as one
+        block-diagonal matrix gives both.  The full d_k stays for the check
+        d_k d_{k+1}|S = 0.  Both boundaries are counted against the cap
+        before either is built, and the peel's cap counts the entries of
+        both blocks.
         """
         if degree not in (2, 3):
             raise ValueError("homology materialized for degrees 2 and 3")
         self._admit((degree, False), (degree + 1, True))
-        return homology_at(self.restricted_boundary(degree + 1), self.boundary(degree), self.cap)
+        d_in, d_out = self.restricted_boundary(degree + 1), self.boundary(degree)
+        ends_in_s = np.searchsorted(self._basis_codes(degree), self._basis_codes(degree, True))
+        return homology_at(d_in, d_out, self.cap, ends_in_s)
 
 
 def quandle_h2(q: FiniteQuandle, cap: int = DEFAULT_CELL_CAP) -> AbelianGroupInvariants:

@@ -25,9 +25,10 @@ there, row operations clear that column, and the row and column leave
 with a 1 for the diagonal), then diagonalizes the rest by
 Euclidean elimination (least absolute value first, fewest nonzeros on
 ties), and gcd/lcm steps put its diagonal in divisibility order.  A rank
-is the length of the diagonal.  A cap bounds the entries a round builds:
-the round whose surviving entries plus its update would pass it raises
-SizeCap instead.
+is the length of the diagonal.  homology_at peels its two matrices as
+one block-diagonal matrix, whose blocks no round mixes.  A cap bounds the
+entries a round builds: the round whose surviving entries plus its
+update would pass it raises SizeCap instead.
 
 smith_normal_form runs the dict elimination alone, because it records its
 row operations as a unimodular transform U, and the adjoint model's
@@ -41,6 +42,8 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
+
+from .perms import BLOCK_CELLS
 
 DEFAULT_CELL_CAP = 10_000_000
 _INT64_LIMIT = 2**63
@@ -437,14 +440,18 @@ def _stable_order(key: np.ndarray) -> np.ndarray:
 
     The key and each entry's position share one int64, key << b | position
     with b the bit length of len(key) - 1, and a plain value sort of those
-    orders by key, then position; the low b bits are the order.  A key of
-    2^(63 - b) or more leaves no room, and numpy's stable argsort runs.
+    orders by key, then position; the low b bits are the order.  The
+    positions are or-ed in blocks of BLOCK_CELLS, so the packed key is the
+    one full-length array built.  A key of 2^(63 - b) or more leaves no
+    room, and numpy's stable argsort runs.
     """
     b = (len(key) - 1).bit_length()
     if not len(key) or int(key.max()) >= 1 << (63 - b):
         return np.argsort(key, kind="stable")
     packed = key << b
-    packed |= np.arange(len(key))
+    for start in range(0, len(key), BLOCK_CELLS):
+        block = packed[start : start + BLOCK_CELLS]
+        block |= np.arange(start, start + len(block))
     packed.sort()
     packed &= (1 << b) - 1
     return packed
@@ -565,7 +572,19 @@ def _independent_pivots(nrows: int, ncols: int, rs, cs, vs, counts):
 
 
 def _peel_units(m: SparseIntMatrix, cap: int) -> tuple[int, SparseIntMatrix]:
-    """Unit pivots peeled on arrays: (number peeled, residual matrix).
+    """Unit pivots peeled on arrays: (number peeled, residual matrix), by
+    _peel_pivot_rows; none when an entry does not fit in int64."""
+    rs, cs, vs = m._arrays()
+    if vs.dtype != np.int64:
+        return 0, m
+    pivot_rows, residual = _peel_pivot_rows(m.rows, m.cols, rs, cs, vs, cap)
+    return len(pivot_rows), residual
+
+
+def _peel_pivot_rows(nrows: int, ncols: int, rs, cs, vs, cap: int):
+    """Unit pivots peeled on the int64 entry arrays of an nrows x ncols
+    matrix m, sorted by column, then row: (the row of each pivot peeled,
+    residual matrix).
 
     Rounds run until no entry +-1 is left.  Each drops duplicate columns,
     picks independent unit pivots, and applies one Schur-complement update
@@ -574,16 +593,12 @@ def _peel_units(m: SparseIntMatrix, cap: int) -> tuple[int, SparseIntMatrix]:
     of the pivots is diagonal with entries +-1, so this is the same as
     eliminating them one at a time, each with a 1 for the diagonal.  A round
     that could leave int64, with (P+1)·max|v|² >= 2^63 for P pivots, is not
-    run; nor is any when an entry does not fit in int64.  A round whose
-    surviving entries plus its update number more than cap raises SizeCap
-    before it builds them.  The residual's Smith diagonal completes m's
-    after the 1s.
+    run.  A round whose surviving entries plus its update number more than
+    cap raises SizeCap before it builds them.  The residual's Smith
+    diagonal completes m's after the 1s.  Arrays no caller holds are freed
+    once the first round replaces them.
     """
-    nrows, ncols = m.rows, m.cols
-    rs, cs, vs = m._arrays()
-    if vs.dtype != np.int64:
-        return 0, m
-    ones = 0
+    pivot_rows = [np.zeros(0, dtype=np.int64)]
     while len(vs):
         rs, cs, vs, counts = _drop_duplicate_columns(rs, cs, vs)
         pr, pc, pv = _independent_pivots(nrows, ncols, rs, cs, vs, counts)
@@ -603,14 +618,18 @@ def _peel_units(m: SparseIntMatrix, cap: int) -> tuple[int, SparseIntMatrix]:
             raise SizeCap(needed, cap)
         left, right = _repeat_pairs(row_counts[k], (np.cumsum(row_counts) - row_counts)[k])
         scaled = vs[pivot_col] * pv[k]
-        rs, cs, vs = _coalesce(
-            nrows,
-            np.concatenate((cs[rest], cs[pivot_row][right])) * nrows
-            + np.concatenate((rs[rest], rs[pivot_col][left])),
-            np.concatenate((vs[rest], -scaled[left] * vs[pivot_row][right])),
-        )
-        ones += len(pr)
-    return ones, SparseIntMatrix.from_arrays(nrows, ncols, rs, cs, vs)
+        key = np.concatenate((cs[rest], cs[pivot_row][right]))
+        term_rows = np.concatenate((rs[rest], rs[pivot_col][left]))
+        values = np.concatenate((vs[rest], -scaled[left] * vs[pivot_row][right]))
+        # the sort that coalesces the terms is the round's peak: the round's
+        # own arrays are let go before it
+        del rs, cs, vs, kr, kc, in_row, in_col, rest
+        key *= nrows
+        key += term_rows
+        del term_rows
+        rs, cs, vs = _coalesce(nrows, key, values)
+        pivot_rows.append(pr)
+    return np.concatenate(pivot_rows), SparseIntMatrix.from_arrays(nrows, ncols, rs, cs, vs)
 
 
 def _diagonal(m: SparseIntMatrix, cap: int) -> list[int]:
@@ -618,6 +637,54 @@ def _diagonal(m: SparseIntMatrix, cap: int) -> list[int]:
     the residual by the dict pass."""
     ones, residual = _peel_units(m, cap)
     return [1] * ones + _snf_diagonal_sparse(residual)
+
+
+def _block_diagonals(a: SparseIntMatrix, b: SparseIntMatrix, cap: int) -> tuple[list, list]:
+    """Nonzero Smith diagonals of a and of b from one unit peel of the
+    block-diagonal matrix diag(a, b), under the cap.
+
+    The blocks share no row and no column, so no step of a round crosses
+    between them: a duplicate column, a conflict between candidates and a
+    Schur-complement term all lie in one block, and each round takes the
+    pivots the two peels would have taken on their own; only the int64
+    bound of a round reads both blocks, and stopping there early leaves
+    more to the dict passes, with the same diagonals.  A pivot in a row
+    below a.rows is a's, and the residual splits by row for the two dict
+    passes.  When an entry of either block does not fit in int64 the two
+    are done apart.
+    """
+    (ars, acs, avs), (brs, bcs, bvs) = a._arrays(), b._arrays()
+    if avs.dtype != np.int64 or bvs.dtype != np.int64:
+        return _diagonal(a, cap), _diagonal(b, cap)
+    # a's columns come first, so the joint entries are sorted as they stand
+    pivot_rows, residual = _peel_pivot_rows(
+        a.rows + b.rows,
+        a.cols + b.cols,
+        np.concatenate((ars, brs + a.rows)),
+        np.concatenate((acs, bcs + a.cols)),
+        np.concatenate((avs, bvs)),
+        cap,
+    )
+    ones_a = int(np.count_nonzero(pivot_rows < a.rows))
+    rs, cs, vs = residual._arrays()
+    in_a = rs < a.rows
+    in_b = ~in_a
+    rest_a = SparseIntMatrix.from_arrays(a.rows, a.cols, rs[in_a], cs[in_a], vs[in_a])
+    rest_b = SparseIntMatrix.from_arrays(
+        b.rows, b.cols, rs[in_b] - a.rows, cs[in_b] - a.cols, vs[in_b]
+    )
+    return (
+        [1] * ones_a + _snf_diagonal_sparse(rest_a),
+        [1] * (len(pivot_rows) - ones_a) + _snf_diagonal_sparse(rest_b),
+    )
+
+
+def _columns(m: SparseIntMatrix, ids: np.ndarray) -> SparseIntMatrix:
+    """The columns ids of m, ascending, as a matrix of len(ids) columns."""
+    rs, cs, vs = m._arrays()
+    index = _index_of(m.cols, ids)[cs]
+    keep = index >= 0
+    return SparseIntMatrix.from_arrays(m.rows, len(ids), rs[keep], index[keep], vs[keep])
 
 
 def smith_normal_form(m: SparseIntMatrix):
@@ -668,7 +735,10 @@ def compose_is_zero(outer: SparseIntMatrix, inner: SparseIntMatrix):
 
 
 def homology_at(
-    boundary_in: SparseIntMatrix, boundary_out: SparseIntMatrix, cap: int = DEFAULT_CELL_CAP
+    boundary_in: SparseIntMatrix,
+    boundary_out: SparseIntMatrix,
+    cap: int = DEFAULT_CELL_CAP,
+    out_cols=None,
 ) -> AbelianGroupInvariants:
     """Invariants of ker(boundary_out) / im(boundary_in).
 
@@ -679,7 +749,13 @@ def homology_at(
     Since ker(boundary_out) is a pure submodule of the carrier containing
     im(boundary_in), the torsion of the quotient equals the torsion of
     coker(boundary_in) and the free rank is dim C_k - rank(out) - rank(in).
-    The cap bounds both Smith forms' unit peels.
+    rank(out) is read off the columns out_cols of boundary_out, ascending
+    indices that the caller knows to span a lattice of the same rank as
+    all of its columns (RackComplexSlice.homology passes the tuples that
+    end in S), or off every column when out_cols is None.  One unit peel
+    of the block-diagonal matrix of boundary_in and those columns gives
+    both Smith forms (_block_diagonals), and the cap bounds the entries of
+    both blocks together.
     """
     if boundary_in.rows != boundary_out.cols:
         raise ValueError(
@@ -689,9 +765,8 @@ def homology_at(
     bad = compose_is_zero(boundary_out, boundary_in)
     if bad is not None:
         raise NotAComplex(bad[0], bad[1])
-    diag_in = _diagonal(boundary_in, cap)
-    rank_out = rank(boundary_out, cap)
-    free = boundary_in.rows - rank_out - len(diag_in)
+    rank_block = boundary_out if out_cols is None else _columns(boundary_out, out_cols)
+    diag_in, diag_out = _block_diagonals(boundary_in, rank_block, cap)
+    free = boundary_in.rows - len(diag_out) - len(diag_in)
     torsion = tuple(d for d in diag_in if d > 1)
     return AbelianGroupInvariants(free, torsion)
-

@@ -10,7 +10,9 @@ Oracles:
   that end in the generating set S;
 - H_k from the full boundaries of that loop (and sympy's Smith form where
   it fits) against H_k from the boundary restricted to S, with the first
-  entry restricted to S instead as a control that must disagree.
+  entry restricted to S instead as a control that must disagree;
+- the rank of d_k against the rank of its columns that end in S, which
+  homology_at reads it off.
 """
 
 import random
@@ -36,7 +38,7 @@ from quandles.homology import (
     homology,
     quandle_h2,
 )
-from quandles.intlin import AbelianGroupInvariants, SparseIntMatrix, cokernel, homology_at
+from quandles.intlin import AbelianGroupInvariants, SparseIntMatrix, cokernel, homology_at, rank
 
 from child_memory import child_peaks_kb
 from smith_check import sympy_diagonal
@@ -366,6 +368,16 @@ class TestRestrictedBoundary:
         q = _build(key, seed)
         for mode in (RACK, QUANDLE):
             assert homology(q, 3, mode) == _full_homology(q, mode, 3), mode
+
+    @pytest.mark.parametrize("key,seed", _catalogue_cases(12))
+    def test_rank_of_d_k_is_the_rank_on_the_tuples_ending_in_s(self, key, seed):
+        # the same argument one degree lower: im d_k is spanned by the d(c, s)
+        q = _build(key, seed)
+        for mode in (RACK, QUANDLE):
+            for degree in (2, 3):
+                full = _boundary_by_tuples(q, mode, degree)
+                restricted = _boundary_by_tuples(q, mode, degree, _ends_in(q))
+                assert rank(restricted) == rank(full), (mode, degree)
 
     @pytest.mark.parametrize("key", [e.key for e in standard_grid() if e.order <= 5])
     def test_h2_matches_sympy(self, key):

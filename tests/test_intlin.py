@@ -6,7 +6,8 @@ and hand-checked small cases.  Every matrix given to smith_normal_form has
 its transform U checked too (smith_check): unimodular, and row i of U * A
 divisible by diagonal entry i, zero past the diagonal.  The unit peel on
 entry arrays, which rank, cokernel and homology_at run first, is checked
-against sympy and against smith_normal_form's dict elimination.
+against sympy and against smith_normal_form's dict elimination, and
+homology_at's one peel of two blocks against the two peels apart.
 """
 
 import random
@@ -415,6 +416,84 @@ class TestArrayPeel:
             run(m, cap=cap)
 
 
+def _least_cap(run) -> int:
+    """The least cap under which run(cap) raises no SizeCap."""
+    cap = 0
+    while True:
+        try:
+            run(cap)
+            return cap
+        except SizeCap as exc:
+            cap = exc.needed
+
+
+class TestBlockPeel:
+    """homology_at's one peel of diag(boundary_in, rank block): each block's
+    diagonal as its own peel gives it, and as sympy's Smith form."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_diagonals_and_residuals_as_two_peels(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        dense_a = _peel_test_matrix(rng, rng.randint(20, 50), rng.randint(30, 60))
+        dense_b = _peel_test_matrix(rng, rng.randint(10, 40), rng.randint(20, 50))
+        a, b = SparseIntMatrix.from_dense(dense_a), SparseIntMatrix.from_dense(dense_b)
+        residuals = []
+        dict_pass = intlin._snf_diagonal_sparse
+        monkeypatch.setattr(
+            intlin, "_snf_diagonal_sparse", lambda m: residuals.append(m) or dict_pass(m)
+        )
+        diag_a, diag_b = intlin._block_diagonals(a, b, DEFAULT_CELL_CAP)
+        assert diag_a == intlin._diagonal(a, DEFAULT_CELL_CAP) == sympy_diagonal(dense_a)
+        assert diag_b == intlin._diagonal(b, DEFAULT_CELL_CAP) == sympy_diagonal(dense_b)
+        assert len(diag_b) == rank(b)
+        # the same pivots round by round: the residuals split off the joint
+        # peel are those of the peels apart
+        alone = [intlin._peel_units(m, DEFAULT_CELL_CAP)[1] for m in (a, b)]
+        assert residuals[:2] == alone
+
+    def test_an_object_block_is_peeled_apart(self):
+        rng = random.Random(5)
+        dense_a = [[2**70, 1, 0], [0, 3, 2**64]]
+        dense_b = _peel_test_matrix(rng, 30, 40)
+        a, b = SparseIntMatrix.from_dense(dense_a), SparseIntMatrix.from_dense(dense_b)
+        assert a._arrays()[2].dtype == object
+        for x, y, dx, dy in ((a, b, dense_a, dense_b), (b, a, dense_b, dense_a)):
+            assert intlin._block_diagonals(x, y, DEFAULT_CELL_CAP) == (
+                sympy_diagonal(dx),
+                sympy_diagonal(dy),
+            )
+
+    def test_the_cap_counts_both_blocks(self):
+        rng = random.Random(31)
+        a = SparseIntMatrix.from_dense(_peel_test_matrix(rng, 40, 60))
+        b = SparseIntMatrix.from_dense(_peel_test_matrix(rng, 30, 50))
+        alone = max(_least_cap(lambda cap: intlin._peel_units(m, cap)) for m in (a, b))
+        joint = _least_cap(lambda cap: intlin._block_diagonals(a, b, cap))
+        assert joint > alone
+        with pytest.raises(SizeCap) as exc:
+            intlin._block_diagonals(a, b, joint - 1)
+        assert exc.value.needed == joint
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_homology_at_reads_the_rank_off_out_cols(self, seed):
+        # d_out gains the n - 1 columns 2 c_j - c_{j+1}, so its first n
+        # columns still span its image; d_in gains zero rows to match
+        rng = random.Random(seed)
+        inner = _peel_test_matrix(rng, 50, 60)
+        outer = _sparse_matrix(rng, 10, 12, 3, (1, -1, 2, 3))
+        d_in, d_out = _complex(rng, inner, outer)
+        n = len(d_in)
+        d_out = [row + [2 * row[c] - row[c + 1] for c in range(n - 1)] for row in d_out]
+        d_in = d_in + [[0] * len(d_in[0]) for _ in range(n - 1)]
+        d_in, d_out = SparseIntMatrix.from_dense(d_in), SparseIntMatrix.from_dense(d_out)
+        carrier = 2 * n - 1
+        expected = _invariants(carrier - len(sympy_diagonal(outer)), sympy_diagonal(inner))
+        assert homology_at(d_in, d_out) == expected
+        assert homology_at(d_in, d_out, DEFAULT_CELL_CAP, np.arange(n)) == expected
+        one_column = homology_at(d_in, d_out, DEFAULT_CELL_CAP, np.arange(1))
+        assert one_column.free_rank > expected.free_rank
+
+
 @pytest.mark.parametrize("key", [e.key for e in standard_grid() if e.order <= 30])
 def test_catalogue_d3_diagonal_matches_smith_normal_form(key):
     q = grid_by_key()[key].build()
@@ -435,6 +514,11 @@ class TestStableOrder:
     def test_matches_stable_argsort_with_ties(self, seed):
         rng = np.random.default_rng(seed)
         key = rng.integers(0, [3, 50, 2**40][seed % 3], rng.integers(2, 3000))
+        assert np.array_equal(intlin._stable_order(key), _argsort(key))
+
+    def test_matches_stable_argsort_across_blocks(self):
+        # more keys than BLOCK_CELLS: the positions are or-ed in three blocks
+        key = np.random.default_rng(8).integers(0, 1000, 2 * intlin.BLOCK_CELLS + 12345)
         assert np.array_equal(intlin._stable_order(key), _argsort(key))
 
     @pytest.mark.parametrize("key", [[], [7], [0]])
